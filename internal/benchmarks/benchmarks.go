@@ -7,9 +7,11 @@
 // The dispatch suite prices the hot paths this repository's throughput
 // hangs on: sched.Queue's indexed-heap dispatch under many flows, the
 // credit-gated admission walk, flow-aware head skipping past a blocked
-// flow, transport.SendQueue's mutex path, and sim.Engine's event
-// scheduling. Every dispatch benchmark is required to be allocation-free at
-// steady state; Check fails any result that allocates.
+// flow, transport.SendQueue's mutex path, sim.Engine's event scheduling,
+// and the simulated message path above them (netsim's pooled in-flight
+// records over the host and ToR hops, cluster's processing pool). Every
+// dispatch benchmark is required to be allocation-free at steady state;
+// Check fails any result that allocates.
 package benchmarks
 
 import (
@@ -19,6 +21,7 @@ import (
 	"time"
 
 	"p3/internal/cluster"
+	"p3/internal/netsim"
 	"p3/internal/ring"
 	"p3/internal/sched"
 	"p3/internal/sim"
@@ -219,6 +222,52 @@ func xshardBench(b *testing.B) {
 	p.Run()
 }
 
+// netsimBench prices one message through netsim on a bare engine — host
+// egress, the switch ports between from and dest(from), host ingress —
+// with a standing window of messages in flight, each delivery sending the
+// next. The warm-up window populates the record pools, the queues' flow
+// shells and the event slab, so the timed steady state must allocate
+// nothing: the pooled-record message path's contract.
+func netsimBench(cfg netsim.Config, dest func(from int) int) func(b *testing.B) {
+	return func(b *testing.B) {
+		const n, window = 16, 64
+		var eng sim.Engine
+		var nw *netsim.Network
+		budget := 0
+		send := func(from int) {
+			budget--
+			nw.Send(netsim.Message{From: from, To: dest(from), Bytes: 4096, Priority: int32(budget & 7)})
+		}
+		nw = netsim.New(&eng, n, cfg, func(m netsim.Message) {
+			if budget > 0 {
+				send(m.To)
+			}
+		}, nil)
+		run := func(msgs int) {
+			budget = msgs
+			for i := 0; i < window && budget > 0; i++ {
+				send(i % n)
+			}
+			eng.Run()
+		}
+		run(4 * window)
+		b.ReportAllocs()
+		b.ResetTimer()
+		run(b.N)
+	}
+}
+
+// procPoolBench prices one item through cluster's processing pool (queue,
+// per-chunk serialization, pre-bound completion slot). The pool is built
+// inside the timed call; its few dozen construction allocations vanish in
+// allocs/op, one allocation per item would not.
+func procPoolBench(b *testing.B) {
+	b.ReportAllocs()
+	if done := cluster.BenchProcPool(b.N); done != b.N {
+		b.Fatalf("%d of %d items processed", done, b.N)
+	}
+}
+
 // Dispatch returns the dispatch microbenchmark suite, in stable order.
 func Dispatch() []Named {
 	return []Named{
@@ -234,7 +283,25 @@ func Dispatch() []Named {
 		{"sendqueue/credit-adaptive/64dests", sendQueueBench("credit-adaptive:1048576")},
 		{"engine/event", engineBench},
 		{"engine/xshard", xshardBench},
+		{"netsim/host-msg", netsimBench(hostCfg(), func(from int) int { return (from + 1) % 16 })},
+		{"netsim/tor-msg", netsimBench(torCfg(), func(from int) int { return from ^ 4 })},
+		{"cluster/procpool", procPoolBench},
 	}
+}
+
+// hostCfg is the flat switch at the reference cell's bandwidth, p3 egress.
+func hostCfg() netsim.Config {
+	cfg := netsim.DefaultConfig(1.5)
+	cfg.Egress = "p3"
+	return cfg
+}
+
+// torCfg puts the 16 machines in racks of 4 behind 4:1-oversubscribed,
+// damped-scheduled ToR ports; from^4 is the same slot of a neighbour rack.
+func torCfg() netsim.Config {
+	cfg := hostCfg()
+	cfg.Topology = netsim.Topology{RackSize: 4, CoreOversub: 4, CoreSched: "damped"}
+	return cfg
 }
 
 // benchReps is how many times RunDispatch measures each benchmark. The

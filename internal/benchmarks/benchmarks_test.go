@@ -53,7 +53,7 @@ func TestDispatchSuiteNames(t *testing.T) {
 		}
 		seen[n.Name] = true
 	}
-	for _, want := range []string{"queue/p3/64flows", "sendqueue/p3/64dests", "engine/event"} {
+	for _, want := range []string{"queue/p3/64flows", "sendqueue/p3/64dests", "engine/event", "netsim/host-msg", "netsim/tor-msg", "cluster/procpool"} {
 		if !seen[want] {
 			t.Fatalf("suite lost %q, which the checked-in baseline gates on", want)
 		}

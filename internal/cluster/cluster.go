@@ -345,42 +345,61 @@ type procItem struct {
 // for the server- and worker-side producer/consumer loops of Section 4.2,
 // or any other registered discipline.
 type procPool struct {
-	threads   int
-	inFlight  int
-	queue     *sched.Queue[procItem]
-	chunkBusy map[int32]bool
-	waiting   map[int32][]procItem
-	overhead  sim.Time
-	rate      float64  // bytes per nanosecond
-	proc      sim.Proc // the owning machine's timeline
-	done      func(procItem)
+	queue *sched.Queue[procItem]
+	// chunkBusy and waiting are indexed by chunk id (dense, 0..NumChunks-1).
+	chunkBusy []bool
+	waiting   [][]procItem
+	// idle holds the free processing threads. Each slot's completion
+	// continuation is bound once at construction, so starting an item
+	// allocates nothing; len(idle) == 0 means every thread is busy.
+	idle     []*procSlot
+	overhead sim.Time
+	rate     float64  // bytes per nanosecond
+	proc     sim.Proc // the owning machine's timeline
+	done     func(procItem)
+}
+
+// procSlot is one processing thread: the item it is working on and its
+// pre-bound completion event.
+type procSlot struct {
+	it     procItem
+	finish func()
 }
 
 // newProcPool builds a pool ordered by queue, which must wrap a fresh
 // discipline instance (pools never share scheduler state). proc is the
 // owning machine's scheduling handle — pool events belong to that LP.
-func newProcPool(threads int, overhead sim.Time, rate float64, queue *sched.Queue[procItem], proc sim.Proc) *procPool {
-	return &procPool{
-		threads:   threads,
+func newProcPool(cs *clusterSim, threads int, overhead sim.Time, rate float64, queue *sched.Queue[procItem], proc sim.Proc) *procPool {
+	p := &procPool{
 		queue:     queue,
-		chunkBusy: make(map[int32]bool),
-		waiting:   make(map[int32][]procItem),
+		chunkBusy: make([]bool, cs.plan.NumChunks()),
+		waiting:   make([][]procItem, cs.plan.NumChunks()),
+		idle:      make([]*procSlot, threads),
 		overhead:  overhead,
 		rate:      rate,
 		proc:      proc,
 	}
+	for i := range p.idle {
+		s := new(procSlot)
+		s.finish = func() { p.finish(cs, s) }
+		p.idle[i] = s
+	}
+	return p
 }
 
 // add enqueues an item and starts as many queued items as the thread,
 // per-key and credit limits allow. The pool's done callback runs on the
 // virtual clock when an item finishes processing.
+//
+//p3:noescape
 func (p *procPool) add(cs *clusterSim, it procItem) {
 	p.queue.Push(it)
 	p.pump(cs)
 }
 
+//p3:noescape
 func (p *procPool) pump(cs *clusterSim) {
-	for p.inFlight < p.threads {
+	for len(p.idle) > 0 {
 		it, ok := p.queue.PopReady()
 		if !ok {
 			return
@@ -398,25 +417,32 @@ func (p *procPool) pump(cs *clusterSim) {
 	}
 }
 
+//p3:noescape
 func (p *procPool) start(cs *clusterSim, it procItem) {
 	p.chunkBusy[it.chunk] = true
-	p.inFlight++
+	s := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
+	s.it = it
 	cost := p.overhead + sim.Time(float64(cs.plan.Chunks[it.chunk].Bytes())/p.rate)
-	p.proc.After(cost, func() {
-		p.inFlight--
-		delete(p.chunkBusy, it.chunk)
-		p.queue.Done(it)
-		if w := p.waiting[it.chunk]; len(w) > 0 {
-			p.queue.Push(w[0])
-			if len(w) == 1 {
-				delete(p.waiting, it.chunk)
-			} else {
-				p.waiting[it.chunk] = w[1:]
-			}
-		}
-		p.done(it)
-		p.pump(cs)
-	})
+	p.proc.After(cost, s.finish)
+}
+
+// finish runs when slot s's item has been processed.
+//
+//p3:noescape
+func (p *procPool) finish(cs *clusterSim, s *procSlot) {
+	it := s.it
+	p.idle = append(p.idle, s)
+	p.chunkBusy[it.chunk] = false
+	p.queue.Done(it)
+	if w := p.waiting[it.chunk]; len(w) > 0 {
+		p.queue.Push(w[0])
+		// Shift down instead of re-slicing from the front, so the chunk's
+		// backing array is reused by every later deferral.
+		p.waiting[it.chunk] = w[:copy(w, w[1:])]
+	}
+	p.done(it)
+	p.pump(cs)
 }
 
 type serverState struct {
@@ -715,7 +741,7 @@ func newClusterSim(cfg Config) *clusterSim {
 	for s := range cs.servers {
 		srv := s
 		cs.servers[s] = serverState{
-			proc:     newProcPool(cfg.ServerThreads, cfg.UpdateOverhead, cfg.UpdateRateGBps, newQueue(s), cs.procs[cs.srvMachine[s]]),
+			proc:     newProcPool(cs, cfg.ServerThreads, cfg.UpdateOverhead, cfg.UpdateRateGBps, newQueue(s), cs.procs[cs.srvMachine[s]]),
 			agg:      make([]chunkAgg, cs.plan.NumChunks()),
 			lastDone: make([]int32, cs.plan.NumChunks()),
 			pending:  make(map[int32][]pendingPull),
@@ -744,7 +770,7 @@ func newClusterSim(cfg Config) *clusterSim {
 		ws.notifyCount = make([]int, cs.layers)
 		ws.bwdDone = make([]sim.Time, cs.total)
 		ws.layerStall = make([]sim.Time, cs.layers)
-		ws.proc = newProcPool(cfg.HostThreads, cfg.HostOverhead, cfg.HostRateGBps, newQueue(w), cs.procs[w])
+		ws.proc = newProcPool(cs, cfg.HostThreads, cfg.HostOverhead, cfg.HostRateGBps, newQueue(w), cs.procs[w])
 		wk := w
 		ws.proc.done = func(it procItem) { cs.installChunk(wk, it.chunk, it.iter) }
 	}

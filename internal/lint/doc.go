@@ -75,7 +75,16 @@
 // package's compilation, with positions pointing back into the defining
 // file. Documented cold-path allocations inside a marked function — the
 // first flow shell per destination, the per-flow heap — are exempted line
-// by line with //p3:alloc-ok <reason>. This pass drives the compiler, so it
+// by line with //p3:alloc-ok <reason>. The simulated message path is pinned
+// the same way: every per-message function of netsim (Send, pumpEgress/
+// pumpSegment, forward, coreEnqueue/pumpCore/routeFromPort, arrive/
+// pumpIngress, refundCredit, deliverAgg/pumpAggIngest, AggSend/AggFanout
+// and their continuations), cluster's procPool (add/pump/start/finish)
+// and ring's pumpReduce/reduceDone schedule a record's pre-bound func()
+// instead of a closure literal — a closure creeping back into one of them
+// is a "func literal escapes to heap" inside a marked function. The only
+// exempted lines are the record pool's miss (netsim's newFlight) and two
+// misuse panics in Send. This pass drives the compiler, so it
 // runs standalone (`p3lint -analyzers=noescape ./...`), not under vet; on
 // an unchanged tree the diagnostics replay from the build cache.
 //

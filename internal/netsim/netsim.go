@@ -96,12 +96,40 @@
 // and an N-shard run reproduces the 1-shard Result bit for bit; each
 // aggregator LP lives on its rack's (or pod's first rack's) shard, so
 // only core and spine hops cross shards, exactly as without aggregation.
+//
+// # Message records: lifetime and ownership
+//
+// Every in-flight message owns one pooled record (flight) from Send — or
+// AggSend/AggFanout — until its delivery completes. The record carries the
+// Message, the egress progress and the one func() the engine ever sees for
+// it, bound when the record is first created: a hop only names what that
+// continuation runs next (a method expression, which allocates nothing)
+// and hands the same func() to Proc.After or Exec.Cross. Steady state
+// therefore schedules without allocating, in exactly the call order of a
+// closure per hop, so event keys and Results are unchanged.
+//
+// A record belongs to the LP of its pending event or of the queue it waits
+// in; ownership moves with the Cross hand-off and with nothing else. It is
+// released on the LP where delivery completes — the destination machine
+// after ingress, the aggregator at arrival or after its reduce engine —
+// except under a gated egress discipline, where the record rides the
+// credit refund and is released on the sender's LP (a message waiting in a
+// reduce engine lends the refund a second record). Handlers get the
+// Message by value, after the release: they may keep it, and a Send from
+// inside a delivery reuses the record just freed.
+//
+// Free lists are per LP under the sharded engine: an LP's list is touched
+// only by events on that LP's timeline, so shards never share one and no
+// lock is needed. On the single-threaded engine they collapse to one list.
+// Records are created on demand — a run's first messages pay for them —
+// and lists never shrink: under the sharded engine, traffic whose per-LP
+// sends and deliveries do not balance leaves its surplus idle on the
+// receiving LPs' lists, at most one record per message.
 package netsim
 
 import (
 	"fmt"
 
-	"p3/internal/pq"
 	"p3/internal/sched"
 	"p3/internal/sim"
 	"p3/internal/trace"
@@ -483,44 +511,23 @@ func msgDest(m Message) int32 {
 	return int32(m.To)
 }
 
-// msgItem is the scheduler-visible view of a message at a core port queue;
+// portItem is the scheduler-visible view of a message at a core port queue;
 // the destination key makes each (port, destination) pair one flow. (The
 // port needs no field: a core queue belongs to one port LP, whose index is
 // injected into source-aware disciplines via sched.ApplySource.)
-func msgItem(m Message) sched.Item {
-	return sched.Item{Priority: m.Priority, Bytes: m.Bytes, Dest: msgDest(m)}
+func portItem(f *flight) sched.Item {
+	return sched.Item{Priority: f.msg.Priority, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
 }
 
 // Handler receives fully delivered messages.
 type Handler func(Message)
 
-// txState is one resumable egress transmission: the message plus how much
-// of its wire size (payload and header) has been serialized. With
-// preemption disabled it is popped once and transmitted whole; with a
-// quantum a preempted transmission is parked on its NIC carrying its
-// progress and resumes from where it stopped.
-type txState struct {
-	msg Message
-	// pri is the effective urgency class: it starts at msg.Priority and is
-	// raised to the displacing class each time the transmission is parked
-	// or passed over (priority inheritance). The inherited class is what
-	// the resume rule compares against, so a parked tail yields only to
-	// traffic strictly more urgent than what last displaced it — without
-	// inheritance it would defer behind every future more-urgent arrival
-	// (backward passes generate ever more urgent classes), and under a
-	// comm-bound backlog that starves exactly the late-layer bulk tails
-	// whose stalls already bind the iteration, inverting the "preemption
-	// as upper bound" claim this models.
-	pri  int32
-	wire int64 // total wire bytes: payload + header
-	sent int64 // wire bytes already serialized
-}
-
-// txItem is the scheduler-visible view of a transmission. It reads only
-// fields that never change while the element is queued (pri is raised only
-// while the element is parked outside the queue), so the view stays pure.
-func txItem(t *txState) sched.Item {
-	return sched.Item{Priority: t.pri, Bytes: t.msg.Bytes, Dest: msgDest(t.msg)}
+// txItem is the scheduler-visible view of a transmission at host egress. It
+// reads only fields that never change while the element is queued (pri is
+// raised only while the element is parked outside the queue), so the view
+// stays pure.
+func txItem(f *flight) sched.Item {
+	return sched.Item{Priority: f.pri, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
 }
 
 // nicStats are one machine's transfer counters. They live on the nic —
@@ -536,7 +543,7 @@ type nicStats struct {
 }
 
 type nic struct {
-	egress     *sched.Queue[*txState]
+	egress     *sched.Queue[*flight]
 	egressBusy bool
 	// parked holds preempted transmissions, most recently parked last. Each
 	// entry was displaced by traffic strictly more urgent than its
@@ -546,8 +553,11 @@ type nic struct {
 	// before every queued element that is not strictly more urgent than
 	// the class that displaced them: preemption costs a tail exactly the
 	// displacing burst, never its position within its own class.
-	parked     []*txState
-	ingress    *pq.Queue[Message]
+	parked []*flight
+	// ingress stays store-and-forward FIFO: reordering happens at the
+	// sender, exactly as in the real system (the receiver drains the socket
+	// in arrival order).
+	ingress    flightQ
 	ingressBsy bool
 	stats      nicStats
 	// rateScale multiplies the NIC's serialization rate (both directions);
@@ -560,7 +570,7 @@ type nic struct {
 // coreLink is one switch port — a rack's uplink/downlink at the core tier
 // or a pod's uplink/downlink at the spine tier: a store-and-forward queue
 // serializing at the tier's oversubscribed rate, owned by its own LP.
-// Without a port discipline it is a blind FIFO slice (q/head); with one
+// Without a port discipline it is a blind FIFO (q); with one
 // it is a per-flow sched.Queue (sq) running the named discipline — the
 // priority-aware ToR/spine. bytes/msgs count the payload traffic that
 // transited the port (LP-owned, so shard-safe; summed after the run).
@@ -571,9 +581,8 @@ type coreLink struct {
 	idx   int     // rack index (core tier) or pod index (spine tier)
 	rate  float64 // Gbps, i.e. bits per nanosecond
 	busy  bool
-	q     []Message
-	head  int
-	sq    *sched.Queue[Message] // nil without a port discipline
+	q     flightQ
+	sq    *sched.Queue[*flight] // nil without a port discipline
 	bytes int64
 	msgs  int64
 	// rateScale multiplies the port's serialization rate; 1 outside any
@@ -591,8 +600,7 @@ type coreLink struct {
 // changing the refund timing.
 type aggIngest struct {
 	busy bool
-	q    []Message
-	head int
+	q    flightQ
 }
 
 // Network simulates the interconnect for n machines.
@@ -614,6 +622,7 @@ type Network struct {
 	sharded    bool            // exec has >1 shard: no recorder (shared buckets)
 	gated      bool            // the egress discipline admits against a credit window
 	look       sim.Time        // cfg.Lookahead(): the credit-refund quantum
+	free       []*flight       // released records, per LP when sharded (see pool)
 
 	// aggIn are the aggregator reduce engines (rack aggregators first,
 	// then pod aggregators), present only with AggReduceGBps > 0: each is
@@ -626,18 +635,6 @@ type Network struct {
 	// lazily by the first scheduled outage, so fault-free runs carry no
 	// state and stay bit-identical.
 	aggDown []bool
-}
-
-// xfer carries one hop handoff from LP src to LP dst, delivering fn on
-// dst's timeline at the absolute time at, through the engine's Cross path.
-// Cross stamps the canonical tie key (virtual send time, source LP,
-// per-source send order) on both engines, so a handoff colliding with
-// another arrival — or with a local timer — at one (LP, instant) fires in
-// the same order on any shard count. Every hop goes through here — even
-// same-shard and same-machine pairs — precisely to keep that tie order
-// engine-independent.
-func (nw *Network) xfer(src, dst int, at sim.Time, fn func()) {
-	nw.exec.Cross(src, dst, at, fn)
 }
 
 // New creates a network of n machines on the given engine. handler is invoked
@@ -684,10 +681,6 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 	if nw.sharded && rec != nil {
 		panic("netsim: a trace.Recorder needs the single-shard engine (shared utilization buckets)")
 	}
-	// Ingress stays store-and-forward FIFO: reordering happens at the
-	// sender, exactly as in the real system (the receiver drains the socket
-	// in arrival order).
-	fifoLess := func(a, b Message) bool { return false }
 	nw.nics = make([]nic, n)
 	for i := range nw.nics {
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Egress), cfg.Profile)
@@ -700,13 +693,10 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 		// only for gated disciplines; ungated runs schedule none and stay
 		// bit-identical to earlier releases.
 		nw.gated = q.Gated()
-		nw.nics[i] = nic{
-			egress:    q,
-			ingress:   pq.New(fifoLess),
-			rateScale: 1,
-		}
+		nw.nics[i] = nic{egress: q, rateScale: 1}
 	}
 	nw.procs = make([]sim.Proc, cfg.NumLPs(n))
+	nw.free = make([]*flight, len(nw.procs))
 	for lp := range nw.procs {
 		nw.procs[lp] = x.Proc(lp)
 	}
@@ -718,13 +708,13 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 		}
 		nw.ups = make([]coreLink, racks)
 		nw.downs = make([]coreLink, racks)
-		portQueue := func(name string, lp int) *sched.Queue[Message] {
+		portQueue := func(name string, lp int) *sched.Queue[*flight] {
 			if name == "" {
 				return nil
 			}
 			disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
 			sched.ApplySource(disc, int32(lp))
-			return sched.NewQueue(disc, msgItem)
+			return sched.NewQueue(disc, portItem)
 		}
 		for r := 0; r < racks; r++ {
 			// Each port's rate is its rack's actual aggregate NIC rate — a
@@ -881,26 +871,38 @@ func (nw *Network) localTime(bytes int64) sim.Time {
 // memory in the real system. Aggregator-addressed messages (ToAgg, with To
 // naming the rack) serialize through the sender's egress like any other
 // traffic and are delivered to Config.AggDeliver.
+//
+//p3:noescape
 func (nw *Network) Send(m Message) {
 	if m.ToAgg && nw.aggBase < 0 {
-		panic("netsim: ToAgg send without Config.Aggregation")
+		panic("netsim: ToAgg send without Config.Aggregation") //p3:alloc-ok misuse panic, never reached by a valid run
 	}
 	if m.ToAgg && m.AggTier == TierPod && nw.rpp == 0 {
-		panic("netsim: TierPod send without a spine tier (Topology.Pods is 0)")
+		panic("netsim: TierPod send without a spine tier (Topology.Pods is 0)") //p3:alloc-ok misuse panic, never reached by a valid run
 	}
 	st := &nw.nics[m.From].stats
 	st.msgsSent++
 	st.bytesSent += m.Bytes
+	f := nw.acquire(m.From, m)
 	if !m.ToAgg && m.From == m.To {
-		nw.procs[m.From].After(nw.localTime(m.Bytes), func() {
-			st.msgsDelivered++
-			st.bytesDelivered += m.Bytes
-			nw.deliver(m)
-		})
+		nw.after(m.From, nw.localTime(m.Bytes), f, (*Network).deliverLocal)
 		return
 	}
-	nw.nics[m.From].egress.Push(&txState{msg: m, pri: m.Priority, wire: m.Bytes + nw.cfg.HeaderBytes})
+	f.pri, f.wire, f.sent = m.Priority, m.Bytes+nw.cfg.HeaderBytes, 0
+	nw.nics[m.From].egress.Push(f)
 	nw.pumpEgress(m.From)
+}
+
+// deliverLocal completes a loopback message on its machine's own LP.
+//
+//p3:noescape
+func (nw *Network) deliverLocal(f *flight) {
+	m := f.msg
+	nw.release(m.From, f)
+	st := &nw.nics[m.From].stats
+	st.msgsDelivered++
+	st.bytesDelivered += m.Bytes
+	nw.deliver(m)
 }
 
 // destRack resolves the rack a message is ultimately headed for: the
@@ -930,30 +932,43 @@ func (nw *Network) destPod(m Message) int {
 // everything addressed to a pod aggregator — into the source rack's
 // uplink. Cross carries every hop, even when both LPs share a shard, so
 // same-instant arrival order stays canonical for any shard count.
-func (nw *Network) forward(from int, m Message) {
-	now := nw.procs[from].Now()
+//
+//p3:noescape
+func (nw *Network) forward(from int, f *flight) {
+	m := f.msg
+	at := nw.procs[from].Now() + nw.cfg.PropDelay
 	if t := nw.cfg.Topology; t.RackSize > 0 {
 		toPodAgg := m.ToAgg && m.AggTier == TierPod
 		if toPodAgg || t.RackOf(from) != nw.destRack(m) {
-			l := &nw.ups[t.RackOf(from)]
-			nw.xfer(from, l.lp, now+nw.cfg.PropDelay, func() { nw.coreEnqueue(l, m) })
+			nw.toPort(from, &nw.ups[t.RackOf(from)], at, f)
 			return
 		}
 	}
 	if m.ToAgg {
-		nw.xfer(from, nw.aggLP(TierRack, m.To), now+nw.cfg.PropDelay, func() { nw.deliverAgg(m) })
+		nw.xfer(from, nw.aggLP(TierRack, m.To), at, f, (*Network).deliverAgg)
 		return
 	}
-	nw.xfer(from, m.To, now+nw.cfg.PropDelay, func() { nw.arrive(m) })
+	nw.xfer(from, m.To, at, f, (*Network).arrive)
 }
 
-// coreEnqueue queues m on a rack port — the blind FIFO slice or the
-// discipline-ordered port queue — and pumps it.
-func (nw *Network) coreEnqueue(l *coreLink, m Message) {
+// toPort hands f from LP src to switch port l, where it is queued at time at.
+//
+//p3:noescape
+func (nw *Network) toPort(src int, l *coreLink, at sim.Time, f *flight) {
+	f.port = l
+	nw.xfer(src, l.lp, at, f, (*Network).coreEnqueue)
+}
+
+// coreEnqueue queues f on the port it was handed to — the blind FIFO or
+// the discipline-ordered port queue — and pumps it.
+//
+//p3:noescape
+func (nw *Network) coreEnqueue(f *flight) {
+	l := f.port
 	if l.sq != nil {
-		l.sq.Push(m)
+		l.sq.Push(f)
 	} else {
-		l.q = append(l.q, m)
+		l.q.push(f)
 	}
 	nw.pumpCore(l)
 }
@@ -965,45 +980,44 @@ func (nw *Network) coreEnqueue(l *coreLink, m Message) {
 // and closes entirely on this LP — serialization start to serialization
 // end — so core gating is shard-safe); without one it is strict arrival
 // order.
+//
+//p3:noescape
 func (nw *Network) pumpCore(l *coreLink) {
 	if l.busy {
 		return
 	}
-	var m Message
+	var f *flight
 	if l.sq != nil {
 		var ok bool
-		m, ok = l.sq.PopReady()
+		f, ok = l.sq.PopReady()
 		if !ok {
 			return // empty, or every flow credit-blocked: Done below repumps
 		}
-	} else {
-		if l.head == len(l.q) {
-			return
-		}
-		m = l.q[l.head]
-		l.head++
-		if l.head == len(l.q) {
-			l.q = l.q[:0]
-			l.head = 0
-		}
+	} else if f = l.q.pop(); f == nil {
+		return
 	}
 	l.busy = true
-	l.bytes += m.Bytes
+	l.bytes += f.msg.Bytes
 	l.msgs++
-	p := nw.procs[l.lp]
-	bits := float64(m.Bytes+nw.cfg.HeaderBytes) * 8
+	bits := float64(f.msg.Bytes+nw.cfg.HeaderBytes) * 8
 	rate := l.rate
 	if l.rateScale != 1 {
 		rate *= l.rateScale
 	}
-	p.After(sim.Time(bits/rate), func() {
-		l.busy = false
-		if l.sq != nil {
-			l.sq.Done(m)
-		}
-		nw.routeFromPort(l, m)
-		nw.pumpCore(l)
-	})
+	nw.after(l.lp, sim.Time(bits/rate), f, (*Network).coreDone)
+}
+
+// coreDone runs when f finishes serializing at its port.
+//
+//p3:noescape
+func (nw *Network) coreDone(f *flight) {
+	l := f.port
+	l.busy = false
+	if l.sq != nil {
+		l.sq.Done(f)
+	}
+	nw.routeFromPort(l, f)
+	nw.pumpCore(l)
 }
 
 // routeFromPort hands a message that finished serializing at a switch
@@ -1020,7 +1034,10 @@ func (nw *Network) pumpCore(l *coreLink) {
 //     downlink;
 //   - a rack downlink delivers to the rack aggregator or the destination
 //     machine's ingress.
-func (nw *Network) routeFromPort(l *coreLink, m Message) {
+//
+//p3:noescape
+func (nw *Network) routeFromPort(l *coreLink, f *flight) {
+	m := f.msg
 	now := nw.procs[l.lp].Now()
 	t := nw.cfg.Topology
 	prop := nw.cfg.PropDelay
@@ -1028,77 +1045,87 @@ func (nw *Network) routeFromPort(l *coreLink, m Message) {
 	case l.up && !l.spine:
 		if nw.spineUps != nil {
 			if pod := nw.podOf(l.idx); nw.destPod(m) != pod {
-				s := &nw.spineUps[pod]
-				nw.xfer(l.lp, s.lp, now+t.coreDelay(prop), func() { nw.coreEnqueue(s, m) })
+				nw.toPort(l.lp, &nw.spineUps[pod], now+t.coreDelay(prop), f)
 				return
 			}
 		}
 		if m.ToAgg && m.AggTier == TierPod {
-			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+t.coreDelay(prop), func() { nw.deliverAgg(m) })
+			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+t.coreDelay(prop), f, (*Network).deliverAgg)
 			return
 		}
-		dst := &nw.downs[nw.destRack(m)]
-		nw.xfer(l.lp, dst.lp, now+t.coreDelay(prop), func() { nw.coreEnqueue(dst, m) })
+		nw.toPort(l.lp, &nw.downs[nw.destRack(m)], now+t.coreDelay(prop), f)
 	case l.up:
-		d := &nw.spineDowns[nw.destPod(m)]
-		nw.xfer(l.lp, d.lp, now+t.spineDelay(prop), func() { nw.coreEnqueue(d, m) })
+		nw.toPort(l.lp, &nw.spineDowns[nw.destPod(m)], now+t.spineDelay(prop), f)
 	case l.spine:
 		if m.ToAgg && m.AggTier == TierPod {
-			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+prop, func() { nw.deliverAgg(m) })
+			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+prop, f, (*Network).deliverAgg)
 			return
 		}
-		dst := &nw.downs[nw.destRack(m)]
-		nw.xfer(l.lp, dst.lp, now+t.coreDelay(prop), func() { nw.coreEnqueue(dst, m) })
+		nw.toPort(l.lp, &nw.downs[nw.destRack(m)], now+t.coreDelay(prop), f)
 	case m.ToAgg:
-		nw.xfer(l.lp, nw.aggLP(TierRack, m.To), now+prop, func() { nw.deliverAgg(m) })
+		nw.xfer(l.lp, nw.aggLP(TierRack, m.To), now+prop, f, (*Network).deliverAgg)
 	default:
-		nw.xfer(l.lp, m.To, now+prop, func() { nw.arrive(m) })
+		nw.xfer(l.lp, m.To, now+prop, f, (*Network).arrive)
 	}
 }
 
 // refundCredit schedules the window-relaxed credit refund for a fully
-// delivered message: the sender's transmission window for m closes one
+// delivered message: the sender's transmission window for f.msg closes one
 // lookahead after delivery, on the sender's own LP (see the package
 // comment — the delay is exactly the barrier-window width, so the refund
 // is an ordinary cross-LP edge on any shard count and both engines order
 // it canonically). Called only for gated egress disciplines; ungated runs
 // schedule no refund events at all. src is the LP the delivery completed
-// on. The throwaway txState is fine: Done reads only the Bytes and Dest
-// of the Item view, which the message determines.
-func (nw *Network) refundCredit(src int, m Message) {
-	from := m.From
-	nw.xfer(src, from, nw.procs[src].Now()+nw.look, func() {
-		d := txState{msg: m, pri: m.Priority}
-		nw.nics[from].egress.Done(&d)
-		nw.pumpEgress(from)
-	})
+// on; the record rides the refund and is released on the sender's LP.
+//
+//p3:noescape
+func (nw *Network) refundCredit(src int, f *flight) {
+	nw.xfer(src, f.msg.From, nw.procs[src].Now()+nw.look, f, (*Network).refunded)
+}
+
+// refunded lands a credit refund on the sender's LP. Done reads only the
+// Bytes and Dest of the Item view, which the message determines.
+//
+//p3:noescape
+func (nw *Network) refunded(f *flight) {
+	from := f.msg.From
+	nw.nics[from].egress.Done(f)
+	nw.release(from, f)
+	nw.pumpEgress(from)
 }
 
 // deliverAgg hands an aggregator-addressed message to the application on
 // the aggregator LP's timeline — through the FIFO reduce engine first
 // when the aggregator's ingest capacity is finite (AggReduceGBps).
 // Reaching the aggregator is full delivery for the sender's transmission
-// window: the credit refund that pumpIngress performs for machine-
+// window: the credit refund that ingressDone performs for machine-
 // addressed traffic happens here instead, at arrival (before any reduce
-// queueing — the window covers the wire, not the ASIC).
-func (nw *Network) deliverAgg(m Message) {
-	if nw.gated && !m.FromAgg {
-		// The refund happens even at a down aggregator: the sender's window
-		// covers the wire, and the message did cross it.
-		nw.refundCredit(nw.aggLP(int(m.AggTier), m.To), m)
-	}
+// queueing — the window covers the wire, not the ASIC). The refund
+// happens even at a down aggregator: the message did cross the wire.
+//
+//p3:noescape
+func (nw *Network) deliverAgg(f *flight) {
+	m := f.msg
+	lp := nw.aggLP(int(m.AggTier), m.To)
 	ord := nw.aggOrd(int(m.AggTier), m.To)
-	if nw.aggDown != nil && nw.aggDown[ord] {
-		nw.dropAgg(m)
+	refund := nw.gated && !m.FromAgg
+	down := nw.aggDown != nil && nw.aggDown[ord]
+	if nw.aggIn != nil && !down {
+		if refund {
+			// f waits in the reduce queue, so the refund rides its own record.
+			nw.refundCredit(lp, nw.acquire(lp, m))
+		}
+		a := &nw.aggIn[ord]
+		a.q.push(f)
+		nw.pumpAggIngest(a)
 		return
 	}
-	if nw.aggIn == nil {
-		nw.cfg.AggDeliver(int(m.AggTier), m.To, m)
-		return
+	if refund {
+		nw.refundCredit(lp, f)
+	} else {
+		nw.release(lp, f)
 	}
-	a := &nw.aggIn[ord]
-	a.q = append(a.q, m)
-	nw.pumpAggIngest(a)
+	nw.handAgg(down, m)
 }
 
 // aggOrd is the tier's aggregator idx as an index into the flat
@@ -1110,10 +1137,13 @@ func (nw *Network) aggOrd(tier, idx int) int {
 	return idx
 }
 
-// dropAgg discards a message addressed to a down aggregator, telling the
-// application through Config.AggDrop (on the aggregator LP's timeline).
-func (nw *Network) dropAgg(m Message) {
-	if nw.cfg.AggDrop != nil {
+// handAgg gives an aggregator-addressed message to the application on the
+// aggregator LP's timeline: Config.AggDeliver, or — when the aggregator is
+// down — Config.AggDrop (nil discards silently).
+func (nw *Network) handAgg(down bool, m Message) {
+	if !down {
+		nw.cfg.AggDeliver(int(m.AggTier), m.To, m)
+	} else if nw.cfg.AggDrop != nil {
 		nw.cfg.AggDrop(int(m.AggTier), m.To, m)
 	}
 }
@@ -1123,29 +1153,34 @@ func (nw *Network) dropAgg(m Message) {
 // nanosecond) on the aggregator's own LP, then hands it to AggDeliver.
 // Header bytes are wire framing, not reduction work, so only the payload
 // is charged.
+//
+//p3:noescape
 func (nw *Network) pumpAggIngest(a *aggIngest) {
-	if a.busy || a.head == len(a.q) {
+	if a.busy {
 		return
 	}
-	m := a.q[a.head]
-	a.head++
-	if a.head == len(a.q) {
-		a.q = a.q[:0]
-		a.head = 0
+	f := a.q.pop()
+	if f == nil {
+		return
 	}
 	a.busy = true
-	nw.procs[nw.aggLP(int(m.AggTier), m.To)].After(sim.Time(float64(m.Bytes)/nw.cfg.AggReduceGBps), func() {
-		a.busy = false
-		// A crash that lands mid-reduction swallows the in-flight payload:
-		// the outage begins the instant the event fires, not at the next
-		// queue boundary.
-		if nw.aggDown != nil && nw.aggDown[nw.aggOrd(int(m.AggTier), m.To)] {
-			nw.dropAgg(m)
-		} else {
-			nw.cfg.AggDeliver(int(m.AggTier), m.To, m)
-		}
-		nw.pumpAggIngest(a)
-	})
+	lp := nw.aggLP(int(f.msg.AggTier), f.msg.To)
+	nw.after(lp, sim.Time(float64(f.msg.Bytes)/nw.cfg.AggReduceGBps), f, (*Network).aggReduced)
+}
+
+// aggReduced runs when the reduce engine finishes f's payload. A crash
+// that lands mid-reduction swallows the in-flight payload: the outage
+// begins the instant the event fires, not at the next queue boundary.
+//
+//p3:noescape
+func (nw *Network) aggReduced(f *flight) {
+	m := f.msg
+	ord := nw.aggOrd(int(m.AggTier), m.To)
+	nw.release(nw.aggLP(int(m.AggTier), m.To), f)
+	a := &nw.aggIn[ord]
+	a.busy = false
+	nw.handAgg(nw.aggDown != nil && nw.aggDown[ord], m)
+	nw.pumpAggIngest(a)
 }
 
 // AggSend transmits m from the tier's aggregator idx. m.To names a
@@ -1161,33 +1196,28 @@ func (nw *Network) pumpAggIngest(a *aggIngest) {
 // uplink otherwise. It must be called from an AggDeliver callback (the
 // aggregator's LP timeline); the message is marked FromAgg — no NIC
 // egress is charged, modelling a switch-side reduction engine.
+//
+//p3:noescape
 func (nw *Network) AggSend(tier, idx int, m Message) {
 	m.FromAgg = true
 	lp := nw.aggLP(tier, idx)
-	now := nw.procs[lp].Now()
-	prop := nw.cfg.PropDelay
-	if tier == TierRack {
-		if !m.ToAgg && nw.cfg.Topology.RackOf(m.To) == idx {
-			nw.xfer(lp, m.To, now+prop, func() { nw.arrive(m) })
-			return
-		}
+	at := nw.procs[lp].Now() + nw.cfg.PropDelay
+	f := nw.acquire(lp, m)
+	switch {
+	case tier == TierRack && !m.ToAgg && nw.cfg.Topology.RackOf(m.To) == idx:
+		nw.xfer(lp, m.To, at, f, (*Network).arrive)
+	case tier == TierRack:
 		// Inter-rack machine traffic and the escalation to the pod
 		// aggregator both leave through the rack's uplink; routeFromPort
 		// steers them from there.
-		l := &nw.ups[idx]
-		nw.xfer(lp, l.lp, now+prop, func() { nw.coreEnqueue(l, m) })
-		return
+		nw.toPort(lp, &nw.ups[idx], at, f)
+	case nw.podOf(nw.destRack(m)) == idx:
+		// Pod aggregator: descend toward a rack of its own pod...
+		nw.toPort(lp, &nw.downs[nw.destRack(m)], at, f)
+	default:
+		// ...or cross the spine for anything outside it.
+		nw.toPort(lp, &nw.spineUps[idx], at, f)
 	}
-	// Pod aggregator: descend toward a rack of its own pod, or cross the
-	// spine for anything outside it.
-	dr := nw.destRack(m)
-	if nw.podOf(dr) == idx {
-		d := &nw.downs[dr]
-		nw.xfer(lp, d.lp, now+prop, func() { nw.coreEnqueue(d, m) })
-		return
-	}
-	s := &nw.spineUps[idx]
-	nw.xfer(lp, s.lp, now+prop, func() { nw.coreEnqueue(s, m) })
 }
 
 // AggFanout replicates m from the tier's aggregator idx: a rack
@@ -1200,10 +1230,12 @@ func (nw *Network) AggSend(tier, idx int, m Message) {
 // pays one downlink serialization per rack instead of one core crossing
 // per machine. Must be called from an AggDeliver callback; copies are
 // marked FromAgg like AggSend's.
+//
+//p3:noescape
 func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 	m.FromAgg = true
 	lp := nw.aggLP(tier, idx)
-	now := nw.procs[lp].Now()
+	at := nw.procs[lp].Now() + nw.cfg.PropDelay
 	if tier == TierPod {
 		m.ToAgg = true
 		m.AggTier = TierRack
@@ -1213,10 +1245,8 @@ func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 			if r == skip {
 				continue
 			}
-			c := m
-			c.To = r
-			d := &nw.downs[r]
-			nw.xfer(lp, d.lp, now+nw.cfg.PropDelay, func() { nw.coreEnqueue(d, c) })
+			m.To = r
+			nw.toPort(lp, &nw.downs[r], at, nw.acquire(lp, m))
 		}
 		return
 	}
@@ -1227,15 +1257,14 @@ func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 		if w == skip {
 			continue
 		}
-		c := m
-		c.To = w
-		nw.xfer(lp, w, now+nw.cfg.PropDelay, func() { nw.arrive(c) })
+		m.To = w
+		nw.xfer(lp, w, at, nw.acquire(lp, m), (*Network).arrive)
 	}
 }
 
+//p3:noescape
 func (nw *Network) pumpEgress(machine int) {
 	n := &nw.nics[machine]
-	p := nw.procs[machine]
 	if n.egressBusy {
 		return
 	}
@@ -1267,41 +1296,56 @@ func (nw *Network) pumpEgress(machine int) {
 	}
 	// PopReady respects a credit-gated discipline's transmission window (a
 	// refused head stays queued until a delivery returns credit — see
-	// pumpIngress, which repumps this egress) and skips a credit-blocked
+	// refunded, which repumps this egress) and skips a credit-blocked
 	// flow's head in favour of the most urgent admissible other flow.
-	tx, ok := n.egress.PopReady()
+	f, ok := n.egress.PopReady()
 	if !ok {
 		return
 	}
 	n.egressBusy = true
-	if nw.cfg.PreemptQuantum > 0 {
-		nw.pumpSegment(machine, tx)
-		return
-	}
-	m := tx.msg
-	start := p.Now()
-	dur := nw.wireTime(m.Bytes)
-	if s := n.rateScale; s != 1 {
-		bits := float64(m.Bytes+nw.cfg.HeaderBytes) * 8
-		dur = nw.cfg.PerMsgOverhead + sim.Time(bits/(nw.cfg.BandwidthGbps*s))
-	}
-	p.After(dur, func() {
-		nw.rec.AddRange(machine, trace.Out, start, start+dur, m.Bytes+nw.cfg.HeaderBytes)
-		n.egressBusy = false
-		// Hand off to the next hop after propagation.
-		nw.forward(machine, m)
-		nw.pumpEgress(machine)
-	})
+	nw.pumpSegment(machine, f)
 }
 
-// pumpSegment serializes tx's next segment of at most PreemptQuantum wire
-// bytes. Segment boundaries are computed from cumulative byte offsets
-// (serial time of sent+seg minus serial time of sent), so the durations
-// telescope: a transmission that is never preempted completes at exactly
-// the tick the whole-message path would produce, bit-identical for any
-// quantum, and preemption changes only the interleaving, never the total
-// serialization cost (the per-message overhead is charged once, on the
-// first segment).
+// egressSeg is the wire size of f's current egress segment: what remains,
+// capped at the preemption quantum when there is one (without one the
+// whole message is a single segment).
+func (nw *Network) egressSeg(f *flight) int64 {
+	seg := f.wire - f.sent
+	if q := nw.cfg.PreemptQuantum; q > 0 && seg > q {
+		seg = q
+	}
+	return seg
+}
+
+// pumpSegment serializes f's next egress segment (egressSeg). Segment
+// boundaries are computed from cumulative byte offsets (serial time of
+// sent+seg minus serial time of sent), so the durations telescope: a
+// transmission that is never preempted completes at exactly the tick of
+// one whole-message segment, bit-identical for any quantum or none, and
+// preemption changes only the interleaving, never the total serialization
+// cost (the per-message overhead is charged once, on the first segment).
+//
+//p3:noescape
+func (nw *Network) pumpSegment(machine int, f *flight) {
+	n := &nw.nics[machine]
+	seg := nw.egressSeg(f)
+	rate := nw.cfg.BandwidthGbps
+	if s := n.rateScale; s != 1 {
+		// Sampled once per segment on the owning LP: a degradation window
+		// opening mid-message slows only the segments that start inside it.
+		rate *= s
+	}
+	f.dur = sim.Time(float64(f.sent+seg)*8/rate) - sim.Time(float64(f.sent)*8/rate)
+	if f.sent == 0 {
+		f.dur = nw.cfg.PerMsgOverhead + f.dur
+	}
+	f.start = nw.procs[machine].Now()
+	nw.after(machine, f.dur, f, (*Network).segmentDone)
+}
+
+// segmentDone runs when f's current egress segment (the whole message
+// without a quantum) has serialized: a finished message is forwarded, an
+// unfinished one continues or is preempted.
 //
 // At each segment boundary the most urgent admissible queued message
 // preempts when it wins the exchange outright: it must be strictly more
@@ -1315,99 +1359,97 @@ func (nw *Network) pumpEgress(machine int) {
 // churns the schedule, so slices that P3 has already cut to the preemption
 // scale pass untouched: slicing itself is the approximation of preemption,
 // which is the paper's claim.
-func (nw *Network) pumpSegment(machine int, tx *txState) {
+//
+//p3:noescape
+func (nw *Network) segmentDone(f *flight) {
+	machine := f.msg.From
 	n := &nw.nics[machine]
-	p := nw.procs[machine]
-	seg := tx.wire - tx.sent
-	if seg > nw.cfg.PreemptQuantum {
-		seg = nw.cfg.PreemptQuantum
-	}
-	rate := nw.cfg.BandwidthGbps
-	if s := n.rateScale; s != 1 {
-		// Sampled once per segment on the owning LP: a degradation window
-		// opening mid-message slows only the segments that start inside it.
-		rate *= s
-	}
-	serialAt := func(sent int64) sim.Time {
-		return sim.Time(float64(sent) * 8 / rate)
-	}
-	dur := serialAt(tx.sent+seg) - serialAt(tx.sent)
-	if tx.sent == 0 {
-		dur = nw.cfg.PerMsgOverhead + dur
-	}
-	start := p.Now()
-	p.After(dur, func() {
-		nw.rec.AddRange(machine, trace.Out, start, start+dur, seg)
-		tx.sent += seg
-		if tx.sent == tx.wire {
-			n.egressBusy = false
-			m := tx.msg
-			nw.forward(machine, m)
-			nw.pumpEgress(machine)
-			return
-		}
-		d := n.egress.Discipline()
-		if pre, ok := n.egress.PopReadyIf(func(c *txState) bool {
-			return d.Less(txItem(c), txItem(tx)) &&
-				c.wire <= nw.cfg.PreemptQuantum && c.wire < tx.wire-tx.sent
-		}); ok {
-			// Inherit the displacing class unconditionally: pre is strictly
-			// more urgent than tx by the discipline's order (the preemption
-			// condition), which under tictac need not mean a numerically
-			// smaller class.
-			tx.pri = pre.pri
-			n.parked = append(n.parked, tx)
-			// A Parker discipline stops counting the parked remainder
-			// against its flow's admission window until it resumes.
-			n.egress.Park(tx)
-			n.stats.preemptions++
-			nw.pumpSegment(machine, pre)
-			return
-		}
-		nw.pumpSegment(machine, tx)
-	})
-}
-
-func (nw *Network) arrive(m Message) {
-	n := &nw.nics[m.To]
-	n.ingress.Push(m)
-	nw.pumpIngress(m.To)
-}
-
-func (nw *Network) pumpIngress(machine int) {
-	n := &nw.nics[machine]
-	if n.ingressBsy || n.ingress.Len() == 0 {
+	seg := nw.egressSeg(f)
+	nw.rec.AddRange(machine, trace.Out, f.start, f.start+f.dur, seg)
+	f.sent += seg
+	if f.sent == f.wire {
+		n.egressBusy = false
+		// Hand off to the next hop after propagation.
+		nw.forward(machine, f)
+		nw.pumpEgress(machine)
 		return
 	}
-	m := n.ingress.Pop()
-	n.ingressBsy = true
-	p := nw.procs[machine]
-	start := p.Now()
-	rx := nw.wireTime(m.Bytes)
-	if s := n.rateScale; s != 1 {
-		bits := float64(m.Bytes+nw.cfg.HeaderBytes) * 8
-		rx = nw.cfg.PerMsgOverhead + sim.Time(bits/(nw.cfg.BandwidthGbps*s))
+	d := n.egress.Discipline()
+	if pre, ok := n.egress.PopReadyIf(func(c *flight) bool {
+		return d.Less(txItem(c), txItem(f)) &&
+			c.wire <= nw.cfg.PreemptQuantum && c.wire < f.wire-f.sent
+	}); ok {
+		// Inherit the displacing class unconditionally: pre is strictly
+		// more urgent than f by the discipline's order (the preemption
+		// condition), which under tictac need not mean a numerically
+		// smaller class.
+		f.pri = pre.pri
+		n.parked = append(n.parked, f)
+		// A Parker discipline stops counting the parked remainder
+		// against its flow's admission window until it resumes.
+		n.egress.Park(f)
+		n.stats.preemptions++
+		nw.pumpSegment(machine, pre)
+		return
 	}
-	p.After(rx, func() {
-		nw.rec.AddRange(machine, trace.In, start, start+rx, m.Bytes+nw.cfg.HeaderBytes)
-		n.ingressBsy = false
-		n.stats.msgsDelivered++
-		n.stats.bytesDelivered += m.Bytes
-		if nw.gated && !m.FromAgg {
-			// Full delivery closes the sender's transmission window for
-			// this message: the window-relaxed refund lands on the
-			// sender's LP one lookahead from now (see refundCredit).
-			// Ungated disciplines skip the refund entirely — for them
-			// both Done and the pump are no-ops (an ungated egress never
-			// idles with queued work), so scheduling nothing changes
-			// nothing. Aggregator-originated messages (FromAgg) charged
-			// no egress and own no credit: their senders' windows closed
-			// at the aggregator (deliverAgg).
-			nw.refundCredit(machine, m)
-		}
-		nw.deliver(m)
-		nw.pumpIngress(machine)
-	})
+	nw.pumpSegment(machine, f)
+}
+
+//p3:noescape
+func (nw *Network) arrive(f *flight) {
+	to := f.msg.To
+	nw.nics[to].ingress.push(f)
+	nw.pumpIngress(to)
+}
+
+//p3:noescape
+func (nw *Network) pumpIngress(machine int) {
+	n := &nw.nics[machine]
+	if n.ingressBsy {
+		return
+	}
+	f := n.ingress.pop()
+	if f == nil {
+		return
+	}
+	n.ingressBsy = true
+	f.start = nw.procs[machine].Now()
+	f.dur = nw.wireTime(f.msg.Bytes)
+	if s := n.rateScale; s != 1 {
+		bits := float64(f.msg.Bytes+nw.cfg.HeaderBytes) * 8
+		f.dur = nw.cfg.PerMsgOverhead + sim.Time(bits/(nw.cfg.BandwidthGbps*s))
+	}
+	nw.after(machine, f.dur, f, (*Network).ingressDone)
+}
+
+// ingressDone runs when f has fully serialized into its destination
+// machine: the message is delivered.
+//
+//p3:noescape
+func (nw *Network) ingressDone(f *flight) {
+	m := f.msg
+	machine := m.To
+	n := &nw.nics[machine]
+	nw.rec.AddRange(machine, trace.In, f.start, f.start+f.dur, m.Bytes+nw.cfg.HeaderBytes)
+	n.ingressBsy = false
+	n.stats.msgsDelivered++
+	n.stats.bytesDelivered += m.Bytes
+	if nw.gated && !m.FromAgg {
+		// Full delivery closes the sender's transmission window for
+		// this message: the window-relaxed refund lands on the
+		// sender's LP one lookahead from now (see refundCredit).
+		// Ungated disciplines skip the refund entirely — for them
+		// both Done and the pump are no-ops (an ungated egress never
+		// idles with queued work), so scheduling nothing changes
+		// nothing. Aggregator-originated messages (FromAgg) charged
+		// no egress and own no credit: their senders' windows closed
+		// at the aggregator (deliverAgg).
+		nw.refundCredit(machine, f)
+	} else {
+		nw.release(machine, f)
+	}
+	nw.deliver(m)
+	nw.pumpIngress(machine)
 }
 
 // QueuedEgress reports how many messages wait in machine m's egress queue
@@ -1496,13 +1538,13 @@ func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash,
 		if nw.aggIn != nil {
 			// Drain the reduce queue: everything waiting behind the ASIC is
 			// lost with it. A payload mid-reduction drops at its own
-			// completion event (pumpAggIngest checks aggDown).
+			// completion event (aggReduced checks aggDown).
 			a := &nw.aggIn[ord]
-			for _, m := range a.q[a.head:] {
-				nw.dropAgg(m)
+			for f := a.q.pop(); f != nil; f = a.q.pop() {
+				m := f.msg
+				nw.release(nw.aggLP(tier, idx), f)
+				nw.handAgg(true, m)
 			}
-			a.q = a.q[:0]
-			a.head = 0
 		}
 		if onCrash != nil {
 			onCrash()

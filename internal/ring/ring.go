@@ -107,6 +107,10 @@ type Result struct {
 	// measured timing back into a calibrated sched.Profile.
 	LayerStalls []sim.Time
 	Events      uint64
+	// Msgs and Bytes are the ring segments handed to the network and their
+	// payload volume: iterations x chunks x 2(N-1) rounds x N machines.
+	Msgs  int64
+	Bytes int64
 }
 
 // MeanLayerStalls returns the per-iteration mean of LayerStalls, the form
@@ -139,6 +143,11 @@ type workerState struct {
 
 	reduce *sched.Queue[redItem]
 	busy   bool
+	// cur is the segment being reduced while busy; reduced is its
+	// completion event, bound once at construction so a reduction
+	// schedules without allocating.
+	cur     redItem
+	reduced func()
 }
 
 type redItem struct {
@@ -245,6 +254,8 @@ func newRingSim(cfg Config) *ringSim {
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Strategy.Discipline()), prof)
 		sched.ApplySource(disc, int32(w)) // owner seed for source-aware disciplines
 		ws.reduce = sched.NewQueue(disc, redView)
+		w := w
+		ws.reduced = func() { rs.reduceDone(w) }
 	}
 
 	rs.jitter = make([][]float64, n)
@@ -371,6 +382,8 @@ func (rs *ringSim) deliver(m netsim.Message) {
 // pumpReduce serializes local segment reductions per machine, priority
 // ordered under P3 — the receiver-side consumer of Section 4.2 transplanted
 // onto the all-reduce.
+//
+//p3:noescape
 func (rs *ringSim) pumpReduce(w int) {
 	ws := &rs.workers[w]
 	if ws.busy {
@@ -381,13 +394,19 @@ func (rs *ringSim) pumpReduce(w int) {
 		return
 	}
 	ws.busy = true
+	ws.cur = it
 	cost := rs.cfg.ReduceOverhead + sim.Time(float64(rs.segBytes(it.chunk))/rs.redRate)
-	rs.eng.After(cost, func() {
-		ws.busy = false
-		ws.reduce.Done(it)
-		rs.roundDone(w, it)
-		rs.pumpReduce(w)
-	})
+	rs.eng.After(cost, ws.reduced)
+}
+
+//p3:noescape
+func (rs *ringSim) reduceDone(w int) {
+	ws := &rs.workers[w]
+	it := ws.cur
+	ws.busy = false
+	ws.reduce.Done(it)
+	rs.roundDone(w, it)
+	rs.pumpReduce(w)
 }
 
 func (rs *ringSim) roundDone(w int, it redItem) {
@@ -443,5 +462,7 @@ func (rs *ringSim) result() Result {
 		MeasuredIters: rs.cfg.MeasureIters,
 		LayerStalls:   rs.workers[0].layerStall,
 		Events:        rs.eng.Processed(),
+		Msgs:          rs.net.MsgsSent(),
+		Bytes:         rs.net.BytesSent(),
 	}
 }

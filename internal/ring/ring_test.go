@@ -154,3 +154,26 @@ func TestUrgentLayerCompletesFirst(t *testing.T) {
 		t.Fatalf("priority iteration %v not below FIFO %v", prio.MeanIterTime, fifo.MeanIterTime)
 	}
 }
+
+// TestResultCountsEveryRingSegment pins Result.Msgs/Bytes to the protocol's
+// closed form: every iteration all-reduces every chunk in 2(N-1) rounds of
+// one 1/N-sized segment per machine.
+func TestResultCountsEveryRingSegment(t *testing.T) {
+	for _, s := range []strategy.Strategy{arLayer, arP3} {
+		c := cfg(s, 5, 4)
+		r := Run(c)
+		n := int64(c.Machines)
+		perChunk := int64(c.WarmupIters+c.MeasureIters) * 2 * (n - 1) * n
+		plan := s.Partition(c.Model, 1)
+		var segBytes int64
+		for _, ch := range plan.Chunks {
+			segBytes += max(ch.Bytes()/n, 1)
+		}
+		if want := perChunk * int64(plan.NumChunks()); r.Msgs != want {
+			t.Errorf("%s: Msgs = %d, want iters x chunks x 2(N-1) x N = %d", s.Name, r.Msgs, want)
+		}
+		if want := perChunk * segBytes; r.Bytes != want {
+			t.Errorf("%s: Bytes = %d, want %d", s.Name, r.Bytes, want)
+		}
+	}
+}
