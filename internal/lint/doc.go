@@ -41,7 +41,7 @@
 // document a genuinely order-insensitive walk with //p3:maporder-ok <reason>.
 //
 // sizebudget — two hot structs sit on measured performance cliffs, pinned
-// with //p3:sizebudget 32:
+// with //p3:sizebudget <bytes>:
 //
 //   - sim's event struct (32 bytes: at, sched, packed ord, fn). The event
 //     heap moves events by value; at 32 bytes those copies are compiled to
@@ -51,13 +51,17 @@
 //     quarter-billion-event sweep. That is why lp and seq share the packed
 //     ord word instead of having fields of their own.
 //
-//   - sched.Item (32 bytes, 4 fields: Priority, Bytes, Dest, rank). A
-//     Less(a, b Item) interface call passes both items by value in the
-//     amd64 ABI's nine integer argument registers; a fifth field spills
-//     both arguments to the stack, measured (PR 5) as a ~45% regression on
-//     the dispatch hot path (BenchmarkQueueManyFlows/p3). That is also why
-//     Item has no Src field — the element's origin is a property of the
-//     queue, injected per discipline via ApplySource.
+//   - sched.Item (24 bytes, 4 fields: Priority and Dest sharing a word,
+//     Bytes, rank). The budget is the queue entry's: sched.Queue stores
+//     the element, its Item and a three-word order key per queued element,
+//     56 bytes for a pointer-sized element with Item at 24 — what an entry
+//     cost before the key was stored. With Item at 32 bytes (64-byte
+//     entry) the same code measured +3.5% to +10.5% alloc_mb_per_pass on
+//     the bench workloads (PR 15), past the benchmark's 5% bound, and the
+//     heaps move entries by value, so every byte is also copied per sift
+//     level. That is also why Item has no Src field — the element's origin
+//     is a property of the queue, injected per discipline via ApplySource.
+//     (sched's TestEntrySize pins the 56 directly.)
 //
 // The analyzer recomputes each annotated struct's size under the gc layout
 // (types.Sizes) and fails on any mismatch, in either direction: growth is
@@ -73,9 +77,9 @@
 // inside a marked function. Generics make the module-wide build necessary:
 // escape analysis of a generic hot path happens in the *importing*
 // package's compilation, with positions pointing back into the defining
-// file. Documented cold-path allocations inside a marked function — the
-// first flow shell per destination, the per-flow heap — are exempted line
-// by line with //p3:alloc-ok <reason>. The simulated message path is pinned
+// file. A documented cold-path allocation inside a marked function — the
+// first flow shell per destination — is exempted on its line with
+// //p3:alloc-ok <reason>. The simulated message path is pinned
 // the same way: every per-message function of netsim (Send, pumpEgress/
 // pumpSegment, forward, coreEnqueue/pumpCore/routeFromPort, arrive/
 // pumpIngress, refundCredit, deliverAgg/pumpAggIngest, AggSend/AggFanout

@@ -107,7 +107,7 @@ func TestSizeBudgetFixture(t *testing.T) {
 }
 
 // TestSizeBudgetRealStructs pins the live annotations: sim's event struct
-// and sched.Item carry //p3:sizebudget 32, and the analyzer must agree
+// (32) and sched.Item (24) carry //p3:sizebudget, and the analyzer must agree
 // silently. If this test fails, a field was added to a budgeted hot struct
 // — see internal/lint/doc.go for the measured cliffs before changing the
 // budget.

@@ -11,11 +11,11 @@ import (
 // type's size under the gc sizes model exactly. The budgets guard measured
 // cliffs, not vague intent — sim's event struct is held at 32 bytes because
 // one more word pushes heap copies off the register-move path and triples
-// per-event cost, and sched.Item at 32 bytes/4 fields because a fifth field
-// spills Less calls past the amd64 ABI's integer argument registers (a
-// measured 45% dispatch regression) — so a mismatch in either direction
-// fails: growth is the regression itself, shrinkage means the budget (and
-// the comment justifying it) is stale and must be re-measured.
+// per-event cost, and sched.Item at 24 bytes because it sits in every queue
+// entry next to the stored order key, and a 64-byte entry (Item at 32)
+// measured up to +10.5% allocation per pass — so a mismatch in either
+// direction fails: growth is the regression itself, shrinkage means the
+// budget (and the comment justifying it) is stale and must be re-measured.
 //
 // Budgets are stated for 64-bit gc targets; on a 32-bit target the analyzer
 // is silent rather than wrong.

@@ -1290,7 +1290,7 @@ func (nw *Network) pumpEgress(machine int) {
 		// under tictac a numerically larger class can be strictly more
 		// urgent, and a raw integer comparison here would skip the
 		// inheritance and reopen the unbounded-deferral starvation.
-		if h, ok := n.egress.Peek(); ok && n.egress.Discipline().Less(txItem(h), txItem(tail)) {
+		if h, ok := n.egress.Peek(); ok && sched.Less(n.egress.Discipline(), txItem(h), txItem(tail)) {
 			tail.pri = h.pri
 		}
 	}
@@ -1376,7 +1376,7 @@ func (nw *Network) segmentDone(f *flight) {
 	}
 	d := n.egress.Discipline()
 	if pre, ok := n.egress.PopReadyIf(func(c *flight) bool {
-		return d.Less(txItem(c), txItem(f)) &&
+		return sched.Less(d, txItem(c), txItem(f)) &&
 			c.wire <= nw.cfg.PreemptQuantum && c.wire < f.wire-f.sent
 	}); ok {
 		// Inherit the displacing class unconditionally: pre is strictly

@@ -1,17 +1,19 @@
-// Package pq provides the deterministic priority queues used throughout the
-// library: by the P3 scheduler (worker- and server-side producer/consumer
-// loops), by the network simulator's priority egress discipline, and by the
-// TCP transport's sender goroutine.
+// Package pq provides the deterministic general-purpose priority queue of
+// the library: a min-queue ordered by a caller-supplied comparator.
 //
-// Lower Less() values are dequeued first. Queue breaks ties in insertion
+// Lower Less() values are dequeued first, and Queue breaks ties in insertion
 // order (FIFO), which both matches the behaviour of the paper's
 // implementation (slices of the same layer are sent in order) and keeps the
-// discrete-event simulation deterministic. Indexed is the position-tracking
-// variant behind O(log n) hand-off structures such as sched.Queue's
-// flow-head dispatcher.
+// discrete-event simulation deterministic. The scheduling queues themselves
+// no longer sit on it: sched.Queue orders by integer keys fixed at enqueue
+// and carries its own heaps written for that one order. What still uses
+// Queue is code that wants an arbitrary comparator and is not on a hot
+// path — sched's linear-scan reference dispatcher (the executable
+// specification sched.Queue is tested against) and the bench/ probe that
+// prices a comparator-driven push/pop for comparison.
 //
-// Both types store elements by value in one contiguous backing slice (a
-// slab) and sift with monomorphic code rather than container/heap, whose
+// Queue stores elements by value in one contiguous backing slice (a slab)
+// and sifts with monomorphic code rather than container/heap, whose
 // interface methods box every pushed element into an `any` — one heap
 // allocation per Push. Steady-state Push/Pop cycles here allocate nothing
 // once the slab has grown to the working-set size, and popped slots are
@@ -129,132 +131,5 @@ func (q *Queue[T]) siftDown(i int) {
 		}
 		q.items[i], q.items[min] = q.items[min], q.items[i]
 		i = min
-	}
-}
-
-// Indexed is a min-heap over T that reports every element's current heap
-// position through a callback, so elements can be re-prioritized (Fix) or
-// removed (Remove) from the middle in O(log n) — the structure behind
-// sched.Queue's flow-head dispatcher, where each flow must know its slot so
-// a head change costs one sift instead of a linear rescan.
-//
-// Unlike Queue, Indexed does not tie-break internally: less must be a strict
-// weak order, and callers that need determinism (every caller in this
-// repository) must make it total, e.g. by comparing a unique sequence number
-// last. The zero value is not usable; call NewIndexed.
-type Indexed[T any] struct {
-	items []T
-	less  func(a, b T) bool
-	move  func(x T, i int)
-}
-
-// NewIndexed returns an empty indexed heap ordered by less. move is invoked
-// with an element's new position every time it lands in a slot — including
-// on Push — and with -1 when the element leaves the heap (Pop, Remove);
-// callers record it to address Fix and Remove. move must not touch the heap.
-func NewIndexed[T any](less func(a, b T) bool, move func(x T, i int)) *Indexed[T] {
-	return &Indexed[T]{less: less, move: move}
-}
-
-// Len reports the number of held elements.
-func (h *Indexed[T]) Len() int { return len(h.items) }
-
-// Peek returns the minimum element without removing it. The second result is
-// false if the heap is empty.
-//
-//p3:noescape
-func (h *Indexed[T]) Peek() (T, bool) {
-	if len(h.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return h.items[0], true
-}
-
-// Push adds x in O(log n), allocating only when the backing slab must grow.
-//
-//p3:noescape
-func (h *Indexed[T]) Push(x T) {
-	i := len(h.items)
-	h.items = append(h.items, x)
-	h.move(x, i)
-	h.siftUp(i)
-}
-
-// Pop removes and returns the minimum element. It panics on an empty heap.
-//
-//p3:noescape
-func (h *Indexed[T]) Pop() T {
-	return h.Remove(0)
-}
-
-// Remove deletes and returns the element at position i (as last reported by
-// move) in O(log n). The removed element receives a final move(x, -1).
-//
-//p3:noescape
-func (h *Indexed[T]) Remove(i int) T {
-	x := h.items[i]
-	n := len(h.items) - 1
-	if i != n {
-		h.items[i] = h.items[n]
-		h.move(h.items[i], i)
-	}
-	var zero T
-	h.items[n] = zero // clear the vacated slot: the slab must not pin dead values
-	h.items = h.items[:n]
-	if i != n {
-		h.Fix(i)
-	}
-	h.move(x, -1)
-	return x
-}
-
-// Fix restores the heap order after the element at position i changed its
-// key (e.g. a flow's head changed), in O(log n).
-//
-//p3:noescape
-func (h *Indexed[T]) Fix(i int) {
-	if !h.siftDown(i) {
-		h.siftUp(i)
-	}
-}
-
-//p3:noescape
-func (h *Indexed[T]) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			return
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		h.move(h.items[i], i)
-		h.move(h.items[parent], parent)
-		i = parent
-	}
-}
-
-// siftDown reports whether it moved the element at i.
-//
-//p3:noescape
-func (h *Indexed[T]) siftDown(i int) bool {
-	moved := false
-	n := len(h.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return moved
-		}
-		min := left
-		if right := left + 1; right < n && h.less(h.items[right], h.items[left]) {
-			min = right
-		}
-		if !h.less(h.items[min], h.items[i]) {
-			return moved
-		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
-		h.move(h.items[i], i)
-		h.move(h.items[min], min)
-		i = min
-		moved = true
 	}
 }

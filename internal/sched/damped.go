@@ -143,9 +143,9 @@ func (d *Damped) Rank(it Item) Item {
 	return it
 }
 
-// Less orders by the damped rank; full ties keep insertion order, as every
-// discipline must.
-func (d *Damped) Less(a, b Item) bool { return a.rank < b.rank }
+// Key is the damped rank; full ties keep insertion order, as under every
+// discipline.
+func (d *Damped) Key(it Item) (hi, lo uint64) { return it.rank, 0 }
 
 // SetProfile forwards the timing profile when the base is profile-aware
 // (damped:tictac) and rebuilds the class mapping from the base's slack
@@ -163,7 +163,7 @@ func (d *Damped) SetProfile(p *Profile) {
 		return
 	}
 	// Position of each priority in the slack order (ties by priority,
-	// mirroring TicTac.Less). An empty profile carries no class order:
+	// mirroring TicTac.Key). An empty profile carries no class order:
 	// keep the identity mapping (and the no-panic contract).
 	n := len(p.NeedAtNs)
 	if n == 0 {

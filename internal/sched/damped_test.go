@@ -243,7 +243,7 @@ func TestDampedTictacClassMapping(t *testing.T) {
 	}
 	// Bare tictac must agree on the class order.
 	tt := ApplyProfile(MustByName("tictac"), prof)
-	if !tt.Less(Item{Priority: 2}, Item{Priority: 0}) {
+	if !Less(tt, Item{Priority: 2}, Item{Priority: 0}) {
 		t.Fatal("tictac itself does not rank class 2 first; test premise broken")
 	}
 }

@@ -16,15 +16,21 @@
 //
 // # Contracts
 //
-// A Discipline is a named comparator: Less reports which of two Items is
-// more urgent, and equal items always dequeue in insertion order, which
-// keeps the discrete-event simulator reproducible and matches the paper's
-// implementation (slices of one layer go out in order). Three optional
-// interfaces extend it:
+// A Discipline is a named key: Key maps an Item to a pair of unsigned words,
+// lower pair first, and items with equal keys always dequeue in insertion
+// order, which keeps the discrete-event simulator reproducible and matches
+// the paper's implementation (slices of one layer go out in order). The
+// key is the only statement of the order — Queue evaluates it once per
+// element, at enqueue, and compares stored integers afterwards; Less(d, a,
+// b) derives the pairwise answer from it for callers that hold two Items
+// (preemption checks). The pairwise comparators the built-ins started out
+// with survive as the test-side specification the keys are checked against
+// (specLess in reference_test.go). Three optional interfaces extend it:
 //
-//   - Ranker: assigns an ordering key at enqueue time, for stateful orders
-//     a pure comparator cannot express (rr's stride scheduling, damped's
-//     epoch rank). Rank is called exactly once per item, before insertion.
+//   - Ranker: stamps the item at enqueue time, before Key sees it, for
+//     stateful orders a pure function of the Item cannot express (rr's
+//     stride scheduling, damped's epoch rank). Rank is called exactly once
+//     per item, before insertion.
 //   - Dispatcher: observes dequeues (OnDispatch), e.g. to advance a
 //     virtual clock.
 //   - Admitter: gates dispatch with a credit window. Admit is consulted
@@ -118,8 +124,8 @@
 // observed-timing priorities. The simulators expose it as a two-pass mode
 // (cluster.RunCalibrated, ring.RunCalibrated), the real transport as
 // runtime hooks (transport.SendQueue.SetProfile, pstcp Server/Worker.
-// SetProfile — safe mid-traffic: Queue.SetProfile rebuilds the heaps so
-// queued elements re-order under the new profile), and the CLIs as
+// SetProfile — safe mid-traffic: Queue.SetProfile re-keys and re-enqueues
+// what is queued, so it re-orders under the new profile), and the CLIs as
 // -calibrate/-stalls/-stallsout. Caveat, pinned by
 // the scale sweep: under STRICT priority at saturation the feedback
 // diverges (stretching a starved layer's deadline makes it less urgent
@@ -143,12 +149,18 @@
 //
 // # Complexity and allocation contract
 //
-// Queue's dispatcher keeps the non-empty flows in an indexed min-heap
-// (pq.Indexed) ordered by head urgency, so no primitive ever scans the flow
-// set linearly. With F non-empty flows, n_f elements in the touched flow,
-// and k the number of flow heads the admission walk visits before its
-// verdict (k = 1 whenever the most urgent head is admitted — the common
-// case — and k never exceeds F):
+// Queue keeps each flow's entries in a binary heap and the non-empty flows
+// in a second one ordered by head urgency, in which every flow tracks its
+// own slot, so no primitive ever scans the flow set linearly. Both heaps
+// compare the (key, insertion count) triple stored in the entry at enqueue
+// — a head compare reads a copy of that triple cached in the flow — so an
+// operation's cost is integer compares and copies of 56-byte entries, with
+// exactly one Discipline.Key call per Push (plus one per Preempts/
+// PopPreempting, for the held element) and none per Pop. With F non-empty
+// flows, n_f elements in the touched flow, and k the number of flow heads
+// the admission walk visits before its verdict (k = 1 whenever the most
+// urgent head is admitted — the common case, in which no flow leaves the
+// head heap — and k never exceeds F):
 //
 //   - Push: O(log F + log n_f)
 //   - Peek: O(1)
@@ -167,7 +179,8 @@
 // enforces both halves of this contract — allocs/op must be zero and ns/op
 // may not regress — and TestDispatchMatchesLinearScanReference pins the
 // dispatcher bit-identical to the retained linear-scan reference
-// implementation.
+// implementation. TestEntrySize and Item's //p3:sizebudget pin the entry
+// at 56 bytes.
 //
 // # Preemption
 //

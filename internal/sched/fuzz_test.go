@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,21 @@ import (
 // "credit:" (colon, empty argument) used to resolve silently to the default
 // window, masking a lost argument, and "rr:junk" used to resolve to rr with
 // the argument dropped; both are errors now. The invariants checked on
-// every successful resolution keep a future discipline from wedging a
-// queue: a resolved credit window is positive, Less is irreflexive (a
-// self-inverting comparator corrupts the heap), and an Admitter admits onto
-// an idle queue.
+// every successful resolution keep a future discipline from wedging or
+// misordering a queue: a resolved credit window is positive, an Admitter
+// admits onto an idle queue, and the order the discipline's Key states —
+// read through sched.Less — is the pairwise order specLess specifies for
+// it, irreflexive and asymmetric, on two fuzzed Items (ranked through the
+// discipline first when it ranks at enqueue). The corpus seeds the values
+// where a sign-biased integer key would break first.
 func FuzzByName(f *testing.F) {
+	edge := [...]Item{
+		{Priority: math.MinInt32, Dest: -1, Bytes: 0},
+		{Priority: -1, Dest: math.MinInt32, Bytes: 1 << 40},
+		{Priority: 0, Dest: 0, Bytes: math.MaxInt64},
+		{Priority: math.MaxInt32, Dest: math.MaxInt32, Bytes: math.MinInt64},
+		{Priority: 1, Dest: 0, Bytes: 100},
+	}
 	for _, seed := range []string{
 		"", "fifo", "p3", "rr", "smallest", "credit", "tictac",
 		"credit-adaptive", "credit:1048576", "credit-adaptive:65536",
@@ -21,10 +32,14 @@ func FuzzByName(f *testing.F) {
 		"credit:5:6", "adaptive:0", "bytescheduler:7", "dag", "rr:junk",
 		"tictac:5", "zgoneba", ":", "::", "CREDIT", " credit", "credit ",
 		"credit:99999999999999999999",
+		"damped", "damped:tictac", "damped:credit:1500@3",
 	} {
-		f.Add(seed)
+		for i, a := range edge {
+			b := edge[(i+1)%len(edge)]
+			f.Add(seed, a.Priority, a.Dest, a.Bytes, b.Priority, b.Dest, b.Bytes)
+		}
 	}
-	f.Fuzz(func(t *testing.T, name string) {
+	f.Fuzz(func(t *testing.T, name string, aPri, aDest int32, aBytes int64, bPri, bDest int32, bBytes int64) {
 		d, err := ByName(name)
 		if err != nil {
 			if d != nil {
@@ -52,9 +67,29 @@ func FuzzByName(f *testing.F) {
 					name, c.Initial, c.Min, c.Max, c.Step)
 			}
 		}
-		it := Item{Priority: 1, Bytes: 100}
-		if d.Less(it, it) {
+		// A small profile, so that tictac orders by slack with both fuzzed
+		// classes almost always outside it (clamped), not by its p3 fallback.
+		ApplyProfile(d, &Profile{
+			NeedAtNs:     []int64{50_000, 1_000, 30_000, 30_000},
+			LayerBytes:   []int64{100, 1_000_000},
+			GbpsEstimate: 1,
+		})
+		a := Item{Priority: aPri, Dest: aDest, Bytes: aBytes}
+		b := Item{Priority: bPri, Dest: bDest, Bytes: bBytes}
+		if r, ok := d.(Ranker); ok {
+			a, b = r.Rank(a), r.Rank(b)
+		}
+		for _, p := range [][2]Item{{a, b}, {b, a}, {a, a}, {b, b}} {
+			x, y := p[0], p[1]
+			if got, want := Less(d, x, y), specLess(d, x, y); got != want {
+				t.Fatalf("ByName(%q): Less(%+v, %+v) = %v, specified %v", name, x, y, got, want)
+			}
+		}
+		if Less(d, a, a) || Less(d, b, b) {
 			t.Fatalf("ByName(%q): Less(x, x) = true", name)
+		}
+		if Less(d, a, b) && Less(d, b, a) {
+			t.Fatalf("ByName(%q): Less(%+v, %+v) holds both ways", name, a, b)
 		}
 		if a, ok := d.(Admitter); ok {
 			if !a.Admit(Item{Bytes: 1 << 40}) {

@@ -4,9 +4,9 @@ import "testing"
 
 // TestQueueSetProfileRebuildsOrder pins the live-recalibration contract: a
 // populated tictac queue re-orders its QUEUED elements when a new profile
-// arrives — swapping the comparator's profile under the heaps would break
-// the heap invariant and dispatch in neither the old nor the new order, so
-// SetProfile rebuilds them.
+// arrives — the keys stored at enqueue were derived from the old profile,
+// so leaving them would keep dispatching in the old order, and SetProfile
+// re-keys and rebuilds the heaps.
 func TestQueueSetProfileRebuildsOrder(t *testing.T) {
 	q := NewQueue(MustByName("tictac"), ident)
 	// Profile-less tictac ranks by raw priority: class 0 would pop first.

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"p3/internal/pq"
-)
+import "sort"
 
 // Queue is a deterministic, non-thread-safe queue of T ordered by a
 // Discipline. It is the building block behind every scheduling site: the
@@ -23,16 +19,25 @@ import (
 // admissible head of another flow instead of blocking every destination
 // behind one starved one (flow-aware head skipping).
 //
-// The flow heads live in an indexed min-heap (pq.Indexed) ordered by the
-// same strict total order the dispatcher uses, so selecting, re-ranking or
-// evicting a flow costs O(log F) in the flow count F — never a linear scan —
-// and the admission walk visits heads in urgency order by popping the heap,
-// restoring the skipped prefix afterwards. A flow whose subqueue drains is
-// evicted immediately and its storage recycled through a free list, so a
-// long-running queue (the pstcp server's send queues live for the process
-// lifetime) holds memory proportional to its current, not historical, flow
-// set, and steady-state operation allocates nothing. See doc.go for the
-// per-operation complexity contract.
+// An element's place in the order is fixed when it is pushed: Push asks the
+// discipline for the item's Key once, puts the global insertion count
+// behind it, and stores the three words in the element's entry. Everything
+// after that compares stored integers — no Discipline call, no view call —
+// in two binary heaps written out for this one order rather than driven
+// through a comparator. One per flow holds its entries. The other holds the
+// non-empty flows, ordered by a copy of each flow's head key kept in the
+// flow itself (a head compare reads two flow structs and nothing behind
+// them); every flow records its own slot there (flow.idx), so re-ranking or
+// evicting a flow costs O(log F) in the flow count F — never a linear scan.
+// A push can only make a flow more urgent and a take only less, so the
+// former sifts the flow up and the latter down. The admission walk visits
+// heads in urgency order by moving refused ones off the heap, restoring them
+// afterwards. A flow whose subqueue drains is evicted immediately and its
+// storage recycled through a free list, so a long-running queue (the pstcp
+// server's send queues live for the process lifetime) holds memory
+// proportional to its current, not historical, flow set, and steady-state
+// operation allocates nothing. See doc.go for the per-operation complexity
+// contract.
 //
 // The view function projects an element into the scheduler-visible Item;
 // it must be pure (the queue may call it more than once per element).
@@ -44,25 +49,114 @@ type Queue[T any] struct {
 	view func(T) Item
 
 	flows map[int32]*flow[T] // non-empty flows only, keyed by Item.Dest
-	heads *pq.Indexed[*flow[T]]
-	walk  []*flow[T] // reusable admission-walk buffer (skipped prefix)
-	free  []*flow[T] // drained flow shells kept for reuse
-	seq   uint64     // global insertion counter (cross-flow tie-break)
+	heads []*flow[T]         // the same flows as a min-heap by flow.head
+	walk  []*flow[T]         // reusable admission-walk buffer (skipped prefix)
+	free  []*flow[T]         // drained flow shells kept for reuse
+	seq   uint64             // global insertion counter (cross-flow tie-break)
 	n     int
 }
 
-// flow is one destination's subqueue plus its position in the head heap
-// (maintained by the heap's move callback; -1 while evicted).
-type flow[T any] struct {
-	key int32
-	idx int
-	q   *pq.Queue[entry[T]]
+// ordKey is an element's place in the queue's strict total order: the
+// discipline's key, then the global insertion count. Sequence numbers are
+// unique, so the order is total and both heaps and the dispatcher are
+// deterministic regardless of internal layout.
+type ordKey struct{ hi, lo, seq uint64 }
+
+// before is the order itself: the one comparison both heaps, the
+// preemption primitives and Less are built on.
+//
+//p3:noescape
+func (a *ordKey) before(b *ordKey) bool {
+	if a.hi != b.hi {
+		return a.hi < b.hi
+	}
+	if a.lo != b.lo {
+		return a.lo < b.lo
+	}
+	return a.seq < b.seq
 }
 
+// keyOf returns the item's place in d's order with sequence number 0, below
+// every queued element's. Push overwrites the sequence number; the preemption
+// primitives and Less compare the key as it is, which is what makes ties
+// never preempt: an in-flight element was dispatched before anything now
+// queued was compared with it, so a head with an equal discipline key is
+// not before it.
+//
+//p3:noescape
+func keyOf(d Discipline, it Item) ordKey {
+	hi, lo := d.Key(it)
+	return ordKey{hi: hi, lo: lo}
+}
+
+// entry is one queued element. Its size is what a queued element costs; see
+// Item for the budget.
 type entry[T any] struct {
-	v   T
-	it  Item
-	seq uint64
+	v  T
+	it Item
+	ordKey
+}
+
+// flow is one destination's subqueue — a min-heap of entries — plus what
+// the head heap needs of it: head, a copy of ents[0]'s key (synced by Push
+// and take, the only places the head changes), and idx, its slot in
+// Queue.heads (-1 while it is out of the heap: on the walk buffer or the
+// free list).
+type flow[T any] struct {
+	dest int32
+	idx  int
+	head ordKey
+	ents []entry[T]
+}
+
+// push adds e to the flow's entry heap.
+//
+//p3:noescape
+func (f *flow[T]) push(e entry[T]) {
+	ents := append(f.ents, e)
+	f.ents = ents
+	i := len(ents) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&ents[p].ordKey) {
+			break
+		}
+		ents[i] = ents[p]
+		i = p
+	}
+	ents[i] = e
+}
+
+// pop removes and returns the flow's head entry. The flow must be non-empty.
+//
+//p3:noescape
+func (f *flow[T]) pop() entry[T] {
+	ents := f.ents
+	top := ents[0]
+	n := len(ents) - 1
+	last := ents[n]
+	ents[n] = entry[T]{} // clear the vacated slot: the slab must not pin dead values
+	f.ents = ents[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && ents[r].before(&ents[c].ordKey) {
+			c = r
+		}
+		if !ents[c].before(&last.ordKey) {
+			break
+		}
+		ents[i] = ents[c]
+		i = c
+	}
+	ents[i] = last
+	return top
 }
 
 // NewQueue builds a queue ordered by d. d must be a fresh instance not
@@ -72,14 +166,6 @@ func NewQueue[T any](d Discipline, view func(T) Item) *Queue[T] {
 	q.rank, _ = d.(Ranker)
 	q.disp, _ = d.(Dispatcher)
 	q.adm, _ = d.(Admitter)
-	q.heads = pq.NewIndexed(
-		func(a, b *flow[T]) bool {
-			ea, _ := a.q.Peek()
-			eb, _ := b.q.Peek()
-			return q.before(ea, eb)
-		},
-		func(f *flow[T], i int) { f.idx = i },
-	)
 	return q
 }
 
@@ -96,8 +182,84 @@ func (q *Queue[T]) Gated() bool { return q.adm != nil }
 // Len reports the number of queued elements.
 func (q *Queue[T]) Len() int { return q.n }
 
+// headUp sifts the flow in slot i toward the root after its head key
+// decreased (or it was just appended).
+//
+//p3:noescape
+func (q *Queue[T]) headUp(i int) {
+	h := q.heads
+	f := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !f.head.before(&h[p].head) {
+			break
+		}
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
+	}
+	h[i] = f
+	f.idx = i
+}
+
+// headDown sifts the flow in slot i toward the leaves after its head key
+// increased.
+//
+//p3:noescape
+func (q *Queue[T]) headDown(i int) {
+	h := q.heads
+	f := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].head.before(&h[c].head) {
+			c = r
+		}
+		if !h[c].head.before(&f.head) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = f
+	f.idx = i
+}
+
+// headPush adds f, whose head key is current, to the head heap.
+//
+//p3:noescape
+func (q *Queue[T]) headPush(f *flow[T]) {
+	q.heads = append(q.heads, f)
+	q.headUp(len(q.heads) - 1)
+}
+
+// headRemove takes the flow in slot i out of the head heap.
+//
+//p3:noescape
+func (q *Queue[T]) headRemove(i int) {
+	h := q.heads
+	n := len(h) - 1
+	h[i].idx = -1
+	last := h[n]
+	h[n] = nil // clear the vacated slot: the slab must not pin evicted flows
+	q.heads = h[:n]
+	if i == n {
+		return
+	}
+	h[i] = last
+	last.idx = i
+	q.headDown(i)
+	if last.idx == i {
+		q.headUp(i)
+	}
+}
+
 // Push enqueues v into its flow's subqueue in O(log F) (plus O(log n_f) in
-// the flow's own depth), allocating only when a slab must grow.
+// the flow's own depth), allocating only when a slab must grow. It is the
+// one place the discipline's order is evaluated for v.
 //
 //p3:noescape
 func (q *Queue[T]) Push(v T) {
@@ -106,43 +268,31 @@ func (q *Queue[T]) Push(v T) {
 		it = q.rank.Rank(it)
 	}
 	q.seq++
+	e := entry[T]{v: v, it: it, ordKey: keyOf(q.d, it)}
+	e.seq = q.seq
 	f := q.flows[it.Dest]
 	if f == nil {
 		if k := len(q.free); k > 0 {
 			f = q.free[k-1]
 			q.free[k-1] = nil
 			q.free = q.free[:k-1]
-			f.key = it.Dest
+			f.dest = it.Dest
 		} else {
 			//p3:alloc-ok first flow per destination; recycled via q.free thereafter
-			f = &flow[T]{key: it.Dest}
-			//p3:alloc-ok per-flow heap and closure, amortized over the flow's lifetime
-			f.q = pq.New(func(a, b entry[T]) bool { return q.d.Less(a.it, b.it) })
+			f = &flow[T]{dest: it.Dest}
 		}
 		q.flows[it.Dest] = f
-		f.q.Push(entry[T]{v: v, it: it, seq: q.seq})
-		q.heads.Push(f)
+		f.push(e)
+		f.head = e.ordKey
+		q.headPush(f)
 	} else {
-		f.q.Push(entry[T]{v: v, it: it, seq: q.seq})
-		q.heads.Fix(f.idx) // the flow's head may have changed
+		f.push(e)
+		if e.before(&f.head) { // v is the flow's new head
+			f.head = e.ordKey
+			q.headUp(f.idx)
+		}
 	}
 	q.n++
-}
-
-// before reports whether entry a precedes b in the global dispatch order:
-// discipline order first, global insertion order on ties. Sequence numbers
-// are unique, so this is a strict total order and both the head heap and the
-// dispatcher are deterministic regardless of internal layout.
-//
-//p3:noescape
-func (q *Queue[T]) before(a, b entry[T]) bool {
-	if q.d.Less(a.it, b.it) {
-		return true
-	}
-	if q.d.Less(b.it, a.it) {
-		return false
-	}
-	return a.seq < b.seq
 }
 
 // take pops f's head, evicts f if that drained it, and runs the dispatch
@@ -150,18 +300,19 @@ func (q *Queue[T]) before(a, b entry[T]) bool {
 //
 //p3:noescape
 func (q *Queue[T]) take(f *flow[T]) T {
-	e := f.q.Pop()
+	e := f.pop()
 	q.n--
-	if f.q.Len() == 0 {
+	if len(f.ents) == 0 {
 		// Evict immediately: an empty flow must not linger in the map (that
 		// leak grew without bound on long-running transport queues) nor in
-		// the heap (its comparator has no head to read). The shell is
-		// recycled so a flow that reappears costs no allocation.
-		q.heads.Remove(f.idx)
-		delete(q.flows, f.key)
+		// the heap (it has no head key to order by). The shell is recycled
+		// so a flow that reappears costs no allocation.
+		q.headRemove(f.idx)
+		delete(q.flows, f.dest)
 		q.free = append(q.free, f)
 	} else {
-		q.heads.Fix(f.idx)
+		f.head = f.ents[0].ordKey
+		q.headDown(f.idx)
 	}
 	if q.adm != nil {
 		q.adm.OnStart(e.it)
@@ -172,14 +323,24 @@ func (q *Queue[T]) take(f *flow[T]) T {
 	return e.v
 }
 
-// restoreWalk pushes the admission walk's popped prefix back into the head
+// skipHead moves the most urgent flow from the head heap to the walk
+// buffer, exposing the next most urgent one at heads[0]. The admission
+// walks call it for every head they pass over and end with restoreWalk.
+//
+//p3:noescape
+func (q *Queue[T]) skipHead() {
+	q.walk = append(q.walk, q.heads[0])
+	q.headRemove(0)
+}
+
+// restoreWalk pushes the admission walk's skipped prefix back into the head
 // heap. Heap layout after restoration may differ, but dispatch order cannot:
-// the order is the comparator's strict total order, not the layout.
+// the order is ordKey's strict total order, not the layout.
 //
 //p3:noescape
 func (q *Queue[T]) restoreWalk() {
 	for i, f := range q.walk {
-		q.heads.Push(f)
+		q.headPush(f)
 		q.walk[i] = nil
 	}
 	q.walk = q.walk[:0]
@@ -190,13 +351,11 @@ func (q *Queue[T]) restoreWalk() {
 //
 //p3:noescape
 func (q *Queue[T]) Peek() (T, bool) {
-	f, ok := q.heads.Peek()
-	if !ok {
+	if len(q.heads) == 0 {
 		var zero T
 		return zero, false
 	}
-	e, _ := f.q.Peek()
-	return e.v, true
+	return q.heads[0].ents[0].v, true
 }
 
 // Pop removes and returns the most urgent element, bypassing the Admit
@@ -207,12 +366,11 @@ func (q *Queue[T]) Peek() (T, bool) {
 //
 //p3:noescape
 func (q *Queue[T]) Pop() (T, bool) {
-	f, ok := q.heads.Peek()
-	if !ok {
+	if len(q.heads) == 0 {
 		var zero T
 		return zero, false
 	}
-	return q.take(f), true
+	return q.take(q.heads[0]), true
 }
 
 // PopReady removes and returns the most urgent admissible element: flow
@@ -230,14 +388,12 @@ func (q *Queue[T]) PopReady() (T, bool) {
 		return q.Pop()
 	}
 	var chosen *flow[T]
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if q.adm.Admit(e.it) {
+	for len(q.heads) > 0 {
+		if f := q.heads[0]; q.adm.Admit(f.ents[0].it) {
 			chosen = f
 			break
 		}
+		q.skipHead()
 	}
 	q.restoreWalk()
 	if chosen == nil {
@@ -255,7 +411,7 @@ func (q *Queue[T]) PopReady() (T, bool) {
 // Push, progress retained) and re-dispatch. Like Blocked, it consults the
 // discipline's Admit and so belongs inside the dispatch loop's cadence.
 //
-// hold is compared through the raw view, without a Ranker pass: under a
+// hold is keyed through the raw view, without a Ranker pass: under a
 // rank-at-enqueue discipline (rr) an in-flight element holds its dispatch
 // position in virtual time and nothing queued ever outranks it, so Ranker
 // disciplines never preempt — stride scheduling expresses fairness, not
@@ -266,24 +422,21 @@ func (q *Queue[T]) Preempts(hold T) bool {
 	if q.n == 0 {
 		return false
 	}
-	ht := q.view(hold)
+	hk := keyOf(q.d, q.view(hold))
 	if q.adm == nil {
-		f, _ := q.heads.Peek()
-		e, _ := f.q.Peek()
-		return q.d.Less(e.it, ht)
+		return q.heads[0].head.before(&hk)
 	}
 	found := false
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
+	for len(q.heads) > 0 {
+		f := q.heads[0]
+		if !f.head.before(&hk) {
 			break // heads are urgency-ordered: no candidate remains
 		}
-		if q.adm.Admit(e.it) {
+		if q.adm.Admit(f.ents[0].it) {
 			found = true
 			break
 		}
+		q.skipHead()
 	}
 	q.restoreWalk()
 	return found
@@ -299,38 +452,26 @@ func (q *Queue[T]) Preempts(hold T) bool {
 // discipline, so the veto ends the walk.
 //
 // keep must not touch the queue (no Push/Pop/Done/Cancel): it runs while
-// the head heap is mid-walk, exactly like pq.NewIndexed's move callback
-// must not touch its heap. It should be a pure predicate of the candidate.
+// the head heap is mid-walk. It should be a pure predicate of the
+// candidate.
 //
 //p3:noescape
 func (q *Queue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
-	var zero T
-	if q.adm == nil {
-		f, ok := q.heads.Peek()
-		if !ok {
-			return zero, false
-		}
-		e, _ := f.q.Peek()
-		if !keep(e.v) {
-			return zero, false
-		}
-		return q.take(f), true
-	}
 	var chosen *flow[T]
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.adm.Admit(e.it) {
+	for len(q.heads) > 0 {
+		f := q.heads[0]
+		if q.adm != nil && !q.adm.Admit(f.ents[0].it) {
+			q.skipHead()
 			continue
 		}
-		if keep(e.v) {
+		if keep(f.ents[0].v) {
 			chosen = f
 		}
 		break
 	}
 	q.restoreWalk()
 	if chosen == nil {
+		var zero T
 		return zero, false
 	}
 	return q.take(chosen), true
@@ -352,22 +493,18 @@ func (q *Queue[T]) PopPreempting(hold T) (T, bool) {
 		return zero, false
 	}
 	ht := q.view(hold)
+	hk := keyOf(q.d, ht)
 	var chosen *flow[T]
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
+	for len(q.heads) > 0 {
+		f := q.heads[0]
+		if !f.head.before(&hk) {
 			break // heads are urgency-ordered: no candidate remains
 		}
-		if f.key == ht.Dest {
-			continue
+		if f.dest != ht.Dest && (q.adm == nil || q.adm.Admit(f.ents[0].it)) {
+			chosen = f
+			break
 		}
-		if q.adm != nil && !q.adm.Admit(e.it) {
-			continue
-		}
-		chosen = f
-		break
+		q.skipHead()
 	}
 	q.restoreWalk()
 	if chosen == nil {
@@ -409,38 +546,35 @@ func (q *Queue[T]) Cancel(v T) {
 
 // SetProfile applies a (re)calibrated timing profile to the queue's
 // discipline (ApplyProfile) and, when elements are queued, rebuilds the
-// queue under the new order: a comparator-ranked discipline (tictac) reads
-// the profile inside Less, so swapping it under a populated heap would
-// break the heap invariant and dispatch in neither the old nor the new
-// order. Queued elements are re-enqueued in their original insertion order
-// — Ranker disciplines re-rank them, and in-flight credit charges are
-// untouched (they belong to popped elements). O(n log n); intended for the
-// rare recalibration point, not a hot path. A no-op profile-wise for
-// profile-blind disciplines, but the rebuild still runs so a Ranker
-// wrapper over a profiled base (damped:tictac) re-ranks consistently.
+// queue under the new order: a profiled discipline (tictac) derives its
+// keys from the profile, so the keys stored at enqueue are stale — left
+// alone, what is queued would sort by the old profile among arrivals keyed
+// by the new one, an order that is neither. Queued elements are
+// re-enqueued in their original insertion order — every one
+// is re-keyed, Ranker disciplines re-rank them, and in-flight credit
+// charges are untouched (they belong to popped elements). O(n log n);
+// intended for the rare recalibration point, not a hot path. A no-op
+// profile-wise for profile-blind disciplines, but the rebuild still runs so
+// a Ranker wrapper over a profiled base (damped:tictac) re-ranks
+// consistently.
 func (q *Queue[T]) SetProfile(p *Profile) {
 	ApplyProfile(q.d, p)
 	if q.n == 0 {
 		return
 	}
 	ents := make([]entry[T], 0, q.n)
-	for _, f := range q.flows {
-		for f.q.Len() > 0 {
-			ents = append(ents, f.q.Pop())
-		}
+	for i, f := range q.heads {
+		ents = append(ents, f.ents...)
+		clear(f.ents)
+		f.ents = f.ents[:0]
+		f.idx = -1
+		delete(q.flows, f.dest)
 		q.free = append(q.free, f) // drained shell, reusable
+		q.heads[i] = nil
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	q.flows = make(map[int32]*flow[T], len(q.flows))
-	q.heads = pq.NewIndexed(
-		func(a, b *flow[T]) bool {
-			ea, _ := a.q.Peek()
-			eb, _ := b.q.Peek()
-			return q.before(ea, eb)
-		},
-		func(f *flow[T], i int) { f.idx = i },
-	)
+	q.heads = q.heads[:0]
 	q.n = 0
+	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
 	for _, e := range ents {
 		q.Push(e.v)
 	}
@@ -483,16 +617,10 @@ func (q *Queue[T]) Blocked() bool {
 	if q.adm == nil || q.n == 0 {
 		return false
 	}
-	admissible := false
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if q.adm.Admit(e.it) {
-			admissible = true
-			break
-		}
+	for len(q.heads) > 0 && !q.adm.Admit(q.heads[0].ents[0].it) {
+		q.skipHead()
 	}
+	admissible := len(q.heads) > 0
 	q.restoreWalk()
 	return !admissible
 }

@@ -6,10 +6,48 @@ import (
 	"p3/internal/pq"
 )
 
+// specLess is the executable specification of every built-in discipline's
+// order: the pairwise comparators the disciplines carried before they
+// stated their order as an integer Key, kept verbatim. Neither it nor
+// refQueue below touches Key, ord32/ord64 or sched.Less, so a key that
+// misorders anything — a sign boundary, a clamped class, a lost tie-break —
+// disagrees with it (TestDispatchMatchesLinearScanReference, FuzzByName).
+func specLess(d Discipline, a, b Item) bool {
+	switch t := d.(type) {
+	case *FIFO:
+		return false
+	case *P3Priority:
+		return a.Priority < b.Priority
+	case *RoundRobinLayer:
+		return a.rank < b.rank
+	case *SmallestFirst:
+		if a.Bytes != b.Bytes {
+			return a.Bytes < b.Bytes
+		}
+		return a.Priority < b.Priority
+	case *CreditGated:
+		return a.Priority < b.Priority
+	case *TicTac:
+		if len(t.slack) == 0 {
+			return a.Priority < b.Priority
+		}
+		sa, sb := t.Slack(a.Priority), t.Slack(b.Priority)
+		if sa != sb {
+			return sa < sb
+		}
+		return a.Priority < b.Priority
+	case *AdaptiveCredit:
+		return a.Priority < b.Priority
+	case *Damped, *gatedDamped:
+		return a.rank < b.rank
+	}
+	panic("specLess: no specification for discipline " + d.Name())
+}
+
 // refQueue retains the pre-PR-4 linear-scan dispatcher verbatim as the
 // executable specification of dispatch order: flows are selected with an
 // O(F) scan over every subqueue head (best) and the admission walk sorts
-// all heads on every pop (heads). The indexed-heap Queue must be
+// all heads on every pop (heads), both by specLess. Queue must be
 // bit-identical to this reference on every primitive — the property test in
 // queue_property_test.go drives both through random interleavings. The
 // reference also retains the old no-eviction behaviour (drained flows stay
@@ -30,7 +68,13 @@ type refQueue[T any] struct {
 
 type refFlow[T any] struct {
 	key int32
-	q   *pq.Queue[entry[T]]
+	q   *pq.Queue[refEntry[T]]
+}
+
+type refEntry[T any] struct {
+	v   T
+	it  Item
+	seq uint64
 }
 
 func newRefQueue[T any](d Discipline, view func(T) Item) *refQueue[T] {
@@ -52,19 +96,19 @@ func (q *refQueue[T]) Push(v T) {
 	f := q.flows[it.Dest]
 	if f == nil {
 		f = &refFlow[T]{key: it.Dest}
-		f.q = pq.New(func(a, b entry[T]) bool { return q.d.Less(a.it, b.it) })
+		f.q = pq.New(func(a, b refEntry[T]) bool { return specLess(q.d, a.it, b.it) })
 		q.flows[it.Dest] = f
 		q.order = append(q.order, f)
 	}
-	f.q.Push(entry[T]{v: v, it: it, seq: q.seq})
+	f.q.Push(refEntry[T]{v: v, it: it, seq: q.seq})
 	q.n++
 }
 
-func (q *refQueue[T]) before(a, b entry[T]) bool {
-	if q.d.Less(a.it, b.it) {
+func (q *refQueue[T]) before(a, b refEntry[T]) bool {
+	if specLess(q.d, a.it, b.it) {
 		return true
 	}
-	if q.d.Less(b.it, a.it) {
+	if specLess(q.d, b.it, a.it) {
 		return false
 	}
 	return a.seq < b.seq
@@ -73,7 +117,7 @@ func (q *refQueue[T]) before(a, b entry[T]) bool {
 // best: the O(F) linear scan over all flow heads.
 func (q *refQueue[T]) best() *refFlow[T] {
 	var bf *refFlow[T]
-	var bh entry[T]
+	var bh refEntry[T]
 	for _, f := range q.order {
 		h, ok := f.q.Peek()
 		if !ok {
@@ -157,11 +201,11 @@ func (q *refQueue[T]) Preempts(hold T) bool {
 	if q.adm == nil {
 		f := q.best()
 		e, _ := f.q.Peek()
-		return q.d.Less(e.it, ht)
+		return specLess(q.d, e.it, ht)
 	}
 	for _, f := range q.heads() {
 		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
+		if !specLess(q.d, e.it, ht) {
 			return false
 		}
 		if q.adm.Admit(e.it) {
@@ -205,7 +249,7 @@ func (q *refQueue[T]) PopPreempting(hold T) (T, bool) {
 	ht := q.view(hold)
 	for _, f := range q.heads() {
 		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
+		if !specLess(q.d, e.it, ht) {
 			break
 		}
 		if f.key == ht.Dest {
@@ -247,4 +291,20 @@ func (q *refQueue[T]) Blocked() bool {
 		}
 	}
 	return true
+}
+
+// SetProfile mirrors Queue.SetProfile's rule: apply the profile, then
+// re-enqueue everything queued in its original insertion order (re-ranked,
+// with fresh sequence numbers).
+func (q *refQueue[T]) SetProfile(p *Profile) {
+	ApplyProfile(q.d, p)
+	var ents []refEntry[T]
+	for _, f := range q.order {
+		ents = append(ents, f.q.Drain()...)
+	}
+	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
+	q.n = 0
+	for _, e := range ents {
+		q.Push(e.v)
+	}
 }

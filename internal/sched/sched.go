@@ -14,14 +14,20 @@ import (
 // processing-pool work item) into an Item; disciplines only ever see this
 // view.
 //
-//p3:sizebudget 32
+// The layout is part of the queue's memory budget: Queue stores one Item
+// next to every queued element together with its three-word order key, and
+// at 24 bytes (the two int32 fields share a word) that entry is 56 bytes
+// for a pointer-sized element — what it cost before the key was stored. A
+// 32-byte Item (64-byte entry) was measured at +3.5% to +10.5%
+// alloc_mb_per_pass across the bench workloads (PR 15), so a new field has
+// to pay for itself against that.
+//
+//p3:sizebudget 24
 type Item struct {
 	// Priority is the urgency class, lower = more urgent. P3 assigns
 	// forward-pass layer order, so Priority doubles as the flow key for
 	// fairness disciplines.
 	Priority int32
-	// Bytes is the payload size (wire bytes or processing cost proxy).
-	Bytes int64
 	// Dest identifies the flow's destination (receiving machine, worker
 	// id, ...); per-destination disciplines (credit-adaptive) key their
 	// windows on it. Callers without a meaningful destination leave it 0,
@@ -30,34 +36,54 @@ type Item struct {
 	// Item deliberately has no Src twin: the element's origin is a
 	// property of the QUEUE (a NIC egress queue belongs to one machine, a
 	// transport send queue to one worker), injected once per discipline
-	// via ApplySource/Sourced. Keeping Item at four fields also keeps a
-	// Less(a, b Item) interface call inside the amd64 ABI's nine integer
-	// argument registers — a fifth field spills both arguments to the
-	// stack and costs the dispatch hot path ~45% (measured on
-	// BenchmarkQueueManyFlows/p3).
+	// via ApplySource/Sourced.
 	Dest int32
+	// Bytes is the payload size (wire bytes or processing cost proxy).
+	Bytes int64
 	// rank is a discipline-assigned ordering key, set by a Ranker at
 	// enqueue time (e.g. the stride-scheduling pass of rr).
 	rank uint64
 }
 
-// Discipline orders a queue. Less reports whether a should dequeue before
-// b; elements that compare equal dequeue in insertion order. A Discipline
-// instance may be stateful and must not be shared between queues — obtain a
-// fresh instance per queue via ByName or a registered Factory.
+// Discipline orders a queue by naming each item's place in the order: Key
+// maps an Item to a pair of unsigned words compared lexicographically,
+// (hi, lo) ascending, and items with equal keys dequeue in insertion
+// order. Queue calls Key exactly once per element, at enqueue (after any
+// Ranker pass), and from then on compares the stored integers — so Key
+// must be a pure function of the Item and of discipline state that changes
+// only through SetProfile (Queue.SetProfile re-keys what is queued).
+// Signed fields enter a key through ord32/ord64 so that unsigned compare
+// orders them as signed. A Discipline instance may be stateful and must
+// not be shared between queues — obtain a fresh instance per queue via
+// ByName or a registered Factory.
 type Discipline interface {
 	// Name returns the canonical registry name.
 	Name() string
-	// Less reports whether a is more urgent than b.
-	Less(a, b Item) bool
+	// Key returns the item's position in the order; lower dequeues first.
+	Key(it Item) (hi, lo uint64)
 }
 
-// Ranker is implemented by disciplines that assign an ordering key at
-// enqueue time (stateful orders that a pure comparator cannot express, such
-// as round-robin). Rank is called exactly once per item, before insertion,
-// and returns the stamped item. (Value-in/value-out rather than a pointer:
-// passing a stack Item's address through the interface would force every
-// enqueue — under every discipline — to heap-allocate the view.)
+// Less reports whether a is strictly more urgent than b under d — the
+// comparison Key defines, for callers holding two Items rather than a
+// queue (preemption checks against an in-flight element).
+func Less(d Discipline, a, b Item) bool {
+	ka, kb := keyOf(d, a), keyOf(d, b)
+	return ka.before(&kb)
+}
+
+// ord32 and ord64 map a signed value to the unsigned one with the same
+// order (flip the sign bit), so keys built from signed fields compare
+// correctly over the whole domain, negative classes included.
+func ord32(v int32) uint64 { return uint64(uint32(v) ^ 1<<31) }
+func ord64(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// Ranker is implemented by disciplines that stamp an item at enqueue time
+// (stateful orders that a pure function of the Item cannot express, such
+// as round-robin). Rank is called exactly once per item, before Key and
+// insertion, and returns the stamped item. (Value-in/value-out rather than
+// a pointer: passing a stack Item's address through the interface would
+// force every enqueue — under every discipline — to heap-allocate the
+// view.)
 type Ranker interface {
 	Rank(it Item) Item
 }
@@ -180,8 +206,8 @@ type FIFO struct{}
 // NewFIFO returns the fifo discipline.
 func NewFIFO() *FIFO { return &FIFO{} }
 
-func (*FIFO) Name() string        { return "fifo" }
-func (*FIFO) Less(a, b Item) bool { return false }
+func (*FIFO) Name() string             { return "fifo" }
+func (*FIFO) Key(Item) (hi, lo uint64) { return 0, 0 }
 
 // P3Priority dequeues the lowest Priority value first — the paper's
 // mechanism (Section 4.2): chunks of early layers preempt chunks of late
@@ -191,8 +217,8 @@ type P3Priority struct{}
 // NewP3Priority returns the p3 strict-priority discipline.
 func NewP3Priority() *P3Priority { return &P3Priority{} }
 
-func (*P3Priority) Name() string        { return "p3" }
-func (*P3Priority) Less(a, b Item) bool { return a.Priority < b.Priority }
+func (*P3Priority) Name() string                { return "p3" }
+func (*P3Priority) Key(it Item) (hi, lo uint64) { return ord32(it.Priority), 0 }
 
 // RoundRobinLayer interleaves priority classes (layers) fairly via stride
 // scheduling: each class holds a pass counter, every enqueued item is
@@ -212,7 +238,7 @@ func NewRoundRobinLayer() *RoundRobinLayer {
 
 func (*RoundRobinLayer) Name() string { return "rr" }
 
-func (r *RoundRobinLayer) Less(a, b Item) bool { return a.rank < b.rank }
+func (*RoundRobinLayer) Key(it Item) (hi, lo uint64) { return it.rank, 0 }
 
 func (r *RoundRobinLayer) Rank(it Item) Item {
 	p := r.pass[it.Priority]
@@ -240,11 +266,8 @@ func NewSmallestFirst() *SmallestFirst { return &SmallestFirst{} }
 
 func (*SmallestFirst) Name() string { return "smallest" }
 
-func (*SmallestFirst) Less(a, b Item) bool {
-	if a.Bytes != b.Bytes {
-		return a.Bytes < b.Bytes
-	}
-	return a.Priority < b.Priority
+func (*SmallestFirst) Key(it Item) (hi, lo uint64) {
+	return ord64(it.Bytes), ord32(it.Priority)
 }
 
 // DefaultCreditBytes is the credit window used by the plain "credit" name:
@@ -273,8 +296,8 @@ func NewCreditGated(credit int64) *CreditGated {
 	return &CreditGated{Credit: credit}
 }
 
-func (*CreditGated) Name() string        { return "credit" }
-func (*CreditGated) Less(a, b Item) bool { return a.Priority < b.Priority }
+func (*CreditGated) Name() string                { return "credit" }
+func (*CreditGated) Key(it Item) (hi, lo uint64) { return ord32(it.Priority), 0 }
 
 func (c *CreditGated) Admit(it Item) bool {
 	return c.inFlight == 0 || c.inFlight+it.Bytes <= c.Credit
@@ -355,15 +378,13 @@ func (t *TicTac) Slack(pri int32) int64 {
 	return t.slack[pri]
 }
 
-func (t *TicTac) Less(a, b Item) bool {
+// Key orders by the class's slack, then by the class itself; p3's key
+// without a profile.
+func (t *TicTac) Key(it Item) (hi, lo uint64) {
 	if len(t.slack) == 0 {
-		return a.Priority < b.Priority
+		return ord32(it.Priority), 0
 	}
-	sa, sb := t.Slack(a.Priority), t.Slack(b.Priority)
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Priority < b.Priority
+	return ord64(t.Slack(it.Priority)), ord32(it.Priority)
 }
 
 // AdaptiveCredit extends the credit gate from one shared window to one
@@ -383,11 +404,12 @@ func (t *TicTac) Less(a, b Item) bool {
 //
 // Window sizing is independent per destination: a slow receiver tunes its
 // own window without inflating or shrinking anyone else's, the rack-scale
-// imbalance Parameter Hub's analysis attributes to shared gates. Dispatch,
-// however, still runs through the queue's single priority order: while the
-// head item's destination is out of credit, admissible items for other
-// destinations behind it wait too (head-of-line coupling); the ROADMAP
-// lists flow-aware head skipping as an open item.
+// imbalance Parameter Hub's analysis attributes to shared gates. Dispatch
+// is decoupled the same way: Queue keeps one subqueue per destination and
+// PopReady consults the flow heads in urgency order, so a destination that
+// is out of credit is skipped and the most urgent admissible item bound
+// elsewhere dispatches (flow-aware head skipping) — only items behind a
+// refused head of their OWN destination wait for its window.
 type AdaptiveCredit struct {
 	// Initial is the starting window per destination.
 	Initial int64
@@ -431,8 +453,8 @@ func NewAdaptiveCredit(initial int64) *AdaptiveCredit {
 	return a
 }
 
-func (*AdaptiveCredit) Name() string        { return "credit-adaptive" }
-func (*AdaptiveCredit) Less(a, b Item) bool { return a.Priority < b.Priority }
+func (*AdaptiveCredit) Name() string                { return "credit-adaptive" }
+func (*AdaptiveCredit) Key(it Item) (hi, lo uint64) { return ord32(it.Priority), 0 }
 
 func (a *AdaptiveCredit) win(dst int32) *destWindow {
 	w := a.wins[dst]

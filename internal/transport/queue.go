@@ -23,8 +23,7 @@ type SendQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	q       *sched.Queue[*Frame]
-	gated   bool // the discipline has an Admitter: Done/Cancel can unblock a consumer
-	waiters int  // consumers parked in cond.Wait
+	waiters int // consumers parked in cond.Wait
 	closed  bool
 }
 
@@ -42,7 +41,6 @@ func frameItem(f *Frame) sched.Item {
 // sched.ByName.
 func NewSendQueue(d sched.Discipline) *SendQueue {
 	s := &SendQueue{q: sched.NewQueue(d, frameItem)}
-	_, s.gated = d.(sched.Admitter)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -118,9 +116,11 @@ func (s *SendQueue) TryPopPreempting(hold *Frame) (*Frame, bool) {
 // admitted. Call it once per popped frame after the blocking write
 // completes. For a discipline without a credit window the release is a
 // no-op and nothing new can become admissible, so ungated queues skip the
-// lock round-trip entirely — Done costs nothing on the fifo/p3 hot path.
+// lock round-trip entirely — Done costs nothing on the fifo/p3 hot path
+// (whether a queue is gated is fixed at construction, so the check needs
+// no lock).
 func (s *SendQueue) Done(f *Frame) {
-	if !s.gated {
+	if !s.q.Gated() {
 		return
 	}
 	s.mu.Lock()
@@ -135,7 +135,7 @@ func (s *SendQueue) Done(f *Frame) {
 // routed by f's own destination, so a flow skipped at dispatch never
 // absorbs another flow's refund.
 func (s *SendQueue) Cancel(f *Frame) {
-	if !s.gated {
+	if !s.q.Gated() {
 		return
 	}
 	s.mu.Lock()
@@ -154,7 +154,7 @@ func (s *SendQueue) Cancel(f *Frame) {
 func (s *SendQueue) Requeue(f *Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gated {
+	if s.q.Gated() {
 		s.q.Cancel(f)
 	}
 	if !s.closed {
