@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	p3bench [-fast] [-seed N] [-shards N] [-plot] [-json] [-baseline FILE] \
+//	p3bench [-fast] [-seed N] [-shards N] [-plot] [-baseline FILE] \
 //	        [fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 \
 //	         headline ablation sched scale rack faults allreduce tta compression \
 //	         sensitivity bench | all]
@@ -18,11 +18,11 @@
 //
 // bench runs the dispatch-path microbenchmarks (ns/op + allocs/op for the
 // scheduler queue, transport queue and event engine) plus the zoo-simulation
-// timings. -json additionally writes the measurements as the next BENCH_<n>.json
-// perf-trajectory artifact in the current directory. -baseline FILE compares
-// the microbenchmarks against a checked-in artifact and exits non-zero when
-// any dispatch path allocates at steady state or regresses ns/op by more
-// than 25% (calibration-scaled) — the CI regression gate.
+// timings. -baseline FILE compares the microbenchmarks against a checked-in
+// artifact and exits non-zero when any dispatch path allocates at steady
+// state or regresses ns/op by more than 25% (calibration-scaled) — the CI
+// regression gate. (The repository's benchmark is `go run ./bench`; its
+// -json writes bench/out/result-N.json.)
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 
@@ -49,7 +48,6 @@ func main() {
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "simulation shards per cluster-path cell (1 = legacy single-heap engine; results are bit-identical either way)")
 	plot := flag.Bool("plot", true, "render ASCII plots")
 	tsv := flag.Bool("tsv", true, "print TSV series")
-	jsonOut := flag.Bool("json", false, "write benchmark results as the next BENCH_<n>.json artifact (implies the bench target)")
 	baseline := flag.String("baseline", "", "compare dispatch microbenchmarks against this artifact; exit 1 on regression (implies the bench target)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: p3bench [flags] [%s|bench|all]...\n", strings.Join(figOrder, "|"))
@@ -61,7 +59,7 @@ func main() {
 	if len(targets) == 0 || (len(targets) == 1 && targets[0] == "all") {
 		targets = figOrder
 	}
-	if *jsonOut || *baseline != "" {
+	if *baseline != "" {
 		hasBench := false
 		for _, t := range targets {
 			hasBench = hasBench || t == "bench"
@@ -125,7 +123,7 @@ func main() {
 			fmt.Print(experiments.TimeToAccuracyTable(experiments.TimeToAccuracy(o)))
 			fmt.Println()
 		case t == "bench":
-			runBench(*jsonOut, *baseline, *fast)
+			runBench(*baseline, *fast)
 		case runners[t] != nil:
 			for _, fig := range runners[t](o) {
 				if *plot {
@@ -144,15 +142,12 @@ func main() {
 }
 
 // runBench measures the dispatch microbenchmarks (and, unless gating only,
-// the zoo simulation timings), prints them, optionally writes the BENCH_<n>
-// artifact, and optionally enforces the regression gate.
-func runBench(writeJSON bool, baselinePath string, fast bool) {
-	// The CI gate (baseline set, no artifact) skips the zoo sims: the gate's
-	// thresholds cover only the microbenchmarks, and the sims add minutes.
-	withSims := writeJSON || baselinePath == ""
-	if fast {
-		withSims = false
-	}
+// the zoo simulation timings), prints them, and optionally enforces the
+// regression gate.
+func runBench(baselinePath string, fast bool) {
+	// The CI gate skips the zoo sims: the gate's thresholds cover only the
+	// microbenchmarks, and the sims add minutes.
+	withSims := baselinePath == "" && !fast
 	fmt.Println("== Dispatch microbenchmarks (ns/op, allocs/op) and zoo sim timings ==")
 	art := benchmarks.Collect(withSims)
 	fmt.Printf("go\t%s\tGOMAXPROCS\t%d\tcalib_ns\t%.2f\n", art.GoVersion, art.GOMAXPROCS, art.CalibNs)
@@ -167,22 +162,6 @@ func runBench(writeJSON bool, baselinePath string, fast bool) {
 		}
 	}
 	fmt.Println()
-
-	if writeJSON {
-		path, err := nextBenchPath(".")
-		if err == nil {
-			var buf []byte
-			buf, err = json.MarshalIndent(art, "", "  ")
-			if err == nil {
-				err = os.WriteFile(path, append(buf, '\n'), 0o644)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p3bench: writing artifact: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n\n", path)
-	}
 
 	if baselinePath != "" {
 		buf, err := os.ReadFile(baselinePath)
@@ -225,24 +204,5 @@ func runBench(writeJSON bool, baselinePath string, fast bool) {
 			os.Exit(1)
 		}
 		fmt.Printf("benchmark gate passed against %s (tolerance 25%%, allocs/op must be 0)\n\n", baselinePath)
-	}
-}
-
-// nextBenchPath returns the first unused BENCH_<n>.json path in dir, so
-// successive runs accumulate a perf trajectory instead of overwriting it.
-func nextBenchPath(dir string) (string, error) {
-	existing, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	used := make(map[string]bool, len(existing))
-	for _, p := range existing {
-		used[filepath.Base(p)] = true
-	}
-	for n := 0; ; n++ {
-		name := fmt.Sprintf("BENCH_%d.json", n)
-		if !used[name] {
-			return filepath.Join(dir, name), nil
-		}
 	}
 }

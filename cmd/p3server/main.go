@@ -35,7 +35,6 @@ func main() {
 	modelName := flag.String("model", "", "zoo model supplying the timing profile for model-aware disciplines (tictac); empty = none")
 	gbps := flag.Float64("gbps", 10, "estimated wire rate (Gbps) for the timing profile's transfer estimates")
 	stallsIn := flag.String("stalls", "", "calibrated mode: build the timing profile from this measured stall file (p3sim -stallsout) instead of static timing alone; requires -model")
-	preempt := flag.Int("preempt", 0, "write quantum in bytes for preemptive transmission (0 = whole frames)")
 	notifyPull := flag.Bool("notifypull", false, "stock KVStore notify+pull instead of immediate broadcast")
 	lr := flag.Float64("lr", 0.1, "server-side SGD learning rate")
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")
@@ -71,13 +70,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "p3server: warning: -sched %s without -model has no timing profile and degrades to p3 ordering\n", *schedName)
 	}
 	srv := pstcp.NewServer(pstcp.ServerConfig{
-		ID:           *id,
-		Workers:      *workers,
-		Sched:        *schedName,
-		Profile:      profile,
-		NotifyPull:   *notifyPull,
-		PreemptBytes: *preempt,
-		Updater:      pstcp.SGDUpdater(float32(*lr)),
+		ID:         *id,
+		Workers:    *workers,
+		Sched:      *schedName,
+		Profile:    profile,
+		NotifyPull: *notifyPull,
+		Updater:    pstcp.SGDUpdater(float32(*lr)),
 	})
 	bound, err := srv.Start(*addr)
 	if err != nil {

@@ -4,70 +4,38 @@ import (
 	"fmt"
 	"os"
 
+	"p3/internal/cluster"
 	"p3/internal/faults"
-	"p3/internal/netsim"
 	"p3/internal/strategy"
 )
 
-// faultFlags is the fault-injection flag group of p3sim, cross-checked as a
-// unit by faultsFromFlags against the topology and strategy flags already
-// resolved.
-type faultFlags struct {
-	planPath  string
-	seed      int64
-	machines  int
-	topo      netsim.Topology
-	rackAgg   bool
-	hierAgg   bool
-	rackLocal bool
-	pull      strategy.PullMode
-}
-
-// faultsFromFlags loads (-faultplan) or generates (-faultseed) the run's
-// fault plan and validates it against the configured cluster, so a plan
-// referencing machines, racks or pods the topology does not have — or
-// needing an aggregation mode the flags did not enable — is a usage error
-// at the CLI boundary rather than a panic inside the engine. A nil plan
-// (neither flag set) means a fault-free run.
-func faultsFromFlags(f faultFlags) (*faults.Plan, error) {
-	if f.planPath != "" && f.seed != 0 {
-		return nil, fmt.Errorf("-faultplan and -faultseed are mutually exclusive: a file replays a scripted plan, a seed generates one")
-	}
-	var p *faults.Plan
+// faultPlan loads (-faultplan) or generates (-faultseed) the run's fault
+// plan; nil (neither flag set) means a fault-free run. Whether the plan
+// fits the cluster is Config.Validate's business.
+func faultPlan(path string, seed int64, cfg cluster.Config) (*faults.Plan, error) {
 	switch {
-	case f.planPath != "":
-		data, err := os.ReadFile(f.planPath)
+	case path != "" && seed != 0:
+		return nil, fmt.Errorf("-faultplan and -faultseed are mutually exclusive: a file replays a scripted plan, a seed generates one")
+	case path != "":
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("-faultplan: %w", err)
 		}
-		p, err = faults.Decode(data)
+		p, err := faults.Decode(data)
 		if err != nil {
-			return nil, fmt.Errorf("-faultplan %s: %w", f.planPath, err)
+			return nil, fmt.Errorf("-faultplan %s: %w", path, err)
 		}
-	case f.seed != 0:
+		return p, nil
+	case seed != 0:
+		// The generator draws machine, rack and pod indices from the cell, so
+		// the cell has to stand on its own first.
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		// Crashes only make sense when the cluster has aggregators with a
 		// recovery path, so the generator is told which tiers are crashable.
-		canCrash := f.rackAgg && !f.rackLocal && f.pull == strategy.Immediate
-		p = faults.Scripted(f.seed, f.machines, f.topo, canCrash, canCrash && f.hierAgg, 0)
-	default:
-		return nil, nil
+		canCrash := cfg.RackAggregation && !cfg.RackLocalPS && cfg.Strategy.Pull == strategy.Immediate
+		return faults.Scripted(seed, cfg.Machines, cfg.Topology, canCrash, canCrash && cfg.HierAggregation, 0), nil
 	}
-	if err := p.Validate(f.machines, f.topo); err != nil {
-		return nil, err
-	}
-	// Mirror the cluster's construction-time prerequisites as usage errors.
-	if p.HasAggCrash() {
-		switch {
-		case !f.rackAgg:
-			return nil, fmt.Errorf("the plan crashes an aggregator but -rackagg is off: there is no aggregator to crash")
-		case f.rackLocal:
-			return nil, fmt.Errorf("agg-crash faults are incompatible with -racklocalps (the rack parameter cache has no failover path)")
-		case f.pull != strategy.Immediate:
-			return nil, fmt.Errorf("agg-crash faults need an immediate-broadcast strategy (crash recovery re-pulls against the immediate data path)")
-		}
-		if p.HasTierCrash(faults.TierPod) && !f.hierAgg {
-			return nil, fmt.Errorf("the plan crashes a pod aggregator but -hieragg is off: there is no pod aggregator to crash")
-		}
-	}
-	return p, nil
+	return nil, nil
 }

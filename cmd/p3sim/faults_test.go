@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"p3/internal/faults"
-	"p3/internal/netsim"
-	"p3/internal/strategy"
 )
 
 // writePlan encodes p into a temp file and returns its path.
@@ -25,13 +23,13 @@ func writePlan(t *testing.T, p *faults.Plan) string {
 	return path
 }
 
+// TestFaultsFromFlags pins how -faultplan/-faultseed turn into
+// Config.Faults, and that a plan the cluster cannot honor is a usage error
+// (the rejection matrix itself is cluster's TestFaultRejections).
 func TestFaultsFromFlags(t *testing.T) {
-	rackTopo := netsim.Topology{RackSize: 4, CoreOversub: 4}
+	const racks = "-machines 16 -racksize 4 -oversub 4 -strategy slicing "
 	crashPlan := &faults.Plan{Events: []faults.Event{
 		{Kind: faults.KindAggCrash, At: 1e6, Until: 2e6, Tier: faults.TierRack, Index: 1},
-	}}
-	podCrashPlan := &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindAggCrash, At: 1e6, Until: 2e6, Tier: faults.TierPod, Index: 0},
 	}}
 	stragglerPlan := &faults.Plan{Events: []faults.Event{
 		{Kind: faults.KindStraggler, At: 1e6, Until: 2e6, Machine: 3, Factor: 2},
@@ -39,62 +37,39 @@ func TestFaultsFromFlags(t *testing.T) {
 	outOfRangePlan := &faults.Plan{Events: []faults.Event{
 		{Kind: faults.KindStraggler, At: 1e6, Until: 2e6, Machine: 99, Factor: 2},
 	}}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"events": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name     string
-		f        faultFlags
-		plan     *faults.Plan // written to a temp file when non-nil
-		badFile  string       // raw file contents instead of an encoded plan
+		args     string
+		plan     *faults.Plan // written to a temp file and passed as -faultplan
 		wantPlan bool
 		wantErr  string // fragment of the expected usage error
 	}{
-		{name: "no flags", f: faultFlags{machines: 16}},
-		{name: "seeded flat", f: faultFlags{seed: 7, machines: 16}, wantPlan: true},
-		{name: "seeded racks", f: faultFlags{seed: 7, machines: 16, topo: rackTopo,
-			rackAgg: true, pull: strategy.Immediate}, wantPlan: true},
-		{name: "seeded rack-local avoids crashes", f: faultFlags{seed: 7, machines: 16,
-			topo: rackTopo, rackAgg: true, rackLocal: true}, wantPlan: true},
-		{name: "replayed straggler", f: faultFlags{machines: 16}, plan: stragglerPlan, wantPlan: true},
-		{name: "replayed crash", f: faultFlags{machines: 16, topo: rackTopo,
-			rackAgg: true, pull: strategy.Immediate}, plan: crashPlan, wantPlan: true},
-		{name: "both flags", f: faultFlags{seed: 7, machines: 16}, plan: stragglerPlan,
-			wantErr: "mutually exclusive"},
-		{name: "missing file", f: faultFlags{planPath: "/nonexistent/plan.json", machines: 16},
-			wantErr: "-faultplan"},
-		{name: "malformed file", f: faultFlags{machines: 16}, badFile: `{"events": [`,
-			wantErr: "faults:"},
-		{name: "machine out of topology", f: faultFlags{machines: 16}, plan: outOfRangePlan,
-			wantErr: "machine 99"},
-		{name: "rack crash on flat topology", f: faultFlags{machines: 16}, plan: crashPlan,
-			wantErr: "flat topology"},
-		{name: "crash without rackagg", f: faultFlags{machines: 16, topo: rackTopo,
-			pull: strategy.Immediate}, plan: crashPlan, wantErr: "-rackagg is off"},
-		{name: "crash with racklocalps", f: faultFlags{machines: 16, topo: rackTopo,
-			rackAgg: true, rackLocal: true, pull: strategy.Immediate}, plan: crashPlan,
-			wantErr: "-racklocalps"},
-		{name: "crash without immediate broadcast", f: faultFlags{machines: 16, topo: rackTopo,
-			rackAgg: true, pull: strategy.NotifyPull}, plan: crashPlan,
-			wantErr: "immediate-broadcast"},
-		{name: "pod crash without spine", f: faultFlags{machines: 16, topo: rackTopo,
-			rackAgg: true, pull: strategy.Immediate}, plan: podCrashPlan,
-			wantErr: "spine"},
+		{name: "no flags", args: "-machines 16"},
+		{name: "seeded flat", args: "-machines 16 -faultseed 7", wantPlan: true},
+		{name: "seeded racks", args: racks + "-rackagg -faultseed 7", wantPlan: true},
+		{name: "seeded rack-local avoids crashes", args: racks + "-strategy baseline -rackagg -racklocalps -faultseed 7", wantPlan: true},
+		{name: "seeded on a bad cell", args: "-machines 16 -pods 2 -faultseed 7", wantErr: "without a rack topology"},
+		{name: "replayed straggler", args: "-machines 16", plan: stragglerPlan, wantPlan: true},
+		{name: "replayed crash", args: racks + "-rackagg", plan: crashPlan, wantPlan: true},
+		{name: "both flags", args: "-machines 16 -faultseed 7", plan: stragglerPlan, wantErr: "mutually exclusive"},
+		{name: "missing file", args: "-machines 16 -faultplan /nonexistent/plan.json", wantErr: "-faultplan"},
+		{name: "malformed file", args: "-machines 16 -faultplan " + bad, wantErr: "faults:"},
+		{name: "machine out of topology", args: "-machines 16", plan: outOfRangePlan, wantErr: "machine 99"},
+		{name: "crash without rackagg", args: racks, plan: crashPlan, wantErr: "needs RackAggregation"},
 	} {
-		f := tc.f
+		args := strings.Fields(tc.args)
 		if tc.plan != nil {
-			f.planPath = writePlan(t, tc.plan)
+			args = append(args, "-faultplan", writePlan(t, tc.plan))
 		}
-		if tc.badFile != "" {
-			f.planPath = filepath.Join(t.TempDir(), "bad.json")
-			if err := os.WriteFile(f.planPath, []byte(tc.badFile), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, err := faultsFromFlags(f)
+		cfg, _, err := parseFlags(args)
 		if tc.wantErr != "" {
-			if err == nil {
-				t.Errorf("%s: no error, want one containing %q", tc.name, tc.wantErr)
-			} else if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 			}
 			continue
 		}
@@ -102,10 +77,10 @@ func TestFaultsFromFlags(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 			continue
 		}
-		if (p != nil) != tc.wantPlan {
-			t.Errorf("%s: plan = %v, wantPlan %v", tc.name, p, tc.wantPlan)
+		if (cfg.Faults != nil) != tc.wantPlan {
+			t.Errorf("%s: plan = %v, wantPlan %v", tc.name, cfg.Faults, tc.wantPlan)
 		}
-		if tc.name == "seeded rack-local avoids crashes" && p.HasAggCrash() {
+		if tc.name == "seeded rack-local avoids crashes" && cfg.Faults.HasAggCrash() {
 			t.Errorf("%s: seeded plan crashes an aggregator the rack-local cache cannot fail over", tc.name)
 		}
 	}

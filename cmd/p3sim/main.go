@@ -30,8 +30,9 @@
 // Fault injection replays (or generates) a deterministic scripted plan of
 // aggregator crashes, straggler windows, link degradations and worker
 // leave/join events (see internal/faults). -faultplan loads a JSON plan,
-// -faultseed generates one matched to the topology flags; both are
-// validated against the configured cluster before the run starts:
+// -faultseed generates one matched to the topology flags. Every
+// combination of flags is checked by cluster.Config.Validate before the
+// run starts:
 //
 //	p3sim -model resnet50 -machines 16 -racksize 4 -oversub 4 -rackagg -faultseed 7
 //	p3sim -model resnet50 -machines 16 -racksize 4 -oversub 4 -rackagg -faultplan crash.json
@@ -51,134 +52,115 @@ import (
 	"p3/internal/zoo"
 )
 
-func main() {
-	modelName := flag.String("model", "resnet50", "model: resnet50|inception3|vgg19|sockeye|resnet110")
-	stratName := flag.String("strategy", "p3", "strategy: baseline|tensorflow|wfbp|slicing|p3|asgd")
-	schedName := flag.String("sched", "", "override the strategy's queue discipline: "+strings.Join(sched.Usage(), "|"))
-	preempt := flag.Int64("preempt", 0, "egress preemption quantum in wire bytes (0 = off: in-flight messages always finish)")
-	bw := flag.Float64("bw", 10, "per-direction NIC bandwidth in Gbps")
-	machines := flag.Int("machines", 4, "cluster size (workers == servers == machines)")
-	slice := flag.Int64("slice", 0, "max slice size in parameters (0 = paper default 50k; slicing/p3 only)")
-	iters := flag.Int("iters", 8, "measured iterations")
-	warmup := flag.Int("warmup", 2, "warm-up iterations")
-	seed := flag.Int64("seed", 1, "workload seed")
-	showTrace := flag.Bool("trace", false, "print machine 0's 10ms utilization trace")
-	showLayers := flag.Bool("layers", false, "print the model's per-tensor table (Figure 5 data) and exit")
-	calibrate := flag.Bool("calibrate", false, "two-pass calibrated mode: re-run with the profile rebuilt from the first pass's measured stalls and report both")
-	stallsIn := flag.String("stalls", "", "run against a measured stall profile (file written by -stallsout) instead of the static timing")
-	stallsOut := flag.String("stallsout", "", "write the run's measured per-layer mean stalls to this file")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "simulation shards for the conservative-lookahead parallel engine (1 = legacy single-heap engine; results are bit-identical either way)")
-	rackSize := flag.Int("racksize", 0, "machines per rack (0 = flat network; >0 adds per-rack ToR uplinks and an oversubscribable core)")
-	oversub := flag.Float64("oversub", 1, "core oversubscription ratio for -racksize topologies (1 = non-blocking core, values in (0,1) undersubscribe)")
-	coreSched := flag.String("coresched", "", "queue discipline for the ToR core ports (requires -racksize; empty = blind FIFO ports)")
-	rackAgg := flag.Bool("rackagg", false, "in-rack gradient aggregation: reduce pushes at each rack's ToR and fan broadcasts out there (requires -racksize)")
-	pods := flag.Int("pods", 0, "group the racks into this many equal pods joined by a spine tier (0 = single-tier core; requires -racksize)")
-	spineOversub := flag.Float64("spineoversub", 1, "spine oversubscription ratio relative to each pod's aggregate ToR-uplink rate (requires -pods)")
-	spineSched := flag.String("spinesched", "", "queue discipline for the spine ports (requires -pods; empty = blind FIFO ports)")
-	hierAgg := flag.Bool("hieragg", false, "hierarchical aggregation: reduce again at each pod's spine so one stream per pod reaches the server tier (requires -rackagg and -pods)")
-	rackLocal := flag.Bool("racklocalps", false, "rack-local parameter serving: rack aggregators cache updated chunks and answer in-rack pulls without crossing the core (requires -rackagg)")
-	aggRate := flag.Float64("aggrate", 0, "aggregator reduce rate in GB/s: each aggregator serializes ingest at this rate before reducing (0 = instantaneous; requires -rackagg)")
-	faultPlan := flag.String("faultplan", "", "replay a scripted fault plan from this JSON file (see internal/faults; validated against the topology flags)")
-	faultSeed := flag.Int64("faultseed", 0, "generate a deterministic scripted fault plan from this seed (0 = no faults; mutually exclusive with -faultplan)")
-	flag.Parse()
+// options is what the command line asks for beyond the run's Config.
+type options struct {
+	showTrace, showLayers, calibrate bool
+	stallsIn, stallsOut              string
+}
 
-	st, err := strategy.ByName(*stratName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p3sim:", err)
-		os.Exit(2)
+// parseFlags maps the command line onto a cluster.Config, field for field
+// (a flag's default is its field's zero value unless the usage text says
+// otherwise), loads or generates the fault plan, and returns whatever
+// Config.Validate has to say about the combination.
+func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
+	fs := flag.NewFlagSet("p3sim", flag.ContinueOnError)
+	modelName := fs.String("model", "resnet50", "model: resnet50|inception3|vgg19|sockeye|resnet110")
+	stratName := fs.String("strategy", "p3", "strategy: baseline|tensorflow|wfbp|slicing|p3|asgd")
+	schedName := fs.String("sched", "", "override the strategy's queue discipline: "+strings.Join(sched.Usage(), "|"))
+	slice := fs.Int64("slice", 0, "max slice size in parameters (0 = paper default 50k; slicing/p3 only)")
+	fs.Int64Var(&cfg.PreemptQuantum, "preempt", 0, "egress preemption quantum in wire bytes (0 = off: in-flight messages always finish)")
+	fs.Float64Var(&cfg.BandwidthGbps, "bw", 10, "per-direction NIC bandwidth in Gbps")
+	fs.IntVar(&cfg.Machines, "machines", 4, "cluster size (workers == servers == machines)")
+	fs.IntVar(&cfg.MeasureIters, "iters", 8, "measured iterations")
+	fs.IntVar(&cfg.WarmupIters, "warmup", 2, "warm-up iterations")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
+	fs.BoolVar(&opt.showTrace, "trace", false, "print machine 0's 10ms utilization trace")
+	fs.BoolVar(&opt.showLayers, "layers", false, "print the model's per-tensor table (Figure 5 data) and exit")
+	fs.BoolVar(&opt.calibrate, "calibrate", false, "two-pass calibrated mode: re-run with the profile rebuilt from the first pass's measured stalls and report both")
+	fs.StringVar(&opt.stallsIn, "stalls", "", "run against a measured stall profile (file written by -stallsout) instead of the static timing")
+	fs.StringVar(&opt.stallsOut, "stallsout", "", "write the run's measured per-layer mean stalls to this file")
+	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards for the conservative-lookahead parallel engine (1 = legacy single-heap engine; results are bit-identical either way)")
+	fs.IntVar(&cfg.Topology.RackSize, "racksize", 0, "machines per rack (0 = flat network; >0 adds per-rack ToR uplinks and an oversubscribable core)")
+	fs.Float64Var(&cfg.Topology.CoreOversub, "oversub", 0, "core oversubscription ratio for -racksize topologies (0 or 1 = non-blocking core, values in (0,1) undersubscribe)")
+	fs.StringVar(&cfg.Topology.CoreSched, "coresched", "", "queue discipline for the ToR core ports (requires -racksize; empty = blind FIFO ports)")
+	fs.BoolVar(&cfg.RackAggregation, "rackagg", false, "in-rack gradient aggregation: reduce pushes at each rack's ToR and fan broadcasts out there (requires -racksize)")
+	fs.IntVar(&cfg.Topology.Pods, "pods", 0, "group the racks into this many equal pods joined by a spine tier (0 = single-tier core; requires -racksize)")
+	fs.Float64Var(&cfg.Topology.SpineOversub, "spineoversub", 0, "spine oversubscription ratio relative to each pod's aggregate ToR-uplink rate (0 or 1 = non-blocking; requires -pods)")
+	fs.StringVar(&cfg.Topology.SpineSched, "spinesched", "", "queue discipline for the spine ports (requires -pods; empty = blind FIFO ports)")
+	fs.BoolVar(&cfg.HierAggregation, "hieragg", false, "hierarchical aggregation: reduce again at each pod's spine so one stream per pod reaches the server tier (requires -rackagg and -pods)")
+	fs.BoolVar(&cfg.RackLocalPS, "racklocalps", false, "rack-local parameter serving: rack aggregators cache updated chunks and answer in-rack pulls without crossing the core (requires -rackagg)")
+	fs.Float64Var(&cfg.AggReduceGBps, "aggrate", 0, "aggregator reduce rate in GB/s: each aggregator serializes ingest at this rate before reducing (0 = instantaneous; requires -rackagg)")
+	planPath := fs.String("faultplan", "", "replay a scripted fault plan from this JSON file (see internal/faults; validated against the topology flags)")
+	planSeed := fs.Int64("faultseed", 0, "generate a deterministic scripted fault plan from this seed (0 = no faults; mutually exclusive with -faultplan)")
+	if err = fs.Parse(args); err != nil {
+		return cfg, opt, err
+	}
+
+	if cfg.Machines < 1 {
+		// 0 would mean Config's default; the recorder and the plan generator
+		// below need the actual count.
+		return cfg, opt, fmt.Errorf("-machines %d: must be at least 1", cfg.Machines)
+	}
+	if cfg.Strategy, err = strategy.ByName(*stratName); err != nil {
+		return cfg, opt, err
 	}
 	if *schedName != "" {
-		st, err = st.WithSched(*schedName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "p3sim:", err)
-			os.Exit(2)
+		if cfg.Strategy, err = cfg.Strategy.WithSched(*schedName); err != nil {
+			return cfg, opt, err
 		}
 	}
-	if *slice > 0 && st.Granularity == strategy.Slices {
-		st.MaxSliceParams = *slice
+	if *slice > 0 && cfg.Strategy.Granularity == strategy.Slices {
+		cfg.Strategy.MaxSliceParams = *slice
 	}
+	if cfg.Model, err = zoo.Lookup(*modelName); err != nil {
+		return cfg, opt, err
+	}
+	if opt.showTrace {
+		// The sharded engine cannot serve the utilization recorder (shared
+		// buckets): fall back to the legacy engine, which produces the
+		// identical Result.
+		cfg.Recorder = trace.NewRecorder(cfg.Machines, 0)
+		cfg.Shards = 1
+	}
+	if cfg.Faults, err = faultPlan(*planPath, *planSeed, cfg); err != nil {
+		return cfg, opt, err
+	}
+	return cfg, opt, cfg.Validate()
+}
 
-	m := zoo.ByName(*modelName)
-	if *showLayers {
+func main() {
+	cfg, opt, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintln(os.Stderr, "p3sim:", err)
+		}
+		os.Exit(2)
+	}
+	m, st, bw := cfg.Model, cfg.Strategy, cfg.BandwidthGbps
+	if opt.showLayers {
 		fmt.Print(m.Table())
 		return
 	}
-
-	var rec *trace.Recorder
-	if *showTrace {
-		rec = trace.NewRecorder(*machines, 0)
-	}
-	// The sharded engine cannot serve the utilization recorder (shared
-	// buckets); it falls back to the legacy engine, which produces the
-	// identical Result. Credit-gated disciplines shard like every other
-	// since the window-relaxed refund protocol (refunds land one lookahead
-	// after delivery, inside the conservative barrier window).
-	nShards := *shards
-	if nShards > *machines {
-		nShards = *machines
-	}
-	if rec != nil {
-		nShards = 1
-	}
-	cfg := cluster.Config{
-		Model:          m,
-		Machines:       *machines,
-		Strategy:       st,
-		BandwidthGbps:  *bw,
-		PreemptQuantum: *preempt,
-		WarmupIters:    *warmup,
-		MeasureIters:   *iters,
-		Seed:           *seed,
-		Recorder:       rec,
-		Shards:         nShards,
-	}
-	topo, useTopo, err := topologyFromFlags(topoFlags{
-		machines: *machines, rackSize: *rackSize, oversub: *oversub,
-		coreSched: *coreSched, rackAgg: *rackAgg, async: st.Async,
-		pods: *pods, spineOversub: *spineOversub, spineSched: *spineSched,
-		hierAgg: *hierAgg, rackLocal: *rackLocal, aggRate: *aggRate,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p3sim:", err)
-		os.Exit(2)
-	}
-	if useTopo {
-		cfg.Topology = topo
-		cfg.RackAggregation = *rackAgg
-		cfg.HierAggregation = *hierAgg
-		cfg.RackLocalPS = *rackLocal
-		cfg.AggReduceGBps = *aggRate
-	}
-	plan, err := faultsFromFlags(faultFlags{
-		planPath: *faultPlan, seed: *faultSeed, machines: *machines,
-		topo: topo, rackAgg: useTopo && *rackAgg, hierAgg: useTopo && *hierAgg,
-		rackLocal: useTopo && *rackLocal, pull: st.Pull,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p3sim:", err)
-		os.Exit(2)
-	}
-	cfg.Faults = plan
-	if *stallsIn != "" {
-		stalls, err := strategy.ReadStallFile(*stallsIn)
+	if opt.stallsIn != "" {
+		stalls, err := strategy.ReadStallFile(opt.stallsIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "p3sim:", err)
 			os.Exit(2)
 		}
-		cfg.Profile = strategy.CalibrateProfile(m, *bw, stalls)
+		cfg.Profile = strategy.CalibrateProfile(m, bw, stalls)
 	}
 	var r cluster.Result
-	if *calibrate {
+	if opt.calibrate {
 		// Two passes by hand rather than cluster.RunCalibrated so the
 		// utilization recorder (and any -stallsout artifact) reflects only
 		// the calibrated pass.
 		first := cfg
 		first.Recorder = nil
 		static := cluster.Run(first)
-		cfg.Profile = strategy.CalibrateProfile(m, *bw, static.MeanLayerStalls())
+		cfg.Profile = strategy.CalibrateProfile(m, bw, static.MeanLayerStalls())
 		r = cluster.Run(cfg)
 		firstLabel := "static"
-		if *stallsIn != "" {
+		if opt.stallsIn != "" {
 			firstLabel = "stall-file" // the first pass already ran on -stalls
 		}
 		fmt.Printf("calibrated:  %s pass %.2f ms/iter (stall %.2f ms) -> measured-profile pass %.2f ms/iter (stall %.2f ms)\n",
@@ -187,47 +169,53 @@ func main() {
 	} else {
 		r = cluster.Run(cfg)
 	}
-	if *stallsOut != "" {
-		if err := strategy.WriteStallFile(*stallsOut, r.MeanLayerStalls()); err != nil {
+	if opt.stallsOut != "" {
+		if err := strategy.WriteStallFile(opt.stallsOut, r.MeanLayerStalls()); err != nil {
 			fmt.Fprintln(os.Stderr, "p3sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote measured stall profile to %s\n", *stallsOut)
+		fmt.Printf("wrote measured stall profile to %s\n", opt.stallsOut)
 	}
 
 	preemptDesc := "off"
-	if *preempt > 0 {
-		preemptDesc = fmt.Sprintf("%d B", *preempt)
+	if cfg.PreemptQuantum > 0 {
+		preemptDesc = fmt.Sprintf("%d B", cfg.PreemptQuantum)
+	}
+	ratio := func(oversub float64) string {
+		if oversub == 0 {
+			return "non-blocking"
+		}
+		return fmt.Sprintf("%g:1", oversub)
 	}
 	topoDesc := "flat"
-	if useTopo {
-		topoDesc = fmt.Sprintf("racks of %d, core %g:1", *rackSize, *oversub)
-		if *pods > 0 {
-			topoDesc += fmt.Sprintf(", %d pods, spine %g:1", *pods, *spineOversub)
+	if t := cfg.Topology; t.RackSize > 0 {
+		topoDesc = fmt.Sprintf("racks of %d, core %s", t.RackSize, ratio(t.CoreOversub))
+		if t.Pods > 0 {
+			topoDesc += fmt.Sprintf(", %d pods, spine %s", t.Pods, ratio(t.SpineOversub))
 		}
-		if *coreSched != "" {
-			topoDesc += ", core sched " + *coreSched
+		if t.CoreSched != "" {
+			topoDesc += ", core sched " + t.CoreSched
 		}
-		if *spineSched != "" {
-			topoDesc += ", spine sched " + *spineSched
+		if t.SpineSched != "" {
+			topoDesc += ", spine sched " + t.SpineSched
 		}
 		switch {
-		case *hierAgg:
+		case cfg.HierAggregation:
 			topoDesc += ", hierarchical aggregation"
-		case *rackAgg:
+		case cfg.RackAggregation:
 			topoDesc += ", in-rack aggregation"
 		}
-		if *rackLocal {
+		if cfg.RackLocalPS {
 			topoDesc += ", rack-local PS"
 		}
-		if *aggRate > 0 {
-			topoDesc += fmt.Sprintf(", agg %g GB/s", *aggRate)
+		if cfg.AggReduceGBps > 0 {
+			topoDesc += fmt.Sprintf(", agg %g GB/s", cfg.AggReduceGBps)
 		}
 	}
 	fmt.Printf("model:       %s (%s)\n", m.Name, m)
 	fmt.Printf("strategy:    %s  sched: %s  preempt: %s  machines: %d  bandwidth: %g Gbps\n",
 		st.Name, st.Discipline(), preemptDesc, r.Machines, r.BandwidthGbps)
-	fmt.Printf("engine:      %d shard(s)  topology: %s\n", nShards, topoDesc)
+	fmt.Printf("engine:      %d shard(s)  topology: %s\n", min(cfg.Shards, r.Machines), topoDesc)
 	fmt.Printf("throughput:  %.1f %s/s aggregate (%.1f per machine)\n",
 		r.Throughput, m.SampleUnit, r.Throughput/float64(r.Machines))
 	fmt.Printf("iteration:   %.2f ms mean (pure compute %.2f ms, comm overhead %.2f ms)\n",
@@ -235,12 +223,12 @@ func main() {
 		(r.MeanIterTime - r.ComputeIterTime).Millis())
 	fmt.Printf("sim cost:    %d events, %d messages, %.1f MB on the wire\n",
 		r.Events, r.Msgs, float64(r.WireBytes)/1e6)
-	if plan != nil {
+	if cfg.Faults != nil {
 		fmt.Printf("faults:      %d injected, %d agg failovers, %d lost reductions, %.1f ms degraded links\n",
 			r.FaultsInjected, r.AggFailovers, r.LostReductions, float64(r.DegradedNs)/1e6)
 	}
 
-	if rec != nil {
+	if rec := cfg.Recorder; rec != nil {
 		skip := int(r.WarmupEnd / rec.Bucket())
 		out, in := rec.Gbps(0, trace.Out), rec.Gbps(0, trace.In)
 		fmt.Println("\nbucket\toutbound_gbps\tinbound_gbps")

@@ -1,61 +1,57 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
 
+	"p3/internal/netsim"
+)
+
+// TestTopologyFromFlags pins the flag-to-Config mapping of the topology
+// group: every flag lands in its field unchanged, an unset flag leaves the
+// field's zero value, and what Config.Validate rejects comes back as the
+// command's error (the rejection matrix itself is cluster's
+// Test*Rejections).
 func TestTopologyFromFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		f        topoFlags
-		wantTopo bool
-		wantErr  bool
+		args      string
+		want      netsim.Topology
+		agg, hier bool
+		local     bool
+		rate      float64
+		wantErr   string
 	}{
-		{name: "flat default", f: topoFlags{machines: 4, oversub: 1, spineOversub: 1}},
-		{name: "racks", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, spineOversub: 1}, wantTopo: true},
-		{name: "undersubscribed", f: topoFlags{machines: 8, rackSize: 4, oversub: 0.5, spineOversub: 1}, wantTopo: true},
-		{name: "core sched and agg", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, coreSched: "p3", rackAgg: true, spineOversub: 1}, wantTopo: true},
-		{name: "two-tier", f: topoFlags{machines: 16, rackSize: 4, oversub: 4, pods: 2, spineOversub: 4, spineSched: "p3", rackAgg: true, hierAgg: true}, wantTopo: true},
-		{name: "rack-local and rate", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, rackAgg: true, rackLocal: true, aggRate: 8, spineOversub: 1}, wantTopo: true},
-		{name: "oversub without racks", f: topoFlags{machines: 4, oversub: 4, spineOversub: 1}, wantErr: true},
-		{name: "coresched without racks", f: topoFlags{machines: 4, oversub: 1, coreSched: "p3", spineOversub: 1}, wantErr: true},
-		{name: "rackagg without racks", f: topoFlags{machines: 4, oversub: 1, rackAgg: true, spineOversub: 1}, wantErr: true},
-		{name: "pods without racks", f: topoFlags{machines: 4, oversub: 1, pods: 2, spineOversub: 1}, wantErr: true},
-		{name: "spineoversub without racks", f: topoFlags{machines: 4, oversub: 1, spineOversub: 4}, wantErr: true},
-		{name: "spinesched without racks", f: topoFlags{machines: 4, oversub: 1, spineSched: "p3", spineOversub: 1}, wantErr: true},
-		{name: "hieragg without racks", f: topoFlags{machines: 4, oversub: 1, hierAgg: true, spineOversub: 1}, wantErr: true},
-		{name: "racklocalps without racks", f: topoFlags{machines: 4, oversub: 1, rackLocal: true, spineOversub: 1}, wantErr: true},
-		{name: "aggrate without racks", f: topoFlags{machines: 4, oversub: 1, aggRate: 8, spineOversub: 1}, wantErr: true},
-		{name: "racksize over machines", f: topoFlags{machines: 4, rackSize: 8, oversub: 1, spineOversub: 1}, wantErr: true},
-		{name: "negative racksize", f: topoFlags{machines: 4, rackSize: -1, oversub: 1, spineOversub: 1}, wantErr: true},
-		{name: "zero oversub", f: topoFlags{machines: 8, rackSize: 4, oversub: 0, spineOversub: 1}, wantErr: true},
-		{name: "negative oversub", f: topoFlags{machines: 8, rackSize: 4, oversub: -2, spineOversub: 1}, wantErr: true},
-		{name: "unknown coresched", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, coreSched: "nosuch", spineOversub: 1}, wantErr: true},
-		{name: "rackagg with asgd", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, rackAgg: true, async: true, spineOversub: 1}, wantErr: true},
-		{name: "spineoversub without pods", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, spineOversub: 4}, wantErr: true},
-		{name: "spinesched without pods", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, spineSched: "p3", spineOversub: 1}, wantErr: true},
-		{name: "hieragg without pods", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, rackAgg: true, hierAgg: true, spineOversub: 1}, wantErr: true},
-		{name: "hieragg without rackagg", f: topoFlags{machines: 16, rackSize: 4, oversub: 4, pods: 2, hierAgg: true, spineOversub: 1}, wantErr: true},
-		{name: "racklocalps without rackagg", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, rackLocal: true, spineOversub: 1}, wantErr: true},
-		{name: "aggrate without rackagg", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, aggRate: 8, spineOversub: 1}, wantErr: true},
-		{name: "negative aggrate", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, rackAgg: true, aggRate: -1, spineOversub: 1}, wantErr: true},
-		{name: "negative spineoversub", f: topoFlags{machines: 16, rackSize: 4, oversub: 4, pods: 2, spineOversub: -4}, wantErr: true},
-		{name: "negative pods", f: topoFlags{machines: 8, rackSize: 4, oversub: 4, pods: -1, spineOversub: 1}, wantErr: true},
-		{name: "pods do not divide racks", f: topoFlags{machines: 12, rackSize: 4, oversub: 4, pods: 2, spineOversub: 1}, wantErr: true},
-		{name: "unknown spinesched", f: topoFlags{machines: 16, rackSize: 4, oversub: 4, pods: 2, spineSched: "nosuch", spineOversub: 1}, wantErr: true},
+		{args: "-machines 4"},
+		{args: "-machines 8 -racksize 4", want: netsim.Topology{RackSize: 4}},
+		{args: "-machines 8 -racksize 4 -oversub 0.5", want: netsim.Topology{RackSize: 4, CoreOversub: 0.5}},
+		{args: "-machines 8 -racksize 4 -oversub 4 -coresched p3 -rackagg",
+			want: netsim.Topology{RackSize: 4, CoreOversub: 4, CoreSched: "p3"}, agg: true},
+		{args: "-machines 16 -racksize 4 -oversub 4 -pods 2 -spineoversub 4 -spinesched p3 -rackagg -hieragg",
+			want: netsim.Topology{RackSize: 4, CoreOversub: 4, Pods: 2, SpineOversub: 4, SpineSched: "p3"}, agg: true, hier: true},
+		{args: "-machines 8 -racksize 4 -oversub 4 -strategy baseline -rackagg -racklocalps -aggrate 8",
+			want: netsim.Topology{RackSize: 4, CoreOversub: 4}, agg: true, local: true, rate: 8},
+		{args: "-machines 4 -oversub 4", wantErr: "without a rack topology"},
+		{args: "-machines 4 -pods 2", wantErr: "without a rack topology"},
+		{args: "-machines 8 -racksize 4 -rackagg -strategy asgd", wantErr: "ASGD"},
+		{args: "-machines 0", wantErr: "-machines"},
+		{args: "-strategy nosuch", wantErr: "nosuch"},
+		{args: "-model nosuch", wantErr: "nosuch"},
 	} {
-		topo, useTopo, err := topologyFromFlags(tc.f)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
+		cfg, _, err := parseFlags(strings.Fields(tc.args))
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", tc.args, err, tc.wantErr)
+			}
 			continue
 		}
-		if useTopo != tc.wantTopo {
-			t.Errorf("%s: useTopo = %v, want %v", tc.name, useTopo, tc.wantTopo)
+		if err != nil {
+			t.Errorf("%s: unexpected error %v", tc.args, err)
+			continue
 		}
-		if tc.wantTopo && (topo.RackSize != tc.f.rackSize || topo.CoreOversub != tc.f.oversub ||
-			topo.CoreSched != tc.f.coreSched || topo.Pods != tc.f.pods || topo.SpineSched != tc.f.spineSched) {
-			t.Errorf("%s: topology %+v does not reflect the flags", tc.name, topo)
-		}
-		if tc.wantTopo && tc.f.pods > 0 && topo.SpineOversub != tc.f.spineOversub {
-			t.Errorf("%s: SpineOversub %g does not reflect the flag %g", tc.name, topo.SpineOversub, tc.f.spineOversub)
+		if cfg.Topology != tc.want || cfg.RackAggregation != tc.agg || cfg.HierAggregation != tc.hier ||
+			cfg.RackLocalPS != tc.local || cfg.AggReduceGBps != tc.rate {
+			t.Errorf("%s: topology %+v agg %v hier %v local %v rate %g does not reflect the flags",
+				tc.args, cfg.Topology, cfg.RackAggregation, cfg.HierAggregation, cfg.RackLocalPS, cfg.AggReduceGBps)
 		}
 	}
 }

@@ -41,7 +41,6 @@ func main() {
 	iters := flag.Int("iters", 20, "iterations to run")
 	warmup := flag.Int("warmup", 3, "warm-up iterations excluded from stats")
 	schedName := flag.String("sched", "p3", "send-queue discipline: "+strings.Join(sched.Usage(), "|")+" (p3 = paper, fifo = baseline)")
-	preempt := flag.Int("preempt", 0, "write quantum in bytes for preemptive transmission (0 = whole frames)")
 	gbps := flag.Float64("gbps", 10, "estimated wire rate (Gbps) for the tictac timing profile's transfer estimates")
 	batch := flag.Int("batch", 32, "nominal batch size (throughput accounting only)")
 	stallsIn := flag.String("stalls", "", "calibrated mode: build the timing profile from this measured stall file (p3sim -stallsout) instead of static timing alone")
@@ -86,11 +85,10 @@ func main() {
 	layerLast := make([]time.Duration, len(m.Layers))
 
 	worker, err := pstcp.DialWorkerCfg(pstcp.WorkerConfig{
-		ID:           *id,
-		Servers:      addrs,
-		Sched:        *schedName,
-		Profile:      profile,
-		PreemptBytes: *preempt,
+		ID:      *id,
+		Servers: addrs,
+		Sched:   *schedName,
+		Profile: profile,
 		Handler: func(f *transport.Frame) {
 			if f.Type == transport.TypeData {
 				if *calibrate {

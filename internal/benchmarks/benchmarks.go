@@ -1,8 +1,7 @@
 // Package benchmarks defines the dispatch-path microbenchmarks and the
 // zoo-simulation timings as plain functions, so they can run both under `go
-// test -bench` and programmatically from cmd/p3bench — which renders them,
-// writes the BENCH_<n>.json perf-trajectory artifact, and gates CI against
-// a checked-in baseline (Check).
+// test -bench` and programmatically from cmd/p3bench — which renders them
+// and gates CI against a checked-in baseline (Check).
 //
 // The dispatch suite prices the hot paths this repository's throughput
 // hangs on: sched.Queue's indexed-heap dispatch under many flows, the
@@ -49,8 +48,8 @@ type SimResult struct {
 	Events   uint64  `json:"events"`
 }
 
-// Artifact is the machine-readable benchmark record `p3bench -json` writes
-// as BENCH_<n>.json.
+// Artifact is the machine-readable benchmark record: what Collect
+// measures and what ci/bench_baseline.json holds.
 type Artifact struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p3/internal/netsim"
-	"p3/internal/strategy"
 )
 
 // aggCfg is shardedCfg over a rack topology with an oversubscribed core,
@@ -86,37 +84,4 @@ func TestAggregationShrinksCoreTraffic(t *testing.T) {
 	if agg.MeasuredIters != flat.MeasuredIters {
 		t.Errorf("aggregation changed iteration count: %d vs %d", agg.MeasuredIters, flat.MeasuredIters)
 	}
-}
-
-// TestRackAggregationRejections pins the loud-failure contract:
-// aggregation without a rack topology or under ASGD has no meaning and
-// must panic instead of silently running flat.
-func TestRackAggregationRejections(t *testing.T) {
-	t.Run("no racks", func(t *testing.T) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("RackAggregation on a flat network did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "rack topology") {
-				t.Fatalf("unhelpful panic: %v", r)
-			}
-		}()
-		cfg := shardedCfg(t, 4, "fifo")
-		cfg.RackAggregation = true
-		Run(cfg)
-	})
-	t.Run("asgd", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RackAggregation under ASGD did not panic")
-			}
-		}()
-		st := strategy.SlicingOnly(0)
-		st.Async = true
-		st.Name = "asgd"
-		cfg := aggCfg(t, 4, 2, "fifo", "", true)
-		cfg.Strategy = st
-		Run(cfg)
-	})
 }

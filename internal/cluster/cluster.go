@@ -183,9 +183,6 @@ func (c *Config) withDefaults() Config {
 	if out.Servers == 0 {
 		out.Servers = out.Machines
 	}
-	if out.Servers > out.Machines {
-		panic(fmt.Sprintf("cluster: %d servers on %d machines", out.Servers, out.Machines))
-	}
 	if out.UpdateRateGBps == 0 {
 		out.UpdateRateGBps = 2
 	}
@@ -211,6 +208,87 @@ func (c *Config) withDefaults() Config {
 		out.MeasureIters = 8
 	}
 	return out
+}
+
+// Validate reports the first reason the configuration cannot run, with
+// defaults applied: every prerequisite between fields is checked here and
+// nowhere else — Run panics with this error, and a command line prints it.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	n := c.Machines
+	if c.Model == nil {
+		return fmt.Errorf("cluster: no Model")
+	}
+	if err := c.Model.Validate(); err != nil {
+		return fmt.Errorf("cluster: invalid model: %w", err)
+	}
+	if n < 0 || c.Servers < 0 || c.Servers > n {
+		return fmt.Errorf("cluster: %d servers on %d machines", c.Servers, n)
+	}
+	if c.BandwidthGbps <= 0 && (c.Net == nil || c.Net.BandwidthGbps <= 0) {
+		return fmt.Errorf("cluster: bandwidth %g Gbps", c.BandwidthGbps)
+	}
+	if _, err := sched.ByName(c.Strategy.Discipline()); err != nil {
+		return fmt.Errorf("cluster: strategy %s: %w", c.Strategy.Name, err)
+	}
+	if c.Recorder != nil && c.Shards >= 2 && n >= 2 {
+		return fmt.Errorf("cluster: Recorder needs Shards <= 1 (shared utilization buckets)")
+	}
+	if c.ServerMachines != nil && len(c.ServerMachines) != c.Servers {
+		return fmt.Errorf("cluster: %d ServerMachines for %d servers", len(c.ServerMachines), c.Servers)
+	}
+	for s, mach := range c.ServerMachines {
+		if mach < 0 || mach >= n {
+			return fmt.Errorf("cluster: server %d placed on machine %d of %d", s, mach, n)
+		}
+		for s2, other := range c.ServerMachines[:s] {
+			if other == mach {
+				return fmt.Errorf("cluster: servers %d and %d both placed on machine %d", s2, s, mach)
+			}
+		}
+	}
+	t := c.Topology
+	if err := t.ValidateFor(n); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if t.RackSize > n {
+		return fmt.Errorf("cluster: rack size %d exceeds the %d machines", t.RackSize, n)
+	}
+	switch {
+	case c.AggReduceGBps < 0:
+		return fmt.Errorf("cluster: negative AggReduceGBps %g (0 = free reduction)", c.AggReduceGBps)
+	case !c.RackAggregation && c.HierAggregation:
+		return fmt.Errorf("cluster: HierAggregation without RackAggregation (there are no rack aggregators to stack a pod tier on)")
+	case !c.RackAggregation && c.RackLocalPS:
+		return fmt.Errorf("cluster: RackLocalPS without RackAggregation (there are no rack aggregators to cache parameters on)")
+	case !c.RackAggregation && c.AggReduceGBps > 0:
+		return fmt.Errorf("cluster: AggReduceGBps without RackAggregation (there are no aggregators to rate-limit)")
+	case c.RackAggregation && t.RackSize <= 0:
+		return fmt.Errorf("cluster: RackAggregation needs a rack topology (Topology.RackSize > 0)")
+	case c.RackAggregation && c.Strategy.Async:
+		return fmt.Errorf("cluster: RackAggregation is a synchronous-reduction optimization; ASGD has no aggregation barrier to fold into the rack")
+	case c.HierAggregation && t.Pods <= 0:
+		return fmt.Errorf("cluster: HierAggregation needs a spine tier (Topology.Pods > 0)")
+	}
+	p := c.Faults
+	if p == nil {
+		return nil
+	}
+	if err := p.Validate(n, t); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	switch {
+	case !p.HasAggCrash():
+	case !c.RackAggregation:
+		return fmt.Errorf("cluster: an agg-crash fault needs RackAggregation (there is no aggregator to crash)")
+	case c.RackLocalPS:
+		return fmt.Errorf("cluster: agg-crash faults are incompatible with RackLocalPS (the rack parameter cache has no failover path)")
+	case c.Strategy.Pull != strategy.Immediate:
+		return fmt.Errorf("cluster: agg-crash faults need an Immediate-broadcast strategy (crash recovery re-pulls against the immediate data path)")
+	case p.HasTierCrash(faults.TierPod) && !c.HierAggregation:
+		return fmt.Errorf("cluster: a pod-tier agg-crash needs HierAggregation (there is no pod aggregator to crash)")
+	}
+	return nil
 }
 
 // Result summarizes a run.
@@ -301,29 +379,40 @@ type chunkAgg struct {
 	done  bool
 }
 
-// rackAggState is one rack aggregator's reduction state: per chunk, the
-// in-flight iteration and how many of the rack's workers have contributed
-// their gradient slice. Iterations strictly serialize per chunk at an
-// aggregator (a worker cannot push iteration k before the server's k-1
-// update, which needed this rack's k-1 flush), so one slot per chunk
+// aggNode is one aggregator of the reduction tree (RackAggregation): a rack
+// aggregator, or — under HierAggregation — a pod aggregator above its
+// racks' nodes. Its place in the tree is fixed at construction and read
+// from anywhere; everything that changes (agg, the counters, the cache) is
+// owned by the aggregator's LP — touched exclusively from AggDeliver/
+// AggDrop and outage callbacks, which the netsim contract runs on that
+// LP's timeline, so the sharded engine never races on it.
+//
+// agg holds, per chunk, the in-flight iteration and the weight of the
+// contributions reduced so far. Iterations strictly serialize per chunk at
+// an aggregator (a worker cannot push iteration k before the server's k-1
+// update, which needed this node's k-1 flush), so one slot per chunk
 // suffices — the same invariant the server-side chunkAgg relies on.
-// Under RackLocalPS the aggregator is also the rack's parameter cache:
+// Under RackLocalPS a rack node is also the rack's parameter cache:
 // cachedIter[c] is the newest iteration whose kCache update for chunk c
 // landed (-1 initially), and pending holds the rack's pulls that arrived
 // ahead of their iteration's cache update.
-type rackAggState struct {
-	agg        []chunkAgg
-	cachedIter []int32                 // RackLocalPS only
-	pending    map[int32][]pendingPull // RackLocalPS only: chunk -> waiting pulls
+type aggNode struct {
+	tier, idx int        // the aggregator's netsim address
+	ord       int        // its ordinal (racks, then pods): a reduced stream carries Src = -1-ord
+	lo, hi    int        // the machines [lo, hi) below it
+	parent    *aggNode   // nil at the top of the tree
+	kids      []*aggNode // the nodes one tier down (none below a rack)
+	agg       []chunkAgg
+	// failovers counts reroutes decided on this aggregator's LP and lost the
+	// gradient contributions it swallowed while down (Config.Faults).
+	failovers, lost int64
+
+	cachedIter []int32                 // RackLocalPS rack nodes only
+	pending    map[int32][]pendingPull // RackLocalPS rack nodes only: chunk -> waiting pulls
 }
 
-// podAggState is one pod aggregator's reduction state (HierAggregation):
-// the same per-chunk serialization invariant as rackAggState, with rack
-// streams as the contributions — each arriving stream carries its rack's
-// aggExpect weight, and the flush fires at podExpect.
-type podAggState struct {
-	agg []chunkAgg
-}
+// only reports whether machine m is all there is below the node.
+func (a *aggNode) only(m int) bool { return a.lo == m && a.hi == m+1 }
 
 type pendingPull struct {
 	iter int32
@@ -497,19 +586,12 @@ type clusterSim struct {
 	srvMachine []int
 	machineSrv []int
 
-	// Rack-aggregation state (RackAggregation only). rackAggs[r] is owned
-	// by rack r's aggregator LP: it is touched exclusively from AggDeliver
-	// callbacks, which the netsim contract runs on that LP's timeline, so
-	// the sharded engine never races on it. rackPop[r] is the machine
-	// count of rack r (the last rack may be partial). podAggs[p] is
-	// likewise owned by pod p's aggregator LP (HierAggregation only);
-	// rpp is the racks-per-pod count and podPop[p] the machine count of
-	// pod p.
-	rackAggs []rackAggState
-	rackPop  []int
-	podAggs  []podAggState
-	rpp      int
-	podPop   []int
+	// aggs is the reduction tree (RackAggregation only), in netsim's
+	// aggregator ordinal order: the rack nodes, then — under
+	// HierAggregation — the pod nodes. tops are the parentless nodes, the
+	// ones a server addresses its broadcasts to.
+	aggs []aggNode
+	tops []aggNode
 
 	workers  []workerState
 	servers  []serverState
@@ -545,8 +627,8 @@ func RunCalibrated(cfg Config) (static, calibrated Result) {
 // Run executes one simulated training run and returns its Result.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	if err := cfg.Model.Validate(); err != nil {
-		panic(fmt.Sprintf("cluster: invalid model: %v", err))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	cs := newClusterSim(cfg)
 	cs.start()
@@ -571,37 +653,11 @@ func newClusterSim(cfg Config) *clusterSim {
 	if cfg.PreemptQuantum > 0 {
 		netCfg.PreemptQuantum = cfg.PreemptQuantum
 	}
-	if cfg.Topology.RackSize > 0 {
-		netCfg.Topology = cfg.Topology
-	}
-	if cfg.RackAggregation {
-		if cfg.Topology.RackSize <= 0 {
-			panic("cluster: RackAggregation needs a rack topology (Topology.RackSize > 0)")
-		}
-		if cfg.Strategy.Async {
-			panic("cluster: RackAggregation is a synchronous-reduction optimization; ASGD has no aggregation barrier to fold into the rack")
-		}
-		// Set before the engine is built: the aggregator LPs change the
-		// LP count and shard assignment.
-		netCfg.Aggregation = true
-		netCfg.AggReduceGBps = cfg.AggReduceGBps
-	} else {
-		if cfg.HierAggregation {
-			panic("cluster: HierAggregation without RackAggregation (there are no rack aggregators to stack a pod tier on)")
-		}
-		if cfg.RackLocalPS {
-			panic("cluster: RackLocalPS without RackAggregation (there are no rack aggregators to cache parameters on)")
-		}
-		if cfg.AggReduceGBps > 0 {
-			panic("cluster: AggReduceGBps without RackAggregation (there are no aggregators to rate-limit)")
-		}
-	}
-	if cfg.HierAggregation && cfg.Topology.Pods <= 0 {
-		panic("cluster: HierAggregation needs a spine tier (Topology.Pods > 0)")
-	}
-	if cfg.Faults != nil {
-		validateFaults(&cfg, n)
-	}
+	netCfg.Topology = cfg.Topology
+	// Set before the engine is built: the aggregator LPs change the LP
+	// count and shard assignment.
+	netCfg.Aggregation = cfg.RackAggregation
+	netCfg.AggReduceGBps = cfg.AggReduceGBps
 	// Model-aware disciplines (tictac) see the same timing the simulator
 	// runs on unless a calibrated profile overrides it; model-blind
 	// disciplines ignore the profile entirely.
@@ -622,9 +678,6 @@ func newClusterSim(cfg Config) *clusterSim {
 	}
 	var exec sim.Exec
 	if shards >= 2 {
-		if cfg.Recorder != nil {
-			panic("cluster: Recorder needs Shards <= 1 (shared utilization buckets)")
-		}
 		p, err := sim.NewParallel(shards, netCfg.LPShards(n, shards), netCfg.Lookahead())
 		if err != nil {
 			panic(fmt.Sprintf("cluster: %v", err))
@@ -660,59 +713,17 @@ func newClusterSim(cfg Config) *clusterSim {
 	for i := range cs.machineSrv {
 		cs.machineSrv[i] = -1
 	}
-	if cfg.ServerMachines != nil && len(cfg.ServerMachines) != cfg.Servers {
-		panic(fmt.Sprintf("cluster: %d ServerMachines for %d servers", len(cfg.ServerMachines), cfg.Servers))
-	}
 	for s := range cs.srvMachine {
 		mach := s
 		if cfg.ServerMachines != nil {
 			mach = cfg.ServerMachines[s]
-		}
-		if mach < 0 || mach >= n {
-			panic(fmt.Sprintf("cluster: server %d placed on machine %d of %d", s, mach, n))
-		}
-		if cs.machineSrv[mach] != -1 {
-			panic(fmt.Sprintf("cluster: servers %d and %d both placed on machine %d", cs.machineSrv[mach], s, mach))
 		}
 		cs.srvMachine[s] = mach
 		cs.machineSrv[mach] = s
 	}
 
 	if cfg.RackAggregation {
-		racks := cfg.Topology.NumRacks(n)
-		cs.rackPop = make([]int, racks)
-		cs.rackAggs = make([]rackAggState, racks)
-		for r := 0; r < racks; r++ {
-			cs.rackPop[r] = cfg.Topology.RackMachines(n, r)
-			agg := make([]chunkAgg, cs.plan.NumChunks())
-			for c := range agg {
-				agg[c].iter = -1
-			}
-			cs.rackAggs[r] = rackAggState{agg: agg}
-			if cfg.RackLocalPS {
-				cached := make([]int32, cs.plan.NumChunks())
-				for c := range cached {
-					cached[c] = -1
-				}
-				cs.rackAggs[r].cachedIter = cached
-				cs.rackAggs[r].pending = make(map[int32][]pendingPull)
-			}
-		}
-		if cfg.HierAggregation {
-			cs.rpp = racks / cfg.Topology.Pods
-			cs.podAggs = make([]podAggState, cfg.Topology.Pods)
-			cs.podPop = make([]int, cfg.Topology.Pods)
-			for p := range cs.podAggs {
-				agg := make([]chunkAgg, cs.plan.NumChunks())
-				for c := range agg {
-					agg[c].iter = -1
-				}
-				cs.podAggs[p] = podAggState{agg: agg}
-				for r := p * cs.rpp; r < (p+1)*cs.rpp; r++ {
-					cs.podPop[p] += cs.rackPop[r]
-				}
-			}
-		}
+		cs.buildAggs()
 		netCfg.AggDeliver = cs.aggDeliver
 	}
 	if cfg.Faults != nil {
@@ -799,6 +810,49 @@ func newClusterSim(cfg Config) *clusterSim {
 	return cs
 }
 
+// buildAggs lays out the reduction tree over the topology's groups: one
+// node per rack and, under HierAggregation, one per pod above them.
+func (cs *clusterSim) buildAggs() {
+	n, topo := cs.cfg.Machines, cs.cfg.Topology
+	spans := []int{topo.RackSize}
+	if cs.cfg.HierAggregation {
+		spans = append(spans, topo.RackSize*(topo.NumRacks(n)/topo.Pods))
+	}
+	top := 0 // ordinal of the top tier's first node
+	for tier, span := range spans {
+		top = len(cs.aggs)
+		for lo := 0; lo < n; lo += span {
+			a := aggNode{tier: tier, idx: lo / span, ord: len(cs.aggs), lo: lo, hi: min(lo+span, n),
+				agg: make([]chunkAgg, cs.plan.NumChunks())}
+			for c := range a.agg {
+				a.agg[c].iter = -1
+			}
+			if cs.cfg.RackLocalPS && tier == netsim.TierRack {
+				a.cachedIter = make([]int32, len(a.agg))
+				for c := range a.cachedIter {
+					a.cachedIter[c] = -1
+				}
+				a.pending = make(map[int32][]pendingPull)
+			}
+			cs.aggs = append(cs.aggs, a)
+		}
+	}
+	cs.tops = cs.aggs[top:]
+	for i := range cs.aggs[:top] {
+		a := &cs.aggs[i]
+		a.parent = &cs.tops[a.lo/spans[1]]
+		a.parent.kids = append(a.parent.kids, a)
+	}
+}
+
+// node is the tree node of the tier's aggregator idx.
+func (cs *clusterSim) node(tier, idx int) *aggNode {
+	if tier == netsim.TierRack {
+		return &cs.aggs[idx]
+	}
+	return &cs.tops[idx]
+}
+
 func (cs *clusterSim) start() {
 	if cs.cfg.Recorder != nil {
 		cs.cfg.Recorder.Start(0)
@@ -881,16 +935,16 @@ func (cs *clusterSim) pushLayer(w, l int) {
 		// Under rack aggregation every push that would cross the NIC routes
 		// through the worker's own rack aggregator instead — including
 		// pushes whose server is rack-local, which cuts the server's NIC
-		// fan-in from rackPop to one. Only the co-located worker's loopback
-		// (shared memory, never on the wire) stays direct. A worker that
-		// has detected its rack aggregator down falls back to the direct
-		// push until the restart is detected.
-		if cs.rackAggs != nil && w != m.To {
-			rack := cs.cfg.Topology.RackOf(w)
-			if cs.fs != nil && cs.fs.hasCrash && cs.rackDownDetected(rack, cs.procs[w].Now()) {
+		// fan-in from the rack's population to one. Only the co-located
+		// worker's loopback (shared memory, never on the wire) stays direct.
+		// A worker that has detected its rack aggregator down falls back to
+		// the direct push until the restart is detected.
+		if cs.aggs != nil && w != m.To {
+			rack := cs.node(netsim.TierRack, cs.cfg.Topology.RackOf(w))
+			if cs.fs != nil && cs.fs.hasCrash && cs.downDetected(rack, cs.procs[w].Now()) {
 				cs.fs.machFailovers[w]++
 			} else {
-				m.To = rack
+				m.To = rack.idx
 				m.ToAgg = true
 			}
 		}
@@ -943,230 +997,200 @@ func (cs *clusterSim) onPush(m netsim.Message) {
 	cs.servers[cs.machineSrv[m.To]].proc.add(cs, procItem{chunk: m.Chunk, iter: m.Iter, src: m.Src, priority: m.Priority})
 }
 
-// ---- rack and pod aggregators (RackAggregation only) ----
+// ---- aggregators (RackAggregation only) ----
 
 // aggDeliver is the netsim AggDeliver handler, running on the addressed
 // aggregator's LP.
 //
-// Rack tier: gradient pushes reduce — the rack's last contribution per
-// (chunk, iteration) flushes one reduced push, same bytes, weighted as
-// the whole rack, to the chunk's server (or, under HierAggregation, up to
-// the pod aggregator for the second reduction stage). Broadcast traffic
-// (immediate data, notifies) fans out to the rack's machines at ToR line
-// rate, skipping the server's own machine (its worker got the loopback
-// copy). Under RackLocalPS the rack aggregator additionally acts as the
-// rack's parameter cache: kCache updates refresh it (answering any pulls
-// that arrived early), and kPull requests are served rack-locally from
-// it.
+// Gradient pushes reduce: each arriving contribution counts at its weight
+// (a worker's push as 1, a reduced stream from a node below as that node's
+// expect), and the one that completes the node's (chunk, iteration) flushes
+// ONE reduced push, same bytes, weighted as everything below the node, to
+// the parent node — or, at the top of the tree, to the chunk's server.
 //
-// Pod tier (HierAggregation): rack streams reduce again — each arriving
-// stream counts as its rack's weight, and podExpect flushes ONE stream
-// per pod to the server; broadcast traffic descends, one copy per rack of
-// the pod, re-entering the rack aggregators above.
+// Broadcast traffic (immediate data, notifies, and above the racks the
+// kCache streams) descends: one copy per child, fanned at line rate — a
+// rack node's children are its machines, a pod node's its rack nodes.
+//
+// Under RackLocalPS a rack node additionally acts as the rack's parameter
+// cache: kCache updates refresh it (answering any pulls that arrived
+// early), and kPull requests are served rack-locally from it.
 func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
-	if tier == netsim.TierPod {
-		cs.podAggDeliver(idx, m)
-		return
-	}
-	rack := idx
+	a := cs.node(tier, idx)
 	switch m.Kind {
 	case kPush:
-		a := &cs.rackAggs[rack].agg[m.Chunk]
-		if a.iter != m.Iter {
-			a.iter = m.Iter
-			a.count = 0
+		slot := &a.agg[m.Chunk]
+		if slot.iter != m.Iter {
+			slot.iter = m.Iter
+			slot.count = 0
 		}
-		a.count++
-		if a.count == cs.aggExpect(rack, m.Chunk) {
-			out := m
-			out.Src = int32(-1 - rack)
-			toPod := cs.podAggs != nil
-			if toPod && cs.fs != nil && cs.fs.hasCrash &&
-				cs.podDownDetected(cs.podOf(rack), cs.net.AggNow(netsim.TierRack, rack)) {
-				// Hierarchical failover: re-parent the reduced rack stream
-				// from the down pod aggregator straight to the server.
-				toPod = false
-				cs.fs.aggFailovers[rack]++
-			}
-			if toPod {
-				out.To = cs.podOf(rack)
-				out.ToAgg = true
-				out.AggTier = netsim.TierPod
-			} else {
-				out.To = cs.srvMachine[cs.plan.Chunks[m.Chunk].Server]
-				out.ToAgg = false
-			}
-			cs.net.AggSend(netsim.TierRack, rack, out)
-			// Flushed contributions are accounted for downstream: reset the
-			// slot so a later crash on this aggregator cannot count them as
-			// lost (event-neutral — a completed slot never flushes again).
-			a.count = 0
-		}
-	case kData, kNotify:
-		skip := -1
-		if srvM := cs.srvMachine[int(m.Src)]; cs.cfg.Topology.RackOf(srvM) == rack {
-			skip = srvM
-		}
-		cs.net.AggFanout(netsim.TierRack, rack, m, skip)
-	case kCache:
-		ra := &cs.rackAggs[rack]
-		if m.Iter > ra.cachedIter[m.Chunk] {
-			ra.cachedIter[m.Chunk] = m.Iter
-		}
-		pend := ra.pending[m.Chunk]
-		if len(pend) == 0 {
+		slot.count += cs.weight(m.Src, m.Chunk)
+		if slot.count != cs.expect(a, m.Chunk) {
 			return
 		}
-		rest := pend[:0]
-		for _, p := range pend {
-			if p.iter <= m.Iter {
-				cs.aggServePull(rack, m.Chunk, p.iter, p.src)
-			} else {
-				rest = append(rest, p)
-			}
+		out := m
+		out.Src = int32(-1 - a.ord)
+		up := a.parent
+		if up != nil && cs.fs != nil && cs.fs.hasCrash && cs.downDetected(up, cs.net.AggNow(tier, idx)) {
+			// Hierarchical failover: re-parent the reduced stream from the
+			// down aggregator above straight to the server.
+			up = nil
+			a.failovers++
 		}
-		if len(rest) == 0 {
-			delete(ra.pending, m.Chunk)
+		if up != nil {
+			out.To, out.ToAgg, out.AggTier = up.idx, true, uint8(up.tier)
 		} else {
-			ra.pending[m.Chunk] = rest
+			out.To, out.ToAgg, out.AggTier = cs.srvMachine[cs.plan.Chunks[m.Chunk].Server], false, 0
 		}
-	case kPull:
-		ra := &cs.rackAggs[rack]
-		if ra.cachedIter[m.Chunk] >= m.Iter {
-			cs.aggServePull(rack, m.Chunk, m.Iter, int(m.Src))
+		cs.net.AggSend(tier, idx, out)
+		// Flushed contributions are accounted for downstream: reset the
+		// slot so a later crash on this aggregator cannot count them as
+		// lost (event-neutral — a completed slot never flushes again).
+		slot.count = 0
+	case kData, kNotify, kCache:
+		if m.Kind == kCache && a.kids == nil {
+			cs.refreshCache(a, m)
 			return
 		}
-		ra.pending[m.Chunk] = append(ra.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
+		cs.descend(a, m)
+	case kPull:
+		if a.cachedIter[m.Chunk] >= m.Iter {
+			cs.aggServePull(a, m.Chunk, m.Iter, int(m.Src))
+			return
+		}
+		a.pending[m.Chunk] = append(a.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
 	default:
-		panic(fmt.Sprintf("cluster: message kind %d has no rack-aggregator semantics", m.Kind))
+		panic(fmt.Sprintf("cluster: message kind %d has no aggregator semantics", m.Kind))
 	}
 }
 
-// aggServePull answers a rack-local parameter pull from the rack
-// aggregator's cache (RackLocalPS): the data copy pays propagation plus
-// the puller's ingress, never a core port.
-func (cs *clusterSim) aggServePull(rack int, chunk, iter int32, dst int) {
+// descend passes a server's broadcast one level down from node a. A rack's
+// ToR fans it to the rack's machines, skipping the server's own (its
+// worker got the loopback copy). A node above fans one copy per child
+// node, skipping a child whose only machine is the broadcasting server
+// (the rack has nobody else to fan to, and nobody there will ever pull
+// from the cache); a child whose aggregator is down as detected now gets
+// its copies per machine instead.
+func (cs *clusterSim) descend(a *aggNode, m netsim.Message) {
+	srvM := cs.srvMachine[int(m.Src)]
+	skip := -1
+	if a.kids == nil {
+		if a.lo <= srvM && srvM < a.hi {
+			skip = srvM
+		}
+		cs.net.AggFanout(a.tier, a.idx, m, skip)
+		return
+	}
+	crash := cs.fs != nil && cs.fs.hasCrash
+	var now sim.Time
+	if crash {
+		now = cs.net.AggNow(a.tier, a.idx)
+	}
+	anyDown := false
+	for _, k := range a.kids {
+		if k.only(srvM) {
+			skip = k.idx
+		} else if crash && cs.downDetected(k, now) {
+			anyDown = true
+		}
+	}
+	if !anyDown {
+		cs.net.AggFanout(a.tier, a.idx, m, skip)
+		return
+	}
+	// Failover fan: each copy for a down child serializes through the
+	// child's downlink individually — the cost of losing its fanout.
+	a.failovers++
+	for _, k := range a.kids {
+		c := m
+		switch {
+		case k.idx == skip:
+		case cs.downDetected(k, now):
+			c.ToAgg, c.AggTier = false, 0
+			for w := k.lo; w < k.hi; w++ {
+				if w != srvM {
+					c.To = w
+					cs.net.AggSend(a.tier, a.idx, c)
+				}
+			}
+		default:
+			c.To, c.ToAgg, c.AggTier = k.idx, true, uint8(k.tier)
+			cs.net.AggSend(a.tier, a.idx, c)
+		}
+	}
+}
+
+// refreshCache lands a kCache update on rack node a (RackLocalPS) and
+// answers the pulls that were waiting for it.
+func (cs *clusterSim) refreshCache(a *aggNode, m netsim.Message) {
+	if m.Iter > a.cachedIter[m.Chunk] {
+		a.cachedIter[m.Chunk] = m.Iter
+	}
+	servePending(a.pending, m.Chunk, m.Iter, func(p pendingPull) { cs.aggServePull(a, m.Chunk, p.iter, p.src) })
+}
+
+// servePending serves, in arrival order, the pulls waiting on chunk that
+// iteration iter (or an older one they asked for) satisfies, and keeps the
+// rest waiting.
+func servePending(pending map[int32][]pendingPull, chunk, iter int32, serve func(pendingPull)) {
+	pend := pending[chunk]
+	if len(pend) == 0 {
+		return
+	}
+	rest := pend[:0]
+	for _, p := range pend {
+		if p.iter <= iter {
+			serve(p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	if len(rest) == 0 {
+		delete(pending, chunk)
+	} else {
+		pending[chunk] = rest
+	}
+}
+
+// aggServePull answers a rack-local parameter pull from rack node a's
+// cache (RackLocalPS): the data copy pays propagation plus the puller's
+// ingress, never a core port.
+func (cs *clusterSim) aggServePull(a *aggNode, chunk, iter int32, dst int) {
 	c := cs.plan.Chunks[chunk]
-	cs.net.AggSend(netsim.TierRack, rack, netsim.Message{
+	cs.net.AggSend(a.tier, a.idx, netsim.Message{
 		From: cs.srvMachine[c.Server], To: dst, Bytes: c.Bytes(), Priority: int32(c.Priority),
 		Kind: kData, Chunk: chunk, Iter: iter, Src: int32(c.Server),
 	})
 }
 
-// podAggDeliver handles pod-tier aggregator traffic (HierAggregation).
-func (cs *clusterSim) podAggDeliver(pod int, m netsim.Message) {
-	switch m.Kind {
-	case kPush:
-		a := &cs.podAggs[pod].agg[m.Chunk]
-		if a.iter != m.Iter {
-			a.iter = m.Iter
-			a.count = 0
-		}
-		a.count += cs.aggExpect(int(-1-m.Src), m.Chunk)
-		if a.count == cs.podExpect(pod, m.Chunk) {
-			out := m
-			out.To = cs.srvMachine[cs.plan.Chunks[m.Chunk].Server]
-			out.ToAgg = false
-			out.AggTier = 0
-			out.Src = int32(-1 - len(cs.rackPop) - pod)
-			cs.net.AggSend(netsim.TierPod, pod, out)
-			a.count = 0
-		}
-	case kData, kNotify, kCache:
-		// Descend the broadcast: one copy per rack of the pod, skipping a
-		// rack whose only machine is the broadcasting server (its worker
-		// got the loopback copy, the rack has nobody else to fan to, and
-		// nobody there will ever pull from the cache).
-		skip := -1
-		srvM := cs.srvMachine[int(m.Src)]
-		if cs.podOf(cs.cfg.Topology.RackOf(srvM)) == pod {
-			if r := cs.cfg.Topology.RackOf(srvM); cs.rackPop[r] == 1 {
-				skip = r
-			}
-		}
-		if cs.fs != nil && cs.fs.hasCrash {
-			now := cs.net.AggNow(netsim.TierPod, pod)
-			lo, hi := pod*cs.rpp, (pod+1)*cs.rpp
-			anyDown := false
-			for r := lo; r < hi; r++ {
-				if r != skip && cs.rackDownDetected(r, now) {
-					anyDown = true
-					break
-				}
-			}
-			if anyDown {
-				// Failover fan: streams for down rack aggregators go per
-				// machine instead (each copy serializes through the rack
-				// downlink individually — the cost of losing the ToR fanout).
-				cs.fs.aggFailovers[len(cs.rackPop)+pod]++
-				for r := lo; r < hi; r++ {
-					if r == skip {
-						continue
-					}
-					if cs.rackDownDetected(r, now) {
-						mlo := r * cs.cfg.Topology.RackSize
-						for w := mlo; w < mlo+cs.rackPop[r]; w++ {
-							if w == srvM {
-								continue
-							}
-							c := m
-							c.To = w
-							c.ToAgg = false
-							c.AggTier = 0
-							cs.net.AggSend(netsim.TierPod, pod, c)
-						}
-						continue
-					}
-					c := m
-					c.To = r
-					c.ToAgg = true
-					c.AggTier = netsim.TierRack
-					cs.net.AggSend(netsim.TierPod, pod, c)
-				}
-				return
-			}
-		}
-		cs.net.AggFanout(netsim.TierPod, pod, m, skip)
-	default:
-		panic(fmt.Sprintf("cluster: message kind %d has no pod-aggregator semantics", m.Kind))
-	}
-}
-
-// podOf maps a rack to its pod (HierAggregation only).
-func (cs *clusterSim) podOf(rack int) int { return rack / cs.rpp }
-
-// aggExpect is the contribution count that completes rack's reduction of
-// chunk — every machine of the rack, except the chunk's own server
-// machine when it lives there (its co-located worker pushes through
-// shared memory, counted individually by the server). It is also the
-// weight the reduced push carries at the next aggregation barrier (the
-// server's, or the pod aggregator's under HierAggregation).
-func (cs *clusterSim) aggExpect(rack int, chunk int32) int {
-	expect := cs.rackPop[rack]
-	if srvM := cs.srvMachine[cs.plan.Chunks[chunk].Server]; cs.cfg.Topology.RackOf(srvM) == rack {
+// expect is the contribution weight that completes node a's reduction of
+// chunk — every machine below it, except the chunk's own server machine
+// when it lives there (its co-located worker pushes through shared
+// memory, counted individually by the server). It is also the weight the
+// node's reduced push carries at the next aggregation barrier.
+func (cs *clusterSim) expect(a *aggNode, chunk int32) int {
+	expect := a.hi - a.lo
+	if srvM := cs.srvMachine[cs.plan.Chunks[chunk].Server]; a.lo <= srvM && srvM < a.hi {
 		expect--
 	}
 	return expect
 }
 
-// podExpect is the contribution weight that completes pod's reduction of
-// chunk: the sum of its racks' aggExpect weights. Racks with weight 0
-// (a single-machine rack hosting the chunk's server) never flush, so the
-// sum counts exactly the streams that arrive.
-func (cs *clusterSim) podExpect(pod int, chunk int32) int {
-	expect := 0
-	for r := pod * cs.rpp; r < (pod+1)*cs.rpp; r++ {
-		expect += cs.aggExpect(r, chunk)
+// weight is how many workers' gradients a push of chunk from src carries:
+// one for a worker's own push, the reducing node's expect for a reduced
+// stream (Src = -1-ord).
+func (cs *clusterSim) weight(src, chunk int32) int {
+	if src >= 0 {
+		return 1
 	}
-	return expect
+	return cs.expect(&cs.aggs[-1-src], chunk)
 }
 
 // pushProcessed runs when the server finishes aggregating one worker's push
 // of a chunk; the Nth push completes the update. In Async (ASGD) mode every
 // push is its own update, answered only to the pushing worker. A reduced
 // push (Src < 0 under RackAggregation) counts as every worker whose
-// gradient was folded into it: Src encodes -(1+rack) for a rack stream
-// and -(1+racks+pod) for a pod stream (HierAggregation).
+// gradient was folded into it (weight).
 func (cs *clusterSim) pushProcessed(srv int, it procItem) {
 	if cs.cfg.Strategy.Async {
 		cs.sendData(srv, it.chunk, it.iter, int(it.src))
@@ -1183,15 +1207,7 @@ func (cs *clusterSim) pushProcessed(srv int, it procItem) {
 		agg.count = 0
 		agg.done = false
 	}
-	if it.src < 0 {
-		if idx := int(-1 - it.src); idx >= len(cs.rackPop) {
-			agg.count += cs.podExpect(idx-len(cs.rackPop), it.chunk)
-		} else {
-			agg.count += cs.aggExpect(idx, it.chunk)
-		}
-	} else {
-		agg.count++
-	}
+	agg.count += cs.weight(it.src, it.chunk)
 	if agg.count == cs.cfg.Machines {
 		agg.done = true
 		if it.iter > s.lastDone[it.chunk] {
@@ -1204,90 +1220,35 @@ func (cs *clusterSim) pushProcessed(srv int, it procItem) {
 func (cs *clusterSim) onUpdated(srv int, chunk, iter int32) {
 	c := cs.plan.Chunks[chunk]
 	// broadcast sends one message per worker — or, under rack aggregation,
-	// one loopback to the co-located worker plus one rack-stream per rack
-	// for its ToR to fan out (one pod-stream per pod under hierarchical
-	// aggregation, descending the spine once and fanning at each tier), so
-	// the server's egress serializes per-rack (per-pod) instead of
-	// per-worker and only one copy per rack (pod) crosses the core
-	// (spine). kCache streams address the rack caches only: no loopback —
-	// the co-located worker never pulls over the wire.
+	// one loopback to the co-located worker plus one stream per top node of
+	// the reduction tree, fanned out tier by tier on the way down, so the
+	// server's egress serializes per-rack (per-pod under hierarchical
+	// aggregation) instead of per-worker and only one copy per rack (pod)
+	// crosses the core (spine). kCache streams address the rack caches
+	// only: no loopback — the co-located worker never pulls over the wire.
 	broadcast := func(bytes int64, kind uint8) {
 		srvM := cs.srvMachine[srv]
-		if cs.rackAggs == nil {
+		msg := netsim.Message{
+			From: srvM, Bytes: bytes, Priority: int32(c.Priority),
+			Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
+		}
+		if cs.aggs == nil {
 			for w := 0; w < cs.cfg.Machines; w++ {
-				cs.net.Send(netsim.Message{
-					From: srvM, To: w, Bytes: bytes, Priority: int32(c.Priority),
-					Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
-				})
+				msg.To = w
+				cs.net.Send(msg)
 			}
 			return
 		}
 		if kind != kCache {
-			cs.net.Send(netsim.Message{
-				From: srvM, To: srvM, Bytes: bytes, Priority: int32(c.Priority),
-				Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
-			})
+			msg.To = srvM
+			cs.net.Send(msg)
 		}
-		crash := cs.fs != nil && cs.fs.hasCrash
-		var now sim.Time
-		if crash {
+		var now sim.Time // read by stream under crash plans only
+		if cs.fs != nil && cs.fs.hasCrash {
 			now = cs.procs[srvM].Now()
 		}
-		srvRack := cs.cfg.Topology.RackOf(srvM)
-		// rackStream ships rack r's copy: one ToR stream normally, or —
-		// when the rack's aggregator is down as detected now — one direct
-		// copy per machine of the rack (the loopback covered srvM).
-		rackStream := func(r int) {
-			if crash && cs.rackDownDetected(r, now) {
-				cs.fs.machFailovers[srvM]++
-				lo := r * cs.cfg.Topology.RackSize
-				for w := lo; w < lo+cs.rackPop[r]; w++ {
-					if w == srvM {
-						continue
-					}
-					cs.net.Send(netsim.Message{
-						From: srvM, To: w, Bytes: bytes, Priority: int32(c.Priority),
-						Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
-					})
-				}
-				return
-			}
-			cs.net.Send(netsim.Message{
-				From: srvM, To: r, ToAgg: true, Bytes: bytes, Priority: int32(c.Priority),
-				Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
-			})
-		}
-		if cs.podAggs != nil {
-			srvPod := cs.podOf(srvRack)
-			for p := range cs.podPop {
-				if p == srvPod && cs.podPop[p] == 1 {
-					continue // the loopback already reached the whole pod
-				}
-				if crash && cs.podDownDetected(p, now) {
-					// The pod stream would die at the down pod aggregator:
-					// descend one tier and ship per-rack streams instead.
-					cs.fs.machFailovers[srvM]++
-					for r := p * cs.rpp; r < (p+1)*cs.rpp; r++ {
-						if r == srvRack && cs.rackPop[r] == 1 {
-							continue
-						}
-						rackStream(r)
-					}
-					continue
-				}
-				cs.net.Send(netsim.Message{
-					From: srvM, To: p, ToAgg: true, AggTier: netsim.TierPod,
-					Bytes: bytes, Priority: int32(c.Priority),
-					Kind: kind, Chunk: chunk, Iter: iter, Src: int32(srv),
-				})
-			}
-			return
-		}
-		for r := range cs.rackPop {
-			if r == srvRack && cs.rackPop[r] == 1 {
-				continue // the loopback already reached the whole rack
-			}
-			rackStream(r)
+		for i := range cs.tops {
+			cs.stream(&cs.tops[i], msg, now)
 		}
 	}
 	switch cs.cfg.Strategy.Pull {
@@ -1305,23 +1266,34 @@ func (cs *clusterSim) onUpdated(srv int, chunk, iter int32) {
 	}
 	// Serve any pulls that were waiting for this (or an older) iteration,
 	// regardless of pull mode: the stored value now satisfies them.
-	s := &cs.servers[srv]
-	pend := s.pending[chunk]
-	if len(pend) == 0 {
+	servePending(cs.servers[srv].pending, chunk, iter, func(p pendingPull) { cs.sendData(srv, chunk, p.iter, p.src) })
+}
+
+// stream ships node a's copy of a server broadcast (msg, From the server's
+// machine): one stream to a's aggregator normally, or — when that
+// aggregator is down as detected at now, so the stream would die there —
+// one copy per child: the nodes below it, or a rack's machines directly.
+func (cs *clusterSim) stream(a *aggNode, msg netsim.Message, now sim.Time) {
+	srvM := msg.From
+	if a.only(srvM) {
+		return // the loopback already reached all of it
+	}
+	if cs.fs == nil || !cs.fs.hasCrash || !cs.downDetected(a, now) {
+		msg.To, msg.ToAgg, msg.AggTier = a.idx, true, uint8(a.tier)
+		cs.net.Send(msg)
 		return
 	}
-	rest := pend[:0]
-	for _, p := range pend {
-		if p.iter <= iter {
-			cs.sendData(srv, chunk, p.iter, p.src)
-		} else {
-			rest = append(rest, p)
-		}
+	cs.fs.machFailovers[srvM]++
+	for _, k := range a.kids {
+		cs.stream(k, msg, now)
 	}
-	if len(rest) == 0 {
-		delete(s.pending, chunk)
-	} else {
-		s.pending[chunk] = rest
+	if a.kids == nil {
+		for w := a.lo; w < a.hi; w++ {
+			if w != srvM {
+				msg.To = w
+				cs.net.Send(msg)
+			}
+		}
 	}
 }
 

@@ -23,12 +23,9 @@ package cluster
 // never races on it and fault runs are bit-identical across shard counts.
 
 import (
-	"fmt"
-
 	"p3/internal/faults"
 	"p3/internal/netsim"
 	"p3/internal/sim"
-	"p3/internal/strategy"
 )
 
 // faultState is the per-run fault wiring. Nil on fault-free runs; the
@@ -66,42 +63,22 @@ type faultState struct {
 	repulledIter [][]int32
 	gotIter      [][]int32
 	// machFailovers[w] counts failover actions taken on machine w's LP
-	// (detected reroutes, re-pushes, recovery pulls, repush rounds);
-	// aggFailovers (rack aggregators first, then pods) counts reroutes
-	// decided on an aggregator's LP; aggLost likewise counts gradient
-	// contributions swallowed by a down aggregator.
+	// (detected reroutes, re-pushes, recovery pulls, repush rounds); the
+	// ones decided on an aggregator's LP, and the contributions a down
+	// aggregator swallowed, are counted on its aggNode.
 	machFailovers []int64
-	aggFailovers  []int64
-	aggLost       []int64
 }
 
-// validateFaults rejects plans the cluster cannot honor, before any state
-// is built. Mirrors the panic idiom of the other Config prerequisites.
-func validateFaults(cfg *Config, n int) {
-	p := cfg.Faults
-	if err := p.Validate(n, cfg.Topology); err != nil {
-		panic(fmt.Sprintf("cluster: %v", err))
-	}
-	if !p.HasAggCrash() {
-		return
-	}
-	if !cfg.RackAggregation {
-		panic("cluster: an agg-crash fault needs RackAggregation (there is no aggregator to crash)")
-	}
-	if cfg.RackLocalPS {
-		panic("cluster: agg-crash faults are incompatible with RackLocalPS (the rack parameter cache has no failover path)")
-	}
-	if cfg.Strategy.Pull != strategy.Immediate {
-		panic("cluster: agg-crash faults need an Immediate-broadcast strategy (crash recovery re-pulls against the immediate data path)")
-	}
-	if p.HasTierCrash(faults.TierPod) && !cfg.HierAggregation {
-		panic("cluster: a pod-tier agg-crash needs HierAggregation (there is no pod aggregator to crash)")
-	}
+// tierOf maps a plan's aggregator tier or switch-link name to its netsim
+// tier.
+var tierOf = map[string]int{
+	faults.TierRack: netsim.TierRack, faults.LinkToR: netsim.TierRack,
+	faults.TierPod: netsim.TierPod, faults.LinkSpine: netsim.TierPod,
 }
 
-// newFaultState builds the run's fault wiring. Called after the rack
-// aggregation state (rackPop, rpp) exists and before the network is
-// constructed (netCfg.AggDrop must be set before NewOnExec).
+// newFaultState builds the run's fault wiring. Called after the reduction
+// tree exists and before the network is constructed (netCfg.AggDrop must
+// be set before NewOnExec).
 func (cs *clusterSim) newFaultState(netCfg *netsim.Config) {
 	p := cs.cfg.Faults
 	n := cs.cfg.Machines
@@ -115,32 +92,19 @@ func (cs *clusterSim) newFaultState(netCfg *netsim.Config) {
 	if !fs.hasCrash {
 		return
 	}
-	racks := len(cs.rackPop)
-	fs.aggFailovers = make([]int64, racks+cs.cfg.Topology.Pods)
-	fs.aggLost = make([]int64, racks+cs.cfg.Topology.Pods)
 	fs.affected = make([]bool, n)
-	markRack := func(r int) {
-		lo := r * cs.cfg.Topology.RackSize
-		for w := lo; w < lo+cs.rackPop[r]; w++ {
-			fs.affected[w] = true
-		}
-	}
 	for _, e := range p.Events {
 		if e.Kind != faults.KindAggCrash {
 			continue
 		}
-		switch {
-		case e.Tier == faults.TierPod:
-			for r := e.Index * cs.rpp; r < (e.Index+1)*cs.rpp; r++ {
-				markRack(r)
-			}
-		case cs.cfg.HierAggregation:
-			pod := e.Index / cs.rpp
-			for r := pod * cs.rpp; r < (pod+1)*cs.rpp; r++ {
-				markRack(r)
-			}
-		default:
-			markRack(e.Index)
+		// Everything below the crashed node's topmost ancestor: that
+		// ancestor's reduction cannot complete without the crashed stream.
+		a := cs.node(tierOf[e.Tier], e.Index)
+		for a.parent != nil {
+			a = a.parent
+		}
+		for w := a.lo; w < a.hi; w++ {
+			fs.affected[w] = true
 		}
 	}
 	fs.pushedIter = make([][]int32, n)
@@ -168,67 +132,38 @@ func (cs *clusterSim) newFaultState(netCfg *netsim.Config) {
 // they are read back from the static plan at compute-scheduling time.
 func (cs *clusterSim) scheduleFaults() {
 	for _, e := range cs.fs.plan.Events {
-		switch e.Kind {
-		case faults.KindLinkDegrade:
-			switch e.Link {
-			case faults.LinkHost:
-				cs.net.ScheduleHostDegrade(e.Index, sim.Time(e.At), sim.Time(e.Until), e.Factor)
-			case faults.LinkToR:
-				cs.net.ScheduleRackDegrade(e.Index, sim.Time(e.At), sim.Time(e.Until), e.Factor)
-			case faults.LinkSpine:
-				cs.net.ScheduleSpineDegrade(e.Index, sim.Time(e.At), sim.Time(e.Until), e.Factor)
-			}
-		case faults.KindAggCrash:
-			tier := netsim.TierRack
-			ord := e.Index
-			if e.Tier == faults.TierPod {
-				tier = netsim.TierPod
-				ord = len(cs.rackPop) + e.Index
-			}
-			idx := e.Index
-			cs.net.ScheduleAggOutage(tier, idx, sim.Time(e.At), sim.Time(e.Until),
-				func() { cs.onAggCrash(tier, idx, ord) }, nil)
+		at, until := sim.Time(e.At), sim.Time(e.Until)
+		switch {
+		case e.Kind == faults.KindLinkDegrade && e.Link == faults.LinkHost:
+			cs.net.ScheduleHostDegrade(e.Index, at, until, e.Factor)
+		case e.Kind == faults.KindLinkDegrade:
+			cs.net.ScheduleTierDegrade(tierOf[e.Link], e.Index, at, until, e.Factor)
+		case e.Kind == faults.KindAggCrash:
+			a := cs.node(tierOf[e.Tier], e.Index)
+			cs.net.ScheduleAggOutage(a.tier, a.idx, at, until, func() { cs.onAggCrash(a) }, nil)
 		}
 	}
 }
 
 // onAggCrash runs on the crashed aggregator's LP at the crash instant:
 // whatever partial reductions the aggregator held are lost with it.
-func (cs *clusterSim) onAggCrash(tier, idx, ord int) {
-	var agg []chunkAgg
-	if tier == netsim.TierPod {
-		agg = cs.podAggs[idx].agg
-	} else {
-		agg = cs.rackAggs[idx].agg
-	}
-	for c := range agg {
-		if agg[c].count > 0 {
-			cs.fs.aggLost[ord] += int64(agg[c].count)
-			agg[c].iter = -1
-			agg[c].count = 0
+func (cs *clusterSim) onAggCrash(a *aggNode) {
+	for c := range a.agg {
+		if a.agg[c].count > 0 {
+			a.lost += int64(a.agg[c].count)
+			a.agg[c].iter = -1
+			a.agg[c].count = 0
 		}
 	}
 }
 
 // aggDrop is the netsim AggDrop handler (crash plans only): it counts the
 // gradient contributions a down aggregator swallowed, on that
-// aggregator's own LP. Reduced streams (Src < 0) count as every worker
-// folded into them; broadcast traffic carries no contributions.
+// aggregator's own LP — reduced streams at their weight; broadcast traffic
+// carries no contributions.
 func (cs *clusterSim) aggDrop(tier, idx int, m netsim.Message) {
-	ord := idx
-	if tier == netsim.TierPod {
-		ord = len(cs.rackPop) + idx
-	}
-	if m.Kind != kPush {
-		return
-	}
-	switch {
-	case m.Src >= 0:
-		cs.fs.aggLost[ord]++
-	case int(-1-m.Src) >= len(cs.rackPop):
-		cs.fs.aggLost[ord] += int64(cs.podExpect(int(-1-m.Src)-len(cs.rackPop), m.Chunk))
-	default:
-		cs.fs.aggLost[ord] += int64(cs.aggExpect(int(-1-m.Src), m.Chunk))
+	if m.Kind == kPush {
+		cs.node(tier, idx).lost += int64(cs.weight(m.Src, m.Chunk))
 	}
 }
 
@@ -246,15 +181,10 @@ func (cs *clusterSim) after(w int, d sim.Time, fn func()) {
 	p.After(d, fn)
 }
 
-// rackDownDetected reports whether rack r's aggregator is down as
-// detected at virtual time now (the reading LP's own clock).
-func (cs *clusterSim) rackDownDetected(r int, now sim.Time) bool {
-	return cs.fs.plan.AggDownDetected(netsim.TierRack, r, int64(now))
-}
-
-// podDownDetected is rackDownDetected for a pod aggregator.
-func (cs *clusterSim) podDownDetected(p int, now sim.Time) bool {
-	return cs.fs.plan.AggDownDetected(netsim.TierPod, p, int64(now))
+// downDetected reports whether node a's aggregator is down as detected at
+// virtual time now (the reading LP's own clock).
+func (cs *clusterSim) downDetected(a *aggNode, now sim.Time) bool {
+	return cs.fs.plan.AggDownDetected(a.tier, a.idx, int64(now))
 }
 
 // pushProcessedFaults replaces the synchronous pushProcessed barrier under
@@ -297,43 +227,24 @@ func (cs *clusterSim) pushProcessedFaults(srv int, it procItem) {
 
 // markSeen marks the workers a contribution covers in the chunk's seen
 // bitmap and returns how many were newly marked — 0 for every worker a
-// re-push or late stream already counted. Reduced streams cover their
-// rack's (or pod's) machines except the chunk's server machine, mirroring
-// aggExpect/podExpect.
+// re-push or late stream already counted. A reduced stream covers the
+// machines below its node except the chunk's server machine, mirroring
+// expect.
 func (cs *clusterSim) markSeen(srv int, chunk int32, src int) int {
 	seen := cs.servers[srv].seen[chunk]
-	mark := func(w int) int {
-		if seen[w] {
-			return 0
+	lo, hi := src, src+1
+	if src < 0 {
+		a := &cs.aggs[-1-src]
+		lo, hi = a.lo, a.hi
+	}
+	n := 0
+	for w := lo; w < hi; w++ {
+		if !seen[w] && (src >= 0 || w != cs.srvMachine[srv]) {
+			seen[w] = true
+			n++
 		}
-		seen[w] = true
-		return 1
 	}
-	if src >= 0 {
-		return mark(src)
-	}
-	srvM := cs.srvMachine[srv]
-	markRack := func(r int) int {
-		n := 0
-		lo := r * cs.cfg.Topology.RackSize
-		for w := lo; w < lo+cs.rackPop[r]; w++ {
-			if w == srvM {
-				continue
-			}
-			n += mark(w)
-		}
-		return n
-	}
-	idx := -1 - src
-	if idx >= len(cs.rackPop) {
-		pod := idx - len(cs.rackPop)
-		n := 0
-		for r := pod * cs.rpp; r < (pod+1)*cs.rpp; r++ {
-			n += markRack(r)
-		}
-		return n
-	}
-	return markRack(idx)
+	return n
 }
 
 // recoveryBackoff doubles a retry timer up to 32x the configured timeout:
@@ -471,10 +382,8 @@ func (cs *clusterSim) faultCounters(r *Result) {
 	for _, v := range fs.machFailovers {
 		r.AggFailovers += v
 	}
-	for _, v := range fs.aggFailovers {
-		r.AggFailovers += v
-	}
-	for _, v := range fs.aggLost {
-		r.LostReductions += v
+	for i := range cs.aggs {
+		r.AggFailovers += cs.aggs[i].failovers
+		r.LostReductions += cs.aggs[i].lost
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p3/internal/faults"
@@ -155,58 +154,6 @@ func TestFaultStragglerAndDegradeSlowRun(t *testing.T) {
 	if got := Run(leave); got.MeanIterTime <= clean.MeanIterTime {
 		t.Errorf("a worker-leave window did not stall the run: %v <= %v", got.MeanIterTime, clean.MeanIterTime)
 	}
-}
-
-// TestFaultRejections pins the Config prerequisites: plans the cluster
-// cannot honor fail loudly at construction, naming the missing piece.
-func TestFaultRejections(t *testing.T) {
-	mustPanicWith := func(name, frag string, cfg Config) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s: no panic", name)
-				return
-			}
-			if s, ok := r.(string); !ok || !strings.Contains(s, frag) {
-				t.Errorf("%s: panic %v does not mention %q", name, r, frag)
-			}
-		}()
-		Run(cfg)
-	}
-
-	noAgg := shardedCfg(t, 16, "fifo")
-	noAgg.Faults = &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindAggCrash, At: 1e6, Tier: faults.TierRack, Index: 0},
-	}}
-	mustPanicWith("crash-without-rackagg", "rack aggregator 0 on a flat topology", noAgg)
-
-	rackNoAgg := shardedCfg(t, 16, "fifo")
-	rackNoAgg.Topology = netsim.Topology{RackSize: 4, CoreOversub: 4}
-	rackNoAgg.Faults = noAgg.Faults
-	mustPanicWith("crash-without-aggregation", "needs RackAggregation", rackNoAgg)
-
-	podNoHier := aggCfg(t, 16, 4, "fifo", "", true)
-	podNoHier.Faults = &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindAggCrash, At: 1e6, Tier: faults.TierPod, Index: 0},
-	}}
-	mustPanicWith("pod-crash-without-spine", "without a spine tier", podNoHier)
-
-	local := aggCfg(t, 16, 4, "fifo", "", true)
-	local.RackLocalPS = true
-	local = pullCfg(local)
-	local.Faults = noAgg.Faults
-	mustPanicWith("crash-with-racklocal", "RackLocalPS", local)
-
-	pull := pullCfg(aggCfg(t, 16, 4, "fifo", "", true))
-	pull.Faults = noAgg.Faults
-	mustPanicWith("crash-with-pull", "Immediate-broadcast", pull)
-
-	badMachine := shardedCfg(t, 16, "fifo")
-	badMachine.Faults = &faults.Plan{Events: []faults.Event{
-		{Kind: faults.KindStraggler, At: 0, Until: 1e6, Machine: 99, Factor: 2},
-	}}
-	mustPanicWith("machine-out-of-range", "machine 99 outside the 16-machine cluster", badMachine)
 }
 
 // TestHierCrashFailover256 is the tentpole acceptance run: an aggregator

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p3/internal/netsim"
@@ -163,44 +162,4 @@ func TestEngineResetReuseWithAggregation(t *testing.T) {
 			t.Errorf("sharded run %d diverges from the fresh single engine:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-}
-
-// TestHierarchyRejections pins the loud-failure contract of the new
-// config surface: every extension without its prerequisite panics with a
-// message naming the missing piece.
-func TestHierarchyRejections(t *testing.T) {
-	mustPanic := func(name, wantMsg string, cfg Config) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, wantMsg) {
-					t.Fatalf("unhelpful panic: %v", r)
-				}
-			}()
-			Run(cfg)
-		})
-	}
-	noAgg := aggCfg(t, 16, 4, "fifo", "", false)
-	noAgg.Topology.Pods = 2
-	noAgg.Topology.SpineOversub = 4
-	noAgg.HierAggregation = true
-	mustPanic("hier without rackagg", "RackAggregation", noAgg)
-
-	noPods := aggCfg(t, 16, 4, "fifo", "", true)
-	noPods.HierAggregation = true
-	mustPanic("hier without pods", "spine", noPods)
-
-	noAggLocal := aggCfg(t, 16, 4, "fifo", "", false)
-	noAggLocal.RackLocalPS = true
-	mustPanic("racklocal without rackagg", "RackAggregation", noAggLocal)
-
-	noAggRate := aggCfg(t, 16, 4, "fifo", "", false)
-	noAggRate.AggReduceGBps = 8
-	mustPanic("aggrate without rackagg", "RackAggregation", noAggRate)
-
-	uneven := hierCfg(t, 16, 4, 3, "fifo")
-	mustPanic("pods do not divide racks", "pods", uneven)
 }

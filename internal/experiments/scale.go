@@ -39,8 +39,7 @@ type ScaleRow struct {
 	// the other cells of the sweep share the machine (the sweep runs on the
 	// parEach pool), so on a multi-core runner it is an upper bound on the
 	// cell's serial cost; a calibrated cell pays for both of its passes.
-	// The serial perf-trajectory numbers live in the BENCH_<n>.json
-	// artifacts, whose sims run one at a time.
+	// Serial costs are what `go run ./bench` measures, one cell at a time.
 	WallMs float64
 }
 

@@ -22,7 +22,10 @@
 // strict (unknown fields are errors) and Plan.Validate checks every event
 // against the concrete cluster — machine indices against the machine
 // count, rack/pod indices against the netsim.Topology — so a plan cannot
-// silently reference hardware the run does not have.
+// silently reference hardware the run does not have. What a plan needs of
+// the run beyond hardware (aggregation for a crash to have something to
+// crash, an immediate-broadcast strategy to recover against) is checked,
+// with every other prerequisite, by cluster.Config.Validate.
 //
 // The four kinds:
 //

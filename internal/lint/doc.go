@@ -81,9 +81,10 @@
 // first flow shell per destination — is exempted on its line with
 // //p3:alloc-ok <reason>. The simulated message path is pinned
 // the same way: every per-message function of netsim (Send, pumpEgress/
-// pumpSegment, forward, coreEnqueue/pumpCore/routeFromPort, arrive/
-// pumpIngress, refundCredit, deliverAgg/pumpAggIngest, AggSend/AggFanout
-// and their continuations), cluster's procPool (add/pump/start/finish)
+// pumpSegment, forward/land, portEnqueue/pumpPort/routeFromPort, arrive/
+// pumpIngress, refundCredit, deliverAgg/pumpAggIngest, AggSend/AggFanout,
+// their continuations and the routing predicate), cluster's procPool
+// (add/pump/start/finish)
 // and ring's pumpReduce/reduceDone schedule a record's pre-bound func()
 // instead of a closure literal — a closure creeping back into one of them
 // is a "func literal escapes to heap" inside a marked function. The only

@@ -57,8 +57,7 @@ var DefaultSinks = []Sink{
 	{"p3/internal/sched", "Queue", "Push"},
 	{"p3/internal/netsim", "Network", "Send"},
 	{"p3/internal/netsim", "Network", "ScheduleHostDegrade"},
-	{"p3/internal/netsim", "Network", "ScheduleRackDegrade"},
-	{"p3/internal/netsim", "Network", "ScheduleSpineDegrade"},
+	{"p3/internal/netsim", "Network", "ScheduleTierDegrade"},
 	{"p3/internal/netsim", "Network", "ScheduleAggOutage"},
 }
 

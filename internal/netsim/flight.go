@@ -26,8 +26,8 @@ type flight struct {
 	wire int64 // total egress wire bytes: payload + header
 	sent int64 // wire bytes already serialized at egress
 
-	start, dur sim.Time  // serialization interval of the hop in progress
-	port       *coreLink // switch port the record is queued on or headed for
+	start, dur sim.Time // serialization interval of the hop in progress
+	port       *port    // switch port the record is queued on or headed for
 
 	// fire is bound once, when the record is first created, and is the only
 	// func() a hop ever hands the engine; then — a method expression, so

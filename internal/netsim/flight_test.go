@@ -156,7 +156,7 @@ func checkRecycling(t *testing.T, cfg Config, n, shards int) {
 	}
 	if cfg.Aggregation {
 		cfg.AggDeliver = func(tier, idx int, m Message) {
-			lp := nw.aggLP(tier, idx)
+			lp := nw.agg(tier, idx).lp
 			got[lp] = append(got[lp], m)
 			// The fan-out's copies are what the rack's machines must see.
 			c := m

@@ -40,62 +40,67 @@
 // order). Ungated disciplines schedule no refund events at all, keeping
 // their schedules (and goldens) untouched.
 //
-// # Rack topologies, core scheduling, and in-rack aggregation
+// # Tiers
 //
-// Topology arranges machines into racks behind an oversubscribed core:
-// each rack owns an uplink and a downlink port LP that store-and-forward
-// inter-rack messages at the rack's aggregate NIC rate divided by
-// CoreOversub. By default those ports are blind FIFO — the regime where
-// host-egress priorities die at the ToR, because the core serializes in
-// arrival order whatever rank the hosts assigned. Topology.CoreSched gives
-// the ports a real sched.Queue instead: each port runs its own fresh
-// discipline instance (seeded with the port's LP index for source-aware
-// ranks, profile-applied like a host NIC), so p3/tictac/damped ranks
-// survive into the core. At a ToR port a rank means the same thing it
-// means at a host NIC — "which queued message does the wire take next" —
-// but the port sees every flow of its rack at once, which is exactly the
-// aggregate view host egress lacks. CoreSched "fifo" dequeues in global
-// arrival order (ties by insertion) and is pinned bit-identical to the
-// blind FIFO path.
+// Topology stacks switching tiers on the machines, and the network keeps
+// them as a table built bottom-up: tier 0 is the ToRs (one group per rack
+// of RackSize machines, the last possibly partial), tier 1 — with
+// Topology.Pods — the spine (one group per pod of racks/Pods racks); a flat
+// network has no tiers. A group owns one uplink and one downlink port, each
+// its own LP: a store-and-forward queue serializing at the group's actual
+// aggregate NIC rate divided by the oversubscription of its tier and of
+// every tier below (CoreOversub, SpineOversub), with no per-message
+// software overhead. A port is blind FIFO by default — the regime where
+// host-egress priorities die at the ToR — or, with CoreSched/SpineSched, a
+// sched.Queue running a fresh instance of the named discipline (seeded
+// with the port's LP index, profile-applied like a host NIC), so ranks
+// survive into the fabric; "fifo" is pinned bit-identical to the blind
+// queue. With Config.Aggregation every group also owns an aggregator LP —
+// the Parameter Hub design point, one reduction primitive placed at each
+// switch of the fabric.
 //
-// # Spine tier
+// Routing rule. One predicate decides every hop: a message is outside
+// group g of tier k when its destination machine (or the first machine
+// below its destination aggregator) is not in g, or when it is addressed
+// to an aggregator of a tier above k. A host sends what is outside its
+// rack into the rack's uplink and everything else straight at the
+// destination. An uplink climbs to the parent group's uplink while the
+// message is outside the parent, lands on the parent's aggregator when
+// that is the destination, and otherwise turns around into the downlink of
+// the destination's group at its own tier. A downlink lands on its group's
+// aggregator or (at tier 0) the destination machine's ingress, and
+// otherwise descends into the destination group's downlink one tier below.
+// Traffic therefore climbs only as high as its endpoints differ: a Pods=1
+// topology builds the spine ports and routes nothing through them.
 //
-// Topology.Pods adds a second switching tier: the racks are grouped into
-// Pods equal pods, and each pod owns a spine uplink and downlink port LP
-// above its ToRs, serializing at the pod's aggregate ToR-uplink rate
-// divided by SpineOversub. Traffic between racks of the same pod turns
-// around below the spine (rack uplink → rack downlink, exactly the
-// single-tier path — a Pods=1 topology is bit-identical to no spine);
-// only inter-pod traffic transits the spine ports (rack uplink → spine
-// uplink → spine downlink → rack downlink, paying SpineDelay across the
-// spine). SpineSched puts a sched.Queue on the spine ports just like
-// CoreSched does on the ToR ports. Spine port LPs live on the shard of
-// their pod's first rack, and every spine hop pays at least the lookahead
-// bound, so sharded runs stay bit-identical.
+// Delay rule. A hop between two ports pays the delay of the lower of the
+// two tiers (CoreDelay at tier 0, SpineDelay at tier 1, each defaulting to
+// the one below), and so does an uplink's hop onto its parent's
+// aggregator; every landing from a downlink, and every hop out of a host
+// or an aggregator, pays PropDelay. All of them are at least
+// Config.Lookahead.
 //
-// # Tiered aggregation
+// Numbering. LPs are the machines (0..n-1), then the port pairs tier by
+// tier (uplink, downlink per group), then the aggregators tier by tier.
+// Aggregators also have an ordinal in that same order — racks, then pods —
+// which indexes the per-aggregator state here and in the cluster layer. A
+// group's ports and aggregator ride the shard of the group's first machine
+// (Config.LPShards), so only hops between groups cross shards.
 //
-// Config.Aggregation adds one in-rack aggregator LP per rack — the
-// Parameter Hub design point — and, when the topology has a spine tier,
-// one pod aggregator LP per pod. The aggregators are the application's
-// hook, not a policy: messages addressed to one (Message.ToAgg, with To
-// naming the rack or pod and AggTier the tier) are handed to
-// Config.AggDeliver on that aggregator's timeline, and the application
-// replies with AggSend (one reduced stream toward a machine or another
-// aggregator) or AggFanout (line-rate broadcast replication at the tier:
-// a rack aggregator fans to its rack's machines; a pod aggregator fans one
-// copy per rack of the pod, each re-entering the rack's downlink as
-// rack-aggregator traffic). Aggregator ingest is free by default — it
-// models a switch/ASIC-side reduction engine, not a host NIC —
-// but Config.AggReduceGBps gives the reduction engine a finite rate:
-// payloads then queue FIFO at the aggregator and are reduced at
-// AggReduceGBps bytes per second before AggDeliver sees them, exposing
-// where the reduction ASIC (not the wire) becomes the bottleneck. Every
-// aggregator hop goes through the canonical cross-LP transfer path (xfer)
-// with at least PropDelay of latency, so the lookahead bound is unchanged
-// and an N-shard run reproduces the 1-shard Result bit for bit; each
-// aggregator LP lives on its rack's (or pod's first rack's) shard, so
-// only core and spine hops cross shards, exactly as without aggregation.
+// Aggregators. They are the application's hook, not a policy: a message
+// addressed to one (Message.ToAgg, To naming the group and AggTier the
+// tier) is handed to Config.AggDeliver on that aggregator's timeline, and
+// the application replies with AggSend (one stream toward a machine or
+// another aggregator, routed by the same predicate) or AggFanout (one
+// copy per child at line rate: a rack aggregator's children are its
+// machines, a higher aggregator's the aggregators of the groups below it,
+// each copy entering the child group's downlink). Ingest is free by
+// default — a switch-side reduction engine, not a host NIC — but
+// Config.AggReduceGBps gives the engine a finite rate: payloads then queue
+// FIFO at the aggregator and are reduced at that many bytes per nanosecond
+// before AggDeliver sees them. Every aggregator hop goes through the
+// canonical cross-LP transfer (xfer), so an N-shard run reproduces the
+// 1-shard Result bit for bit.
 //
 // # Message records: lifetime and ownership
 //
@@ -272,8 +277,8 @@ type Topology struct {
 // Validate reports whether the topology's parameters are usable: a
 // negative RackSize, CoreOversub, Pods or SpineOversub is always an
 // error, CoreSched/SpineSched must name registered scheduling
-// disciplines, and the spine knobs require a rack topology (and each
-// other). The zero value is valid (flat network). ValidateFor addition-
+// disciplines, the core knobs require a rack topology and the spine knobs
+// a spine tier. The zero value is valid (flat network). ValidateFor addition-
 // ally checks the machine-count-dependent constraint that the pods
 // divide the racks evenly.
 func (t Topology) Validate() error {
@@ -282,6 +287,9 @@ func (t Topology) Validate() error {
 	}
 	if t.CoreOversub < 0 {
 		return fmt.Errorf("netsim: negative core oversubscription %g (use values in (0,1) for an undersubscribed core, 0 or 1 for non-blocking)", t.CoreOversub)
+	}
+	if t.RackSize == 0 && (t.CoreOversub > 0 || t.CoreDelay > 0) {
+		return fmt.Errorf("netsim: CoreOversub %g / CoreDelay %d without a rack topology (RackSize is 0, so there is no core)", t.CoreOversub, t.CoreDelay)
 	}
 	if t.CoreSched != "" {
 		if t.RackSize <= 0 {
@@ -368,19 +376,44 @@ func (t Topology) RackMachines(n, r int) int {
 	return t.RackSize
 }
 
-// NumLPs returns the logical-process count of the topology over n
-// machines: one LP per machine, plus an uplink and a downlink LP per
-// rack, plus — with a spine tier — a spine uplink and downlink LP per
-// pod, plus — with Aggregation — one aggregator LP per rack (and per pod
-// under a spine tier).
-func (c Config) NumLPs(n int) int {
-	if c.Topology.RackSize <= 0 {
-		return n
+// tierDim is one switching tier as the Topology describes it.
+type tierDim struct {
+	span    int      // machines below one full group
+	oversub float64  // rate divisor against the tier below (0 = none)
+	delay   sim.Time // hop delay between this tier's ports
+	sched   string   // port discipline ("" = blind FIFO)
+}
+
+// dims lists the topology's switching tiers over n machines bottom-up: the
+// ToRs, then — with Pods — the spine. A flat network has none. The
+// topology must have passed ValidateFor(n).
+func (c Config) dims(n int) []tierDim {
+	t := c.Topology
+	if t.RackSize <= 0 {
+		return nil
 	}
-	racks := c.Topology.NumRacks(n)
-	lps := n + 2*racks + 2*c.Topology.Pods
+	d := []tierDim{{t.RackSize, t.CoreOversub, t.coreDelay(c.PropDelay), t.CoreSched}}
+	if t.Pods > 0 {
+		d = append(d, tierDim{t.RackSize * (t.NumRacks(n) / t.Pods), t.SpineOversub, t.spineDelay(c.PropDelay), t.SpineSched})
+	}
+	return d
+}
+
+// groups is the group count of a tier of the given span over n machines
+// (the last group may be partial).
+func groups(n, span int) int { return (n + span - 1) / span }
+
+// NumLPs returns the logical-process count of the topology over n
+// machines: one LP per machine, plus per group of every tier an uplink and
+// a downlink LP and — with Aggregation — an aggregator LP.
+func (c Config) NumLPs(n int) int {
+	perGroup := 2
 	if c.Aggregation {
-		lps += racks + c.Topology.Pods
+		perGroup = 3
+	}
+	lps := n
+	for _, d := range c.dims(n) {
+		lps += perGroup * groups(n, d.span)
 	}
 	return lps
 }
@@ -404,39 +437,33 @@ func (c Config) Lookahead() sim.Time {
 
 // LPShards returns the LP-to-shard assignment for n machines over the
 // given shard count: machines in contiguous blocks, rack-aligned when the
-// topology has racks (a rack's machines, its uplink/downlink LPs and —
-// with Aggregation — its aggregator LP share a shard, so only the core
-// hop crosses shards). Spine port LPs and pod aggregator LPs ride the
-// shard of their pod's first rack.
+// topology has racks, and every group's port and aggregator LPs on the
+// shard of the group's first machine — so a rack's LPs share a shard and
+// only hops between racks cross shards.
 func (c Config) LPShards(n, shards int) []int {
 	lp := make([]int, c.NumLPs(n))
-	if c.Topology.RackSize <= 0 {
-		for m := 0; m < n; m++ {
-			lp[m] = m * shards / n
-		}
-		return lp
+	dims := c.dims(n)
+	unit := 1
+	if len(dims) > 0 {
+		unit = dims[0].span
 	}
-	racks := c.Topology.NumRacks(n)
-	pods := c.Topology.Pods
 	for m := 0; m < n; m++ {
-		lp[m] = c.Topology.RackOf(m) * shards / racks
+		lp[m] = m / unit * shards / groups(n, unit)
 	}
-	aggBase := n + 2*racks + 2*pods
-	for r := 0; r < racks; r++ {
-		s := r * shards / racks
-		lp[n+2*r] = s
-		lp[n+2*r+1] = s
-		if c.Aggregation {
-			lp[aggBase+r] = s
+	next := n
+	place := func(perGroup int) {
+		for _, d := range dims {
+			for g := 0; g < groups(n, d.span); g++ {
+				for i := 0; i < perGroup; i++ {
+					lp[next] = lp[g*d.span]
+					next++
+				}
+			}
 		}
 	}
-	for p := 0; p < pods; p++ {
-		s := (p * (racks / pods)) * shards / racks
-		lp[n+2*racks+2*p] = s
-		lp[n+2*racks+2*p+1] = s
-		if c.Aggregation {
-			lp[aggBase+racks+p] = s
-		}
+	place(2)
+	if c.Aggregation {
+		place(1)
 	}
 	return lp
 }
@@ -567,18 +594,18 @@ type nic struct {
 	rateScale float64
 }
 
-// coreLink is one switch port — a rack's uplink/downlink at the core tier
-// or a pod's uplink/downlink at the spine tier: a store-and-forward queue
-// serializing at the tier's oversubscribed rate, owned by its own LP.
-// Without a port discipline it is a blind FIFO (q); with one
-// it is a per-flow sched.Queue (sq) running the named discipline — the
-// priority-aware ToR/spine. bytes/msgs count the payload traffic that
-// transited the port (LP-owned, so shard-safe; summed after the run).
-type coreLink struct {
+// port is one switch port — the uplink or downlink of one group of one
+// tier: a store-and-forward queue serializing at the group's
+// oversubscribed rate, owned by its own LP. Without a port discipline it
+// is a blind FIFO (q); with one it is a per-flow sched.Queue (sq) running
+// the named discipline — the priority-aware ToR/spine. bytes/msgs count
+// the payload traffic that transited the port (LP-owned, so shard-safe;
+// summed after the run).
+type port struct {
 	lp    int
-	up    bool    // uplink (towards the core/spine) or downlink (towards the rack/pod)
-	spine bool    // spine-tier port (idx is a pod) or rack-tier port (idx is a rack)
-	idx   int     // rack index (core tier) or pod index (spine tier)
+	tier  int     // index into Network.tiers
+	group int     // group within the tier: the rack at tier 0, the pod at tier 1
+	up    bool    // uplink (towards the tier above) or downlink (towards the group)
 	rate  float64 // Gbps, i.e. bits per nanosecond
 	busy  bool
 	q     flightQ
@@ -591,50 +618,45 @@ type coreLink struct {
 	rateScale float64
 }
 
-// aggIngest is one aggregator's reduction engine under a finite
-// AggReduceGBps: arriving payloads queue FIFO and are reduced at the
-// configured rate on the aggregator's own LP before the application sees
-// them. The credit refund of a gated sender happens at arrival, before
-// the reduce queue — the transmission window covers the wire, not the
-// ASIC — so capacity modelling composes with credit disciplines without
-// changing the refund timing.
-type aggIngest struct {
+// tier is one switching level of the fabric (see the package comment's
+// "Tiers" section): the ports of its groups and where its aggregators sit
+// in the aggregator ordinal order.
+type tier struct {
+	span     int      // machines below one full group
+	delay    sim.Time // hop delay between this tier's ports
+	up, down []port   // one per group
+	agg0     int      // ordinal of group 0's aggregator (with Aggregation)
+}
+
+// aggregator is one group's aggregator LP. Under a finite AggReduceGBps it
+// owns a reduction engine: arriving payloads queue FIFO (q) and are
+// reduced at the configured rate on the aggregator's own LP before the
+// application sees them. The credit refund of a gated sender happens at
+// arrival, before the reduce queue — the transmission window covers the
+// wire, not the ASIC — so capacity modelling composes with credit
+// disciplines without changing the refund timing.
+type aggregator struct {
+	lp   int
+	down bool // taken offline by ScheduleAggOutage
 	busy bool
 	q    flightQ
 }
 
 // Network simulates the interconnect for n machines.
 type Network struct {
-	exec       sim.Exec
-	procs      []sim.Proc // one per LP: machines, rack up/down links, spine up/down links, aggregators
-	cfg        Config
-	n          int // machines
-	nics       []nic
-	ups        []coreLink // per rack (empty without a rack topology)
-	downs      []coreLink
-	spineUps   []coreLink // per pod (empty without a spine tier)
-	spineDowns []coreLink
-	racks      int // rack count (0 without a rack topology)
-	rpp        int // racks per pod (0 without a spine tier)
-	aggBase    int // first aggregator LP (after rack and spine ports); -1 without aggregation
-	deliver    Handler
-	rec        *trace.Recorder // optional
-	sharded    bool            // exec has >1 shard: no recorder (shared buckets)
-	gated      bool            // the egress discipline admits against a credit window
-	look       sim.Time        // cfg.Lookahead(): the credit-refund quantum
-	free       []*flight       // released records, per LP when sharded (see pool)
-
-	// aggIn are the aggregator reduce engines (rack aggregators first,
-	// then pod aggregators), present only with AggReduceGBps > 0: each is
-	// a FIFO ingest queue serializing payloads at the reduce rate before
-	// AggDeliver sees them.
-	aggIn []aggIngest
-
-	// aggDown flags aggregators taken offline by ScheduleAggOutage (rack
-	// aggregators first, then pod aggregators, like aggIn). Allocated
-	// lazily by the first scheduled outage, so fault-free runs carry no
-	// state and stay bit-identical.
-	aggDown []bool
+	exec    sim.Exec
+	procs   []sim.Proc // one per LP: machines, then ports, then aggregators
+	cfg     Config
+	n       int // machines
+	nics    []nic
+	tiers   []tier       // bottom-up; empty on a flat network
+	aggs    []aggregator // in ordinal order (racks, then pods); empty without Aggregation
+	deliver Handler
+	rec     *trace.Recorder // optional
+	sharded bool            // exec has >1 shard: no recorder (shared buckets)
+	gated   bool            // the egress discipline admits against a credit window
+	look    sim.Time        // cfg.Lookahead(): the credit-refund quantum
+	free    []*flight       // released records, per LP when sharded (see pool)
 }
 
 // New creates a network of n machines on the given engine. handler is invoked
@@ -646,9 +668,8 @@ func New(eng *sim.Engine, n int, cfg Config, handler Handler, rec *trace.Recorde
 }
 
 // NewOnExec creates a network of n machines on an Exec: machine i is LP i,
-// and a rack topology adds an uplink LP (n+2r) and downlink LP (n+2r+1)
-// per rack r, then — with a spine tier — a spine uplink/downlink LP pair
-// per pod, then the aggregator LPs, matching Config.LPShards. Credit-gated
+// followed by the port and aggregator LPs in the order of the package
+// comment's "Tiers" section, matching Config.LPShards. Credit-gated
 // egress disciplines shard like any other under the window-relaxed refund
 // protocol (see the package comment); trace recorders still need the
 // single-shard engine, their buckets being shared across machines.
@@ -676,7 +697,7 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 	if cfg.LocalBandwidthGbps <= 0 {
 		cfg.LocalBandwidthGbps = 160
 	}
-	nw := &Network{exec: x, cfg: cfg, n: n, aggBase: -1, deliver: handler, rec: rec, sharded: x.Shards() > 1}
+	nw := &Network{exec: x, cfg: cfg, n: n, deliver: handler, rec: rec, sharded: x.Shards() > 1}
 	nw.look = cfg.Lookahead()
 	if nw.sharded && rec != nil {
 		panic("netsim: a trace.Recorder needs the single-shard engine (shared utilization buckets)")
@@ -700,75 +721,53 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 	for lp := range nw.procs {
 		nw.procs[lp] = x.Proc(lp)
 	}
-	if t := cfg.Topology; t.RackSize > 0 {
-		racks := t.NumRacks(n)
-		nw.racks = racks
-		if cfg.Aggregation {
-			nw.aggBase = n + 2*racks + 2*t.Pods
-		}
-		nw.ups = make([]coreLink, racks)
-		nw.downs = make([]coreLink, racks)
-		portQueue := func(name string, lp int) *sched.Queue[*flight] {
-			if name == "" {
-				return nil
-			}
+	dims := cfg.dims(n)
+	next := n // the next unassigned LP
+	newPort := func(k, g int, up bool, rate float64) port {
+		l := port{lp: next, tier: k, group: g, up: up, rate: rate, rateScale: 1}
+		if name := dims[k].sched; name != "" {
 			disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
-			sched.ApplySource(disc, int32(lp))
-			return sched.NewQueue(disc, portItem)
+			sched.ApplySource(disc, int32(l.lp))
+			l.sq = sched.NewQueue(disc, portItem)
 		}
-		for r := 0; r < racks; r++ {
-			// Each port's rate is its rack's actual aggregate NIC rate — a
-			// trailing partial rack's share of the core is proportional to
-			// the machines it holds, not to the nominal RackSize.
-			rate := float64(t.RackMachines(n, r)) * cfg.BandwidthGbps
-			if t.CoreOversub > 0 {
-				rate /= t.CoreOversub
+		next++
+		return l
+	}
+	for k, d := range dims {
+		t := tier{span: d.span, delay: d.delay, up: make([]port, groups(n, d.span))}
+		t.down = make([]port, len(t.up))
+		for g := range t.up {
+			// A port's rate is its group's actual aggregate NIC rate — a
+			// trailing partial group's share of the fabric is proportional
+			// to the machines it holds, not to the nominal span — divided by
+			// the oversubscription of every tier up to its own.
+			rate := float64(min((g+1)*d.span, n)-g*d.span) * cfg.BandwidthGbps
+			for _, below := range dims[:k+1] {
+				if below.oversub > 0 {
+					rate /= below.oversub
+				}
 			}
-			nw.ups[r] = coreLink{lp: n + 2*r, up: true, idx: r, rate: rate, rateScale: 1, sq: portQueue(t.CoreSched, n+2*r)}
-			nw.downs[r] = coreLink{lp: n + 2*r + 1, idx: r, rate: rate, rateScale: 1, sq: portQueue(t.CoreSched, n+2*r+1)}
+			t.up[g] = newPort(k, g, true, rate)
+			t.down[g] = newPort(k, g, false, rate)
 		}
-		if t.Pods > 0 {
-			nw.rpp = racks / t.Pods
-			nw.spineUps = make([]coreLink, t.Pods)
-			nw.spineDowns = make([]coreLink, t.Pods)
-			for p := 0; p < t.Pods; p++ {
-				// The spine port rate divides the pod's aggregate ToR-uplink
-				// rate (itself already CoreOversub-divided) by SpineOversub,
-				// using actual machine counts so a trailing partial rack's
-				// pod is not over-provisioned.
-				podMachines := 0
-				for r := p * nw.rpp; r < (p+1)*nw.rpp; r++ {
-					podMachines += t.RackMachines(n, r)
-				}
-				rate := float64(podMachines) * cfg.BandwidthGbps
-				if t.CoreOversub > 0 {
-					rate /= t.CoreOversub
-				}
-				if t.SpineOversub > 0 {
-					rate /= t.SpineOversub
-				}
-				upLP, downLP := n+2*racks+2*p, n+2*racks+2*p+1
-				nw.spineUps[p] = coreLink{lp: upLP, up: true, spine: true, idx: p, rate: rate, rateScale: 1, sq: portQueue(t.SpineSched, upLP)}
-				nw.spineDowns[p] = coreLink{lp: downLP, spine: true, idx: p, rate: rate, rateScale: 1, sq: portQueue(t.SpineSched, downLP)}
+		nw.tiers = append(nw.tiers, t)
+	}
+	if cfg.Aggregation {
+		for k := range nw.tiers {
+			nw.tiers[k].agg0 = len(nw.aggs)
+			for range nw.tiers[k].up {
+				nw.aggs = append(nw.aggs, aggregator{lp: next})
+				next++
 			}
-		}
-		if cfg.Aggregation && cfg.AggReduceGBps > 0 {
-			nw.aggIn = make([]aggIngest, racks+t.Pods)
 		}
 	}
 	return nw
 }
 
-// podOf maps a rack to its pod (spine tier only).
-func (nw *Network) podOf(rack int) int { return rack / nw.rpp }
-
-// aggLP is the LP index of the tier's aggregator idx (rack index at
-// TierRack, pod index at TierPod).
-func (nw *Network) aggLP(tier, idx int) int {
-	if tier == TierPod {
-		return nw.aggBase + nw.racks + idx
-	}
-	return nw.aggBase + idx
+// agg is the tier's aggregator idx (rack index at TierRack, pod index at
+// TierPod).
+func (nw *Network) agg(tier, idx int) *aggregator {
+	return &nw.aggs[nw.tiers[tier].agg0+idx]
 }
 
 // Stats accessors: totals over the per-machine counters. Only meaningful
@@ -805,45 +804,35 @@ func (nw *Network) Preemptions() int64 {
 // uplink and downlink ports — the core traffic the oversubscription ratio
 // throttles, and the number in-rack aggregation exists to shrink. 0 on a
 // flat network.
-func (nw *Network) CoreBytes() int64 {
-	var t int64
-	for i := range nw.ups {
-		t += nw.ups[i].bytes + nw.downs[i].bytes
-	}
-	return t
-}
+func (nw *Network) CoreBytes() int64 { b, _ := nw.tierTraffic(TierRack); return b }
 
 // CoreMsgs is the message count behind CoreBytes (each inter-rack message
 // counts once per port it transits, i.e. normally twice).
-func (nw *Network) CoreMsgs() int64 {
-	var t int64
-	for i := range nw.ups {
-		t += nw.ups[i].msgs + nw.downs[i].msgs
-	}
-	return t
-}
+func (nw *Network) CoreMsgs() int64 { _, m := nw.tierTraffic(TierRack); return m }
 
 // SpineBytes is the total payload volume that serialized through the spine
 // uplink and downlink ports — the inter-pod traffic the spine
 // oversubscription throttles, and the number hierarchical aggregation
 // exists to shrink. 0 without a spine tier (CoreBytes counts only the
 // rack-tier ports, so the two never double-count).
-func (nw *Network) SpineBytes() int64 {
-	var t int64
-	for i := range nw.spineUps {
-		t += nw.spineUps[i].bytes + nw.spineDowns[i].bytes
-	}
-	return t
-}
+func (nw *Network) SpineBytes() int64 { b, _ := nw.tierTraffic(TierPod); return b }
 
 // SpineMsgs is the message count behind SpineBytes (each inter-pod message
 // counts once per spine port it transits, i.e. normally twice).
-func (nw *Network) SpineMsgs() int64 {
-	var t int64
-	for i := range nw.spineUps {
-		t += nw.spineUps[i].msgs + nw.spineDowns[i].msgs
+func (nw *Network) SpineMsgs() int64 { _, m := nw.tierTraffic(TierPod); return m }
+
+// tierTraffic sums the port counters of tier k (0 for a tier the topology
+// does not have).
+func (nw *Network) tierTraffic(k int) (bytes, msgs int64) {
+	if k >= len(nw.tiers) {
+		return 0, 0
 	}
-	return t
+	t := &nw.tiers[k]
+	for g := range t.up {
+		bytes += t.up[g].bytes + t.down[g].bytes
+		msgs += t.up[g].msgs + t.down[g].msgs
+	}
+	return bytes, msgs
 }
 
 func (nw *Network) sumStats(f func(*nicStats) int64) int64 {
@@ -874,10 +863,10 @@ func (nw *Network) localTime(bytes int64) sim.Time {
 //
 //p3:noescape
 func (nw *Network) Send(m Message) {
-	if m.ToAgg && nw.aggBase < 0 {
+	if m.ToAgg && nw.aggs == nil {
 		panic("netsim: ToAgg send without Config.Aggregation") //p3:alloc-ok misuse panic, never reached by a valid run
 	}
-	if m.ToAgg && m.AggTier == TierPod && nw.rpp == 0 {
+	if m.ToAgg && int(m.AggTier) >= len(nw.tiers) {
 		panic("netsim: TierPod send without a spine tier (Topology.Pods is 0)") //p3:alloc-ok misuse panic, never reached by a valid run
 	}
 	st := &nw.nics[m.From].stats
@@ -905,84 +894,91 @@ func (nw *Network) deliverLocal(f *flight) {
 	nw.deliver(m)
 }
 
-// destRack resolves the rack a message is ultimately headed for: the
-// addressed rack for rack-aggregator traffic, the destination machine's
-// rack otherwise. Pod-aggregator traffic has no destination rack — every
-// routing site handles AggTier TierPod before consulting destRack.
-func (nw *Network) destRack(m Message) int {
+// destGroup is the group of tier k a message is ultimately headed for:
+// the group holding the destination machine, or the first machine below
+// the destination aggregator (whose tier must not be above k).
+//
+//p3:noescape
+func (nw *Network) destGroup(k int, m Message) int {
+	first := m.To
 	if m.ToAgg {
-		return m.To
+		first *= nw.tiers[m.AggTier].span
 	}
-	return nw.cfg.Topology.RackOf(m.To)
+	return first / nw.tiers[k].span
 }
 
-// destPod resolves the pod a message is ultimately headed for (spine tier
-// only): the addressed pod for pod-aggregator traffic, the destination
-// rack's pod otherwise.
-func (nw *Network) destPod(m Message) int {
-	if m.ToAgg && m.AggTier == TierPod {
-		return m.To
-	}
-	return nw.podOf(nw.destRack(m))
+// outside is the routing predicate: m cannot be delivered from inside
+// group g of tier k — its destination lies in another group, or is an
+// aggregator of a tier above k.
+//
+//p3:noescape
+func (nw *Network) outside(k, g int, m Message) bool {
+	return m.ToAgg && int(m.AggTier) > k || nw.destGroup(k, m) != g
 }
 
 // forward hands a fully serialized message from machine `from` to the next
-// hop: directly to the receiver's ingress (or its rack aggregator) after
-// the propagation delay, or — for traffic leaving the rack, including
-// everything addressed to a pod aggregator — into the source rack's
-// uplink. Cross carries every hop, even when both LPs share a shard, so
-// same-instant arrival order stays canonical for any shard count.
+// hop after the propagation delay: into its rack's uplink when the
+// destination is outside the rack, directly onto the destination
+// otherwise.
 //
 //p3:noescape
 func (nw *Network) forward(from int, f *flight) {
-	m := f.msg
 	at := nw.procs[from].Now() + nw.cfg.PropDelay
-	if t := nw.cfg.Topology; t.RackSize > 0 {
-		toPodAgg := m.ToAgg && m.AggTier == TierPod
-		if toPodAgg || t.RackOf(from) != nw.destRack(m) {
-			nw.toPort(from, &nw.ups[t.RackOf(from)], at, f)
+	if len(nw.tiers) > 0 {
+		if rack := from / nw.tiers[0].span; nw.outside(0, rack, f.msg) {
+			nw.toPort(from, &nw.tiers[0].up[rack], at, f)
 			return
 		}
 	}
-	if m.ToAgg {
-		nw.xfer(from, nw.aggLP(TierRack, m.To), at, f, (*Network).deliverAgg)
-		return
+	nw.land(from, at, f)
+}
+
+// land hands f from LP src onto its destination — the addressed
+// aggregator, or the destination machine's ingress — at time at. Cross
+// carries every hop, even when both LPs share a shard, so same-instant
+// arrival order stays canonical for any shard count.
+//
+//p3:noescape
+func (nw *Network) land(src int, at sim.Time, f *flight) {
+	if m := f.msg; m.ToAgg {
+		nw.xfer(src, nw.agg(int(m.AggTier), m.To).lp, at, f, (*Network).deliverAgg)
+	} else {
+		nw.xfer(src, m.To, at, f, (*Network).arrive)
 	}
-	nw.xfer(from, m.To, at, f, (*Network).arrive)
 }
 
 // toPort hands f from LP src to switch port l, where it is queued at time at.
 //
 //p3:noescape
-func (nw *Network) toPort(src int, l *coreLink, at sim.Time, f *flight) {
+func (nw *Network) toPort(src int, l *port, at sim.Time, f *flight) {
 	f.port = l
-	nw.xfer(src, l.lp, at, f, (*Network).coreEnqueue)
+	nw.xfer(src, l.lp, at, f, (*Network).portEnqueue)
 }
 
-// coreEnqueue queues f on the port it was handed to — the blind FIFO or
+// portEnqueue queues f on the port it was handed to — the blind FIFO or
 // the discipline-ordered port queue — and pumps it.
 //
 //p3:noescape
-func (nw *Network) coreEnqueue(f *flight) {
+func (nw *Network) portEnqueue(f *flight) {
 	l := f.port
 	if l.sq != nil {
 		l.sq.Push(f)
 	} else {
 		l.q.push(f)
 	}
-	nw.pumpCore(l)
+	nw.pumpPort(l)
 }
 
-// pumpCore serializes the port's next message at the port's rate and
+// pumpPort serializes the port's next message at the port's rate and
 // forwards it via routeFromPort. Switch ports pay no per-message software
 // overhead; header bytes still serialize. With a port discipline the next
 // message is the discipline's choice (a gated discipline's window opens
 // and closes entirely on this LP — serialization start to serialization
-// end — so core gating is shard-safe); without one it is strict arrival
+// end — so port gating is shard-safe); without one it is strict arrival
 // order.
 //
 //p3:noescape
-func (nw *Network) pumpCore(l *coreLink) {
+func (nw *Network) pumpPort(l *port) {
 	if l.busy {
 		return
 	}
@@ -1004,68 +1000,56 @@ func (nw *Network) pumpCore(l *coreLink) {
 	if l.rateScale != 1 {
 		rate *= l.rateScale
 	}
-	nw.after(l.lp, sim.Time(bits/rate), f, (*Network).coreDone)
+	nw.after(l.lp, sim.Time(bits/rate), f, (*Network).portDone)
 }
 
-// coreDone runs when f finishes serializing at its port.
+// portDone runs when f finishes serializing at its port.
 //
 //p3:noescape
-func (nw *Network) coreDone(f *flight) {
+func (nw *Network) portDone(f *flight) {
 	l := f.port
 	l.busy = false
 	if l.sq != nil {
 		l.sq.Done(f)
 	}
 	nw.routeFromPort(l, f)
-	nw.pumpCore(l)
+	nw.pumpPort(l)
 }
 
 // routeFromPort hands a message that finished serializing at a switch
-// port to its next hop:
-//
-//   - a rack uplink diverts inter-pod traffic (and same-pod pod-aggregator
-//     traffic) toward the spine; everything else turns around below it
-//     into the destination rack's downlink — so on a topology without
-//     inter-pod traffic the spine ports carry nothing and the schedule is
-//     bit-identical to the single-tier core;
-//   - a spine uplink crosses the spine to the destination pod's downlink;
-//   - a spine downlink delivers pod-aggregator traffic to the pod
-//     aggregator and descends everything else into the destination rack's
-//     downlink;
-//   - a rack downlink delivers to the rack aggregator or the destination
-//     machine's ingress.
+// port to its next hop (the routing and delay rules of the package
+// comment's "Tiers" section): an uplink climbs while the destination is
+// outside the parent group, lands on the parent's aggregator when that is
+// the destination, and otherwise turns around into its own tier's
+// downlink; a downlink lands on its group's aggregator or machine, or
+// descends one tier.
 //
 //p3:noescape
-func (nw *Network) routeFromPort(l *coreLink, f *flight) {
+func (nw *Network) routeFromPort(l *port, f *flight) {
 	m := f.msg
+	k := l.tier
+	t := &nw.tiers[k]
 	now := nw.procs[l.lp].Now()
-	t := nw.cfg.Topology
-	prop := nw.cfg.PropDelay
 	switch {
-	case l.up && !l.spine:
-		if nw.spineUps != nil {
-			if pod := nw.podOf(l.idx); nw.destPod(m) != pod {
-				nw.toPort(l.lp, &nw.spineUps[pod], now+t.coreDelay(prop), f)
+	case l.up:
+		at := now + t.delay
+		if k+1 < len(nw.tiers) {
+			parent := l.group * t.span / nw.tiers[k+1].span
+			if nw.outside(k+1, parent, m) {
+				nw.toPort(l.lp, &nw.tiers[k+1].up[parent], at, f)
+				return
+			}
+			if m.ToAgg && int(m.AggTier) == k+1 {
+				nw.land(l.lp, at, f)
 				return
 			}
 		}
-		if m.ToAgg && m.AggTier == TierPod {
-			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+t.coreDelay(prop), f, (*Network).deliverAgg)
-			return
-		}
-		nw.toPort(l.lp, &nw.downs[nw.destRack(m)], now+t.coreDelay(prop), f)
-	case l.up:
-		nw.toPort(l.lp, &nw.spineDowns[nw.destPod(m)], now+t.spineDelay(prop), f)
-	case l.spine:
-		if m.ToAgg && m.AggTier == TierPod {
-			nw.xfer(l.lp, nw.aggLP(TierPod, m.To), now+prop, f, (*Network).deliverAgg)
-			return
-		}
-		nw.toPort(l.lp, &nw.downs[nw.destRack(m)], now+t.coreDelay(prop), f)
-	case m.ToAgg:
-		nw.xfer(l.lp, nw.aggLP(TierRack, m.To), now+prop, f, (*Network).deliverAgg)
+		nw.toPort(l.lp, &t.down[nw.destGroup(k, m)], at, f)
+	case k == 0 || m.ToAgg && int(m.AggTier) == k:
+		nw.land(l.lp, now+nw.cfg.PropDelay, f)
 	default:
-		nw.xfer(l.lp, m.To, now+prop, f, (*Network).arrive)
+		below := &nw.tiers[k-1]
+		nw.toPort(l.lp, &below.down[nw.destGroup(k-1, m)], now+below.delay, f)
 	}
 }
 
@@ -1106,35 +1090,23 @@ func (nw *Network) refunded(f *flight) {
 //p3:noescape
 func (nw *Network) deliverAgg(f *flight) {
 	m := f.msg
-	lp := nw.aggLP(int(m.AggTier), m.To)
-	ord := nw.aggOrd(int(m.AggTier), m.To)
+	a := nw.agg(int(m.AggTier), m.To)
 	refund := nw.gated && !m.FromAgg
-	down := nw.aggDown != nil && nw.aggDown[ord]
-	if nw.aggIn != nil && !down {
+	if nw.cfg.AggReduceGBps > 0 && !a.down {
 		if refund {
 			// f waits in the reduce queue, so the refund rides its own record.
-			nw.refundCredit(lp, nw.acquire(lp, m))
+			nw.refundCredit(a.lp, nw.acquire(a.lp, m))
 		}
-		a := &nw.aggIn[ord]
 		a.q.push(f)
 		nw.pumpAggIngest(a)
 		return
 	}
 	if refund {
-		nw.refundCredit(lp, f)
+		nw.refundCredit(a.lp, f)
 	} else {
-		nw.release(lp, f)
+		nw.release(a.lp, f)
 	}
-	nw.handAgg(down, m)
-}
-
-// aggOrd is the tier's aggregator idx as an index into the flat
-// rack-aggregators-then-pod-aggregators vectors (aggIn, aggDown).
-func (nw *Network) aggOrd(tier, idx int) int {
-	if tier == TierPod {
-		return nw.racks + idx
-	}
-	return idx
+	nw.handAgg(a.down, m)
 }
 
 // handAgg gives an aggregator-addressed message to the application on the
@@ -1155,7 +1127,7 @@ func (nw *Network) handAgg(down bool, m Message) {
 // is charged.
 //
 //p3:noescape
-func (nw *Network) pumpAggIngest(a *aggIngest) {
+func (nw *Network) pumpAggIngest(a *aggregator) {
 	if a.busy {
 		return
 	}
@@ -1164,8 +1136,7 @@ func (nw *Network) pumpAggIngest(a *aggIngest) {
 		return
 	}
 	a.busy = true
-	lp := nw.aggLP(int(f.msg.AggTier), f.msg.To)
-	nw.after(lp, sim.Time(float64(f.msg.Bytes)/nw.cfg.AggReduceGBps), f, (*Network).aggReduced)
+	nw.after(a.lp, sim.Time(float64(f.msg.Bytes)/nw.cfg.AggReduceGBps), f, (*Network).aggReduced)
 }
 
 // aggReduced runs when the reduce engine finishes f's payload. A crash
@@ -1175,11 +1146,10 @@ func (nw *Network) pumpAggIngest(a *aggIngest) {
 //p3:noescape
 func (nw *Network) aggReduced(f *flight) {
 	m := f.msg
-	ord := nw.aggOrd(int(m.AggTier), m.To)
-	nw.release(nw.aggLP(int(m.AggTier), m.To), f)
-	a := &nw.aggIn[ord]
+	a := nw.agg(int(m.AggTier), m.To)
+	nw.release(a.lp, f)
 	a.busy = false
-	nw.handAgg(nw.aggDown != nil && nw.aggDown[ord], m)
+	nw.handAgg(a.down, m)
 	nw.pumpAggIngest(a)
 }
 
@@ -1188,77 +1158,67 @@ func (nw *Network) aggReduced(f *flight) {
 // aggregator at m.AggTier (a rack aggregator escalating its reduced
 // stream to its pod aggregator, or a pod aggregator descending a
 // broadcast to a rack aggregator) — callers forwarding a received
-// aggregator message to a machine must clear ToAgg explicitly. A rack
-// aggregator delivers rack-locally after a propagation delay or hands
-// everything else into its rack's uplink (the reduced stream's only
-// serialization points are switch ports); a pod aggregator descends into
-// the destination rack's downlink for its own pod or into its pod's spine
-// uplink otherwise. It must be called from an AggDeliver callback (the
-// aggregator's LP timeline); the message is marked FromAgg — no NIC
-// egress is charged, modelling a switch-side reduction engine.
+// aggregator message to a machine must clear ToAgg explicitly. The stream
+// leaves through the group's uplink when its destination is outside the
+// group; inside it, a rack aggregator lands it directly and a higher one
+// hands it to the destination group's downlink one tier below — the
+// reduced stream's only serialization points are switch ports. It must be
+// called from an AggDeliver callback (the aggregator's LP timeline); the
+// message is marked FromAgg — no NIC egress is charged, modelling a
+// switch-side reduction engine.
 //
 //p3:noescape
 func (nw *Network) AggSend(tier, idx int, m Message) {
 	m.FromAgg = true
-	lp := nw.aggLP(tier, idx)
+	lp := nw.agg(tier, idx).lp
 	at := nw.procs[lp].Now() + nw.cfg.PropDelay
 	f := nw.acquire(lp, m)
 	switch {
-	case tier == TierRack && !m.ToAgg && nw.cfg.Topology.RackOf(m.To) == idx:
-		nw.xfer(lp, m.To, at, f, (*Network).arrive)
-	case tier == TierRack:
-		// Inter-rack machine traffic and the escalation to the pod
-		// aggregator both leave through the rack's uplink; routeFromPort
-		// steers them from there.
-		nw.toPort(lp, &nw.ups[idx], at, f)
-	case nw.podOf(nw.destRack(m)) == idx:
-		// Pod aggregator: descend toward a rack of its own pod...
-		nw.toPort(lp, &nw.downs[nw.destRack(m)], at, f)
+	case nw.outside(tier, idx, m):
+		nw.toPort(lp, &nw.tiers[tier].up[idx], at, f)
+	case tier == 0:
+		nw.land(lp, at, f)
 	default:
-		// ...or cross the spine for anything outside it.
-		nw.toPort(lp, &nw.spineUps[idx], at, f)
+		nw.toPort(lp, &nw.tiers[tier-1].down[nw.destGroup(tier-1, m)], at, f)
 	}
 }
 
-// AggFanout replicates m from the tier's aggregator idx: a rack
-// aggregator fans one copy to every machine of its rack except skip
-// (pass -1 to reach all) — the ToR replicates a broadcast at line rate,
+// AggFanout replicates m from the tier's aggregator idx, one copy per
+// child except skip (pass -1 to reach all). A rack aggregator's children
+// are its rack's machines — the ToR replicates a broadcast at line rate,
 // so each copy pays only propagation plus its own receiver's ingress
-// serialization; a pod aggregator fans one copy per rack of its pod
-// except rack skip, each re-entering the destination rack's downlink as
-// rack-aggregator traffic (ToAgg at TierRack), so a pod-level broadcast
-// pays one downlink serialization per rack instead of one core crossing
-// per machine. Must be called from an AggDeliver callback; copies are
-// marked FromAgg like AggSend's.
+// serialization. A higher aggregator's children are the aggregators of
+// the groups below it: each copy enters the child group's downlink
+// addressed to that group's aggregator (ToAgg one tier down), so a
+// pod-level broadcast pays one downlink serialization per rack instead of
+// one core crossing per machine. Must be called from an AggDeliver
+// callback; copies are marked FromAgg like AggSend's.
 //
 //p3:noescape
 func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 	m.FromAgg = true
-	lp := nw.aggLP(tier, idx)
+	lp := nw.agg(tier, idx).lp
 	at := nw.procs[lp].Now() + nw.cfg.PropDelay
-	if tier == TierPod {
-		m.ToAgg = true
-		m.AggTier = TierRack
-		lo := idx * nw.rpp
-		hi := lo + nw.rpp
-		for r := lo; r < hi; r++ {
-			if r == skip {
-				continue
-			}
-			m.To = r
-			nw.toPort(lp, &nw.downs[r], at, nw.acquire(lp, m))
-		}
-		return
+	// The children are the machines of a rack, or the groups of the tier
+	// below; either way a full group spans `per` of `total`.
+	per, total := nw.tiers[tier].span, nw.n
+	m.ToAgg = tier > 0
+	if m.ToAgg {
+		below := &nw.tiers[tier-1]
+		m.AggTier = uint8(tier - 1)
+		per, total = per/below.span, len(below.down)
 	}
-	m.ToAgg = false
-	lo := idx * nw.cfg.Topology.RackSize
-	hi := lo + nw.cfg.Topology.RackMachines(nw.n, idx)
-	for w := lo; w < hi; w++ {
-		if w == skip {
+	for c := idx * per; c < min((idx+1)*per, total); c++ {
+		if c == skip {
 			continue
 		}
-		m.To = w
-		nw.xfer(lp, w, at, nw.acquire(lp, m), (*Network).arrive)
+		m.To = c
+		f := nw.acquire(lp, m)
+		if tier == 0 {
+			nw.xfer(lp, c, at, f, (*Network).arrive)
+		} else {
+			nw.toPort(lp, &nw.tiers[tier-1].down[c], at, f)
+		}
 	}
 }
 
@@ -1461,7 +1421,7 @@ func (nw *Network) QueuedEgress(m int) int { return nw.nics[m].egress.Len() }
 // AggDrop and the code they call) — reading another LP's clock mid-run
 // would break shard determinism.
 func (nw *Network) AggNow(tier, idx int) sim.Time {
-	return nw.procs[nw.aggLP(tier, idx)].Now()
+	return nw.procs[nw.agg(tier, idx).lp].Now()
 }
 
 // Fault scheduling. Each Schedule* call installs ordinary discrete events
@@ -1470,48 +1430,34 @@ func (nw *Network) AggNow(tier, idx int) sim.Time {
 // at the same tick on that LP under both the single-shard and sharded
 // engines — the LP-quantization rule that makes fault plans compose
 // bit-identically with any shard count. A run with no Schedule* calls
-// carries no fault state at all.
+// schedules nothing.
 
 // ScheduleHostDegrade multiplies machine's NIC serialization rate (both
 // directions) by factor during [at, until). Windows compose
 // multiplicatively; a lone window restores the rate exactly (f/f == 1).
 func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor float64) {
-	if factor <= 0 {
-		panic(fmt.Sprintf("netsim: host degrade factor %g", factor))
-	}
-	n := &nw.nics[machine]
-	p := nw.procs[machine]
-	p.At(at, func() { n.rateScale *= factor })
-	p.At(until, func() { n.rateScale /= factor })
+	nw.degrade(machine, &nw.nics[machine].rateScale, at, until, factor)
 }
 
-// ScheduleRackDegrade multiplies rack's ToR uplink and downlink
-// serialization rates by factor during [at, until), with one event per
-// boundary on each port's own LP.
-func (nw *Network) ScheduleRackDegrade(rack int, at, until sim.Time, factor float64) {
-	if factor <= 0 {
-		panic(fmt.Sprintf("netsim: rack degrade factor %g", factor))
-	}
-	for _, l := range []*coreLink{&nw.ups[rack], &nw.downs[rack]} {
-		l := l
-		p := nw.procs[l.lp]
-		p.At(at, func() { l.rateScale *= factor })
-		p.At(until, func() { l.rateScale /= factor })
+// ScheduleTierDegrade multiplies the uplink and downlink serialization
+// rates of the tier's group idx — a rack's ToR ports at TierRack, a pod's
+// spine ports at TierPod — by factor during [at, until), with one event
+// per boundary on each port's own LP.
+func (nw *Network) ScheduleTierDegrade(tier, idx int, at, until sim.Time, factor float64) {
+	t := &nw.tiers[tier]
+	for _, l := range []*port{&t.up[idx], &t.down[idx]} {
+		nw.degrade(l.lp, &l.rateScale, at, until, factor)
 	}
 }
 
-// ScheduleSpineDegrade multiplies pod's spine uplink and downlink
-// serialization rates by factor during [at, until).
-func (nw *Network) ScheduleSpineDegrade(pod int, at, until sim.Time, factor float64) {
+// degrade scales *rateScale, which lp owns, by factor during [at, until).
+func (nw *Network) degrade(lp int, rateScale *float64, at, until sim.Time, factor float64) {
 	if factor <= 0 {
-		panic(fmt.Sprintf("netsim: spine degrade factor %g", factor))
+		panic(fmt.Sprintf("netsim: degrade factor %g", factor))
 	}
-	for _, l := range []*coreLink{&nw.spineUps[pod], &nw.spineDowns[pod]} {
-		l := l
-		p := nw.procs[l.lp]
-		p.At(at, func() { l.rateScale *= factor })
-		p.At(until, func() { l.rateScale /= factor })
-	}
+	p := nw.procs[lp]
+	p.At(at, func() { *rateScale *= factor })
+	p.At(until, func() { *rateScale /= factor })
 }
 
 // ScheduleAggOutage takes the tier's aggregator idx offline during
@@ -1522,29 +1468,23 @@ func (nw *Network) ScheduleSpineDegrade(pod int, at, until sim.Time, factor floa
 // on the aggregator's LP at the window edges (either may be nil); the
 // application uses them to discard its partial-reduction state.
 func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash, onRestart func()) {
-	if nw.aggBase < 0 {
+	if nw.aggs == nil {
 		panic("netsim: ScheduleAggOutage without Config.Aggregation")
 	}
-	if tier == TierPod && nw.rpp == 0 {
+	if tier >= len(nw.tiers) {
 		panic("netsim: TierPod outage without a spine tier (Topology.Pods is 0)")
 	}
-	if nw.aggDown == nil {
-		nw.aggDown = make([]bool, nw.racks+nw.cfg.Topology.Pods)
-	}
-	ord := nw.aggOrd(tier, idx)
-	p := nw.procs[nw.aggLP(tier, idx)]
+	a := nw.agg(tier, idx)
+	p := nw.procs[a.lp]
 	p.At(at, func() {
-		nw.aggDown[ord] = true
-		if nw.aggIn != nil {
-			// Drain the reduce queue: everything waiting behind the ASIC is
-			// lost with it. A payload mid-reduction drops at its own
-			// completion event (aggReduced checks aggDown).
-			a := &nw.aggIn[ord]
-			for f := a.q.pop(); f != nil; f = a.q.pop() {
-				m := f.msg
-				nw.release(nw.aggLP(tier, idx), f)
-				nw.handAgg(true, m)
-			}
+		a.down = true
+		// Drain the reduce queue: everything waiting behind the ASIC is
+		// lost with it. A payload mid-reduction drops at its own
+		// completion event (aggReduced checks down).
+		for f := a.q.pop(); f != nil; f = a.q.pop() {
+			m := f.msg
+			nw.release(a.lp, f)
+			nw.handAgg(true, m)
 		}
 		if onCrash != nil {
 			onCrash()
@@ -1552,7 +1492,7 @@ func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash,
 	})
 	if until > at {
 		p.At(until, func() {
-			nw.aggDown[ord] = false
+			a.down = false
 			if onRestart != nil {
 				onRestart()
 			}

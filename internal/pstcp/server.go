@@ -61,13 +61,7 @@ type ServerConfig struct {
 	// returns data only on explicit Pull. False selects P3's immediate
 	// broadcast (Section 4.2).
 	NotifyPull bool
-	// PreemptBytes > 0 enables preemptive transmission on the send side:
-	// frames larger than this many wire bytes are written in bounded
-	// segments, and strictly more urgent frames bound for other workers
-	// overtake at segment boundaries (see transport.SendLoop). 0 writes
-	// whole frames — preemption only at frame granularity, as in the paper.
-	PreemptBytes int
-	Updater      Updater
+	Updater    Updater
 
 	// ReadTimeout > 0 arms a read deadline on every worker connection,
 	// refreshed per frame: a worker silent for longer (no pushes, no
@@ -420,8 +414,8 @@ func (s *Server) handlePull(f *transport.Frame) {
 }
 
 // sendLoop is the consumer of the send queue: transport.SendLoop writes one
-// admitted frame (or, with PreemptBytes, frame segment) at a time, most
-// urgent first, flow-aware across the per-worker connections. Credit is
+// admitted frame at a time, most urgent first, flow-aware across the
+// per-worker connections. Credit is
 // returned at flush, so a credit-gated discipline bounds the
 // buffered-but-unflushed backlog.
 func (s *Server) sendLoop() {
@@ -434,7 +428,7 @@ func (s *Server) sendLoop() {
 			return nil
 		}
 		return cw.w
-	}, s.cfg.PreemptBytes)
+	})
 }
 
 // heartbeatPriority ranks keep-alives ahead of all real traffic without

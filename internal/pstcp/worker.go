@@ -25,7 +25,6 @@ type Worker struct {
 	links   []*link
 	sendQ   *transport.SendQueue
 	handler Handler
-	preempt int
 
 	wg     sync.WaitGroup
 	readWG sync.WaitGroup
@@ -80,11 +79,6 @@ type WorkerConfig struct {
 	// (tictac ranks gradient slices by slack to consumption instead of
 	// layer index); nil degrades them to their model-blind order.
 	Profile *sched.Profile
-	// PreemptBytes > 0 enables preemptive transmission: frames larger than
-	// this many wire bytes are written in bounded segments, and strictly
-	// more urgent frames bound for other servers overtake at segment
-	// boundaries (see transport.SendLoop). 0 writes whole frames.
-	PreemptBytes int
 	// Handler runs on a receive goroutine for every Data/Notify frame; it
 	// must be safe for concurrent calls when multiple servers are used.
 	Handler Handler
@@ -107,7 +101,7 @@ type WorkerConfig struct {
 }
 
 // DialWorker connects worker id to every server address with the default
-// options (no profile, no preemption).
+// options (no profile).
 func DialWorker(id int, addrs []string, schedName string, handler Handler) (*Worker, error) {
 	return DialWorkerCfg(WorkerConfig{ID: id, Servers: addrs, Sched: schedName, Handler: handler})
 }
@@ -136,7 +130,6 @@ func DialWorkerCfg(cfg WorkerConfig) (*Worker, error) {
 		cfg:     cfg,
 		sendQ:   transport.NewSendQueue(disc),
 		handler: cfg.Handler,
-		preempt: cfg.PreemptBytes,
 		done:    make(chan struct{}),
 	}
 	for _, addr := range cfg.Servers {
@@ -339,14 +332,12 @@ func (w *Worker) reconnect(li *link) bool {
 
 // sendLoop is the consumer thread of Section 4.2: transport.SendLoop polls
 // the most urgent admitted frame (skipping credit-blocked destinations in
-// favour of admissible ones) and performs the blocking network call; with
-// PreemptBytes set, bulk frames are written in segments that strictly more
-// urgent frames for other servers may overtake. A frame's credit is
-// returned only when its bytes are flushed to the socket, so a credit-gated
-// discipline bounds the buffered-but-unflushed backlog. Frames that fail to
-// write — or whose link is down — are parked on the link and requeued by a
-// successful reconnect; their credit stays held meanwhile, so a gated flow
-// to a down server never floods the parking lot.
+// favour of admissible ones) and performs the blocking network call. A
+// frame's credit is returned only when its bytes are flushed to the socket,
+// so a credit-gated discipline bounds the buffered-but-unflushed backlog.
+// Frames that fail to write — or whose link is down — are parked on the
+// link and requeued by a successful reconnect; their credit stays held
+// meanwhile, so a gated flow to a down server never floods the parking lot.
 func (w *Worker) sendLoop() {
 	defer w.wg.Done()
 	transport.SendLoopErr(w.sendQ, func(f *transport.Frame) transport.FlushWriter {
@@ -360,7 +351,7 @@ func (w *Worker) sendLoop() {
 			return nil
 		}
 		return li.w
-	}, w.preempt, func(f *transport.Frame, err error) {
+	}, func(f *transport.Frame, err error) {
 		if f.Type == transport.TypeHeartbeat || int(f.Dst) >= len(w.links) {
 			w.sendQ.Cancel(f) // keep-alives are never retried
 			return

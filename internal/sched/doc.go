@@ -155,8 +155,8 @@
 // compare the (key, insertion count) triple stored in the entry at enqueue
 // — a head compare reads a copy of that triple cached in the flow — so an
 // operation's cost is integer compares and copies of 56-byte entries, with
-// exactly one Discipline.Key call per Push (plus one per Preempts/
-// PopPreempting, for the held element) and none per Pop. With F non-empty
+// exactly one Discipline.Key call per Push (plus one per Preempts, for the
+// held element) and none per Pop. With F non-empty
 // flows, n_f elements in the touched flow, and k the number of flow heads
 // the admission walk visits before its verdict (k = 1 whenever the most
 // urgent head is admitted — the common case, in which no flow leaves the
@@ -165,7 +165,7 @@
 //   - Push: O(log F + log n_f)
 //   - Peek: O(1)
 //   - Pop: O(log F + log n_f)
-//   - PopReady, PopReadyIf, PopPreempting, Preempts, Blocked:
+//   - PopReady, PopReadyIf, Preempts, Blocked:
 //     O(k log F + log n_f); ungated disciplines pin k = 1
 //   - Done, Cancel, Len, Discipline: O(1)
 //
@@ -184,20 +184,15 @@
 //
 // # Preemption
 //
-// Two primitives support preemptive transmitters, which charge
-// serialization in segments and re-decide at segment boundaries:
-//
-//   - Preempts(hold) reports whether PopReady would dispatch something
-//     strictly more urgent than the in-flight element — ties never
-//     preempt, preserving insertion order within a priority class.
-//     internal/netsim uses it (with PopReadyIf for its size gates) to park
-//     an in-flight message, retaining partial progress, whenever an
-//     express message can win the exchange outright.
-//   - PopPreempting(hold) pops the most urgent admissible element that is
-//     strictly more urgent than hold AND belongs to a different flow —
-//     the rule of the real transport's send loop, where the in-flight
-//     frame occupies its destination's TCP stream and only other
-//     connections can be served mid-frame (transport.SendLoop).
+// internal/netsim's resumable egress charges serialization in segments
+// and re-decides at segment boundaries: Preempts(hold) reports whether
+// PopReady would dispatch something strictly more urgent than the
+// in-flight element — ties never preempt, preserving insertion order
+// within a priority class — and PopReadyIf adds netsim's size gates, so an
+// in-flight message is parked, retaining partial progress, whenever an
+// express message can win the exchange outright. The real transport writes
+// every frame whole: slicing already captures what preemption would buy
+// there.
 //
 // # Registry
 //

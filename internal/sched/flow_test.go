@@ -141,29 +141,6 @@ func TestPerFlowMatchesSingleQueue(t *testing.T) {
 	}
 }
 
-// TestPopPreempting covers the transport-side preemption primitive: only
-// strictly more urgent admissible elements of OTHER flows qualify.
-func TestPopPreempting(t *testing.T) {
-	pri := []int32{5, 3, 1, 0}
-	dest := []int32{1, 1, 1, 2}
-	q := NewQueue(NewP3Priority(), flowView(pri, nil, dest))
-	hold := 0 // priority 5, dest 1
-	q.Push(1) // more urgent, same flow: must NOT preempt
-	if v, ok := q.PopPreempting(hold); ok {
-		t.Fatalf("same-flow item %d preempted across its own connection", v)
-	}
-	q.Push(3) // priority 0, dest 2: preempts
-	if v, ok := q.PopPreempting(hold); !ok || v != 3 {
-		t.Fatalf("PopPreempting = (%d,%v), want flow 2's urgent item", v, ok)
-	}
-	// Ties never preempt.
-	q2 := NewQueue(NewP3Priority(), flowView(pri, nil, dest))
-	q2.Push(2) // priority 1, dest 1
-	if v, ok := q2.PopPreempting(2); ok {
-		t.Fatalf("equal-urgency item %d preempted", v)
-	}
-}
-
 // TestPreemptsStrictness: Preempts reports only strictly more urgent
 // admissible work, regardless of flow.
 func TestPreemptsStrictness(t *testing.T) {

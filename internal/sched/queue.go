@@ -77,11 +77,10 @@ func (a *ordKey) before(b *ordKey) bool {
 }
 
 // keyOf returns the item's place in d's order with sequence number 0, below
-// every queued element's. Push overwrites the sequence number; the preemption
-// primitives and Less compare the key as it is, which is what makes ties
-// never preempt: an in-flight element was dispatched before anything now
-// queued was compared with it, so a head with an equal discipline key is
-// not before it.
+// every queued element's. Push overwrites the sequence number; Preempts and
+// Less compare the key as it is, which is what makes ties never preempt: an
+// in-flight element was dispatched before anything now queued was compared
+// with it, so a head with an equal discipline key is not before it.
 //
 //p3:noescape
 func keyOf(d Discipline, it Item) ordKey {
@@ -472,42 +471,6 @@ func (q *Queue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
 	q.restoreWalk()
 	if chosen == nil {
 		var zero T
-		return zero, false
-	}
-	return q.take(chosen), true
-}
-
-// PopPreempting pops the most urgent admissible element that is strictly
-// more urgent than hold AND belongs to a different flow than hold. It is the
-// preemption primitive of senders whose in-flight element occupies its
-// flow's channel (one TCP stream cannot interleave two frames): traffic for
-// other destinations may overtake at a segment boundary, same-destination
-// traffic must wait for hold to finish. The second result is false when no
-// such element exists. As with Preempts, Ranker disciplines never preempt
-// (hold's unranked view precedes every queued rank).
-//
-//p3:noescape
-func (q *Queue[T]) PopPreempting(hold T) (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	ht := q.view(hold)
-	hk := keyOf(q.d, ht)
-	var chosen *flow[T]
-	for len(q.heads) > 0 {
-		f := q.heads[0]
-		if !f.head.before(&hk) {
-			break // heads are urgency-ordered: no candidate remains
-		}
-		if f.dest != ht.Dest && (q.adm == nil || q.adm.Admit(f.ents[0].it)) {
-			chosen = f
-			break
-		}
-		q.skipHead()
-	}
-	q.restoreWalk()
-	if chosen == nil {
 		return zero, false
 	}
 	return q.take(chosen), true

@@ -119,25 +119,14 @@ func TestDispatchMatchesLinearScanReference(t *testing.T) {
 						if gok {
 							inflight = append(inflight, gv)
 						}
-					case 7: // Preempts / PopPreempting against a random in-flight hold
+					case 7: // Preempts against a random in-flight hold
 						if len(inflight) == 0 {
 							push()
 							continue
 						}
 						hold := inflight[rng.IntN(len(inflight))]
-						if rng.IntN(2) == 0 {
-							if g, w := q.Preempts(hold), r.Preempts(hold); g != w {
-								t.Fatalf("trial %d step %d: Preempts(%d) = %v, reference %v", trial, step, hold, g, w)
-							}
-							continue
-						}
-						gv, gok := q.PopPreempting(hold)
-						wv, wok := r.PopPreempting(hold)
-						if gv != wv || gok != wok {
-							t.Fatalf("trial %d step %d: PopPreempting(%d) = (%d,%v), reference (%d,%v)", trial, step, hold, gv, gok, wv, wok)
-						}
-						if gok {
-							inflight = append(inflight, gv)
+						if g, w := q.Preempts(hold), r.Preempts(hold); g != w {
+							t.Fatalf("trial %d step %d: Preempts(%d) = %v, reference %v", trial, step, hold, g, w)
 						}
 					case 8: // release an in-flight element: Done or Cancel
 						if len(inflight) == 0 {

@@ -241,28 +241,6 @@ func (q *refQueue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
 	return zero, false
 }
 
-func (q *refQueue[T]) PopPreempting(hold T) (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	ht := q.view(hold)
-	for _, f := range q.heads() {
-		e, _ := f.q.Peek()
-		if !specLess(q.d, e.it, ht) {
-			break
-		}
-		if f.key == ht.Dest {
-			continue
-		}
-		if q.adm != nil && !q.adm.Admit(e.it) {
-			continue
-		}
-		return q.take(f), true
-	}
-	return zero, false
-}
-
 func (q *refQueue[T]) Done(v T) {
 	if q.adm != nil {
 		q.adm.OnDone(q.view(v))

@@ -96,22 +96,6 @@ func (s *SendQueue) TryPop() (*Frame, bool) {
 	return s.q.PopReady()
 }
 
-// TryPopPreempting pops, without blocking, the most urgent admitted frame
-// that is strictly more urgent than hold AND bound for a different
-// destination — the segment-boundary primitive of a preemptive send loop,
-// whose in-flight frame occupies hold's connection (one TCP stream cannot
-// interleave two frames). The second result is false when no such frame is
-// queued, the queue is closed (the drain path finishes in-flight frames
-// first), or every candidate is refused by the credit window.
-func (s *SendQueue) TryPopPreempting(hold *Frame) (*Frame, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false
-	}
-	return s.q.PopPreempting(hold)
-}
-
 // Done releases f's in-flight credit and wakes a consumer that may now be
 // admitted. Call it once per popped frame after the blocking write
 // completes. For a discipline without a credit window the release is a

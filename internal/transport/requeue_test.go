@@ -95,7 +95,7 @@ func TestSendLoopErrRoutesFailuresToCallback(t *testing.T) {
 				return w
 			}
 			return nil
-		}, 0, func(f *Frame, err error) {
+		}, func(f *Frame, err error) {
 			mu.Lock()
 
 			if !errors.Is(err, ErrNoWriter) {

@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 )
 
 // FlushWriter is the buffered per-connection writer the send loop serializes
@@ -15,87 +12,6 @@ type FlushWriter interface {
 	Flush() error
 }
 
-// FrameWireBytes returns f's full serialized size, length prefix included.
-func FrameWireBytes(f *Frame) int { return 4 + headerBytes + 4*len(f.Values) }
-
-// SegmentWriter serializes one frame across multiple bounded writes, so a
-// single consumer thread can interleave strictly more urgent frames for
-// other connections between the segments of a bulk frame — the real-network
-// analogue of netsim's resumable egress. The frame's wire encoding is
-// unchanged; only the writing is split, so the receiver never notices.
-type SegmentWriter struct {
-	f   *Frame
-	off int // values already written
-	hdr bool
-	err error
-}
-
-// NewSegmentWriter starts a segmented write of f.
-func NewSegmentWriter(f *Frame) *SegmentWriter {
-	s := &SegmentWriter{f: f}
-	if len(f.Values) > MaxFrameValues {
-		s.err = fmt.Errorf("transport: frame carries %d values, max %d", len(f.Values), MaxFrameValues)
-	}
-	return s
-}
-
-// Done reports whether the frame is fully written — or failed, in which case
-// the stream is broken and cannot accept the rest.
-func (s *SegmentWriter) Done() bool {
-	return s.err != nil || (s.hdr && s.off == len(s.f.Values))
-}
-
-// Err returns the first write error, if any.
-func (s *SegmentWriter) Err() error { return s.err }
-
-// WriteNext writes the frame's next segment of at most quantum bytes to w
-// (the first segment always carries the whole header, plus values up to the
-// quantum; every segment makes progress even when quantum is tiny). Call it
-// until Done reports true; segments of one frame must all go to the same
-// writer, with nothing else interleaved on it.
-func (s *SegmentWriter) WriteNext(w io.Writer, quantum int) error {
-	if s.Done() {
-		return s.err
-	}
-	budget := quantum
-	if !s.hdr {
-		var hdr [4 + headerBytes]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(headerBytes+4*len(s.f.Values)))
-		hdr[4] = s.f.Type
-		hdr[5] = s.f.Sender
-		binary.LittleEndian.PutUint32(hdr[6:], uint32(s.f.Priority))
-		binary.LittleEndian.PutUint64(hdr[10:], s.f.Key)
-		binary.LittleEndian.PutUint32(hdr[18:], uint32(s.f.Iter))
-		binary.LittleEndian.PutUint32(hdr[22:], uint32(len(s.f.Values)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			s.err = err
-			return err
-		}
-		s.hdr = true
-		budget -= len(hdr)
-	}
-	n := budget / 4
-	if n < 1 {
-		n = 1 // always progress, even when the header ate the quantum
-	}
-	if rem := len(s.f.Values) - s.off; n > rem {
-		n = rem
-	}
-	if n == 0 {
-		return nil
-	}
-	buf := make([]byte, 4*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(s.f.Values[s.off+i]))
-	}
-	if _, err := w.Write(buf); err != nil {
-		s.err = err
-		return err
-	}
-	s.off += n
-	return nil
-}
-
 // ErrNoWriter is the error SendLoopErr hands its onErr callback for a
 // frame whose destination has no writer right now (never registered, or
 // its connection is down awaiting a reconnect).
@@ -103,23 +19,14 @@ var ErrNoWriter = errors.New("transport: no writer for destination")
 
 // SendLoop is the consumer thread of Section 4.2, shared by the worker and
 // server sides of pstcp: it drains q until the queue is closed and empty,
-// writing each admitted frame to the writer sink resolves for it (a nil
-// sink result drops the frame — e.g. a destination that never registered).
-// Credit bookkeeping follows the batch-flush protocol: a popped frame's
-// credit is returned (Done) when the loop flushes, which happens whenever
-// nothing is admitted — so a credit-gated discipline bounds the
-// buffered-but-unflushed backlog.
-//
-// quantum > 0 enables preemptive transmission: a frame larger than quantum
-// wire bytes is written in quantum-sized segments, and between segments any
-// strictly more urgent admitted frame bound for a DIFFERENT destination is
-// written first (one TCP stream cannot interleave two frames, so
-// same-destination urgency still waits for the in-flight frame; the
-// per-flow send queue guarantees the preemptor never reorders the parked
-// flow). quantum <= 0 writes every frame whole — the paper's semantics,
-// preemption only at frame granularity.
-func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, quantum int) {
-	SendLoopErr(q, sink, quantum, nil)
+// writing each admitted frame whole to the writer sink resolves for it (a
+// nil sink result drops the frame — e.g. a destination that never
+// registered). Credit bookkeeping follows the batch-flush protocol: a
+// popped frame's credit is returned (Done) when the loop flushes, which
+// happens whenever nothing is admitted — so a credit-gated discipline
+// bounds the buffered-but-unflushed backlog.
+func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter) {
+	SendLoopErr(q, sink, nil)
 }
 
 // SendLoopErr is SendLoop with an error path: every popped frame that did
@@ -132,8 +39,7 @@ func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, quantum int) {
 // through this path must deduplicate (pstcp servers track a per-iteration
 // seen-sender set). A nil onErr restores SendLoop's fire-and-forget
 // semantics: undeliverable frames are dropped with their credit returned.
-func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, quantum int, onErr func(*Frame, error)) {
-	dirty := make(map[FlushWriter]bool)
+func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, error)) {
 	pending := make(map[FlushWriter][]*Frame) // written, not yet flushed/acked
 	fail := func(f *Frame, err error) {
 		if onErr != nil {
@@ -143,10 +49,9 @@ func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, quantum int, onErr
 		}
 	}
 	flushAll := func() {
-		for w := range dirty {
+		for w, fs := range pending {
 			err := w.Flush()
-			delete(dirty, w)
-			for _, f := range pending[w] {
+			for _, f := range fs {
 				if err != nil {
 					fail(f, err)
 				} else {
@@ -155,46 +60,6 @@ func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, quantum int, onErr
 			}
 			delete(pending, w)
 		}
-		// Writers with acknowledged-but-clean backlogs (their bytes flushed
-		// with an earlier preemptor) and frames that never had a writer.
-		for w, fs := range pending {
-			for _, f := range fs {
-				q.Done(f)
-			}
-			delete(pending, w)
-		}
-	}
-	// writePreemptor ships an urgent frame NOW: written, flushed to its
-	// socket, and acknowledged immediately. Leaving it in the bufio layer
-	// until the bulk frame's usual idle-time flush would forfeit the very
-	// latency the preemption exists to recover.
-	writePreemptor := func(f *Frame) {
-		w := sink(f)
-		if w == nil {
-			fail(f, ErrNoWriter)
-			return
-		}
-		if err := WriteFrame(w, f); err != nil {
-			fail(f, err)
-			return
-		}
-		if err := w.Flush(); err != nil {
-			// The preemptor's bytes died in the broken stream along with any
-			// earlier buffered frames on this writer.
-			delete(dirty, w)
-			for _, p := range pending[w] {
-				fail(p, err)
-			}
-			delete(pending, w)
-			fail(f, err)
-			return
-		}
-		delete(dirty, w) // earlier buffered frames flushed with it
-		for _, p := range pending[w] {
-			q.Done(p)
-		}
-		delete(pending, w)
-		q.Done(f)
 	}
 	for {
 		f, ok := q.TryPop()
@@ -213,35 +78,7 @@ func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, quantum int, onErr
 			fail(f, ErrNoWriter)
 			continue
 		}
-		if quantum <= 0 || FrameWireBytes(f) <= quantum {
-			if err := WriteFrame(w, f); err != nil {
-				fail(f, err)
-				continue
-			}
-			dirty[w] = true
-			pending[w] = append(pending[w], f)
-			continue
-		}
-		// Bulk frame: write it in segments, letting strictly more urgent
-		// frames for other connections overtake at each boundary.
-		sw := NewSegmentWriter(f)
-		for !sw.Done() {
-			if err := sw.WriteNext(w, quantum); err != nil {
-				break // stream broken; abandon the remainder
-			}
-			dirty[w] = true
-			// Preemptors are written whole: each is, by construction, the
-			// most urgent admitted traffic at this instant, so there is
-			// nothing that should overtake it mid-frame.
-			for {
-				p, ok := q.TryPopPreempting(f)
-				if !ok {
-					break
-				}
-				writePreemptor(p)
-			}
-		}
-		if err := sw.Err(); err != nil {
+		if err := WriteFrame(w, f); err != nil {
 			fail(f, err)
 			continue
 		}

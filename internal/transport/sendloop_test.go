@@ -12,122 +12,9 @@ type bufSink struct{ bytes.Buffer }
 
 func (b *bufSink) Flush() error { return nil }
 
-// TestSegmentWriterRoundTrip: a frame written in bounded segments must
-// decode identically to one written whole, for quanta from smaller than the
-// header to larger than the frame.
-func TestSegmentWriterRoundTrip(t *testing.T) {
-	f := &Frame{Type: TypePush, Sender: 3, Priority: 7, Key: 99, Iter: 5, Values: make([]float32, 1000)}
-	for i := range f.Values {
-		f.Values[i] = float32(i) * 0.25
-	}
-	for _, quantum := range []int{8, 64, 300, 4096, 1 << 20} {
-		var buf bufSink
-		sw := NewSegmentWriter(f)
-		steps := 0
-		for !sw.Done() {
-			if err := sw.WriteNext(&buf, quantum); err != nil {
-				t.Fatalf("quantum %d: WriteNext: %v", quantum, err)
-			}
-			if steps++; steps > FrameWireBytes(f)+8 {
-				t.Fatalf("quantum %d: no progress", quantum)
-			}
-		}
-		if buf.Len() != FrameWireBytes(f) {
-			t.Fatalf("quantum %d: wrote %d bytes, want %d", quantum, buf.Len(), FrameWireBytes(f))
-		}
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("quantum %d: ReadFrame: %v", quantum, err)
-		}
-		if got.Type != f.Type || got.Sender != f.Sender || got.Priority != f.Priority ||
-			got.Key != f.Key || got.Iter != f.Iter || len(got.Values) != len(f.Values) {
-			t.Fatalf("quantum %d: frame mismatch: %+v", quantum, got)
-		}
-		for i := range f.Values {
-			if got.Values[i] != f.Values[i] {
-				t.Fatalf("quantum %d: value %d = %v, want %v", quantum, i, got.Values[i], f.Values[i])
-			}
-		}
-	}
-}
-
-// gateSink blocks after its first values write so the test can inject
-// frames while a bulk frame is deterministically mid-write.
-type gateSink struct {
-	bufSink
-	writes  int
-	midway  chan struct{}
-	release chan struct{}
-}
-
-func (g *gateSink) Write(p []byte) (int, error) {
-	n, err := g.bufSink.Write(p)
-	g.writes++
-	if g.writes == 2 { // header write + first segment's values write
-		close(g.midway)
-		<-g.release
-	}
-	return n, err
-}
-
-// TestSendLoopPreemptsAcrossConnections: with a write quantum, a bulk frame
-// for one server is interleaved with a strictly more urgent frame for
-// another server — the urgent frame lands on its connection while the bulk
-// frame is provably mid-write — while a same-connection urgent frame must
-// wait (one TCP stream cannot interleave two frames). Both streams decode
-// cleanly, with the bulk frame contiguous on its connection.
-func TestSendLoopPreemptsAcrossConnections(t *testing.T) {
-	q := NewSendQueue(sched.NewP3Priority())
-	conn0 := &gateSink{midway: make(chan struct{}), release: make(chan struct{})}
-	conn1 := &bufSink{}
-	sink := func(f *Frame) FlushWriter {
-		if f.Dst == 0 {
-			return conn0
-		}
-		return conn1
-	}
-	bulk := &Frame{Type: TypePush, Priority: 5, Dst: 0, Key: 1, Values: make([]float32, 100_000)}
-	urgent := &Frame{Type: TypePush, Priority: 0, Dst: 1, Key: 2, Values: make([]float32, 4)}
-	sameConn := &Frame{Type: TypePush, Priority: 0, Dst: 0, Key: 3, Values: make([]float32, 4)}
-	q.Push(bulk)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		SendLoop(q, sink, 16<<10)
-	}()
-
-	<-conn0.midway // bulk frame is mid-write on connection 0
-	q.Push(urgent)
-	q.Push(sameConn)
-	close(conn0.release)
-	q.Close()
-	<-done
-
-	// Connection 1 got the urgent frame even though bulk was mid-write.
-	f1, err := ReadFrame(&conn1.Buffer)
-	if err != nil || f1.Key != 2 {
-		t.Fatalf("connection 1: (%+v, %v), want the urgent frame", f1, err)
-	}
-	// Connection 0: the bulk frame is contiguous (the same-connection
-	// urgent frame could not interleave) and the urgent frame follows.
-	f0, err := ReadFrame(&conn0.Buffer)
-	if err != nil || f0.Key != 1 {
-		t.Fatalf("connection 0 first frame: (%+v, %v), want the contiguous bulk frame", f0, err)
-	}
-	f0, err = ReadFrame(&conn0.Buffer)
-	if err != nil || f0.Key != 3 {
-		t.Fatalf("connection 0 second frame: (%+v, %v), want the deferred same-connection frame", f0, err)
-	}
-	if conn0.Len() != 0 || conn1.Len() != 0 {
-		t.Fatal("trailing bytes after decoding all frames")
-	}
-}
-
-// TestSendLoopWholeFramesWithoutQuantum: quantum 0 must reproduce the
-// pre-refactor behaviour — every frame written whole, credit returned on
-// flush.
-func TestSendLoopWholeFramesWithoutQuantum(t *testing.T) {
+// TestSendLoopWholeFrames: every frame is written whole, in the
+// discipline's order, with its credit returned on flush.
+func TestSendLoopWholeFrames(t *testing.T) {
 	q := NewSendQueue(sched.NewCreditGated(1 << 20))
 	var sink bufSink
 	for i := 0; i < 5; i++ {
@@ -137,7 +24,7 @@ func TestSendLoopWholeFramesWithoutQuantum(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		SendLoop(q, func(*Frame) FlushWriter { return &sink }, 0)
+		SendLoop(q, func(*Frame) FlushWriter { return &sink })
 	}()
 	<-done
 	for i := 0; i < 5; i++ {
