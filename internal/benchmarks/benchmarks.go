@@ -8,7 +8,7 @@
 // credit-gated admission walk, flow-aware head skipping past a blocked
 // flow, transport.SendQueue's mutex path, sim.Engine's event scheduling,
 // and the simulated message path above them (netsim's pooled in-flight
-// records over the host and ToR hops, cluster's processing pool). Every
+// records over the host and ToR hops, the endpoint processing pool). Every
 // dispatch benchmark is required to be allocation-free at steady state;
 // Check fails any result that allocates.
 package benchmarks
@@ -26,6 +26,7 @@ import (
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/transport"
+	"p3/internal/worker"
 	"p3/internal/zoo"
 )
 
@@ -256,13 +257,40 @@ func netsimBench(cfg netsim.Config, dest func(from int) int) func(b *testing.B) 
 	}
 }
 
-// procPoolBench prices one item through cluster's processing pool (queue,
-// per-chunk serialization, pre-bound completion slot). The pool is built
-// inside the timed call; its few dozen construction allocations vanish in
-// allocs/op, one allocation per item would not.
-func procPoolBench(b *testing.B) {
+// poolBench prices one item through the endpoint processing pool
+// (queue, per-chunk serialization, pre-bound completion slot): b.N items
+// through one two-thread p3-ordered worker.Pool on a bare engine, a window
+// of 64 in flight over 16 chunks, so same-chunk arrivals defer on the
+// per-key serialization and re-queue. Every finished item feeds the next
+// one, as a delivery would. The pool is built inside the timed call; its
+// few dozen construction allocations vanish in allocs/op, one allocation
+// per item would not.
+func poolBench(b *testing.B) {
 	b.ReportAllocs()
-	if done := cluster.BenchProcPool(b.N); done != b.N {
+	const chunks, window = 16, 64
+	var eng sim.Engine
+	bytes := func(c int32) int64 { return 4 * int64(1000+100*c) }
+	view := func(it worker.Item) sched.Item {
+		return sched.Item{Priority: it.Priority, Bytes: bytes(it.Chunk), Dest: it.Src}
+	}
+	var p *worker.Pool
+	added, done := 0, 0
+	add := func() {
+		added++
+		p.Add(worker.Item{Chunk: int32(added * 7 % chunks), Src: int32(added % 4), Priority: int32(added % 8)})
+	}
+	p = worker.NewPool(&eng, 2, worker.Costs(chunks, bytes, 100, 1), sched.NewQueue(sched.MustByName("p3"), view),
+		func(worker.Item) {
+			done++
+			if added < b.N {
+				add()
+			}
+		})
+	for added < window && added < b.N {
+		add()
+	}
+	eng.Run()
+	if done != b.N {
 		b.Fatalf("%d of %d items processed", done, b.N)
 	}
 }
@@ -284,7 +312,7 @@ func Dispatch() []Named {
 		{"engine/xshard", xshardBench},
 		{"netsim/host-msg", netsimBench(hostCfg(), func(from int) int { return (from + 1) % 16 })},
 		{"netsim/tor-msg", netsimBench(torCfg(), func(from int) int { return from ^ 4 })},
-		{"cluster/procpool", procPoolBench},
+		{"cluster/procpool", poolBench},
 	}
 }
 

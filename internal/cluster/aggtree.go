@@ -1,0 +1,281 @@
+package cluster
+
+// The aggregator tree (RackAggregation only): rack nodes, pod nodes above
+// them under HierAggregation, the rack-local parameter cache.
+
+import (
+	"fmt"
+
+	"p3/internal/netsim"
+	"p3/internal/sim"
+)
+
+// aggNode is one aggregator of the reduction tree (RackAggregation): a rack
+// aggregator, or — under HierAggregation — a pod aggregator above its
+// racks' nodes. Its place in the tree is fixed at construction and read
+// from anywhere; everything that changes (agg, the counters, the cache) is
+// owned by the aggregator's LP — touched exclusively from AggDeliver/
+// AggDrop and outage callbacks, which the netsim contract runs on that
+// LP's timeline, so the sharded engine never races on it.
+//
+// agg holds, per chunk, the in-flight iteration and the weight of the
+// contributions reduced so far. Iterations strictly serialize per chunk at
+// an aggregator (a worker cannot push iteration k before the server's k-1
+// update, which needed this node's k-1 flush), so one slot per chunk
+// suffices — the same invariant the server-side chunkAgg relies on.
+// Under RackLocalPS a rack node is also the rack's parameter cache:
+// cachedIter[c] is the newest iteration whose kCache update for chunk c
+// landed (-1 initially), and pending holds the rack's pulls that arrived
+// ahead of their iteration's cache update.
+type aggNode struct {
+	tier, idx int        // the aggregator's netsim address
+	ord       int        // its ordinal (racks, then pods): a reduced stream carries Src = -1-ord
+	lo, hi    int        // the machines [lo, hi) below it
+	parent    *aggNode   // nil at the top of the tree
+	kids      []*aggNode // the nodes one tier down (none below a rack)
+	agg       []chunkAgg
+	// failovers counts reroutes decided on this aggregator's LP and lost the
+	// gradient contributions it swallowed while down (Config.Faults).
+	failovers, lost int64
+
+	cachedIter []int32                 // RackLocalPS rack nodes only
+	pending    map[int32][]pendingPull // RackLocalPS rack nodes only: chunk -> waiting pulls
+}
+
+// only reports whether machine m is all there is below the node.
+func (a *aggNode) only(m int) bool { return a.lo == m && a.hi == m+1 }
+
+// buildAggs lays out the reduction tree over the topology's groups: one
+// node per rack and, under HierAggregation, one per pod above them.
+func (cs *clusterSim) buildAggs() {
+	n, topo := cs.cfg.Machines, cs.cfg.Topology
+	spans := []int{topo.RackSize}
+	if cs.cfg.HierAggregation {
+		spans = append(spans, topo.RackSize*(topo.NumRacks(n)/topo.Pods))
+	}
+	top := 0 // ordinal of the top tier's first node
+	for tier, span := range spans {
+		top = len(cs.aggs)
+		for lo := 0; lo < n; lo += span {
+			a := aggNode{tier: tier, idx: lo / span, ord: len(cs.aggs), lo: lo, hi: min(lo+span, n),
+				agg: make([]chunkAgg, cs.plan.NumChunks())}
+			for c := range a.agg {
+				a.agg[c].iter = -1
+			}
+			if cs.cfg.RackLocalPS && tier == netsim.TierRack {
+				a.cachedIter = make([]int32, len(a.agg))
+				for c := range a.cachedIter {
+					a.cachedIter[c] = -1
+				}
+				a.pending = make(map[int32][]pendingPull)
+			}
+			cs.aggs = append(cs.aggs, a)
+		}
+	}
+	cs.tops = cs.aggs[top:]
+	for i := range cs.aggs[:top] {
+		a := &cs.aggs[i]
+		a.parent = &cs.tops[a.lo/spans[1]]
+		a.parent.kids = append(a.parent.kids, a)
+	}
+}
+
+// node is the tree node of the tier's aggregator idx.
+func (cs *clusterSim) node(tier, idx int) *aggNode {
+	if tier == netsim.TierRack {
+		return &cs.aggs[idx]
+	}
+	return &cs.tops[idx]
+}
+
+// aggDeliver is the netsim AggDeliver handler, running on the addressed
+// aggregator's LP.
+//
+// Gradient pushes reduce: each arriving contribution counts at its weight
+// (a worker's push as 1, a reduced stream from a node below as that node's
+// expect), and the one that completes the node's (chunk, iteration) flushes
+// ONE reduced push, same bytes, weighted as everything below the node, to
+// the parent node — or, at the top of the tree, to the chunk's server.
+//
+// Broadcast traffic (immediate data, notifies, and above the racks the
+// kCache streams) descends: one copy per child, fanned at line rate — a
+// rack node's children are its machines, a pod node's its rack nodes.
+//
+// Under RackLocalPS a rack node additionally acts as the rack's parameter
+// cache: kCache updates refresh it (answering any pulls that arrived
+// early), and kPull requests are served rack-locally from it.
+func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
+	a := cs.node(tier, idx)
+	switch m.Kind {
+	case kPush:
+		slot := &a.agg[m.Chunk]
+		if slot.iter != m.Iter {
+			slot.iter = m.Iter
+			slot.count = 0
+		}
+		slot.count += cs.weight(m.Src, m.Chunk)
+		if slot.count != cs.expect(a, m.Chunk) {
+			return
+		}
+		out := m
+		out.Src = int32(-1 - a.ord)
+		up := a.parent
+		if up != nil && cs.fs != nil && cs.fs.hasCrash && cs.downDetected(up, cs.net.AggNow(tier, idx)) {
+			// Hierarchical failover: re-parent the reduced stream from the
+			// down aggregator above straight to the server.
+			up = nil
+			a.failovers++
+		}
+		if up != nil {
+			out.To, out.ToAgg, out.AggTier = up.idx, true, uint8(up.tier)
+		} else {
+			out.To, out.ToAgg, out.AggTier = cs.srvMachine[cs.plan.Chunks[m.Chunk].Server], false, 0
+		}
+		cs.net.AggSend(tier, idx, out)
+		// Flushed contributions are accounted for downstream: reset the
+		// slot so a later crash on this aggregator cannot count them as
+		// lost (event-neutral — a completed slot never flushes again).
+		slot.count = 0
+	case kData, kNotify, kCache:
+		if m.Kind == kCache && a.kids == nil {
+			cs.refreshCache(a, m)
+			return
+		}
+		cs.descend(a, m)
+	case kPull:
+		if a.cachedIter[m.Chunk] >= m.Iter {
+			cs.aggServePull(a, m.Chunk, m.Iter, int(m.Src))
+			return
+		}
+		a.pending[m.Chunk] = append(a.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
+	default:
+		panic(fmt.Sprintf("cluster: message kind %d has no aggregator semantics", m.Kind))
+	}
+}
+
+// descend passes a server's broadcast one level down from node a. A rack's
+// ToR fans it to the rack's machines, skipping the server's own (its
+// worker got the loopback copy). A node above fans one copy per child
+// node, skipping a child whose only machine is the broadcasting server
+// (the rack has nobody else to fan to, and nobody there will ever pull
+// from the cache); a child whose aggregator is down as detected now gets
+// its copies per machine instead.
+func (cs *clusterSim) descend(a *aggNode, m netsim.Message) {
+	srvM := cs.srvMachine[int(m.Src)]
+	skip := -1
+	if a.kids == nil {
+		if a.lo <= srvM && srvM < a.hi {
+			skip = srvM
+		}
+		cs.net.AggFanout(a.tier, a.idx, m, skip)
+		return
+	}
+	crash := cs.fs != nil && cs.fs.hasCrash
+	var now sim.Time
+	if crash {
+		now = cs.net.AggNow(a.tier, a.idx)
+	}
+	anyDown := false
+	for _, k := range a.kids {
+		if k.only(srvM) {
+			skip = k.idx
+		} else if crash && cs.downDetected(k, now) {
+			anyDown = true
+		}
+	}
+	if !anyDown {
+		cs.net.AggFanout(a.tier, a.idx, m, skip)
+		return
+	}
+	// Failover fan: each copy for a down child serializes through the
+	// child's downlink individually — the cost of losing its fanout.
+	a.failovers++
+	for _, k := range a.kids {
+		c := m
+		switch {
+		case k.idx == skip:
+		case cs.downDetected(k, now):
+			c.ToAgg, c.AggTier = false, 0
+			for w := k.lo; w < k.hi; w++ {
+				if w != srvM {
+					c.To = w
+					cs.net.AggSend(a.tier, a.idx, c)
+				}
+			}
+		default:
+			c.To, c.ToAgg, c.AggTier = k.idx, true, uint8(k.tier)
+			cs.net.AggSend(a.tier, a.idx, c)
+		}
+	}
+}
+
+// refreshCache lands a kCache update on rack node a (RackLocalPS) and
+// answers the pulls that were waiting for it.
+func (cs *clusterSim) refreshCache(a *aggNode, m netsim.Message) {
+	if m.Iter > a.cachedIter[m.Chunk] {
+		a.cachedIter[m.Chunk] = m.Iter
+	}
+	servePending(a.pending, m.Chunk, m.Iter, func(p pendingPull) { cs.aggServePull(a, m.Chunk, p.iter, p.src) })
+}
+
+// aggServePull answers a rack-local parameter pull from rack node a's
+// cache (RackLocalPS): the data copy pays propagation plus the puller's
+// ingress, never a core port.
+func (cs *clusterSim) aggServePull(a *aggNode, chunk, iter int32, dst int) {
+	c := cs.plan.Chunks[chunk]
+	cs.net.AggSend(a.tier, a.idx, netsim.Message{
+		From: cs.srvMachine[c.Server], To: dst, Bytes: c.Bytes(), Priority: int32(c.Priority),
+		Kind: kData, Chunk: chunk, Iter: iter, Src: int32(c.Server),
+	})
+}
+
+// expect is the contribution weight that completes node a's reduction of
+// chunk — every machine below it, except the chunk's own server machine
+// when it lives there (its co-located worker pushes through shared
+// memory, counted individually by the server). It is also the weight the
+// node's reduced push carries at the next aggregation barrier.
+func (cs *clusterSim) expect(a *aggNode, chunk int32) int {
+	expect := a.hi - a.lo
+	if srvM := cs.srvMachine[cs.plan.Chunks[chunk].Server]; a.lo <= srvM && srvM < a.hi {
+		expect--
+	}
+	return expect
+}
+
+// weight is how many workers' gradients a push of chunk from src carries:
+// one for a worker's own push, the reducing node's expect for a reduced
+// stream (Src = -1-ord).
+func (cs *clusterSim) weight(src, chunk int32) int {
+	if src >= 0 {
+		return 1
+	}
+	return cs.expect(&cs.aggs[-1-src], chunk)
+}
+
+// stream ships node a's copy of a server broadcast (msg, From the server's
+// machine): one stream to a's aggregator normally, or — when that
+// aggregator is down as detected at now, so the stream would die there —
+// one copy per child: the nodes below it, or a rack's machines directly.
+func (cs *clusterSim) stream(a *aggNode, msg netsim.Message, now sim.Time) {
+	srvM := msg.From
+	if a.only(srvM) {
+		return // the loopback already reached all of it
+	}
+	if cs.fs == nil || !cs.fs.hasCrash || !cs.downDetected(a, now) {
+		msg.To, msg.ToAgg, msg.AggTier = a.idx, true, uint8(a.tier)
+		cs.net.Send(msg)
+		return
+	}
+	cs.fs.machFailovers[srvM]++
+	for _, k := range a.kids {
+		cs.stream(k, msg, now)
+	}
+	if a.kids == nil {
+		for w := a.lo; w < a.hi; w++ {
+			if w != srvM {
+				msg.To = w
+				cs.net.Send(msg)
+			}
+		}
+	}
+}

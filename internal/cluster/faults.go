@@ -26,6 +26,7 @@ import (
 	"p3/internal/faults"
 	"p3/internal/netsim"
 	"p3/internal/sim"
+	"p3/internal/worker"
 )
 
 // faultState is the per-run fault wiring. Nil on fault-free runs; the
@@ -89,9 +90,26 @@ func (cs *clusterSim) newFaultState(netCfg *netsim.Config) {
 		machFailovers: make([]int64, n),
 	}
 	cs.fs = fs
+	// Stragglers and worker-leave windows are read off the static plan at
+	// the worker's own clock (no events, no cross-LP state): a straggler
+	// window multiplies the compute steps that start inside it, and a step
+	// that would start inside a leave window instead runs its full
+	// duration from the rejoin instant.
+	cs.loop.StepEnd = func(w int, now, d sim.Time) sim.Time {
+		if f := p.SlowFactor(w, int64(now)); f != 1 {
+			d = sim.Time(float64(d) * f)
+		}
+		if rejoin, ok := p.PausedAt(w, int64(now)); ok {
+			return sim.Time(rejoin) + d
+		}
+		return now + d
+	}
 	if !fs.hasCrash {
 		return
 	}
+	// A broadcast stream dropped at a down aggregator would leave a forward
+	// stall unsatisfiable: re-pull directly after a timeout.
+	cs.loop.Stalled = cs.armStallCheck
 	fs.affected = make([]bool, n)
 	for _, e := range p.Events {
 		if e.Kind != faults.KindAggCrash {
@@ -167,20 +185,6 @@ func (cs *clusterSim) aggDrop(tier, idx int, m netsim.Message) {
 	}
 }
 
-// after schedules fn d after now on machine w's LP, deferring past any
-// worker-leave window containing now: a step that would start inside the
-// window instead runs its full duration from the rejoin instant.
-func (cs *clusterSim) after(w int, d sim.Time, fn func()) {
-	p := cs.procs[w]
-	if cs.fs != nil {
-		if rejoin, ok := cs.fs.plan.PausedAt(w, int64(p.Now())); ok {
-			p.At(sim.Time(rejoin)+d, fn)
-			return
-		}
-	}
-	p.After(d, fn)
-}
-
 // downDetected reports whether node a's aggregator is down as detected at
 // virtual time now (the reading LP's own clock).
 func (cs *clusterSim) downDetected(a *aggNode, now sim.Time) bool {
@@ -193,35 +197,35 @@ func (cs *clusterSim) downDetected(a *aggNode, now sim.Time) bool {
 // arm a re-push timer, and stale re-pushes of an already-completed
 // iteration are answered with the current value so the re-pusher also
 // recovers any broadcast it missed.
-func (cs *clusterSim) pushProcessedFaults(srv int, it procItem) {
+func (cs *clusterSim) pushProcessedFaults(srv int, it worker.Item) {
 	s := &cs.servers[srv]
-	if it.iter <= s.lastDone[it.chunk] {
-		if it.src >= 0 {
-			cs.sendData(srv, it.chunk, it.iter, int(it.src))
+	if it.Iter <= s.lastDone[it.Chunk] {
+		if it.Src >= 0 {
+			cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		}
 		return
 	}
-	agg := &s.agg[it.chunk]
-	if agg.iter != it.iter {
-		agg.iter = it.iter
+	agg := &s.agg[it.Chunk]
+	if agg.iter != it.Iter {
+		agg.iter = it.Iter
 		agg.count = 0
 		agg.done = false
-		seen := s.seen[it.chunk]
+		seen := s.seen[it.Chunk]
 		for i := range seen {
 			seen[i] = false
 		}
 		now := cs.procs[cs.srvMachine[srv]].Now()
 		if _, pending := cs.fs.plan.CrashOverlap(int64(now), int64(now)); pending {
-			cs.armBarrierCheck(srv, it.chunk, it.iter, now)
+			cs.armBarrierCheck(srv, it.Chunk, it.Iter, now)
 		}
 	}
-	agg.count += cs.markSeen(srv, it.chunk, int(it.src))
+	agg.count += cs.markSeen(srv, it.Chunk, int(it.Src))
 	if agg.count == cs.cfg.Machines && !agg.done {
 		agg.done = true
-		if it.iter > s.lastDone[it.chunk] {
-			s.lastDone[it.chunk] = it.iter
+		if it.Iter > s.lastDone[it.Chunk] {
+			s.lastDone[it.Chunk] = it.Iter
 		}
-		cs.onUpdated(srv, it.chunk, it.iter)
+		cs.onUpdated(srv, it.Chunk, it.Iter)
 	}
 }
 
@@ -343,8 +347,7 @@ func (cs *clusterSim) armStallCheck(w, l int, iter int32, since sim.Time) {
 
 func (cs *clusterSim) stallCheck(w, l int, iter int32, since sim.Time, delay sim.Time) {
 	cs.procs[w].After(delay, func() {
-		ws := &cs.workers[w]
-		if !ws.waitingFwd || ws.fwdLayer != l || ws.curIter != iter {
+		if !cs.loop.Waiting(w, l, iter) {
 			return
 		}
 		now := cs.procs[w].Now()

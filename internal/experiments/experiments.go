@@ -10,6 +10,7 @@ import (
 
 	"p3/internal/cluster"
 	"p3/internal/model"
+	"p3/internal/ring"
 	"p3/internal/strategy"
 	"p3/internal/trace"
 	"p3/internal/zoo"
@@ -75,20 +76,34 @@ func run(m *model.Model, s strategy.Strategy, machines int, gbps float64, o Opti
 	})
 }
 
-// runPreempt is run with an egress preemption quantum (0 = off) and no
-// recorder.
-func runPreempt(m *model.Model, s strategy.Strategy, machines int, gbps float64, preempt int64, o Options) cluster.Result {
-	warm, measure := o.iters()
-	return cluster.Run(cluster.Config{
-		Model:          m,
-		Machines:       machines,
-		Strategy:       s,
-		BandwidthGbps:  gbps,
-		PreemptQuantum: preempt,
-		WarmupIters:    warm,
-		MeasureIters:   measure,
-		Seed:           o.Seed + 1,
-	})
+// runPath runs cfg on one aggregation path — the ring path takes the
+// fields the two Configs share (it has no servers, shards or topology) —
+// optionally as the second pass of the two-pass calibrated mode, and
+// returns per-machine throughput (samples/s), the mean iteration time in
+// milliseconds and the run's event count.
+func runPath(path string, cfg cluster.Config, calibrated bool) (perMachine, iterMs float64, events uint64) {
+	if path == PathRing {
+		rc := ring.Config{
+			Model: cfg.Model, Machines: cfg.Machines, Strategy: cfg.Strategy,
+			BandwidthGbps: cfg.BandwidthGbps, PreemptQuantum: cfg.PreemptQuantum,
+			WarmupIters: cfg.WarmupIters, MeasureIters: cfg.MeasureIters, Seed: cfg.Seed,
+			Engine: cfg.Engine,
+		}
+		var r ring.Result
+		if calibrated {
+			_, r = ring.RunCalibrated(rc)
+		} else {
+			r = ring.Run(rc)
+		}
+		return r.Throughput / float64(r.Machines), r.MeanIterTime.Millis(), r.Events
+	}
+	var r cluster.Result
+	if calibrated {
+		_, r = cluster.RunCalibrated(cfg)
+	} else {
+		r = cluster.Run(cfg)
+	}
+	return r.Throughput / float64(r.Machines), r.MeanIterTime.Millis(), r.Events
 }
 
 // awsModel derives the AWS g3.4xlarge variant of a model used by the

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"p3/internal/cluster"
-	"p3/internal/ring"
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
@@ -146,39 +145,12 @@ func Scale(o Options) []ScaleRow {
 		}
 		//p3:wallclock-ok WallMs reports real simulator throughput
 		t0 := time.Now()
-		if c.path == PathRing {
-			cfg := ring.Config{
-				Model: zoo.ByName(model), Machines: c.machines, Strategy: st,
-				BandwidthGbps: gbps,
-				WarmupIters:   warm, MeasureIters: measure, Seed: o.Seed + 1,
-				Engine: eng,
-			}
-			var r ring.Result
-			if c.variant.calibrated {
-				_, r = ring.RunCalibrated(cfg)
-			} else {
-				r = ring.Run(cfg)
-			}
-			row.PerMachine = r.Throughput / float64(r.Machines)
-			row.IterMs = r.MeanIterTime.Millis()
-			row.Events = r.Events
-		} else {
-			cfg := cluster.Config{
-				Model: zoo.ByName(model), Machines: c.machines, Strategy: st,
-				BandwidthGbps: gbps,
-				WarmupIters:   warm, MeasureIters: measure, Seed: o.Seed + 1,
-				Engine: eng, Shards: o.Shards,
-			}
-			var r cluster.Result
-			if c.variant.calibrated {
-				_, r = cluster.RunCalibrated(cfg)
-			} else {
-				r = cluster.Run(cfg)
-			}
-			row.PerMachine = r.Throughput / float64(r.Machines)
-			row.IterMs = r.MeanIterTime.Millis()
-			row.Events = r.Events
-		}
+		row.PerMachine, row.IterMs, row.Events = runPath(c.path, cluster.Config{
+			Model: zoo.ByName(model), Machines: c.machines, Strategy: st,
+			BandwidthGbps: gbps,
+			WarmupIters:   warm, MeasureIters: measure, Seed: o.Seed + 1,
+			Engine: eng, Shards: o.Shards,
+		}, c.variant.calibrated)
 		//p3:wallclock-ok WallMs reports real simulator throughput
 		row.WallMs = float64(time.Since(t0).Microseconds()) / 1000
 		rows[i] = row

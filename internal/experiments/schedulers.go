@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"p3/internal/cluster"
 	"p3/internal/netsim"
-	"p3/internal/ring"
 	"p3/internal/sched"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
@@ -13,9 +13,7 @@ import (
 // SchedDisciplines returns the discipline sweep of the scheduler ablation:
 // every name in the sched registry (fifo, p3, rr, smallest, credit, tictac,
 // credit-adaptive, ...), applied to the same sliced/immediate-broadcast
-// strategy so ordering is the only variable. Reading the registry at call
-// time (not package init) means a discipline registered from anywhere —
-// even a late init — joins the sweep for free.
+// strategy so ordering is the only variable.
 func SchedDisciplines() []string { return sched.Names() }
 
 // Aggregation paths the ablation sweeps: the parameter-server cluster
@@ -135,19 +133,11 @@ func SchedulerAblation(o Options) []SchedulerRow {
 			Sched:         c.sched,
 			Preempt:       c.preempt,
 		}
-		if c.path == PathRing {
-			r := ring.Run(ring.Config{
-				Model: m, Machines: 4, Strategy: st, BandwidthGbps: c.gbps,
-				PreemptQuantum: c.preempt,
-				WarmupIters:    warm, MeasureIters: measure, Seed: o.Seed + 1,
-			})
-			row.PerMachine = r.Throughput / float64(r.Machines)
-			row.IterMs = r.MeanIterTime.Millis()
-		} else {
-			r := runPreempt(m, st, 4, c.gbps, c.preempt, o)
-			row.PerMachine = r.Throughput / float64(r.Machines)
-			row.IterMs = r.MeanIterTime.Millis()
-		}
+		row.PerMachine, row.IterMs, _ = runPath(c.path, cluster.Config{
+			Model: m, Machines: 4, Strategy: st, BandwidthGbps: c.gbps,
+			PreemptQuantum: c.preempt,
+			WarmupIters:    warm, MeasureIters: measure, Seed: o.Seed + 1,
+		}, false)
 		rows[i] = row
 	})
 	// Resolve TTCSpeedup against each (model, bandwidth, path) group's

@@ -20,8 +20,8 @@
 // randomness from seeded PCG streams (compute jitter is precomputed
 // per (worker, iteration) exactly so that event order cannot perturb the
 // random sequence). One time.Now or global-rand read anywhere in the
-// determinism-critical packages (sim, netsim, cluster, faults, ring, sched,
-// pq, trace) silently breaks the N-shard == 1-shard bit-identity contract,
+// determinism-critical packages (sim, netsim, cluster, faults, ring,
+// worker, sched, pq, trace) silently breaks the N-shard == 1-shard bit-identity contract,
 // so there the analyzer rejects wall-clock reads outright — even annotated
 // ones. Elsewhere (the real pstcp transport, experiment harnesses that
 // report wall-clock throughput, the CLI binaries) real time is legitimate
@@ -83,15 +83,15 @@
 // the same way: every per-message function of netsim (Send, pumpEgress/
 // pumpSegment, forward/land, portEnqueue/pumpPort/routeFromPort, arrive/
 // pumpIngress, refundCredit, deliverAgg/pumpAggIngest, AggSend/AggFanout,
-// their continuations and the routing predicate), cluster's procPool
-// (add/pump/start/finish)
-// and ring's pumpReduce/reduceDone schedule a record's pre-bound func()
-// instead of a closure literal — a closure creeping back into one of them
-// is a "func literal escapes to heap" inside a marked function. The only
-// exempted lines are the record pool's miss (netsim's newFlight) and two
-// misuse panics in Send. This pass drives the compiler, so it
-// runs standalone (`p3lint -analyzers=noescape ./...`), not under vet; on
-// an unchanged tree the diagnostics replay from the build cache.
+// their continuations and the routing predicate) and of worker — the
+// endpoint Pool (Add/pump/start/finish) and the compute Loop's step
+// functions (forward/run/step/Installed) — schedules a record's pre-bound
+// func() instead of a closure literal: a closure creeping back into one of
+// them is a "func literal escapes to heap" inside a marked function. The
+// only exempted lines are the record pool's miss (netsim's newFlight) and
+// two misuse panics in Send. This pass drives the compiler, so it runs
+// standalone (`p3lint -analyzers=noescape ./...`), not under vet; on an
+// unchanged tree the diagnostics replay from the build cache.
 //
 // # Directive grammar
 //

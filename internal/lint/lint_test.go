@@ -3,6 +3,7 @@ package lint
 import (
 	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
@@ -90,6 +91,18 @@ func TestWallclockCriticalFixture(t *testing.T) {
 	// package.
 	runFixture(t, "./testdata/src/wallclockcrit",
 		Wallclock([]string{"p3/internal/lint/testdata/src/wallclockcrit"}))
+}
+
+// TestCriticalPackagesExist: wallclock matches CriticalPackages by import
+// path, so an entry whose package moved or was renamed would stop being
+// checked without any failure. Every entry must still name Go files.
+func TestCriticalPackagesExist(t *testing.T) {
+	for _, p := range CriticalPackages {
+		dir := filepath.Join("..", "..", strings.TrimPrefix(p, "p3/"))
+		if files, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(files) == 0 {
+			t.Errorf("CriticalPackages lists %s, but %s holds no Go files", p, dir)
+		}
+	}
 }
 
 func TestMapOrderFixture(t *testing.T) {

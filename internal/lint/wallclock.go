@@ -18,6 +18,7 @@ var CriticalPackages = []string{
 	"p3/internal/cluster",
 	"p3/internal/faults",
 	"p3/internal/ring",
+	"p3/internal/worker",
 	"p3/internal/sched",
 	"p3/internal/pq",
 	"p3/internal/trace",

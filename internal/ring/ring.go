@@ -2,12 +2,15 @@
 // instead of a parameter server. The paper argues (Sections 2 and 6) that
 // P3's two principles — parameter slicing and priority-ordered transmission
 // — "are general enough to be applied to any gradient aggregation method";
-// this package substantiates that claim as an extension experiment: the
-// same models, compute timing and network substrate as internal/cluster,
-// but gradients are aggregated with the classic 2(N-1)-round ring
-// reduce-scatter + all-gather, at either layer granularity (WFBP-style
-// all-reduce, what Horovod-class systems did at the time) or P3-style
-// sliced + priority-scheduled granularity.
+// this package substantiates that claim as an extension experiment. The
+// models, the network substrate, the worker's compute loop and its
+// priority-ordered consumer are the ones internal/cluster runs on — the
+// last two literally: package worker's Loop and Pool (this package imports
+// nothing of cluster). Only the aggregation method plugged into them
+// differs: the classic 2(N-1)-round ring reduce-scatter + all-gather, at
+// either layer granularity (WFBP-style all-reduce, what Horovod-class
+// systems did at the time) or P3-style sliced + priority-scheduled
+// granularity.
 //
 // An all-reduce for a chunk can only begin once EVERY machine has produced
 // that chunk's gradient (all ranks must enter the collective), so the
@@ -19,8 +22,6 @@ package ring
 
 import (
 	"fmt"
-	"math"
-	"math/rand/v2"
 
 	"p3/internal/core"
 	"p3/internal/model"
@@ -29,6 +30,7 @@ import (
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/trace"
+	"p3/internal/worker"
 )
 
 // Config describes one simulated all-reduce training run. Only the
@@ -50,15 +52,11 @@ type Config struct {
 	// calibrated two-pass mode (RunCalibrated), which re-runs with a
 	// profile rebuilt from a prior run's measured stalls. nil selects the
 	// static strategy.ComputeProfile.
-	Profile *sched.Profile
-	// ReduceRateGBps is the local cost of summing one received segment into
-	// the accumulator (and, on the final round, applying the update).
-	ReduceRateGBps float64
-	ReduceOverhead sim.Time
-	WarmupIters    int
-	MeasureIters   int
-	Seed           int64
-	Recorder       *trace.Recorder
+	Profile      *sched.Profile
+	WarmupIters  int
+	MeasureIters int
+	Seed         int64
+	Recorder     *trace.Recorder
 	// Engine optionally supplies a reusable simulation engine: Run calls
 	// Reset on it and reuses its event slab, so a sweep driver can run many
 	// simulations without re-growing the heap each time. nil allocates a
@@ -69,16 +67,18 @@ type Config struct {
 	Engine *sim.Engine
 }
 
+// The local cost of summing one received segment into the accumulator
+// (and, on the final round, applying the update): the same single-threaded
+// per-byte path as the parameter-server worker's receive side.
+const (
+	reduceRateGBps = 3 // GB/s == bytes/ns
+	reduceOverhead = 5 * sim.Microsecond
+)
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Machines == 0 {
 		out.Machines = 4
-	}
-	if out.ReduceRateGBps == 0 {
-		out.ReduceRateGBps = 3
-	}
-	if out.ReduceOverhead == 0 {
-		out.ReduceOverhead = 5 * sim.Microsecond
 	}
 	if out.WarmupIters == 0 {
 		out.WarmupIters = 2
@@ -131,45 +131,20 @@ type chunkState struct {
 	iter       int32
 }
 
-type workerState struct {
-	readyIter  []int32
-	chunksDone []int // per layer: chunks fully reduced this iteration
-	fwdLayer   int
-	waitingFwd bool
-	waitSince  sim.Time
-	curIter    int32
-	bwdDone    []sim.Time
-	layerStall []sim.Time // cumulative forward stall per layer
-
-	reduce *sched.Queue[redItem]
-	busy   bool
-	// cur is the segment being reduced while busy; reduced is its
-	// completion event, bound once at construction so a reduction
-	// schedules without allocating.
-	cur     redItem
-	reduced func()
-}
-
-type redItem struct {
-	chunk    int32
-	iter     int32
-	round    int
-	priority int32
-}
-
 type ringSim struct {
-	cfg     Config
-	eng     *sim.Engine
-	net     *netsim.Network
-	plan    *core.Plan
-	timing  *model.Timing
-	layers  int
-	total   int32
-	rounds  int // 2*(N-1)
-	workers []workerState
-	chunks  []chunkState
-	jitter  [][]float64
-	redRate float64
+	cfg    Config
+	eng    *sim.Engine
+	net    *netsim.Network
+	plan   *core.Plan
+	rounds int // 2*(N-1)
+	chunks []chunkState
+	// loop is every machine's forward/backward state machine; a finished
+	// backward layer enters its chunks into their collectives.
+	loop *worker.Loop
+	// reduce[w] serializes machine w's local segment reductions, priority
+	// ordered under P3 — the receiver-side consumer of Section 4.2
+	// transplanted onto the all-reduce. An item's Src is its round.
+	reduce []*worker.Pool
 }
 
 // RunCalibrated is the two-pass calibrated mode: the first pass runs cfg as
@@ -222,12 +197,8 @@ func newRingSim(cfg Config) *ringSim {
 		cfg: cfg, eng: eng,
 		// Partition with a single "server": all-reduce has no placement,
 		// only granularity.
-		plan:    cfg.Strategy.Partition(cfg.Model, 1),
-		timing:  model.NewTiming(cfg.Model),
-		layers:  len(cfg.Model.Layers),
-		total:   int32(cfg.WarmupIters + cfg.MeasureIters),
-		rounds:  2 * (n - 1),
-		redRate: cfg.ReduceRateGBps,
+		plan:   cfg.Strategy.Partition(cfg.Model, 1),
+		rounds: 2 * (n - 1),
 	}
 	rs.net = netsim.New(eng, n, netCfg, rs.deliver, cfg.Recorder)
 
@@ -236,40 +207,26 @@ func newRingSim(cfg Config) *ringSim {
 		rs.chunks[i] = chunkState{recvRounds: make([]int, n), iter: -1}
 	}
 
-	// Each machine's reduction queue runs the strategy's discipline on a
-	// fresh instance, mirroring the receiver-side consumer of Section 4.2.
-	redView := func(it redItem) sched.Item {
-		return sched.Item{Priority: it.priority, Bytes: rs.segBytes(it.chunk)}
+	// Every machine computes on the engine itself (one shard, no LP tags).
+	procs := make([]sim.Proc, n)
+	for w := range procs {
+		procs[w] = eng
 	}
-	rs.workers = make([]workerState, n)
-	for w := range rs.workers {
-		ws := &rs.workers[w]
-		ws.readyIter = make([]int32, rs.layers)
-		for l := range ws.readyIter {
-			ws.readyIter[l] = -1
-		}
-		ws.chunksDone = make([]int, rs.layers)
-		ws.bwdDone = make([]sim.Time, rs.total)
-		ws.layerStall = make([]sim.Time, rs.layers)
+	rs.loop = worker.NewLoop(cfg.Model, rs.plan, procs, cfg.WarmupIters, cfg.MeasureIters, cfg.Seed, 0x51ce)
+	rs.loop.Grad = rs.gradProduced
+
+	// Each machine's reduction queue runs the strategy's discipline on a
+	// fresh instance, one flow per queue (Dest stays 0).
+	redView := func(it worker.Item) sched.Item {
+		return sched.Item{Priority: it.Priority, Bytes: rs.segBytes(it.Chunk)}
+	}
+	cost := worker.Costs(len(rs.chunks), rs.segBytes, reduceOverhead, reduceRateGBps)
+	rs.reduce = make([]*worker.Pool, n)
+	for w := range rs.reduce {
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Strategy.Discipline()), prof)
 		sched.ApplySource(disc, int32(w)) // owner seed for source-aware disciplines
-		ws.reduce = sched.NewQueue(disc, redView)
-		w := w
-		ws.reduced = func() { rs.reduceDone(w) }
-	}
-
-	rs.jitter = make([][]float64, n)
-	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(cfg.Seed)^0x51ce))
-	sigma := cfg.Model.ComputeJitter
-	for w := range rs.jitter {
-		rs.jitter[w] = make([]float64, rs.total)
-		for i := range rs.jitter[w] {
-			if sigma == 0 {
-				rs.jitter[w][i] = 1
-				continue
-			}
-			rs.jitter[w][i] = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
-		}
+		rs.reduce[w] = worker.NewPool(eng, 1, cost, sched.NewQueue(disc, redView),
+			func(it worker.Item) { rs.roundDone(w, it) })
 	}
 	return rs
 }
@@ -278,63 +235,20 @@ func (rs *ringSim) start() {
 	if rs.cfg.Recorder != nil {
 		rs.cfg.Recorder.Start(0)
 	}
-	for w := 0; w < rs.cfg.Machines; w++ {
-		rs.advanceForward(w)
+	rs.loop.Start()
+}
+
+// gradProduced is the loop's Grad hook: a machine's backward pass produced
+// layer l's gradient.
+func (rs *ringSim) gradProduced(_, l int, iter int32) {
+	for _, id := range rs.plan.LayerChunks(l) {
+		rs.enter(int32(id), iter)
 	}
 }
 
-func (rs *ringSim) scaled(w int, iter int32, d sim.Time) sim.Time {
-	return sim.Time(float64(d) * rs.jitter[w][iter])
-}
-
-func (rs *ringSim) advanceForward(w int) {
-	ws := &rs.workers[w]
-	if ws.fwdLayer == rs.layers {
-		rs.stepBackward(w, rs.layers-1)
-		return
-	}
-	l := ws.fwdLayer
-	if ws.readyIter[l] < ws.curIter-1 {
-		if !ws.waitingFwd {
-			ws.waitingFwd = true
-			ws.waitSince = rs.eng.Now()
-		}
-		return
-	}
-	if ws.waitingFwd {
-		ws.waitingFwd = false
-		if ws.curIter >= int32(rs.cfg.WarmupIters) {
-			ws.layerStall[l] += rs.eng.Now() - ws.waitSince
-		}
-	}
-	rs.eng.After(rs.scaled(w, ws.curIter, rs.timing.Fwd[l]), func() {
-		ws.fwdLayer = l + 1
-		rs.advanceForward(w)
-	})
-}
-
-func (rs *ringSim) stepBackward(w, l int) {
-	ws := &rs.workers[w]
-	rs.eng.After(rs.scaled(w, ws.curIter, rs.timing.Bwd[l]), func() {
-		for _, id := range rs.plan.LayerChunks(l) {
-			rs.gradProduced(int32(id), ws.curIter)
-		}
-		if l > 0 {
-			rs.stepBackward(w, l-1)
-			return
-		}
-		ws.bwdDone[ws.curIter] = rs.eng.Now()
-		ws.curIter++
-		if ws.curIter < rs.total {
-			ws.fwdLayer = 0
-			rs.advanceForward(w)
-		}
-	})
-}
-
-// gradProduced counts backward completions; the collective launches when
-// every rank has entered it.
-func (rs *ringSim) gradProduced(chunk, iter int32) {
+// enter counts backward completions of a chunk; the collective launches
+// when every rank has entered it.
+func (rs *ringSim) enter(chunk, iter int32) {
 	cst := &rs.chunks[chunk]
 	if cst.iter != iter {
 		cst.iter = iter
@@ -374,93 +288,36 @@ func (rs *ringSim) sendRound(from int, chunk, iter int32, round int) {
 
 // deliver: a ring segment arrived; queue its local reduction.
 func (rs *ringSim) deliver(m netsim.Message) {
-	ws := &rs.workers[m.To]
-	ws.reduce.Push(redItem{chunk: m.Chunk, iter: m.Iter, round: int(m.Src), priority: m.Priority})
-	rs.pumpReduce(m.To)
+	rs.reduce[m.To].Add(worker.Item{Chunk: m.Chunk, Iter: m.Iter, Src: m.Src, Priority: m.Priority})
 }
 
-// pumpReduce serializes local segment reductions per machine, priority
-// ordered under P3 — the receiver-side consumer of Section 4.2 transplanted
-// onto the all-reduce.
-//
-//p3:noescape
-func (rs *ringSim) pumpReduce(w int) {
-	ws := &rs.workers[w]
-	if ws.busy {
-		return
-	}
-	it, ok := ws.reduce.PopReady()
-	if !ok {
-		return
-	}
-	ws.busy = true
-	ws.cur = it
-	cost := rs.cfg.ReduceOverhead + sim.Time(float64(rs.segBytes(it.chunk))/rs.redRate)
-	rs.eng.After(cost, ws.reduced)
-}
-
-//p3:noescape
-func (rs *ringSim) reduceDone(w int) {
-	ws := &rs.workers[w]
-	it := ws.cur
-	ws.busy = false
-	ws.reduce.Done(it)
-	rs.roundDone(w, it)
-	rs.pumpReduce(w)
-}
-
-func (rs *ringSim) roundDone(w int, it redItem) {
-	cst := &rs.chunks[it.chunk]
-	if cst.iter != it.iter {
+// roundDone runs when machine w has reduced a segment of round it.Src.
+func (rs *ringSim) roundDone(w int, it worker.Item) {
+	cst := &rs.chunks[it.Chunk]
+	if cst.iter != it.Iter {
 		return // stale segment from a previous iteration's tail
 	}
 	cst.recvRounds[w]++
-	if it.round+1 < rs.rounds {
-		rs.sendRound(w, it.chunk, it.iter, it.round+1)
+	if round := int(it.Src) + 1; round < rs.rounds {
+		rs.sendRound(w, it.Chunk, it.Iter, round)
 	}
 	if cst.recvRounds[w] == rs.rounds {
-		rs.chunkComplete(w, it.chunk, it.iter)
-	}
-}
-
-func (rs *ringSim) chunkComplete(w int, chunk, iter int32) {
-	ws := &rs.workers[w]
-	l := rs.plan.Chunks[chunk].Layer
-	ws.chunksDone[l]++
-	if ws.chunksDone[l] < len(rs.plan.LayerChunks(l)) {
-		return
-	}
-	ws.chunksDone[l] = 0
-	ws.readyIter[l] = iter
-	if ws.waitingFwd && ws.fwdLayer == l {
-		rs.advanceForward(w)
+		rs.loop.Installed(w, rs.plan.Chunks[it.Chunk].Layer, it.Iter)
 	}
 }
 
 func (rs *ringSim) result() Result {
-	n := rs.cfg.Machines
-	makespan := func(iter int) sim.Time {
-		var t sim.Time
-		for w := 0; w < n; w++ {
-			if rs.workers[w].bwdDone[iter] > t {
-				t = rs.workers[w].bwdDone[iter]
-			}
-		}
-		return t
-	}
-	warmEnd := makespan(rs.cfg.WarmupIters - 1)
-	last := makespan(int(rs.total) - 1)
-	samples := float64(rs.cfg.MeasureIters * n * rs.cfg.Model.BatchSize)
+	sum := rs.loop.Summary(fmt.Sprintf("ring: %s/%s", rs.cfg.Model.Name, rs.cfg.Strategy.Name))
 	return Result{
 		Model:         rs.cfg.Model.Name,
 		Strategy:      rs.cfg.Strategy.Name,
-		Machines:      n,
+		Machines:      rs.cfg.Machines,
 		BandwidthGbps: rs.cfg.BandwidthGbps,
-		Throughput:    samples / (last - warmEnd).Seconds(),
-		MeanIterTime:  (last - warmEnd) / sim.Time(rs.cfg.MeasureIters),
-		ComputeIter:   rs.timing.IterCompute,
-		MeasuredIters: rs.cfg.MeasureIters,
-		LayerStalls:   rs.workers[0].layerStall,
+		Throughput:    sum.Throughput,
+		MeanIterTime:  sum.MeanIterTime,
+		ComputeIter:   sum.ComputeIterTime,
+		MeasuredIters: len(sum.IterTimes),
+		LayerStalls:   sum.LayerStalls,
 		Events:        rs.eng.Processed(),
 		Msgs:          rs.net.MsgsSent(),
 		Bytes:         rs.net.BytesSent(),

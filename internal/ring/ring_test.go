@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"p3/internal/model"
@@ -176,4 +178,29 @@ func TestResultCountsEveryRingSegment(t *testing.T) {
 			t.Errorf("%s: Bytes = %d, want %d", s.Name, r.Bytes, want)
 		}
 	}
+}
+
+// TestWedgedRunPanics: a machine that never enters one collective leaves
+// every rank waiting for that layer with the event queue drained. The run
+// must fail loudly (before the shared run summary it returned a negative
+// throughput).
+func TestWedgedRunPanics(t *testing.T) {
+	c := cfg(arP3, 5, 4)
+	rs := newRingSim(c.withDefaults())
+	grad := rs.loop.Grad
+	rs.loop.Grad = func(w, l int, iter int32) {
+		if w == 2 && l == 1 && iter == 2 {
+			return
+		}
+		grad(w, l, iter)
+	}
+	rs.start()
+	rs.eng.Run()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "wedged") {
+			t.Fatalf("panic %q, want a wedged-protocol report", msg)
+		}
+	}()
+	r := rs.result()
+	t.Fatalf("wedged run returned throughput %v", r.Throughput)
 }

@@ -225,25 +225,25 @@ func (g *gatedDamped) OnResume(it Item) {
 	}
 }
 
-func init() {
-	Register("damped", func(arg string) (Discipline, error) {
-		base, weight := arg, int64(0)
-		// The optional trailing "@<weight>" tunes the damping horizon:
-		// "damped:credit:1048576@16" wraps credit:1048576 at weight 16.
-		if i := strings.LastIndexByte(arg, '@'); i >= 0 {
-			n, err := strconv.ParseInt(arg[i+1:], 10, 64)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("sched: damped weight %q (want a positive item count)", arg[i+1:])
-			}
-			base, weight = arg[:i], n
+// dampedByArg resolves "damped[:base[@weight]]" from the text after the
+// first colon.
+func dampedByArg(arg string) (Discipline, error) {
+	base, weight := arg, int64(0)
+	// The optional trailing "@<weight>" tunes the damping horizon:
+	// "damped:credit:1048576@16" wraps credit:1048576 at weight 16.
+	if i := strings.LastIndexByte(arg, '@'); i >= 0 {
+		n, err := strconv.ParseInt(arg[i+1:], 10, 64)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("sched: damped weight %q (want a positive item count)", arg[i+1:])
 		}
-		if base == "" {
-			base = "p3"
-		}
-		b, err := ByName(base)
-		if err != nil {
-			return nil, fmt.Errorf("sched: damped base: %w", err)
-		}
-		return NewDamped(b, weight)
-	}, "damp")
+		base, weight = arg[:i], n
+	}
+	if base == "" {
+		base = "p3"
+	}
+	b, err := ByName(base)
+	if err != nil {
+		return nil, fmt.Errorf("sched: damped base: %w", err)
+	}
+	return NewDamped(b, weight)
 }

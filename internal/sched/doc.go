@@ -197,9 +197,8 @@
 // # Registry
 //
 // ByName resolves a discipline name, optionally parameterized as
-// "name:arg", to a fresh instance; the empty name resolves to fifo and
-// Register installs new factories at init time. The built-ins (aliases in
-// parentheses):
+// "name:arg", to a fresh instance; the empty name resolves to fifo. The
+// disciplines (aliases in parentheses):
 //
 //   - fifo (baseline): insertion order — the MXNet/ps-lite wire behaviour.
 //   - p3 (priority, p3priority): strict priority, lower Item.Priority

@@ -3,10 +3,9 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Item is the scheduler-visible view of a queued element. Callers project
@@ -55,7 +54,7 @@ type Item struct {
 // Signed fields enter a key through ord32/ord64 so that unsigned compare
 // orders them as signed. A Discipline instance may be stateful and must
 // not be shared between queues — obtain a fresh instance per queue via
-// ByName or a registered Factory.
+// ByName.
 type Discipline interface {
 	// Name returns the canonical registry name.
 	Name() string
@@ -600,42 +599,29 @@ func (a *AdaptiveCredit) Parked(dst int32) int64 {
 
 // ---- registry ----
 
-// Factory builds a fresh Discipline instance. arg is the text after ":" in
-// a parameterized name ("credit:1048576"), or "" when absent.
-type Factory func(arg string) (Discipline, error)
-
+// names are the canonical discipline names, sorted; usage is the same list
+// with the argument grammar of the parameterized ones, so ByName's error
+// text (and the CLI -sched help strings built from it) documents how to
+// invoke them, not just that they exist.
 var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	aliases  = map[string]string{}
+	names = []string{"credit", "credit-adaptive", "damped", "fifo", "p3", "rr", "smallest", "tictac"}
+	usage = []string{"credit[:bytes]", "credit-adaptive[:bytes]", "damped[:base[@weight]]", "fifo", "p3", "rr", "smallest", "tictac"}
 )
 
-// Register installs a Factory under a canonical name plus aliases. It
-// panics on duplicates — registration is an init-time affair.
-func Register(name string, f Factory, alias ...string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: duplicate discipline %q", name))
-	}
-	registry[name] = f
-	for _, a := range alias {
-		if _, dup := aliases[a]; dup {
-			panic(fmt.Sprintf("sched: duplicate alias %q", a))
-		}
-		aliases[a] = name
-	}
-}
+// Names returns the canonical discipline names, sorted.
+func Names() []string { return slices.Clone(names) }
 
-// noArg wraps a parameterless discipline constructor into a Factory that
-// rejects stray arguments ("rr:junk" must not silently resolve to rr).
-func noArg(name string, mk func() Discipline) Factory {
-	return func(arg string) (Discipline, error) {
-		if arg != "" {
-			return nil, fmt.Errorf("sched: %s takes no argument (got %q)", name, arg)
-		}
-		return mk(), nil
+// Usage returns the canonical discipline names with argument grammar
+// ("credit[:bytes]", "damped[:base[@weight]]"), sorted like Names.
+func Usage() []string { return slices.Clone(usage) }
+
+// noArg returns the parameterless discipline d, rejecting a stray argument
+// ("rr:junk" must not silently resolve to rr).
+func noArg(name, arg string, d Discipline) (Discipline, error) {
+	if arg != "" {
+		return nil, fmt.Errorf("sched: %s takes no argument (got %q)", name, arg)
 	}
+	return d, nil
 }
 
 // windowArg parses the optional byte-count argument of the credit
@@ -651,29 +637,7 @@ func windowArg(name, arg string) (int64, error) {
 	return n, nil
 }
 
-func init() {
-	Register("fifo", noArg("fifo", func() Discipline { return NewFIFO() }), "baseline")
-	Register("p3", noArg("p3", func() Discipline { return NewP3Priority() }), "priority", "p3priority")
-	Register("rr", noArg("rr", func() Discipline { return NewRoundRobinLayer() }), "roundrobin")
-	Register("smallest", noArg("smallest", func() Discipline { return NewSmallestFirst() }), "sjf")
-	Register("tictac", noArg("tictac", func() Discipline { return NewTicTac() }), "dag", "criticalpath")
-	Register("credit", func(arg string) (Discipline, error) {
-		n, err := windowArg("credit", arg)
-		if err != nil {
-			return nil, err
-		}
-		return NewCreditGated(n), nil
-	}, "bytescheduler")
-	Register("credit-adaptive", func(arg string) (Discipline, error) {
-		n, err := windowArg("credit-adaptive", arg)
-		if err != nil {
-			return nil, err
-		}
-		return NewAdaptiveCredit(n), nil
-	}, "adaptive")
-}
-
-// ByName resolves a discipline name (optionally parameterized as
+// ByName resolves a discipline name or alias (optionally parameterized as
 // "name:arg") to a fresh instance. The empty name resolves to fifo.
 func ByName(name string) (Discipline, error) {
 	if name == "" {
@@ -689,37 +653,33 @@ func ByName(name string) (Discipline, error) {
 			return nil, fmt.Errorf("sched: %q has an empty argument (drop the colon for the default)", name)
 		}
 	}
-	regMu.RLock()
-	if canon, ok := aliases[base]; ok {
-		base = canon
-	}
-	f, ok := registry[base]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown discipline %q (want %s)", name, strings.Join(Usage(), "|"))
-	}
-	return f(arg)
-}
-
-// usageArgs annotates the parameterized registry names with their argument
-// grammar, so ByName's error text (and the CLI -sched help strings built
-// from it) documents how to invoke them, not just that they exist.
-var usageArgs = map[string]string{
-	"credit":          "credit[:bytes]",
-	"credit-adaptive": "credit-adaptive[:bytes]",
-	"damped":          "damped[:base[@weight]]",
-}
-
-// Usage returns the canonical discipline names with argument grammar
-// ("credit[:bytes]", "damped[:base[@weight]]"), sorted like Names.
-func Usage() []string {
-	names := Names()
-	for i, n := range names {
-		if u, ok := usageArgs[n]; ok {
-			names[i] = u
+	switch base {
+	case "fifo", "baseline":
+		return noArg("fifo", arg, NewFIFO())
+	case "p3", "priority", "p3priority":
+		return noArg("p3", arg, NewP3Priority())
+	case "rr", "roundrobin":
+		return noArg("rr", arg, NewRoundRobinLayer())
+	case "smallest", "sjf":
+		return noArg("smallest", arg, NewSmallestFirst())
+	case "tictac", "dag", "criticalpath":
+		return noArg("tictac", arg, NewTicTac())
+	case "credit", "bytescheduler":
+		n, err := windowArg("credit", arg)
+		if err != nil {
+			return nil, err
 		}
+		return NewCreditGated(n), nil
+	case "credit-adaptive", "adaptive":
+		n, err := windowArg("credit-adaptive", arg)
+		if err != nil {
+			return nil, err
+		}
+		return NewAdaptiveCredit(n), nil
+	case "damped", "damp":
+		return dampedByArg(arg)
 	}
-	return names
+	return nil, fmt.Errorf("sched: unknown discipline %q (want %s)", name, strings.Join(usage, "|"))
 }
 
 // MustByName is ByName for statically known names; it panics on error.
@@ -729,16 +689,4 @@ func MustByName(name string) Discipline {
 		panic(err)
 	}
 	return d
-}
-
-// Names returns the canonical discipline names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,0 +1,133 @@
+package worker
+
+import (
+	"p3/internal/sched"
+	"p3/internal/sim"
+)
+
+// Item is one unit of endpoint work: an arrived chunk (or ring segment) of
+// an iteration. Src is the caller's — the originating worker or server, a
+// collective's round — and Priority the chunk's wire priority.
+type Item struct {
+	Chunk    int32
+	Iter     int32
+	Src      int32
+	Priority int32
+}
+
+// Pool serializes per-byte endpoint processing. It models MXNet's engine
+// semantics: up to `threads` items process concurrently, but items for the
+// same chunk (key) always serialize because they share an accumulator. The
+// queue discipline is the caller's (a sched.Discipline resolved from the
+// strategy's Sched name): fifo for baseline strategies, p3 priority ordering
+// for the server- and worker-side producer/consumer loops of Section 4.2,
+// or any other discipline.
+type Pool struct {
+	queue *sched.Queue[Item]
+	// chunkBusy, waiting and cost are indexed by chunk id (dense).
+	chunkBusy []bool
+	waiting   [][]Item
+	cost      []sim.Time
+	// idle holds the free processing threads. Each slot's completion
+	// continuation is bound once at construction, so starting an item
+	// allocates nothing; len(idle) == 0 means every thread is busy.
+	idle []*poolSlot
+	proc sim.Proc // the owning machine's timeline
+	done func(Item)
+}
+
+// poolSlot is one processing thread: the item it is working on and its
+// pre-bound completion event.
+type poolSlot struct {
+	it     Item
+	finish func()
+}
+
+// Costs prices n chunks for a Pool: overhead plus bytes(c) at rate bytes
+// per nanosecond (= GB/s). Pools of one kind share one table.
+func Costs(n int, bytes func(c int32) int64, overhead sim.Time, rate float64) []sim.Time {
+	cost := make([]sim.Time, n)
+	for c := range cost {
+		cost[c] = overhead + sim.Time(float64(bytes(int32(c)))/rate)
+	}
+	return cost
+}
+
+// NewPool builds a pool of `threads` threads on proc — the owning machine's
+// scheduling handle; pool events belong to that LP — processing chunk c in
+// cost[c] and ordered by queue, which must wrap a fresh discipline instance
+// (pools never share scheduler state). done runs on the virtual clock when
+// an item finishes processing.
+func NewPool(proc sim.Proc, threads int, cost []sim.Time, queue *sched.Queue[Item], done func(Item)) *Pool {
+	p := &Pool{
+		queue:     queue,
+		chunkBusy: make([]bool, len(cost)),
+		waiting:   make([][]Item, len(cost)),
+		cost:      cost,
+		idle:      make([]*poolSlot, threads),
+		proc:      proc,
+		done:      done,
+	}
+	for i := range p.idle {
+		s := new(poolSlot)
+		s.finish = func() { p.finish(s) }
+		p.idle[i] = s
+	}
+	return p
+}
+
+// Add enqueues an item and starts as many queued items as the thread,
+// per-key and credit limits allow.
+//
+//p3:noescape
+func (p *Pool) Add(it Item) {
+	p.queue.Push(it)
+	p.pump()
+}
+
+//p3:noescape
+func (p *Pool) pump() {
+	for len(p.idle) > 0 {
+		it, ok := p.queue.PopReady()
+		if !ok {
+			return
+		}
+		if p.chunkBusy[it.Chunk] {
+			// Deferred on the per-key serialization, not processing yet:
+			// refund any credit until the chunk frees up and re-queues it.
+			// Cancel, not Done — an adaptive window must not read this
+			// refund as a completed transfer.
+			p.queue.Cancel(it)
+			p.waiting[it.Chunk] = append(p.waiting[it.Chunk], it)
+			continue
+		}
+		p.start(it)
+	}
+}
+
+//p3:noescape
+func (p *Pool) start(it Item) {
+	p.chunkBusy[it.Chunk] = true
+	s := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
+	s.it = it
+	p.proc.After(p.cost[it.Chunk], s.finish)
+}
+
+// finish runs when slot s's item has been processed.
+//
+//p3:noescape
+func (p *Pool) finish(s *poolSlot) {
+	it := s.it
+	p.idle = append(p.idle, s)
+	p.chunkBusy[it.Chunk] = false
+	p.queue.Done(it)
+	if w := p.waiting[it.Chunk]; len(w) > 0 {
+		p.queue.Push(w[0])
+		// Shift down instead of re-slicing from the front, so the chunk's
+		// backing array is reused by every later deferral.
+		p.waiting[it.Chunk] = w[:copy(w, w[1:])]
+	}
+	p.done(it)
+	p.pump()
+}
