@@ -1,5 +1,5 @@
 // Root benchmarks: one testing.B benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md's experiment index). Each benchmark runs a
+// evaluation (cmd/p3bench's header lists them). Each benchmark runs a
 // representative configuration of its experiment; the cmd/p3bench tool runs
 // the full sweeps and prints the series.
 //

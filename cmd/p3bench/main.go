@@ -10,11 +10,12 @@
 //	         sensitivity bench | all]
 //
 // The throughput/utilization experiments (fig5, fig7-10, fig12-14, headline)
-// run on the discrete-event simulator and take seconds; multi-configuration
-// sweeps (sched, scale, rack, headline, ablation, fig7, fig10) spread their
-// cells over GOMAXPROCS workers, and the cluster-path cells of scale and rack
-// additionally run on the sharded engine (-shards). The convergence experiments (fig11, fig15) train
-// real networks and take minutes without -fast.
+// run on the discrete-event simulator and take seconds. Every sweep spreads
+// its cells over GOMAXPROCS workers, and every parameter-server cell runs on
+// -shards engine shards (cells that record utilization and ring all-reduce
+// cells run one shard; results are bit-identical at any value). The
+// convergence experiments (fig11, fig15) train real networks and take minutes
+// without -fast.
 //
 // bench runs the dispatch-path microbenchmarks (ns/op + allocs/op for the
 // scheduler queue, transport queue and event engine) plus the zoo-simulation
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"p3/internal/benchmarks"
@@ -42,10 +44,58 @@ var figOrder = []string{
 	"headline", "ablation", "sched", "scale", "rack", "faults", "allreduce", "tta", "compression", "sensitivity",
 }
 
+// figures are the targets that render as plots and TSV series; the other
+// names in figOrder render as tables.
+var figures = map[string]func(experiments.Options) []*experiments.Figure{
+	"fig5":      experiments.Fig5,
+	"fig7":      experiments.Fig7,
+	"fig8":      experiments.Fig8,
+	"fig9":      experiments.Fig9,
+	"fig10":     experiments.Fig10,
+	"fig11":     experiments.Fig11,
+	"fig12":     experiments.Fig12,
+	"fig13":     experiments.Fig13,
+	"fig14":     experiments.Fig14,
+	"fig15":     experiments.Fig15,
+	"allreduce": experiments.ExtAllreduce,
+}
+
+// expandTargets resolves the command line's targets into the list to run, in
+// order and without repeats: no target at all, or "all" wherever it appears,
+// stands for every experiment in figOrder (not for bench); -baseline implies
+// bench. A name that is neither an experiment, bench nor all is an error.
+func expandTargets(args []string, baseline bool) ([]string, error) {
+	if len(args) == 0 {
+		args = []string{"all"}
+	}
+	var out []string
+	add := func(names ...string) {
+		for _, n := range names {
+			if !slices.Contains(out, n) {
+				out = append(out, n)
+			}
+		}
+	}
+	for _, a := range args {
+		switch {
+		case a == "all":
+			add(figOrder...)
+		case a == "bench" || slices.Contains(figOrder, a):
+			add(a)
+		default:
+			return nil, fmt.Errorf("unknown target %q", a)
+		}
+	}
+	if baseline {
+		add("bench")
+	}
+	return out, nil
+}
+
 func main() {
 	fast := flag.Bool("fast", false, "trimmed sweeps (for smoke runs)")
 	seed := flag.Int64("seed", 0, "workload seed")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "simulation shards per cluster-path cell (1 = legacy single-heap engine; results are bit-identical either way)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "simulation shards per parameter-server cell (results are bit-identical at any value)")
 	plot := flag.Bool("plot", true, "render ASCII plots")
 	tsv := flag.Bool("tsv", true, "print TSV series")
 	baseline := flag.String("baseline", "", "compare dispatch microbenchmarks against this artifact; exit 1 on regression (implies the bench target)")
@@ -55,35 +105,14 @@ func main() {
 	}
 	flag.Parse()
 
-	targets := flag.Args()
-	if len(targets) == 0 || (len(targets) == 1 && targets[0] == "all") {
-		targets = figOrder
-	}
-	if *baseline != "" {
-		hasBench := false
-		for _, t := range targets {
-			hasBench = hasBench || t == "bench"
-		}
-		if !hasBench {
-			targets = append(targets, "bench")
-		}
+	targets, err := expandTargets(flag.Args(), *baseline != "")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "p3bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	o := experiments.Options{Fast: *fast, Seed: *seed, Shards: *shards}
-	runners := map[string]func(experiments.Options) []*experiments.Figure{
-		"fig5":      experiments.Fig5,
-		"fig7":      experiments.Fig7,
-		"fig8":      experiments.Fig8,
-		"fig9":      experiments.Fig9,
-		"fig10":     experiments.Fig10,
-		"fig11":     experiments.Fig11,
-		"fig12":     experiments.Fig12,
-		"fig13":     experiments.Fig13,
-		"fig14":     experiments.Fig14,
-		"fig15":     experiments.Fig15,
-		"allreduce": experiments.ExtAllreduce,
-	}
-
 	for _, t := range targets {
 		switch {
 		case t == "headline":
@@ -124,8 +153,8 @@ func main() {
 			fmt.Println()
 		case t == "bench":
 			runBench(*baseline, *fast)
-		case runners[t] != nil:
-			for _, fig := range runners[t](o) {
+		default: // a figure: expandTargets let nothing else through
+			for _, fig := range figures[t](o) {
 				if *plot {
 					fmt.Println(fig.ASCII(72, 16))
 				}
@@ -133,10 +162,6 @@ func main() {
 					fmt.Println(fig.TSV())
 				}
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "p3bench: unknown target %q\n", t)
-			flag.Usage()
-			os.Exit(2)
 		}
 	}
 }

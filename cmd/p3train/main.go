@@ -59,7 +59,7 @@ func main() {
 		Schedule: opt.StepSchedule{Base: *lr, Gamma: 0.1, Milestones: []int{*epochs * 5 / 8, *epochs * 7 / 8}},
 		Momentum: *momentum, WeightDecay: 1e-4, ClipNorm: *clip,
 		Mode: m, DGCSparsity: *sparsity,
-		Seed: *seed, Parallel: true,
+		Seed: *seed,
 	}
 	h, net := train.Run(cfg, tr, val)
 	fmt.Printf("mode=%v workers=%d params=%d\n", m, *workers, net.NumParams())

@@ -27,7 +27,7 @@ func main() {
 		Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
 		Schedule: opt.StepSchedule{Base: 0.06, Gamma: 0.1, Milestones: []int{15, 21}},
 		Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
-		Seed: 11, Parallel: true,
+		Seed: 11,
 	}
 
 	modes := []struct {

@@ -165,8 +165,7 @@ func newClusterSim(cfg Config) *clusterSim {
 	}
 	netCfg.Profile = prof
 
-	// Engine selection: the exact legacy single-heap engine for Shards
-	// <= 1 (optionally a caller-supplied reusable one), the
+	// Engine selection: the single-heap engine for Shards <= 1, the
 	// conservative-lookahead parallel engine above that. The lookahead is
 	// the topology's minimum cross-LP latency; shard assignment is
 	// rack-aligned so only the core hop crosses shards.
@@ -182,13 +181,7 @@ func newClusterSim(cfg Config) *clusterSim {
 		}
 		exec = p
 	} else {
-		eng := cfg.Engine
-		if eng != nil {
-			eng.Reset()
-		} else {
-			eng = &sim.Engine{}
-		}
-		exec = sim.Single{Eng: eng}
+		exec = sim.Single{Eng: &sim.Engine{}}
 	}
 
 	cs := &clusterSim{

@@ -53,16 +53,11 @@ type Config struct {
 	// Incompatible with Shards >= 2 (the buckets are shared across
 	// machines).
 	Recorder *trace.Recorder
-	// Shards selects the engine: 0 or 1 runs the exact legacy single-heap
-	// engine (bit-identical to earlier releases), >= 2 runs the
-	// conservative-lookahead parallel engine with that many shards —
+	// Shards selects the engine: 0 or 1 runs the single-heap engine, >= 2
+	// the conservative-lookahead parallel engine with that many shards —
 	// producing, by the sim package's determinism contract, the same
 	// Result. Values above the machine count are clamped.
 	Shards int
-	// Engine optionally supplies a reusable single-shard engine: it is
-	// Reset and used in place of a fresh one, so sweep workers keep one
-	// grown event slab across configurations. Ignored when Shards >= 2.
-	Engine *sim.Engine
 	// Topology optionally arranges machines into racks behind an
 	// oversubscribed core (netsim.Topology); the zero value keeps the flat
 	// non-blocking switch.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"p3/internal/netsim"
-	"p3/internal/sim"
 	"p3/internal/strategy"
 )
 
@@ -141,25 +140,18 @@ func TestAggCapacitySlowsIteration(t *testing.T) {
 	}
 }
 
-// TestEngineResetReuseWithAggregation pins Engine.Reset against the full
-// two-tier LP population (machines, ports, spine ports, rack and pod
-// aggregators) under a credit-gated discipline: a reused engine's second
-// run and a sharded run must both be bit-identical to a fresh engine.
-func TestEngineResetReuseWithAggregation(t *testing.T) {
+// TestShardedCreditHierMatchesSingle runs the full two-tier LP population
+// (machines, ports, spine ports, rack and pod aggregators) under a
+// credit-gated discipline: a sharded run, and its repeat, must be
+// bit-identical to the single engine.
+func TestShardedCreditHierMatchesSingle(t *testing.T) {
 	base := hierCfg(t, 16, 4, 2, "credit")
 	want := Run(base)
-	cfg := base
-	cfg.Engine = &sim.Engine{}
-	for i := 1; i <= 2; i++ {
-		if got := Run(cfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d on a reused engine diverges:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
 	sharded := base
 	sharded.Shards = 4
 	for i := 1; i <= 2; i++ {
 		if got := Run(sharded); !reflect.DeepEqual(got, want) {
-			t.Errorf("sharded run %d diverges from the fresh single engine:\n got %+v\nwant %+v", i, got, want)
+			t.Errorf("sharded run %d diverges from the single engine:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"p3/internal/netsim"
-	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/trace"
 )
@@ -66,27 +65,6 @@ func TestShardedMatchesSingleResult(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestShardedEngineFieldIgnored pins that a caller-supplied reusable Engine
-// does not leak into a sharded run (it belongs to the single path only).
-func TestShardedEngineFieldIgnored(t *testing.T) {
-	base := shardedCfg(t, 4, "p3")
-	want := Run(base)
-	cfg := base
-	cfg.Shards = 2
-	cfg.Engine = &sim.Engine{}
-	if got := Run(cfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded run with Engine set diverges:\n got %+v\nwant %+v", got, want)
-	}
-	// And the single path actually reuses it across runs.
-	cfg.Shards = 0
-	if got := Run(cfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("first run on a reusable engine diverges:\n got %+v\nwant %+v", got, want)
-	}
-	if got := Run(cfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("second run on a reused engine diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 

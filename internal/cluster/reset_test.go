@@ -3,38 +3,25 @@ package cluster
 import (
 	"reflect"
 	"testing"
-
-	"p3/internal/sim"
 )
 
-// TestEngineResetDeterministic pins the construct → run → Reset → run
-// contract that the maporder analyzer guards statically: every structure
-// rebuilt between runs (per-server pending-pull maps, processing pools,
-// aggregator state, fault schedules) must be repopulated in a
-// deterministic order, so a reset engine reproduces the fresh engine's
-// Result bit for bit, run after run. A single unsorted map walk anywhere
-// in construction or scheduling would make the second run diverge.
+// TestEngineResetDeterministic pins the construct → run → construct → run
+// contract that the maporder analyzer guards statically: every run starts
+// from a fresh engine and rebuilds every structure (per-server pending-pull
+// maps, processing pools, aggregator state, fault schedules), and each must
+// be repopulated in a deterministic order, so three consecutive Runs of one
+// config are bit-identical. A single unsorted map walk anywhere in
+// construction or scheduling would make a later run diverge.
 func TestEngineResetDeterministic(t *testing.T) {
 	for _, sched := range []string{"p3", "credit"} {
 		t.Run(sched, func(t *testing.T) {
-			base := shardedCfg(t, 8, sched)
-			base.Servers = 4
-			want := Run(base)
-
-			eng := &sim.Engine{}
-			cfg := base
-			cfg.Engine = eng
-			for i := 1; i <= 2; i++ {
+			cfg := shardedCfg(t, 8, sched)
+			cfg.Servers = 4
+			want := Run(cfg)
+			for i := 2; i <= 3; i++ {
 				if got := Run(cfg); !reflect.DeepEqual(got, want) {
-					t.Errorf("run %d on a reset engine diverges:\n got %+v\nwant %+v", i, got, want)
+					t.Errorf("run %d diverges from run 1:\n got %+v\nwant %+v", i, got, want)
 				}
-			}
-
-			// Reset between runs must also be safe to invoke explicitly —
-			// Run resets a provided engine itself, so this doubles it up.
-			eng.Reset()
-			if got := Run(cfg); !reflect.DeepEqual(got, want) {
-				t.Errorf("run after explicit Reset diverges:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

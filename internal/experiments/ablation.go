@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"p3/internal/cluster"
 	"p3/internal/model"
-	"p3/internal/ring"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
@@ -24,8 +22,8 @@ type AblationRow struct {
 
 // Ablation isolates the contribution of each P3 design decision the paper
 // discusses in Section 4.2: removing the notify/pull round trip, slicing,
-// and priority scheduling. DESIGN.md lists this decomposition as the ablation
-// study for the mechanism's two core components.
+// and priority scheduling — the mechanism's two core components, each alone
+// and together.
 func Ablation(o Options) []AblationRow {
 	cases := []struct {
 		model string
@@ -39,29 +37,29 @@ func Ablation(o Options) []AblationRow {
 		Name: "priority-shards", Granularity: strategy.Shards,
 		Sched: "p3", Pull: strategy.Immediate,
 	}
-	// The 15 (model, design point) cells are independent pure simulations:
-	// fill a flat grid on the worker pool, then assemble rows in case order.
 	strategies := []strategy.Strategy{
 		strategy.Baseline(), strategy.WFBP(), strategy.SlicingOnly(0),
 		priorityShards, strategy.P3(0),
 	}
-	grid := make([]float64, len(cases)*len(strategies))
-	parEach(len(grid), func(i int) {
-		c := cases[i/len(strategies)]
-		r := run(zoo.ByName(c.model), strategies[i%len(strategies)], 4, c.gbps, o, nil)
-		grid[i] = r.Throughput / float64(r.Machines)
-	})
+	var cells []cell
+	for _, c := range cases {
+		m := zoo.ByName(c.model)
+		for _, s := range strategies {
+			cells = append(cells, testbed(m, s, c.gbps))
+		}
+	}
+	outs := runCells(o, cells)
 	rows := make([]AblationRow, 0, len(cases))
 	for ci, c := range cases {
-		g := grid[ci*len(strategies):]
+		g := outs[ci*len(strategies):]
 		rows = append(rows, AblationRow{
 			Model:         c.model,
 			BandwidthGbps: c.gbps,
-			Baseline:      g[0],
-			ImmediateOnly: g[1],
-			SlicingOnly:   g[2],
-			PriorityOnly:  g[3],
-			FullP3:        g[4],
+			Baseline:      g[0].PerMachine,
+			ImmediateOnly: g[1].PerMachine,
+			SlicingOnly:   g[2].PerMachine,
+			PriorityOnly:  g[3].PerMachine,
+			FullP3:        g[4].PerMachine,
 		})
 	}
 	return rows
@@ -82,50 +80,29 @@ func AblationTable(rows []AblationRow) string {
 // same models on ring all-reduce, at layer granularity (WFBP-style, what
 // contemporary all-reduce frameworks did) vs P3-style sliced + priority.
 func ExtAllreduce(o Options) []*Figure {
-	warm, measure := o.iters()
-	configs := []struct {
-		model string
-		grid  []float64
-	}{
-		{"resnet50", fig7Grid("resnet50", o.Fast)},
-		{"vgg19", fig7Grid("vgg19", o.Fast)},
-		{"sockeye", fig7Grid("sockeye", o.Fast)},
-	}
-	strategies := []struct {
-		name string
-		s    strategy.Strategy
-	}{
-		{"ar-layer", strategy.Strategy{Name: "ar-layer", Granularity: strategy.Shards, Sched: "fifo"}},
-		{"ar-sliced", strategy.Strategy{Name: "ar-sliced", Granularity: strategy.Slices, Sched: "fifo"}},
-		{"ar-p3", strategy.Strategy{Name: "ar-p3", Granularity: strategy.Slices, Sched: "p3"}},
+	strategies := []strategy.Strategy{
+		{Name: "ar-layer", Granularity: strategy.Shards, Sched: "fifo"},
+		{Name: "ar-sliced", Granularity: strategy.Slices, Sched: "fifo"},
+		{Name: "ar-p3", Granularity: strategy.Slices, Sched: "p3"},
 	}
 	var figs []*Figure
-	sub := 'a'
-	for _, c := range configs {
-		m := zoo.ByName(c.model)
-		fig := &Figure{
-			ID:     fmt.Sprintf("ext-allreduce-%c", sub),
-			Title:  fmt.Sprintf("Extension: ring all-reduce, %s (4 machines)", c.model),
+	for i, name := range []string{"resnet50", "vgg19", "sockeye"} {
+		m := zoo.ByName(name)
+		figs = append(figs, &Figure{
+			ID:     fmt.Sprintf("ext-allreduce-%c", 'a'+i),
+			Title:  fmt.Sprintf("Extension: ring all-reduce, %s (4 machines)", name),
 			XLabel: "bandwidth (Gbps)",
 			YLabel: fmt.Sprintf("throughput (%s/sec per machine)", m.SampleUnit),
 			Notes: []string{
 				"extension of Section 6: slicing + priority applied to ring all-reduce instead of the parameter server",
 			},
-		}
-		for _, st := range strategies {
-			series := Series{Name: st.name}
-			for _, bw := range c.grid {
-				r := ring.Run(ring.Config{
-					Model: m, Machines: 4, Strategy: st.s, BandwidthGbps: bw,
-					WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
-				})
-				series.X = append(series.X, bw)
-				series.Y = append(series.Y, r.Throughput/float64(r.Machines))
-			}
-			fig.Series = append(fig.Series, series)
-		}
-		figs = append(figs, fig)
-		sub++
+			Series: sweep(o, strategies, fig7Grid(name, o.Fast),
+				func(s strategy.Strategy, bw float64) cell {
+					c := testbed(m, s, bw)
+					c.ring = true
+					return c
+				}, perMachine),
+		})
 	}
 	return figs
 }
@@ -146,36 +123,26 @@ type TimeToAccuracyRow struct {
 // compute-bound, but it pays a small accuracy gap — while P3 gets its
 // speedup with bit-identical convergence.
 func TimeToAccuracy(o Options) []TimeToAccuracyRow {
-	warm, measure := o.iters()
-	iterMs := func(s strategy.Strategy, scaleBytes float64) float64 {
-		m := zoo.ResNet110()
-		if scaleBytes != 1 {
-			clone := *m
-			clone.Layers = append([]model.Layer(nil), m.Layers...)
-			for i := range clone.Layers {
-				p := int64(float64(clone.Layers[i].Params) * scaleBytes)
-				if p < 1 {
-					p = 1
-				}
-				clone.Layers[i].Params = p
-			}
-			m = &clone
-		}
-		r := cluster.Run(cluster.Config{
-			Model: m, Machines: 4, Strategy: s, BandwidthGbps: 1,
-			WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
-		})
-		return r.MeanIterTime.Millis()
+	m := zoo.ResNet110()
+	// DGC wire bytes: top-0.1% of values plus indices (~2x per value).
+	dgcWire := *m
+	dgcWire.Layers = append([]model.Layer(nil), m.Layers...)
+	for i := range dgcWire.Layers {
+		dgcWire.Layers[i].Params = max(1, int64(float64(dgcWire.Layers[i].Params)*0.002))
 	}
+	outs := runCells(o, []cell{
+		testbed(m, strategy.Baseline(), 1),
+		testbed(m, strategy.P3(0), 1),
+		testbed(&dgcWire, strategy.P3(0), 1),
+	})
 
 	// Accuracy trajectories from the real trainer.
 	histories := convergenceHistories(o)
 
 	rows := []TimeToAccuracyRow{
-		{Mechanism: "baseline", IterMs: iterMs(strategy.Baseline(), 1)},
-		{Mechanism: "p3", IterMs: iterMs(strategy.P3(0), 1)},
-		// DGC wire bytes: top-0.1% of values plus indices (~2x per value).
-		{Mechanism: "dgc", IterMs: iterMs(strategy.P3(0), 0.002)},
+		{Mechanism: "baseline", IterMs: outs[0].IterMs},
+		{Mechanism: "p3", IterMs: outs[1].IterMs},
+		{Mechanism: "dgc", IterMs: outs[2].IterMs},
 	}
 	for i := range rows {
 		h := histories[rows[i].Mechanism]

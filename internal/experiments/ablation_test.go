@@ -31,6 +31,7 @@ func TestAblation(t *testing.T) {
 	if !strings.Contains(tbl, "full_p3") {
 		t.Fatalf("table:\n%s", tbl)
 	}
+	checkGolden(t, "ablation", tbl)
 }
 
 func TestExtAllreduce(t *testing.T) {
@@ -38,6 +39,7 @@ func TestExtAllreduce(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("%d allreduce figures", len(figs))
 	}
+	checkGolden(t, "allreduce", figsTSV(figs))
 	for _, f := range figs {
 		checkFigure(t, f)
 		if len(f.Series) != 3 {
@@ -85,4 +87,5 @@ func TestTimeToAccuracy(t *testing.T) {
 	if !strings.Contains(tbl, "minutes_to_80%") {
 		t.Fatalf("table:\n%s", tbl)
 	}
+	checkGolden(t, "tta", tbl)
 }

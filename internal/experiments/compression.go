@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p3/internal/nn"
-	"p3/internal/opt"
 	"p3/internal/quant"
 	"p3/internal/train"
 )
@@ -24,59 +23,38 @@ type CompressionRow struct {
 // accuracy column while the codecs buy bandwidth with accuracy risk.
 func ExtCompression(o Options) []CompressionRow {
 	tr, val, netCfg, epochs := convergenceTask(o)
-	base := train.Config{
-		Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
-		Schedule: opt.StepSchedule{Base: 0.06, Gamma: 0.1, Milestones: []int{epochs * 5 / 8, epochs * 7 / 8}},
-		Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
-		Seed: 11 + o.Seed, Parallel: true,
-	}
-	sizes := func() []int {
-		probe := nn.NewResidualMLP(netCfg)
-		var out []int
-		for _, p := range probe.Params() {
-			out = append(out, len(p.Data))
-		}
-		return out
+	var sizes []int
+	for _, p := range nn.NewResidualMLP(netCfg).Params() {
+		sizes = append(sizes, len(p.Data))
 	}
 
 	var rows []CompressionRow
-	runOne := func(name string, mutate func(*train.Config)) {
-		cfg := base
-		mutate(&cfg)
+	// codec, for the Quantized rows, builds worker w's codec (codecs like
+	// 1-bit SGD carry per-worker error state).
+	runOne := func(name string, mode train.Mode, codec func(w int) quant.Codec) {
+		cfg := trainConfig(o, netCfg, epochs, stepLR(0.06, epochs), mode)
+		if codec != nil {
+			for w := range cfg.Workers {
+				cfg.Codecs = append(cfg.Codecs, codec(w))
+			}
+		}
 		h, _ := train.Run(cfg, tr, val)
 		ratio := h.CompressionRatio
-		if ratio == 0 {
-			switch cfg.Mode {
-			case train.Dense:
-				ratio = 1
-			case train.DGC:
-				// top-k at sparsity s: (value+index) per kept coordinate.
-				ratio = 32.0 / ((1 - cfg.DGCSparsity) * 64)
-			}
+		switch mode {
+		case train.Dense:
+			ratio = 1
+		case train.DGC:
+			// top-k at sparsity s: (value+index) per kept coordinate.
+			ratio = 32.0 / ((1 - cfg.DGCSparsity) * 64)
 		}
 		rows = append(rows, CompressionRow{Mechanism: name, FinalAcc: h.FinalValAcc, CompressionRatio: ratio})
 	}
 
-	runOne("dense (baseline == p3)", func(c *train.Config) { c.Mode = train.Dense })
-	runOne("dgc@99.9%", func(c *train.Config) { c.Mode = train.DGC; c.DGCSparsity = 0.999 })
-	runOne("qsgd-4", func(c *train.Config) {
-		c.Mode = train.Quantized
-		for w := 0; w < c.Workers; w++ {
-			c.Codecs = append(c.Codecs, quant.NewQSGD(4, int64(100+w)))
-		}
-	})
-	runOne("terngrad", func(c *train.Config) {
-		c.Mode = train.Quantized
-		for w := 0; w < c.Workers; w++ {
-			c.Codecs = append(c.Codecs, quant.NewTernGrad(int64(200+w)))
-		}
-	})
-	runOne("1bit-sgd", func(c *train.Config) {
-		c.Mode = train.Quantized
-		for w := 0; w < c.Workers; w++ {
-			c.Codecs = append(c.Codecs, quant.NewOneBit(sizes()))
-		}
-	})
+	runOne("dense (baseline == p3)", train.Dense, nil)
+	runOne("dgc@99.9%", train.DGC, nil)
+	runOne("qsgd-4", train.Quantized, func(w int) quant.Codec { return quant.NewQSGD(4, int64(100+w)) })
+	runOne("terngrad", train.Quantized, func(w int) quant.Codec { return quant.NewTernGrad(int64(200 + w)) })
+	runOne("1bit-sgd", train.Quantized, func(int) quant.Codec { return quant.NewOneBit(sizes) })
 	return rows
 }
 

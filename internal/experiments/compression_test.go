@@ -34,7 +34,9 @@ func TestExtCompression(t *testing.T) {
 	if byName["dgc@99.9%"].CompressionRatio < 100 {
 		t.Errorf("dgc ratio %v", byName["dgc@99.9%"].CompressionRatio)
 	}
-	if !strings.Contains(CompressionTable(rows), "compression_x") {
+	tbl := CompressionTable(rows)
+	if !strings.Contains(tbl, "compression_x") {
 		t.Fatal("table broken")
 	}
+	checkGolden(t, "compression", tbl)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p3/internal/cluster"
 	"p3/internal/data"
 	"p3/internal/nn"
 	"p3/internal/opt"
@@ -13,8 +12,11 @@ import (
 )
 
 // convergenceTask returns the substitute for the paper's ResNet-110 on
-// CIFAR-10 (see DESIGN.md): a residual MLP on the synthetic classification
-// set, sized so a full Figure 11 run finishes in minutes of CPU time.
+// CIFAR-10: a residual MLP (package nn) on the synthetic classification set
+// (package data), sized so a full Figure 11 run finishes in minutes of CPU
+// time. The claims under test — dense aggregation is order-invariant, DGC
+// and ASGD are not — are properties of the update rule, not of the network,
+// so a task small enough to train on a CPU keeps them.
 func convergenceTask(o Options) (tr, val *data.Set, netCfg nn.Config, epochs int) {
 	samples, width, blocks, epochs := 3840, 64, 4, 40
 	if o.Fast {
@@ -26,6 +28,25 @@ func convergenceTask(o Options) (tr, val *data.Set, netCfg nn.Config, epochs int
 	tr, val = set.Split(0.25)
 	netCfg = nn.Config{In: 64, Width: width, Classes: 10, Blocks: blocks, Seed: 3 + o.Seed}
 	return tr, val, netCfg, epochs
+}
+
+// trainConfig is the trainer set-up every convergence experiment shares (four
+// workers, as on the paper's testbed); what varies between them is the
+// learning-rate schedule and the gradient-exchange rule.
+func trainConfig(o Options, netCfg nn.Config, epochs int, schedule opt.Schedule, mode train.Mode) train.Config {
+	return train.Config{
+		Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
+		Schedule: schedule,
+		Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
+		Mode: mode, DGCSparsity: 0.999,
+		Seed: 11 + o.Seed,
+	}
+}
+
+// stepLR decays base tenfold at 5/8 and 7/8 of training, the shape of the
+// paper's 160-epoch schedule.
+func stepLR(base float64, epochs int) opt.Schedule {
+	return opt.StepSchedule{Base: base, Gamma: 0.1, Milestones: []int{epochs * 5 / 8, epochs * 7 / 8}}
 }
 
 // fig11LRs are the five hyper-parameter settings of Section 5.6 (the paper
@@ -46,13 +67,7 @@ type history struct {
 func convergenceHistories(o Options) map[string]history {
 	tr, val, netCfg, epochs := convergenceTask(o)
 	runOne := func(mode train.Mode) history {
-		h, _ := train.Run(train.Config{
-			Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
-			Schedule: opt.StepSchedule{Base: 0.06, Gamma: 0.1, Milestones: []int{epochs * 5 / 8, epochs * 7 / 8}},
-			Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
-			Mode: mode, DGCSparsity: 0.999,
-			Seed: 11 + o.Seed, Parallel: true,
-		}, tr, val)
+		h, _ := train.Run(trainConfig(o, netCfg, epochs, stepLR(0.06, epochs), mode), tr, val)
 		return history{acc: h.ValAcc, itersPerEpoch: h.Iterations / epochs}
 	}
 	dense := runOne(train.Dense)
@@ -70,18 +85,11 @@ func Fig11(o Options) []*Figure {
 	if o.Fast {
 		lrs = lrs[:2]
 	}
-	milestones := []int{epochs * 5 / 8, epochs * 7 / 8}
 
 	runs := map[train.Mode][][]float64{}
 	for _, mode := range []train.Mode{train.Dense, train.DGC} {
 		for _, lr := range lrs {
-			h, _ := train.Run(train.Config{
-				Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
-				Schedule: opt.StepSchedule{Base: lr, Gamma: 0.1, Milestones: milestones},
-				Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
-				Mode: mode, DGCSparsity: 0.999,
-				Seed: 11 + o.Seed, Parallel: true,
-			}, tr, val)
+			h, _ := train.Run(trainConfig(o, netCfg, epochs, stepLR(lr, epochs), mode), tr, val)
 			runs[mode] = append(runs[mode], h.ValAcc)
 		}
 	}
@@ -121,7 +129,7 @@ func Fig11(o Options) []*Figure {
 		Series: append(mk(train.Dense, "p3"), mk(train.DGC, "dgc")...),
 		Notes: []string{
 			"paper: P3's final accuracy always above DGC; average DGC drop 0.4% (ResNet-110/CIFAR-10)",
-			"substitute task: residual MLP on synthetic data (DESIGN.md); P3 == baseline bit-identically by construction",
+			"substitute task: residual MLP on synthetic data; P3 == baseline bit-identically by construction",
 		},
 	}
 	return []*Figure{fig}
@@ -134,26 +142,12 @@ func Fig11(o Options) []*Figure {
 // the real trainer.
 func Fig15(o Options) []*Figure {
 	tr, val, netCfg, epochs := convergenceTask(o)
-	warm, measure := o.iters()
+	m := zoo.ResNet110()
+	outs := runCells(o, []cell{testbed(m, strategy.P3(0), 1), testbed(m, strategy.ASGDStrategy(), 1)})
+	p3Iter, asgdIter := outs[0].MeanIterTime.Seconds(), outs[1].MeanIterTime.Seconds()
 
-	iterTime := func(s strategy.Strategy) float64 {
-		r := cluster.Run(cluster.Config{
-			Model: zoo.ResNet110(), Machines: 4, Strategy: s, BandwidthGbps: 1,
-			WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
-		})
-		return r.MeanIterTime.Seconds()
-	}
-	p3Iter := iterTime(strategy.P3(0))
-	asgdIter := iterTime(strategy.ASGDStrategy())
-
-	lr := 0.075
 	runOne := func(mode train.Mode) *train.History {
-		h, _ := train.Run(train.Config{
-			Net: netCfg, Workers: 4, Batch: 16, Epochs: epochs,
-			Schedule: opt.ConstSchedule(lr),
-			Momentum: 0.9, WeightDecay: 1e-4, ClipNorm: 2,
-			Mode: mode, Seed: 11 + o.Seed, Parallel: true,
-		}, tr, val)
+		h, _ := train.Run(trainConfig(o, netCfg, epochs, opt.ConstSchedule(0.075), mode), tr, val)
 		return h
 	}
 	p3Hist := runOne(train.Dense)

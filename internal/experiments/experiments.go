@@ -3,14 +3,17 @@
 // speedups). Each experiment returns structured Figure values that the
 // cmd/p3bench tool and the root benchmarks render as TSV series and ASCII
 // plots, side by side with the paper's reference numbers.
+//
+// Every simulated sweep has one shape: declare the cells (cells.go), hand
+// them to runCells, project the outcomes into rows or series. One rule
+// covers sharding: every cluster-path cell runs at Options.Shards (clamped to
+// its machine count by cluster), recorded cells and ring cells run one shard.
 package experiments
 
 import (
 	"fmt"
 
-	"p3/internal/cluster"
 	"p3/internal/model"
-	"p3/internal/ring"
 	"p3/internal/strategy"
 	"p3/internal/trace"
 	"p3/internal/zoo"
@@ -40,12 +43,11 @@ type Options struct {
 	Fast bool
 	// Seed for workload jitter; runs are deterministic per seed.
 	Seed int64
-	// Shards selects the cluster simulator's engine: <= 1 runs the legacy
-	// single-heap engine, >= 2 the conservative-lookahead parallel engine
-	// with that many shards. Results are bit-identical either way (the
-	// determinism contract in internal/sim); shards only buy wall-clock on
-	// multi-core runners, and recorder-backed utilization figures always
-	// run single-shard.
+	// Shards is the shard count of every cluster-path cell's engine
+	// (cluster.Config.Shards, which clamps it to the cell's machine count);
+	// cells with a Recorder and ring cells run one shard. Results are
+	// bit-identical at any value (the determinism contract in internal/sim);
+	// shards only buy wall-clock on multi-core runners.
 	Shards int
 }
 
@@ -54,56 +56,6 @@ func (o Options) iters() (warm, measure int) {
 		return 1, 3
 	}
 	return 2, 8
-}
-
-// run executes one simulated configuration.
-func run(m *model.Model, s strategy.Strategy, machines int, gbps float64, o Options, rec *trace.Recorder) cluster.Result {
-	warm, measure := o.iters()
-	shards := o.Shards
-	if rec != nil {
-		shards = 0 // utilization buckets need the single-shard engine
-	}
-	return cluster.Run(cluster.Config{
-		Model:         m,
-		Machines:      machines,
-		Strategy:      s,
-		BandwidthGbps: gbps,
-		WarmupIters:   warm,
-		MeasureIters:  measure,
-		Seed:          o.Seed + 1,
-		Recorder:      rec,
-		Shards:        shards,
-	})
-}
-
-// runPath runs cfg on one aggregation path — the ring path takes the
-// fields the two Configs share (it has no servers, shards or topology) —
-// optionally as the second pass of the two-pass calibrated mode, and
-// returns per-machine throughput (samples/s), the mean iteration time in
-// milliseconds and the run's event count.
-func runPath(path string, cfg cluster.Config, calibrated bool) (perMachine, iterMs float64, events uint64) {
-	if path == PathRing {
-		rc := ring.Config{
-			Model: cfg.Model, Machines: cfg.Machines, Strategy: cfg.Strategy,
-			BandwidthGbps: cfg.BandwidthGbps, PreemptQuantum: cfg.PreemptQuantum,
-			WarmupIters: cfg.WarmupIters, MeasureIters: cfg.MeasureIters, Seed: cfg.Seed,
-			Engine: cfg.Engine,
-		}
-		var r ring.Result
-		if calibrated {
-			_, r = ring.RunCalibrated(rc)
-		} else {
-			r = ring.Run(rc)
-		}
-		return r.Throughput / float64(r.Machines), r.MeanIterTime.Millis(), r.Events
-	}
-	var r cluster.Result
-	if calibrated {
-		_, r = cluster.RunCalibrated(cfg)
-	} else {
-		r = cluster.Run(cfg)
-	}
-	return r.Throughput / float64(r.Machines), r.MeanIterTime.Millis(), r.Events
 }
 
 // awsModel derives the AWS g3.4xlarge variant of a model used by the
@@ -164,6 +116,30 @@ func fig7Grid(name string, fast bool) []float64 {
 	}
 }
 
+// sweep runs mk(s, x) for every strategy and every point of the x axis and
+// returns one Series per strategy, y picking the plotted value.
+func sweep(o Options, strategies []strategy.Strategy, xs []float64,
+	mk func(s strategy.Strategy, x float64) cell, y func(outcome) float64) []Series {
+
+	var cells []cell
+	for _, s := range strategies {
+		for _, x := range xs {
+			cells = append(cells, mk(s, x))
+		}
+	}
+	outs := runCells(o, cells)
+	series := make([]Series, len(strategies))
+	for si, s := range strategies {
+		series[si] = Series{Name: s.Name, X: append([]float64(nil), xs...)}
+		for _, out := range outs[si*len(xs) : (si+1)*len(xs)] {
+			series[si].Y = append(series[si].Y, y(out))
+		}
+	}
+	return series
+}
+
+func perMachine(out outcome) float64 { return out.PerMachine }
+
 // Fig7 reproduces Figure 7: per-machine training throughput vs network
 // bandwidth for Baseline, Slicing and P3 on a four-machine cluster.
 func Fig7(o Options) []*Figure {
@@ -176,118 +152,100 @@ func Fig7(o Options) []*Figure {
 	}
 	strategies := []strategy.Strategy{strategy.Baseline(), strategy.SlicingOnly(0), strategy.P3(0)}
 	var figs []*Figure
-	sub := 'a'
-	for _, name := range names {
+	for i, name := range names {
 		m := zoo.ByName(name)
-		grid := fig7Grid(name, o.Fast)
-		fig := &Figure{
-			ID:     fmt.Sprintf("fig7%c", sub),
+		figs = append(figs, &Figure{
+			ID:     fmt.Sprintf("fig7%c", 'a'+i),
 			Title:  fmt.Sprintf("Bandwidth vs throughput: %s (4 machines)", name),
 			XLabel: "bandwidth (Gbps)",
 			YLabel: fmt.Sprintf("throughput (%s/sec per machine)", m.SampleUnit),
 			Notes:  []string{notes[name]},
-		}
-		// The (strategy, bandwidth) cells are independent pure simulations:
-		// fill a flat grid on the worker pool, then slice it into series.
-		ys := make([]float64, len(strategies)*len(grid))
-		parEach(len(ys), func(i int) {
-			r := run(zoo.ByName(name), strategies[i/len(grid)], 4, grid[i%len(grid)], o, nil)
-			ys[i] = r.Throughput / float64(r.Machines)
+			Series: sweep(o, strategies, fig7Grid(name, o.Fast),
+				func(s strategy.Strategy, bw float64) cell { return testbed(m, s, bw) }, perMachine),
 		})
-		for si, s := range strategies {
-			series := Series{Name: s.Name, X: append([]float64(nil), grid...)}
-			series.Y = ys[si*len(grid) : (si+1)*len(grid)]
-			fig.Series = append(fig.Series, series)
-		}
-		figs = append(figs, fig)
-		sub++
 	}
 	return figs
 }
 
-// utilConfig is one sub-figure of the network-utilization studies.
-type utilConfig struct {
-	model string
-	gbps  float64
+// utilSpec is one network-utilization figure: a strategy on a model at a
+// bandwidth, recorded.
+type utilSpec struct {
+	id, title, note string
+	model           string
+	gbps            float64
+	strategy        strategy.Strategy
 }
 
-var utilConfigs = []utilConfig{
+// utilConfigs are the sub-figures of the utilization and slice-size studies.
+var utilConfigs = []struct {
+	model string
+	gbps  float64
+}{
 	{"resnet50", 4},
 	{"vgg19", 15},
 	{"sockeye", 4},
 }
 
-// utilizationFigure runs one strategy/model/bandwidth configuration and
-// extracts machine 0's inbound/outbound Gbps series (10 ms buckets), as
-// measured by bwm-ng in the paper.
-func utilizationFigure(id, title string, m *model.Model, s strategy.Strategy, gbps float64, o Options, note string) *Figure {
-	rec := trace.NewRecorder(4, 0)
-	r := run(m, s, 4, gbps, o, rec)
-	skip := int(r.WarmupEnd / rec.Bucket())
-	out := rec.Gbps(0, trace.Out)
-	in := rec.Gbps(0, trace.In)
-	maxBuckets := 250
-	clip := func(xs []float64) []float64 {
-		if skip < len(xs) {
-			xs = xs[skip:]
-		} else {
-			xs = nil
-		}
-		if len(xs) > maxBuckets {
-			xs = xs[:maxBuckets]
-		}
-		return xs
+// utilizationFigures runs each spec with a recorder attached and extracts
+// machine 0's inbound/outbound Gbps series (10 ms buckets), as measured by
+// bwm-ng in the paper.
+func utilizationFigures(o Options, specs []utilSpec) []*Figure {
+	cells := make([]cell, len(specs))
+	for i, sp := range specs {
+		cells[i] = testbed(zoo.ByName(sp.model), sp.strategy, sp.gbps)
+		cells[i].Recorder = trace.NewRecorder(4, 0)
 	}
-	out, in = clip(out), clip(in)
-	mk := func(name string, ys []float64) Series {
-		xs := make([]float64, len(ys))
-		for i := range xs {
-			xs[i] = float64(i)
+	const maxBuckets = 250
+	figs := make([]*Figure, len(specs))
+	for i, out := range runCells(o, cells) {
+		rec := cells[i].Recorder
+		skip := int(out.WarmupEnd / rec.Bucket())
+		mk := func(name string, ys []float64) Series {
+			ys = ys[min(skip, len(ys)):]
+			ys = ys[:min(maxBuckets, len(ys))]
+			xs := make([]float64, len(ys))
+			for i := range xs {
+				xs[i] = float64(i)
+			}
+			return Series{Name: name, X: xs, Y: ys}
 		}
-		return Series{Name: name, X: xs, Y: ys}
+		figs[i] = &Figure{
+			ID:     specs[i].id,
+			Title:  specs[i].title,
+			XLabel: "time (10 ms buckets)",
+			YLabel: "usage (Gbps)",
+			Series: []Series{mk("outbound", rec.Gbps(0, trace.Out)), mk("inbound", rec.Gbps(0, trace.In))},
+			Notes:  []string{specs[i].note},
+		}
 	}
-	return &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "time (10 ms buckets)",
-		YLabel: "usage (Gbps)",
-		Series: []Series{mk("outbound", out), mk("inbound", in)},
-		Notes:  []string{note},
+	return figs
+}
+
+// utilizationStudy is Figure 8 or 9: one strategy over utilConfigs.
+func utilizationStudy(o Options, fig, title, note string, s strategy.Strategy) []*Figure {
+	var specs []utilSpec
+	for i, uc := range utilConfigs {
+		specs = append(specs, utilSpec{
+			id:    fmt.Sprintf("%s%c", fig, 'a'+i),
+			title: fmt.Sprintf("%s network utilization: %s at %gGbps", title, uc.model, uc.gbps),
+			note:  note, model: uc.model, gbps: uc.gbps, strategy: s,
+		})
 	}
+	return utilizationFigures(o, specs)
 }
 
 // Fig8 reproduces Figure 8: baseline network utilization (bursty, poorly
 // overlapped bidirectional traffic).
 func Fig8(o Options) []*Figure {
-	var figs []*Figure
-	sub := 'a'
-	for _, uc := range utilConfigs {
-		m := zoo.ByName(uc.model)
-		figs = append(figs, utilizationFigure(
-			fmt.Sprintf("fig8%c", sub),
-			fmt.Sprintf("Baseline network utilization: %s at %gGbps", uc.model, uc.gbps),
-			m, strategy.Baseline(), uc.gbps, o,
-			"paper: bursty traffic, long idle gaps, inbound/outbound not overlapped"))
-		sub++
-	}
-	return figs
+	return utilizationStudy(o, "fig8", "Baseline",
+		"paper: bursty traffic, long idle gaps, inbound/outbound not overlapped", strategy.Baseline())
 }
 
 // Fig9 reproduces Figure 9: P3's network utilization (smoother, overlapped
 // bidirectional traffic, reduced idle time).
 func Fig9(o Options) []*Figure {
-	var figs []*Figure
-	sub := 'a'
-	for _, uc := range utilConfigs {
-		m := zoo.ByName(uc.model)
-		figs = append(figs, utilizationFigure(
-			fmt.Sprintf("fig9%c", sub),
-			fmt.Sprintf("P3 network utilization: %s at %gGbps", uc.model, uc.gbps),
-			m, strategy.P3(0), uc.gbps, o,
-			"paper: reduced idle time, bidirectional bandwidth used simultaneously"))
-		sub++
-	}
-	return figs
+	return utilizationStudy(o, "fig9", "P3",
+		"paper: reduced idle time, bidirectional bandwidth used simultaneously", strategy.P3(0))
 }
 
 // Fig10 reproduces Figure 10: aggregate throughput scaling with cluster
@@ -299,67 +257,53 @@ func Fig10(o Options) []*Figure {
 		"vgg19":    "paper: up to +61% on an 8-machine cluster",
 		"sockeye":  "paper: up to +18% on an 8-machine cluster; LSTMs scale poorly",
 	}
-	sizes := []int{2, 4, 8, 16}
+	sizes := []float64{2, 4, 8, 16}
 	if o.Fast {
-		sizes = []int{2, 8}
+		sizes = []float64{2, 8}
 	}
 	var figs []*Figure
-	sub := 'a'
-	for _, name := range names {
+	for i, name := range names {
 		m := awsModel(zoo.ByName(name))
-		fig := &Figure{
-			ID:     fmt.Sprintf("fig10%c", sub),
+		figs = append(figs, &Figure{
+			ID:     fmt.Sprintf("fig10%c", 'a'+i),
 			Title:  fmt.Sprintf("Scalability: %s @10Gbps (AWS g3.4xlarge profile)", name),
 			XLabel: "cluster size (machines)",
 			YLabel: fmt.Sprintf("aggregate throughput (%s/sec)", m.SampleUnit),
 			Notes:  []string{notes[name]},
-		}
-		strategies := []strategy.Strategy{strategy.Baseline(), strategy.P3(0)}
-		ys := make([]float64, len(strategies)*len(sizes))
-		parEach(len(ys), func(i int) {
-			r := run(awsModel(zoo.ByName(name)), strategies[i/len(sizes)], sizes[i%len(sizes)], 10, o, nil)
-			ys[i] = r.Throughput
+			Series: sweep(o, []strategy.Strategy{strategy.Baseline(), strategy.P3(0)}, sizes,
+				func(s strategy.Strategy, n float64) cell {
+					c := testbed(m, s, 10)
+					c.Machines = int(n)
+					return c
+				},
+				// Aggregate, not per-machine, throughput: the paper's y axis.
+				func(out outcome) float64 { return out.Throughput }),
 		})
-		for si, s := range strategies {
-			series := Series{Name: s.Name}
-			for ni, n := range sizes {
-				series.X = append(series.X, float64(n))
-				series.Y = append(series.Y, ys[si*len(sizes)+ni])
-			}
-			fig.Series = append(fig.Series, series)
-		}
-		figs = append(figs, fig)
-		sub++
 	}
 	return figs
 }
 
 // Fig12 reproduces Figure 12: P3 throughput vs slice size.
 func Fig12(o Options) []*Figure {
-	sizes := []int64{1000, 2000, 5000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}
+	sizes := []float64{1000, 2000, 5000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}
 	if o.Fast {
-		sizes = []int64{1000, 50_000, 1_000_000}
+		sizes = []float64{1000, 50_000, 1_000_000}
 	}
 	var figs []*Figure
-	sub := 'a'
-	for _, uc := range utilConfigs {
+	for i, uc := range utilConfigs {
 		m := zoo.ByName(uc.model)
-		fig := &Figure{
-			ID:     fmt.Sprintf("fig12%c", sub),
+		figs = append(figs, &Figure{
+			ID:     fmt.Sprintf("fig12%c", 'a'+i),
 			Title:  fmt.Sprintf("Slice size vs throughput: %s at %gGbps", uc.model, uc.gbps),
 			XLabel: "slice size (parameters)",
 			YLabel: fmt.Sprintf("throughput (%s/sec per machine)", m.SampleUnit),
 			Notes:  []string{"paper: peak at 50,000 parameters; overhead dominates below, pipelining degrades above"},
-		}
-		series := Series{Name: "p3"}
-		for _, sz := range sizes {
-			r := run(m, strategy.P3(sz), 4, uc.gbps, o, nil)
-			series.X = append(series.X, float64(sz))
-			series.Y = append(series.Y, r.Throughput/float64(r.Machines))
-		}
-		fig.Series = append(fig.Series, series)
-		figs = append(figs, fig)
-		sub++
+			Series: sweep(o, []strategy.Strategy{strategy.P3(0)}, sizes,
+				func(s strategy.Strategy, sz float64) cell {
+					s.MaxSliceParams = int64(sz)
+					return testbed(m, s, uc.gbps)
+				}, perMachine),
+		})
 	}
 	return figs
 }
@@ -367,19 +311,21 @@ func Fig12(o Options) []*Figure {
 // Fig13 reproduces Appendix Figure 13: TensorFlow-style synchronization's
 // network utilization on ResNet-50 at 4 Gbps.
 func Fig13(o Options) []*Figure {
-	return []*Figure{utilizationFigure(
-		"fig13", "TensorFlow-style network utilization: resnet50 at 4Gbps",
-		zoo.ByName("resnet50"), strategy.TFStyle(), 4, o,
-		"paper: bursty; pulls deferred to the next iteration leave inbound idle during backprop")}
+	return utilizationFigures(o, []utilSpec{{
+		id: "fig13", title: "TensorFlow-style network utilization: resnet50 at 4Gbps",
+		note:  "paper: bursty; pulls deferred to the next iteration leave inbound idle during backprop",
+		model: "resnet50", gbps: 4, strategy: strategy.TFStyle(),
+	}})
 }
 
 // Fig14 reproduces Appendix Figure 14: Poseidon-style WFBP network
 // utilization on InceptionV3 at 1 Gbps.
 func Fig14(o Options) []*Figure {
-	return []*Figure{utilizationFigure(
-		"fig14", "Poseidon-style (WFBP) network utilization: inception3 at 1Gbps",
-		zoo.ByName("inception3"), strategy.WFBP(), 1, o,
-		"paper: layer-granularity WFBP also utilizes the network poorly under bandwidth constraints")}
+	return utilizationFigures(o, []utilSpec{{
+		id: "fig14", title: "Poseidon-style (WFBP) network utilization: inception3 at 1Gbps",
+		note:  "paper: layer-granularity WFBP also utilizes the network poorly under bandwidth constraints",
+		model: "inception3", gbps: 1, strategy: strategy.WFBP(),
+	}})
 }
 
 // HeadlineRow is one model's Section 5.3 summary speedup.
@@ -406,25 +352,23 @@ func Headline(o Options) []HeadlineRow {
 		{"vgg19", 15, 66},
 		{"sockeye", 4, 38},
 	}
-	// All 12 (model, strategy) runs are independent pure simulations: fill a
-	// flat grid on the worker pool, then assemble rows in case order.
-	strategies := []strategy.Strategy{strategy.Baseline(), strategy.SlicingOnly(0), strategy.P3(0)}
-	grid := make([]cluster.Result, len(cases)*len(strategies))
-	parEach(len(grid), func(i int) {
-		c := cases[i/len(strategies)]
-		grid[i] = run(zoo.ByName(c.model), strategies[i%len(strategies)], 4, c.gbps, o, nil)
-	})
+	var cells []cell
+	for _, c := range cases {
+		m := zoo.ByName(c.model)
+		for _, s := range []strategy.Strategy{strategy.Baseline(), strategy.SlicingOnly(0), strategy.P3(0)} {
+			cells = append(cells, testbed(m, s, c.gbps))
+		}
+	}
+	outs := runCells(o, cells)
 	rows := make([]HeadlineRow, 0, len(cases))
 	for ci, c := range cases {
-		base := grid[ci*len(strategies)+0]
-		slic := grid[ci*len(strategies)+1]
-		p3 := grid[ci*len(strategies)+2]
+		base, slic, p3 := outs[3*ci], outs[3*ci+1], outs[3*ci+2]
 		rows = append(rows, HeadlineRow{
 			Model:         c.model,
 			BandwidthGbps: c.gbps,
-			Baseline:      base.Throughput / 4,
-			Slicing:       slic.Throughput / 4,
-			P3:            p3.Throughput / 4,
+			Baseline:      base.PerMachine,
+			Slicing:       slic.PerMachine,
+			P3:            p3.PerMachine,
 			SpeedupPct:    (p3.Throughput/base.Throughput - 1) * 100,
 			PaperPct:      c.paper,
 		})

@@ -62,6 +62,7 @@ func TestFig7FastShapes(t *testing.T) {
 	if len(figs) != 4 {
 		t.Fatalf("fig7 has %d sub-figures", len(figs))
 	}
+	checkGolden(t, "fig7", figsTSV(figs))
 	for _, f := range figs {
 		checkFigure(t, f)
 		if len(f.Series) != 3 {
@@ -85,10 +86,11 @@ func TestFig7FastShapes(t *testing.T) {
 }
 
 func TestFig8And9(t *testing.T) {
-	for _, figs := range [][]*Figure{Fig8(fast), Fig9(fast)} {
+	for i, figs := range [][]*Figure{Fig8(fast), Fig9(fast)} {
 		if len(figs) != 3 {
 			t.Fatalf("%d sub-figures", len(figs))
 		}
+		checkGolden(t, []string{"fig8", "fig9"}[i], figsTSV(figs))
 		for _, f := range figs {
 			checkFigure(t, f)
 			if len(f.Series) != 2 {
@@ -115,6 +117,7 @@ func TestFig10Scaling(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("fig10 has %d sub-figures", len(figs))
 	}
+	checkGolden(t, "fig10", figsTSV(figs))
 	for _, f := range figs {
 		checkFigure(t, f)
 		for _, s := range f.Series {
@@ -133,6 +136,7 @@ func TestFig12SliceSweep(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("fig12 has %d sub-figures", len(figs))
 	}
+	checkGolden(t, "fig12", figsTSV(figs))
 	for _, f := range figs {
 		checkFigure(t, f)
 		s := f.Series[0]
@@ -148,11 +152,12 @@ func TestFig12SliceSweep(t *testing.T) {
 }
 
 func TestFig13And14(t *testing.T) {
-	for _, figs := range [][]*Figure{Fig13(fast), Fig14(fast)} {
+	for i, figs := range [][]*Figure{Fig13(fast), Fig14(fast)} {
 		if len(figs) != 1 {
 			t.Fatalf("%d figures", len(figs))
 		}
 		checkFigure(t, figs[0])
+		checkGolden(t, []string{"fig13", "fig14"}[i], figsTSV(figs))
 	}
 }
 
@@ -173,6 +178,7 @@ func TestHeadline(t *testing.T) {
 	if !strings.Contains(tbl, "vgg19") {
 		t.Fatalf("headline table:\n%s", tbl)
 	}
+	checkGolden(t, "headline", tbl)
 }
 
 func TestFig11Fast(t *testing.T) {
@@ -182,6 +188,7 @@ func TestFig11Fast(t *testing.T) {
 	}
 	f := figs[0]
 	checkFigure(t, f)
+	checkGolden(t, "fig11", figsTSV(figs))
 	if len(f.Series) != 4 {
 		t.Fatalf("fig11 has %d series, want min/max bands for p3 and dgc", len(f.Series))
 	}
@@ -198,6 +205,7 @@ func TestFig15Fast(t *testing.T) {
 	figs := Fig15(fast)
 	f := figs[0]
 	checkFigure(t, f)
+	checkGolden(t, "fig15", figsTSV(figs))
 	if len(f.Series) != 2 {
 		t.Fatalf("fig15 has %d series", len(f.Series))
 	}

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"p3/internal/cluster"
 	"p3/internal/faults"
 	"p3/internal/netsim"
-	"p3/internal/sim"
-	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
 
@@ -61,7 +58,6 @@ const faultHorizonNs = int64(60e9)
 // each faulted cell against the same discipline's clean cell, making the
 // graceful-degradation ordering directly readable from the table.
 func Faults(o Options) []FaultRow {
-	warm, measure := o.iters()
 	const model = "resnet50"
 	const gbps = 1.5
 	machines, rackSize := 64, 16
@@ -88,53 +84,32 @@ func Faults(o Options) []FaultRow {
 			}}
 		}},
 	}
-	type cell struct {
-		sched    string
-		scenario faultScenario
-	}
+	m := zoo.ByName(model)
+	var rows []FaultRow
 	var cells []cell
 	for _, sc := range scheds {
 		for _, fs := range scenarios {
-			cells = append(cells, cell{sched: sc, scenario: fs})
+			rows = append(rows, FaultRow{Model: model, Machines: machines, RackSize: rackSize, Sched: sc, Scenario: fs.name})
+			c := cell{Config: cluster.Config{
+				Model: m, Machines: machines, Servers: racks,
+				Strategy: sliced(sc), BandwidthGbps: gbps,
+				Topology:        netsim.Topology{RackSize: rackSize, CoreOversub: 4},
+				ServerMachines:  rackPlacement("spread", racks, machines, rackSize),
+				RackAggregation: true,
+			}}
+			if fs.plan != nil {
+				c.Faults = fs.plan() // a freshly built plan per cell
+			}
+			cells = append(cells, c)
 		}
 	}
-	rows := make([]FaultRow, len(cells))
-	parEachEngine(len(cells), func(i int, eng *sim.Engine) {
-		c := cells[i]
-		st, err := strategy.SlicingOnly(0).WithSched(c.sched)
-		if err != nil {
-			panic(err)
-		}
-		st.Name = "sliced+" + c.sched
-		var plan *faults.Plan
-		if c.scenario.plan != nil {
-			plan = c.scenario.plan()
-		}
-		//p3:wallclock-ok WallMs reports real simulator throughput
-		t0 := time.Now()
-		r := cluster.Run(cluster.Config{
-			Model: zoo.ByName(model), Machines: machines, Servers: racks,
-			Strategy: st, BandwidthGbps: gbps,
-			WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
-			Topology:        netsim.Topology{RackSize: rackSize, CoreOversub: 4},
-			ServerMachines:  rackPlacement("spread", racks, machines, rackSize),
-			RackAggregation: true,
-			Faults:          plan,
-			Engine:          eng, Shards: o.Shards,
-		})
-		rows[i] = FaultRow{
-			Model: model, Machines: machines, RackSize: rackSize,
-			Sched: c.sched, Scenario: c.scenario.name,
-			PerMachine: r.Throughput / float64(r.Machines),
-			IterMs:     r.MeanIterTime.Millis(),
-			Failovers:  r.AggFailovers,
-			Lost:       r.LostReductions,
-			Events:     r.Events,
-			WallMs:     float64(time.Since(t0).Microseconds()) / 1000, //p3:wallclock-ok WallMs reports real simulator throughput
-		}
-	})
+	for i, out := range runCells(o, cells) {
+		r := &rows[i]
+		r.PerMachine, r.IterMs, r.Events, r.WallMs = out.PerMachine, out.IterMs, out.Events, out.WallMs
+		r.Failovers, r.Lost = out.AggFailovers, out.LostReductions
+	}
 	// RetainedPct normalizes each faulted cell by its discipline's clean
-	// cell — cells run in parallel, so the normalization is a second pass.
+	// cell: a serial second pass over the outcomes.
 	clean := map[string]float64{}
 	for _, r := range rows {
 		if r.Scenario == "clean" {

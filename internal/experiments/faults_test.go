@@ -54,9 +54,8 @@ func TestFaultSweepFast(t *testing.T) {
 			}
 		}
 	}
-	if FaultsTable(rows) == "" {
-		t.Error("empty table")
-	}
+	// Shards: 2 above, same golden: the table is shard-count independent.
+	checkGolden(t, "faults", stripWall(FaultsTable(rows)))
 }
 
 // TestFaultGracefulDegradationFinding pins the graceful-degradation

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"p3/internal/cluster"
 	"p3/internal/netsim"
-	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
@@ -97,11 +95,8 @@ func rackPlacement(policy string, servers, machines, rackSize int) []int {
 // reduce-rate axis (free vs 8 vs 1 GB/s, bracketing the ~6 GB/s line-rate
 // ingest demand of a 32-machine rack at 1.5 Gbps), and the rack-local
 // parameter cache under the pull-mode baseline strategy. The non-blocking
-// (1:1) column isolates placement effects from core contention. Cells run
-// on the parEachEngine pool with o.Shards threaded through, like the
-// scale sweep.
+// (1:1) column isolates placement effects from core contention.
 func Rack(o Options) []RackRow {
-	warm, measure := o.iters()
 	const model = "resnet50"
 	const gbps = 1.5
 	machines, rackSize, servers := 256, 32, 8
@@ -118,23 +113,15 @@ func Rack(o Options) []RackRow {
 		hierScheds = []string{"damped"}
 		rates = []float64{1}
 	}
-	type cell struct {
-		oversub   float64
-		placement string
-		sched     string
-		core      string
-		agg       bool
-		pods      int
-		hier      bool
-		local     bool
-		pull      bool
-		aggGBps   float64
+	var rows []RackRow
+	add := func(r RackRow) {
+		r.Model, r.Machines, r.RackSize = model, machines, rackSize
+		rows = append(rows, r)
 	}
-	var cells []cell
 	for _, ov := range oversubs {
 		for _, pl := range []string{"spread", "packed"} {
 			for _, sc := range scheds {
-				cells = append(cells, cell{oversub: ov, placement: pl, sched: sc})
+				add(RackRow{Oversub: ov, Placement: pl, Sched: sc})
 				if ov > 1 {
 					// The core-aware mechanisms only differentiate against a
 					// contended core. The fast sweep drops the core-queues-only
@@ -142,9 +129,9 @@ func Rack(o Options) []RackRow {
 					// volume) and their parity base case is pinned by
 					// cluster-level tests.
 					if !o.Fast {
-						cells = append(cells, cell{oversub: ov, placement: pl, sched: sc, core: sc})
+						add(RackRow{Oversub: ov, Placement: pl, Sched: sc, Core: sc})
 					}
-					cells = append(cells, cell{oversub: ov, placement: pl, sched: sc, core: sc, agg: true})
+					add(RackRow{Oversub: ov, Placement: pl, Sched: sc, Core: sc, Agg: true})
 				}
 			}
 		}
@@ -154,63 +141,44 @@ func Rack(o Options) []RackRow {
 	// reduce-rate axis on the hierarchical cell, and the rack-local cache
 	// pair under the pull-mode baseline.
 	for _, sc := range hierScheds {
-		cells = append(cells,
-			cell{oversub: 4, placement: "spread", sched: sc, core: sc, agg: true, pods: 2},
-			cell{oversub: 4, placement: "spread", sched: sc, core: sc, agg: true, pods: 2, hier: true})
+		add(RackRow{Oversub: 4, Placement: "spread", Sched: sc, Core: sc, Agg: true, Pods: 2})
+		add(RackRow{Oversub: 4, Placement: "spread", Sched: sc, Core: sc, Agg: true, Pods: 2, Hier: true})
 	}
 	for _, rate := range rates {
-		cells = append(cells, cell{oversub: 4, placement: "spread", sched: hierScheds[len(hierScheds)-1],
-			core: hierScheds[len(hierScheds)-1], agg: true, pods: 2, hier: true, aggGBps: rate})
+		sc := hierScheds[len(hierScheds)-1]
+		add(RackRow{Oversub: 4, Placement: "spread", Sched: sc, Core: sc, Agg: true, Pods: 2, Hier: true, AggGBps: rate})
 	}
 	for _, local := range []bool{false, true} {
-		cells = append(cells, cell{oversub: 4, placement: "spread", sched: "fifo", agg: true, pull: true, local: local})
+		add(RackRow{Oversub: 4, Placement: "spread", Sched: "fifo", Agg: true, Pull: true, Local: local})
 	}
-	rows := make([]RackRow, len(cells))
-	parEachEngine(len(cells), func(i int, eng *sim.Engine) {
-		c := cells[i]
-		base := strategy.SlicingOnly(0)
-		name := "sliced"
-		if c.pull {
-			base = strategy.Baseline()
-			name = "baseline"
+	m := zoo.ByName(model)
+	cells := make([]cell, len(rows))
+	for i, r := range rows {
+		st := sliced(r.Sched)
+		if r.Pull {
+			st = under(strategy.Baseline(), "baseline", r.Sched)
 		}
-		st, err := base.WithSched(c.sched)
-		if err != nil {
-			panic(err)
-		}
-		st.Name = name + "+" + c.sched
-		topo := netsim.Topology{RackSize: rackSize, CoreOversub: c.oversub, CoreSched: c.core, Pods: c.pods}
-		if c.pods > 0 {
+		topo := netsim.Topology{RackSize: rackSize, CoreOversub: r.Oversub, CoreSched: r.Core, Pods: r.Pods}
+		if r.Pods > 0 {
 			topo.SpineOversub = 4
-			topo.SpineSched = c.core
+			topo.SpineSched = r.Core
 		}
-		//p3:wallclock-ok WallMs reports real simulator throughput
-		t0 := time.Now()
-		r := cluster.Run(cluster.Config{
-			Model: zoo.ByName(model), Machines: machines, Servers: servers,
+		cells[i] = cell{Config: cluster.Config{
+			Model: m, Machines: machines, Servers: servers,
 			Strategy: st, BandwidthGbps: gbps,
-			WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
 			Topology:        topo,
-			ServerMachines:  rackPlacement(c.placement, servers, machines, rackSize),
-			RackAggregation: c.agg,
-			HierAggregation: c.hier,
-			RackLocalPS:     c.local,
-			AggReduceGBps:   c.aggGBps,
-			Engine:          eng, Shards: o.Shards,
-		})
-		rows[i] = RackRow{
-			Model: model, Machines: machines, RackSize: rackSize,
-			Oversub: c.oversub, Placement: c.placement, Sched: c.sched,
-			Core: c.core, Agg: c.agg,
-			Pods: c.pods, Hier: c.hier, Local: c.local, AggGBps: c.aggGBps, Pull: c.pull,
-			PerMachine: r.Throughput / float64(r.Machines),
-			IterMs:     r.MeanIterTime.Millis(),
-			CoreMB:     float64(r.CoreBytes) / 1e6,
-			SpineMB:    float64(r.SpineBytes) / 1e6,
-			Events:     r.Events,
-			WallMs:     float64(time.Since(t0).Microseconds()) / 1000, //p3:wallclock-ok WallMs reports real simulator throughput
-		}
-	})
+			ServerMachines:  rackPlacement(r.Placement, servers, machines, rackSize),
+			RackAggregation: r.Agg,
+			HierAggregation: r.Hier,
+			RackLocalPS:     r.Local,
+			AggReduceGBps:   r.AggGBps,
+		}}
+	}
+	for i, out := range runCells(o, cells) {
+		r := &rows[i]
+		r.PerMachine, r.IterMs, r.Events, r.WallMs = out.PerMachine, out.IterMs, out.Events, out.WallMs
+		r.CoreMB, r.SpineMB = float64(out.CoreBytes)/1e6, float64(out.SpineBytes)/1e6
+	}
 	return rows
 }
 

@@ -87,6 +87,7 @@ func TestRackSweepFast(t *testing.T) {
 			local.CoreMB, pull.CoreMB)
 	}
 	table := RackTable(rows)
+	checkGolden(t, "rack", stripWall(table))
 	for _, want := range []string{"spread", "packed", "4:1", "blind", "damped", "baseline", "sliced", "inf", "\ton\t", "\toff\t"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("rack table missing %q:\n%s", want, table)

@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"p3/internal/cluster"
-	"p3/internal/sim"
-	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
 
@@ -34,11 +30,7 @@ type ScaleRow struct {
 	// Events is the discrete-event count of the run; at 64 machines the
 	// cluster path multiplies traffic ~250x over 4 machines.
 	Events uint64
-	// WallMs is the wall-clock cost of simulating the cell, measured while
-	// the other cells of the sweep share the machine (the sweep runs on the
-	// parEach pool), so on a multi-core runner it is an upper bound on the
-	// cell's serial cost; a calibrated cell pays for both of its passes.
-	// Serial costs are what `go run ./bench` measures, one cell at a time.
+	// WallMs is the wall-clock cost of simulating the cell (outcome.WallMs).
 	WallMs float64
 }
 
@@ -48,12 +40,11 @@ type ScaleRow struct {
 // credit gate), inside simulations whose event volume itself grows ~N^2.
 // 256 and 1024 came within reach with the sharded engine: parameter-server
 // event volume grows roughly linearly in machines, so the big cells are
-// wide rather than deep and the conservative-lookahead shards (plus the
-// reused per-worker engines) keep them tractable. The ring axis stays
-// capped at 64: every collective is 2(N-1) rounds of N transmissions per
-// chunk, ~N^2 events — a 256-machine ring cell alone would cost ~16x the
-// whole 64-machine sweep — and its global per-collective launch barrier
-// pins it to the single-shard engine besides.
+// wide rather than deep and the conservative-lookahead shards keep them
+// tractable. The ring axis stays capped at 64: every collective is 2(N-1)
+// rounds of N transmissions per chunk, ~N^2 events — a 256-machine ring cell
+// alone would cost ~16x the whole 64-machine sweep — and its global
+// per-collective launch barrier pins it to the single-shard engine besides.
 func scaleSizes(path string, fast bool) []int {
 	if path == PathRing {
 		if fast {
@@ -100,18 +91,11 @@ func scaleVariants() []scaleVariant {
 // static/calibrated tictac ordering, parameter server and ring all-reduce,
 // at the bottleneck bandwidth. The damped and calibrated columns pin the
 // 64-machine result: strict p3 inverts against fifo at high fan-in, the
-// damped rank does not. Cells run on the parEach worker pool — each is a
-// pure simulation — so the sweep's wall-clock is bounded by its slowest
-// cell on a multi-core runner.
+// damped rank does not.
 func Scale(o Options) []ScaleRow {
-	warm, measure := o.iters()
-	const model = "resnet50"
-	const gbps = 1.5
-	type cell struct {
-		path     string
-		machines int
-		variant  scaleVariant
-	}
+	const name = "resnet50"
+	m := zoo.ByName(name)
+	var rows []ScaleRow
 	var cells []cell
 	for _, path := range []string{PathCluster, PathRing} {
 		for _, n := range scaleSizes(path, o.Fast) {
@@ -122,39 +106,23 @@ func Scale(o Options) []ScaleRow {
 					// single-pass fifo/p3/damped/tictac axis.
 					continue
 				}
-				cells = append(cells, cell{path, n, v})
+				row := ScaleRow{Model: name, Machines: n, Path: path, Sched: v.sched, Profile: "-"}
+				switch {
+				case v.calibrated:
+					row.Profile = "measured"
+				case v.sched == "tictac":
+					row.Profile = "static"
+				}
+				rows = append(rows, row)
+				c := testbed(m, sliced(v.sched), 1.5)
+				c.Machines, c.ring, c.calibrated = n, path == PathRing, v.calibrated
+				cells = append(cells, c)
 			}
 		}
 	}
-	rows := make([]ScaleRow, len(cells))
-	parEachEngine(len(cells), func(i int, eng *sim.Engine) {
-		c := cells[i]
-		st, err := strategy.SlicingOnly(0).WithSched(c.variant.sched)
-		if err != nil {
-			panic(err)
-		}
-		st.Name = "sliced+" + c.variant.sched
-		row := ScaleRow{Model: model, Machines: c.machines, Path: c.path, Sched: c.variant.sched}
-		switch {
-		case c.variant.calibrated:
-			row.Profile = "measured"
-		case c.variant.sched == "tictac":
-			row.Profile = "static"
-		default:
-			row.Profile = "-"
-		}
-		//p3:wallclock-ok WallMs reports real simulator throughput
-		t0 := time.Now()
-		row.PerMachine, row.IterMs, row.Events = runPath(c.path, cluster.Config{
-			Model: zoo.ByName(model), Machines: c.machines, Strategy: st,
-			BandwidthGbps: gbps,
-			WarmupIters:   warm, MeasureIters: measure, Seed: o.Seed + 1,
-			Engine: eng, Shards: o.Shards,
-		}, c.variant.calibrated)
-		//p3:wallclock-ok WallMs reports real simulator throughput
-		row.WallMs = float64(time.Since(t0).Microseconds()) / 1000
-		rows[i] = row
-	})
+	for i, out := range runCells(o, cells) {
+		rows[i].PerMachine, rows[i].IterMs, rows[i].Events, rows[i].WallMs = out.PerMachine, out.IterMs, out.Events, out.WallMs
+	}
 	return rows
 }
 

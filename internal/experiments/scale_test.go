@@ -77,6 +77,7 @@ func TestScaleSweep(t *testing.T) {
 		}
 	}
 	table := ScaleTable(rows)
+	checkGolden(t, "scale", stripWall(table))
 	if !strings.Contains(table, "cluster\t64\tp3") {
 		t.Fatalf("table missing the 64-machine p3 cell:\n%s", table)
 	}

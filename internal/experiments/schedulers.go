@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"p3/internal/cluster"
 	"p3/internal/netsim"
 	"p3/internal/sched"
-	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
 
@@ -93,55 +91,31 @@ func schedCases(o Options) []struct {
 // parameter slicing approximates, with no changes outside the strategy's
 // Sched name and the network's preemption quantum.
 func SchedulerAblation(o Options) []SchedulerRow {
-	warm, measure := o.iters()
-	// Flatten the sweep into independent cells first, then fill every cell
-	// on the parEach worker pool: each cell is one pure simulation, so the
-	// table comes out bit-identical to the serial sweep, only bounded by
-	// the slowest core instead of the sum of all cells. The non-preemptive
-	// fifo cell doubles as the TTCSpeedup reference of its (model, path)
-	// group, resolved in a serial pass after the measurements land.
-	type cell struct {
-		model   string
-		gbps    float64
-		path    string
-		sched   string
-		preempt int64
-	}
+	var rows []SchedulerRow
 	var cells []cell
 	for _, c := range schedCases(o) {
+		m := zoo.ByName(c.model)
 		for _, path := range []string{PathCluster, PathRing} {
 			for _, name := range SchedDisciplines() {
 				for _, preempt := range []int64{0, netsim.DefaultPreemptQuantum} {
-					cells = append(cells, cell{c.model, c.gbps, path, name, preempt})
+					rows = append(rows, SchedulerRow{
+						Model: c.model, BandwidthGbps: c.gbps, Path: path, Sched: name, Preempt: preempt,
+					})
+					cl := testbed(m, sliced(name), c.gbps)
+					cl.PreemptQuantum = preempt
+					cl.ring = path == PathRing
+					cells = append(cells, cl)
 				}
 			}
 		}
 	}
-	rows := make([]SchedulerRow, len(cells))
-	parEach(len(cells), func(i int) {
-		c := cells[i]
-		st, err := strategy.SlicingOnly(0).WithSched(c.sched)
-		if err != nil {
-			panic(err) // SchedDisciplines() only holds registered names
-		}
-		st.Name = "sliced+" + c.sched
-		m := zoo.ByName(c.model) // fresh model per cell: nothing shared across goroutines
-		row := SchedulerRow{
-			Model:         c.model,
-			BandwidthGbps: c.gbps,
-			Path:          c.path,
-			Sched:         c.sched,
-			Preempt:       c.preempt,
-		}
-		row.PerMachine, row.IterMs, _ = runPath(c.path, cluster.Config{
-			Model: m, Machines: 4, Strategy: st, BandwidthGbps: c.gbps,
-			PreemptQuantum: c.preempt,
-			WarmupIters:    warm, MeasureIters: measure, Seed: o.Seed + 1,
-		}, false)
-		rows[i] = row
-	})
+	for i, out := range runCells(o, cells) {
+		rows[i].PerMachine, rows[i].IterMs = out.PerMachine, out.IterMs
+	}
 	// Resolve TTCSpeedup against each (model, bandwidth, path) group's
-	// non-preemptive fifo row (a model appears at several bandwidths).
+	// non-preemptive fifo row (a model appears at several bandwidths): the
+	// fifo cell doubles as its group's reference, so this is a serial second
+	// pass over the outcomes.
 	type group struct {
 		model string
 		gbps  float64

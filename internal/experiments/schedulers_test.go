@@ -15,6 +15,7 @@ import (
 func TestSchedulerAblation(t *testing.T) {
 	o := Options{Fast: true}
 	rows := SchedulerAblation(o)
+	checkGolden(t, "sched", SchedulerTable(rows))
 	cases := len(schedCases(o))
 	const paths = 2
 	const preempts = 2

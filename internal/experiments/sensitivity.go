@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p3/internal/cluster"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
@@ -24,30 +23,22 @@ type SensitivityRow struct {
 // per-worker batch size (which scales compute time against a fixed
 // communication volume). VGG-19 at 15 Gbps, 4 machines.
 func Sensitivity(o Options) []SensitivityRow {
-	warm, measure := o.iters()
 	m := zoo.VGG19()
-	runOne := func(s strategy.Strategy, servers, batch int) float64 {
+	var rows []SensitivityRow
+	var cells []cell
+	add := func(knob string, value int, servers, batch int) {
 		mm := m
 		if batch != m.BatchSize {
 			clone := *m
 			clone.BatchSize = batch
 			mm = &clone
 		}
-		r := cluster.Run(cluster.Config{
-			Model: mm, Machines: 4, Servers: servers, Strategy: s, BandwidthGbps: 15,
-			WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
-		})
-		return r.Throughput / 4
-	}
-
-	var rows []SensitivityRow
-	add := func(knob string, value int, servers, batch int) {
-		base := runOne(strategy.Baseline(), servers, batch)
-		p3 := runOne(strategy.P3(0), servers, batch)
-		rows = append(rows, SensitivityRow{
-			Knob: knob, Value: value, Baseline: base, P3: p3,
-			GainPct: (p3/base - 1) * 100,
-		})
+		rows = append(rows, SensitivityRow{Knob: knob, Value: value})
+		for _, s := range []strategy.Strategy{strategy.Baseline(), strategy.P3(0)} {
+			c := testbed(mm, s, 15)
+			c.Servers = servers
+			cells = append(cells, c)
+		}
 	}
 
 	serverCounts := []int{1, 2, 4}
@@ -61,6 +52,11 @@ func Sensitivity(o Options) []SensitivityRow {
 	}
 	for _, b := range batches {
 		add("batch", b, 4, b)
+	}
+	outs := runCells(o, cells)
+	for i := range rows {
+		base, p3 := outs[2*i].PerMachine, outs[2*i+1].PerMachine
+		rows[i].Baseline, rows[i].P3, rows[i].GainPct = base, p3, (p3/base-1)*100
 	}
 	return rows
 }

@@ -40,7 +40,7 @@
 // through closures built in the loop body; iterate sorted keys instead, or
 // document a genuinely order-insensitive walk with //p3:maporder-ok <reason>.
 //
-// sizebudget — two hot structs sit on measured performance cliffs, pinned
+// sizebudget — three hot structs sit on measured performance cliffs, pinned
 // with //p3:sizebudget <bytes>:
 //
 //   - sim's event struct (32 bytes: at, sched, packed ord, fn). The event
@@ -62,6 +62,12 @@
 //     level. That is also why Item has no Src field — the element's origin
 //     is a property of the queue, injected per discipline via ApplySource.
 //     (sched's TestEntrySize pins the 56 directly.)
+//
+//   - sim.Engine (128 bytes, 48 of them padding). Every event writes the
+//     header; 128 bytes is a size class whose objects own their two cache
+//     lines, so concurrent sweep cells cannot false-share it. At its
+//     natural 80 bytes two pooled cells cost up to a third more wall time,
+//     by allocation luck (PR 19).
 //
 // The analyzer recomputes each annotated struct's size under the gc layout
 // (types.Sizes) and fails on any mismatch, in either direction: growth is

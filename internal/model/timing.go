@@ -6,9 +6,11 @@ import (
 
 // Timing maps a model onto the virtual clock: how long each layer's forward
 // and backward computation takes on one worker. Absolute scale comes from the
-// calibrated compute-bound plateau throughput (DESIGN.md §5); relative
-// per-layer shares come from the FLOP estimates, with backward costing twice
-// forward (the usual dgrad+wgrad accounting).
+// calibrated compute-bound plateau throughput (Model.PlateauPerWorker, pinned
+// per zoo model to the paper's high-bandwidth plateaus — the one place
+// absolute numbers are assumed rather than measured); relative per-layer
+// shares come from the FLOP estimates, with backward costing twice forward
+// (the usual dgrad+wgrad accounting).
 type Timing struct {
 	// Fwd[i] and Bwd[i] are the compute durations attributed to layer i for
 	// one mini-batch on one worker.

@@ -476,8 +476,13 @@ func (c Config) LPShards(n, shards int) []int {
 // of an already-sliced strategy are indistinguishable.
 const DefaultPreemptQuantum = 64 << 10
 
-// DefaultConfig returns the interconnect constants used for every experiment
-// (DESIGN.md §5), with the bandwidth left for the caller to set.
+// DefaultConfig returns the interconnect constants used for every experiment,
+// with the bandwidth left for the caller to set. The four network constants
+// — one-way propagation delay, per-message software overhead, per-message
+// framing, and the loopback path between a worker and its co-located server
+// — are calibration, not measurement: like the per-model compute plateau
+// (model.Timing) they set absolute scale, while every comparison the
+// experiments report emerges from the simulated mechanisms.
 func DefaultConfig(gbps float64) Config {
 	return Config{
 		BandwidthGbps:      gbps,

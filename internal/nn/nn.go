@@ -1,8 +1,9 @@
 // Package nn implements the residual feed-forward network used by the
 // convergence experiments (Sections 5.6 and Appendix B.2 of the paper use
 // ResNet-110 on CIFAR-10; our substitute is a residual MLP on a synthetic
-// classification task — see DESIGN.md for why the substitution preserves
-// the claims under test).
+// classification task: the claims under test — dense aggregation is
+// order-invariant, DGC and ASGD are not — are properties of the update rule,
+// not of the network, so the substitution preserves them).
 //
 // Parameters are exposed as named flat tensors (Param) in forward order,
 // mirroring the KVStore key granularity, so the data-parallel trainer can

@@ -107,7 +107,7 @@ func TestDeterministicInit(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropy(t *testing.T) {
-	logits := tensor.FromData(1, 3, []float64{0, 0, 0})
+	logits := &tensor.Mat{Rows: 1, Cols: 3, Data: []float64{0, 0, 0}}
 	probs, loss := SoftmaxCrossEntropy(logits, []int{1})
 	if math.Abs(loss-math.Log(3)) > 1e-12 {
 		t.Fatalf("uniform loss = %v, want ln 3", loss)
@@ -118,7 +118,7 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 		}
 	}
 	// Large logits must not overflow.
-	logits = tensor.FromData(1, 2, []float64{1e4, -1e4})
+	logits = &tensor.Mat{Rows: 1, Cols: 2, Data: []float64{1e4, -1e4}}
 	_, loss = SoftmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) || loss < 0 {
 		t.Fatalf("unstable softmax: loss = %v", loss)

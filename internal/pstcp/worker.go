@@ -106,12 +106,6 @@ func DialWorker(id int, addrs []string, schedName string, handler Handler) (*Wor
 	return DialWorkerCfg(WorkerConfig{ID: id, Servers: addrs, Sched: schedName, Handler: handler})
 }
 
-// DialWorkerProfile is DialWorker with a model timing profile for
-// profile-aware send-queue disciplines.
-func DialWorkerProfile(id int, addrs []string, schedName string, profile *sched.Profile, handler Handler) (*Worker, error) {
-	return DialWorkerCfg(WorkerConfig{ID: id, Servers: addrs, Sched: schedName, Profile: profile, Handler: handler})
-}
-
 // DialWorkerCfg connects a worker to every configured server.
 func DialWorkerCfg(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID < 0 || cfg.ID > 255 {

@@ -5,10 +5,10 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"p3/internal/experiments"
-	"p3/internal/metrics"
 )
 
 // Generate runs every experiment and renders the full markdown report.
@@ -20,8 +20,8 @@ func Generate(o experiments.Options) string {
 	b.WriteString("Reproduction of every table and figure in *Priority-based Parameter\n")
 	b.WriteString("Propagation for Distributed DNN Training* (MLSys 2019). All throughput and\n")
 	b.WriteString("utilization numbers come from the discrete-event cluster simulator that\n")
-	b.WriteString("substitutes for the paper's 4x-GPU testbed (see DESIGN.md §2 and §5 for the\n")
-	b.WriteString("substitution argument and the four calibration constants); convergence\n")
+	b.WriteString("substitutes for the paper's 4x-GPU testbed (`internal/model/timing.go` has the\n")
+	b.WriteString("compute calibration, `netsim.DefaultConfig` the four network constants); convergence\n")
 	b.WriteString("numbers come from real training runs on the substitute task. Absolute values\n")
 	b.WriteString("are therefore calibrated, but every *comparison* (who wins, by what factor,\n")
 	b.WriteString("where the knees fall) is measured, not assumed.\n\n")
@@ -81,7 +81,7 @@ func sectionDeviations(b *strings.Builder) {
 	b.WriteString("## Known deviations from the paper\n\n")
 	b.WriteString("1. **Absolute scale is calibrated, comparisons are measured.** Per-worker\n")
 	b.WriteString("   compute-bound throughput is pinned to the paper's high-bandwidth plateaus\n")
-	b.WriteString("   (DESIGN.md §5); everything else — knees, gaps, crossovers — emerges from\n")
+	b.WriteString("   (`internal/model/timing.go`); everything else — knees, gaps, crossovers — emerges from\n")
 	b.WriteString("   the simulated mechanisms.\n")
 	b.WriteString("2. **Slicing-only at 30 Gbps on VGG-19 under-gains** (~+17% measured vs +49%\n")
 	b.WriteString("   quoted). At that bandwidth the baseline's penalty is dominated by endpoint\n")
@@ -129,13 +129,13 @@ func section5(b *strings.Builder, o experiments.Options) {
 	b.WriteString("71.5% of the model; Sockeye's heaviest tensor is the *initial* embedding.\n\n")
 	for _, f := range experiments.Fig5(o) {
 		ys := f.Series[0].Y
-		s := metrics.Summarize(ys)
+		largest := slices.Max(ys)
 		var total float64
 		for _, y := range ys {
 			total += y
 		}
 		fmt.Fprintf(b, "- **%s**: %d tensors, %.2fM params total, largest %.2fM (%.1f%% of model)\n",
-			f.Series[0].Name, len(ys), total, s.Max, s.Max/total*100)
+			f.Series[0].Name, len(ys), total, largest, largest/total*100)
 	}
 	b.WriteString("\nMeasured: matches — 25.56M/143.67M/40.13M totals; fc6 share 71.5%; Sockeye's\n")
 	b.WriteString("first tensor (source embedding) is its largest. `p3bench fig5` prints the\n")
@@ -175,15 +175,20 @@ func sectionUtil(b *strings.Builder, o experiments.Options, title string,
 	b.WriteString("| config | dir | mean Gbps | peak Gbps | idle buckets |\n| --- | --- | --- | --- | --- |\n")
 	for _, f := range fn(o) {
 		for _, s := range f.Series {
-			sum := metrics.Summarize(s.Y)
+			if len(s.Y) == 0 {
+				continue
+			}
+			peak := slices.Max(s.Y)
+			var total float64
 			idle := 0
 			for _, y := range s.Y {
-				if y < 0.05*sum.Max {
+				total += y
+				if y < 0.05*peak {
 					idle++
 				}
 			}
 			fmt.Fprintf(b, "| %s | %s | %.2f | %.2f | %d%% |\n",
-				f.ID, s.Name, sum.Mean, sum.Max, idle*100/max(1, len(s.Y)))
+				f.ID, s.Name, total/float64(len(s.Y)), peak, idle*100/len(s.Y))
 		}
 	}
 	b.WriteString("\n`p3bench` prints the full 10 ms time series for each sub-figure.\n\n")
@@ -210,7 +215,7 @@ func section10(b *strings.Builder, o experiments.Options) {
 func section11(b *strings.Builder, o experiments.Options) {
 	b.WriteString("## Figure 11 — convergence: P3 vs DGC (5 hyper-parameter settings)\n\n")
 	b.WriteString("Paper: P3's accuracy band always above DGC's; mean DGC drop 0.4%\n")
-	b.WriteString("(ResNet-110/CIFAR-10). Ours uses the substitute task (DESIGN.md): a residual\n")
+	b.WriteString("(ResNet-110/CIFAR-10). Ours uses the substitute task (package `nn`): a residual\n")
 	b.WriteString("MLP on synthetic data, DGC at 99.9% sparsity without warm-up.\n\n")
 	f := experiments.Fig11(o)[0]
 	last := len(f.Series[0].Y) - 1
@@ -282,8 +287,8 @@ func sectionHeadline(b *strings.Builder, o experiments.Options) {
 func sectionAblation(b *strings.Builder, o experiments.Options) {
 	b.WriteString("## Ablation — contribution of each design decision\n\n")
 	b.WriteString("Per-machine throughput when enabling each P3 mechanism in isolation\n")
-	b.WriteString("(immediate broadcast, slicing, priority) versus the full design — the\n")
-	b.WriteString("decomposition DESIGN.md calls out for Section 4.2's three modifications.\n\n")
+	b.WriteString("(immediate broadcast, slicing, priority) versus the full design: Section\n")
+	b.WriteString("4.2's three modifications, one at a time.\n\n")
 	b.WriteString(tsvToMarkdown(experiments.AblationTable(experiments.Ablation(o))))
 	b.WriteString("\n")
 }
@@ -361,11 +366,4 @@ func sectionTTA(b *strings.Builder, o experiments.Options) {
 	b.WriteString("P3 keeps dense convergence at near-compute-bound speed.\n\n")
 	b.WriteString(tsvToMarkdown(experiments.TimeToAccuracyTable(experiments.TimeToAccuracy(o))))
 	b.WriteString("\n")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

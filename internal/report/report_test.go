@@ -29,15 +29,23 @@ func TestGenerateFast(t *testing.T) {
 		"Figure 15 — ASGD vs P3",
 		"Section 5.3 headline speedups",
 		"Ablation — contribution of each design decision",
+		"Scheduler ablation — every discipline",
 		"Extension — rack-scale topology",
 		"Extension — fault injection and graceful degradation",
 		"Extension — P3 principles on ring all-reduce",
 		"Extension — time to accuracy",
+		"Extension — compression family",
+		"Sensitivity — server count and batch size",
 	}
 	for _, s := range sections {
 		if !strings.Contains(md, s) {
 			t.Errorf("report missing section %q", s)
 		}
+	}
+	// Every pointer the report gives must lead somewhere: it used to cite a
+	// DESIGN.md the repository never had.
+	if strings.Contains(md, "DESIGN.md") {
+		t.Error("report cites DESIGN.md, which does not exist")
 	}
 	// Markdown tables must be present and well formed.
 	if !strings.Contains(md, "| --- |") {

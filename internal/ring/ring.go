@@ -57,14 +57,6 @@ type Config struct {
 	MeasureIters int
 	Seed         int64
 	Recorder     *trace.Recorder
-	// Engine optionally supplies a reusable simulation engine: Run calls
-	// Reset on it and reuses its event slab, so a sweep driver can run many
-	// simulations without re-growing the heap each time. nil allocates a
-	// fresh engine. The ring path always runs on the single-shard engine:
-	// each collective launches only when every machine has produced the
-	// gradient — a global zero-latency barrier that admits no conservative
-	// lookahead window (contrast cluster.Config.Shards).
-	Engine *sim.Engine
 }
 
 // The local cost of summing one received segment into the accumulator
@@ -178,12 +170,11 @@ func Run(cfg Config) Result {
 
 func newRingSim(cfg Config) *ringSim {
 	n := cfg.Machines
-	eng := cfg.Engine
-	if eng != nil {
-		eng.Reset()
-	} else {
-		eng = &sim.Engine{}
-	}
+	// Always the single-shard engine: each collective launches only when
+	// every machine has produced the gradient — a global zero-latency
+	// barrier that admits no conservative lookahead window (contrast
+	// cluster.Config.Shards).
+	eng := &sim.Engine{}
 	netCfg := netsim.DefaultConfig(cfg.BandwidthGbps)
 	netCfg.Egress = cfg.Strategy.Discipline()
 	netCfg.PreemptQuantum = cfg.PreemptQuantum

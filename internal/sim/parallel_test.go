@@ -213,35 +213,3 @@ func TestParallelConcurrentCrossSends(t *testing.T) {
 		t.Fatalf("received %d events, engine processed %d", total, p.Processed())
 	}
 }
-
-func TestEngineReset(t *testing.T) {
-	var eng Engine
-	for i := 0; i < 100; i++ {
-		eng.At(Time(i), func() {})
-	}
-	eng.RunUntil(50)
-	grown := cap(eng.events)
-	eng.Reset()
-	if eng.Pending() != 0 || eng.Now() != 0 || eng.Processed() != 0 {
-		t.Fatalf("Reset left state: pending %d now %v processed %d", eng.Pending(), eng.Now(), eng.Processed())
-	}
-	if cap(eng.events) != grown {
-		t.Fatalf("Reset dropped the slab: cap %d, want %d", cap(eng.events), grown)
-	}
-	slab := eng.events[:cap(eng.events)]
-	for i, ev := range slab {
-		if ev.fn != nil {
-			t.Fatalf("Reset left slab slot %d pinning a closure", i)
-		}
-	}
-	// The engine is fully reusable: a fresh schedule runs as on a new engine.
-	var fired []Time
-	for _, at := range []Time{5, 1, 3} {
-		at := at
-		eng.At(at, func() { fired = append(fired, at) })
-	}
-	eng.Run()
-	if len(fired) != 3 || fired[0] != 1 || fired[2] != 5 {
-		t.Fatalf("post-Reset run fired %v", fired)
-	}
-}

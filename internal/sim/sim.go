@@ -171,6 +171,17 @@ func (h *eventHeap) pop() event {
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
+//
+// Every event writes now, nRun and the heap's length, so the header must not
+// share a cache line with anything another goroutine writes: sweeps run one
+// engine per pool worker, each allocated by the run that uses it. At its
+// natural 80 bytes the allocator packs it among that size class's other
+// objects, and two concurrent cells then cost up to a third more wall time,
+// by allocation luck (PR 19: the 24-cell -fast scale sweep on two workers,
+// 5.1 s padded vs 4.9-7.0 s unpadded). 128 bytes is a size class whose
+// objects are 128-byte aligned: two cache lines of the engine's own.
+//
+//p3:sizebudget 128
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -178,6 +189,7 @@ type Engine struct {
 	lpSeq   []uint64 // per-LP schedule counters for tagged (Proc/Cross) events
 	stopped bool
 	nRun    uint64
+	_       [48]byte
 }
 
 // Now returns the current virtual time.
@@ -255,17 +267,3 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// Reset returns the engine to its zero state while retaining the event
-// slab's capacity, so a long-lived engine (the sweep worker pools reuse one
-// per worker) does not reallocate and regrow the heap on every run. Pending
-// events are dropped and their closures released.
-func (e *Engine) Reset() {
-	clear(e.events) // drop pending closures; the slab must not pin them
-	e.events = e.events[:0]
-	e.now = 0
-	e.seq = 0
-	clear(e.lpSeq) // keep capacity, zero the per-LP counters
-	e.stopped = false
-	e.nRun = 0
-}

@@ -192,16 +192,7 @@ func (s Strategy) Discipline() string {
 // clock it is scheduling against. gbps <= 0 disables transfer-time
 // estimation (slack reduces to the consumption deadline).
 func ComputeProfile(m *model.Model, gbps float64) *sched.Profile {
-	t := model.NewTiming(m)
-	need := make([]int64, len(t.Fwd))
-	bytes := make([]int64, len(m.Layers))
-	var acc int64
-	for i, f := range t.Fwd {
-		need[i] = acc
-		acc += int64(f)
-		bytes[i] = m.Layers[i].Bytes()
-	}
-	return &sched.Profile{NeedAtNs: need, LayerBytes: bytes, GbpsEstimate: gbps}
+	return CalibrateProfile(m, gbps, nil)
 }
 
 // CalibrateProfile rebuilds the sched.Profile from measured stalls instead
@@ -216,8 +207,8 @@ func ComputeProfile(m *model.Model, gbps float64) *sched.Profile {
 // actually blocked — a stalling layer keeps its deadline while everything
 // after it gains slack — which is the closed-loop form of TicTac's
 // observed-timing priorities. Extra stall entries beyond the model's layers
-// are ignored; missing ones count as zero; a nil stalls slice reproduces
-// ComputeProfile exactly.
+// are ignored; missing ones count as zero; a nil stalls slice is the static
+// profile (ComputeProfile).
 func CalibrateProfile(m *model.Model, gbps float64, stalls []sim.Time) *sched.Profile {
 	t := model.NewTiming(m)
 	need := make([]int64, len(t.Fwd))

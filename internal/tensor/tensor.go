@@ -6,7 +6,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 )
 
@@ -22,14 +21,6 @@ func NewMat(rows, cols int) *Mat {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromData wraps data (not copied) as a Rows x Cols matrix.
-func FromData(rows, cols int, data []float64) *Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: %dx%d needs %d elements, got %d", rows, cols, rows*cols, len(data)))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
 }
 
 // Row returns a view of row i.
@@ -145,18 +136,3 @@ func Scale(alpha float64, x []float64) {
 		x[i] *= alpha
 	}
 }
-
-// Dot returns the inner product of equal-length slices.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }

@@ -83,13 +83,11 @@ type Config struct {
 
 	// ClipNorm rescales gradients whose global L2 norm exceeds it (0
 	// disables). Applied to the aggregated gradient in Dense/ASGD and to
-	// each worker's local gradient in DGC, as in the respective papers.
+	// each worker's local gradient in DGC and Quantized, as in the
+	// respective papers.
 	ClipNorm float64
 
 	Seed int64
-	// Parallel computes worker gradients on goroutines (identical results;
-	// aggregation order is fixed).
-	Parallel bool
 }
 
 // clipNorm rescales the tensors in-place so their joint L2 norm is at most
@@ -134,89 +132,12 @@ func Run(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 		panic(fmt.Sprintf("train: invalid config workers=%d batch=%d epochs=%d", cfg.Workers, cfg.Batch, cfg.Epochs))
 	}
 	switch cfg.Mode {
-	case Dense:
-		return runDense(cfg, tr, val)
-	case DGC:
-		return runDGC(cfg, tr, val)
+	case Dense, DGC, Quantized:
+		return runSync(cfg, tr, val)
 	case ASGD:
 		return runASGD(cfg, tr, val)
-	case Quantized:
-		return runQuantized(cfg, tr, val)
 	}
 	panic(fmt.Sprintf("train: unknown mode %v", cfg.Mode))
-}
-
-// runQuantized is synchronous data-parallel SGD where each worker's
-// gradient passes through its quantization codec before aggregation. The
-// server applies momentum SGD on the mean of the decoded gradients. The
-// history records the measured compression ratio.
-func runQuantized(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
-	if len(cfg.Codecs) != cfg.Workers {
-		panic(fmt.Sprintf("train: %d codecs for %d workers", len(cfg.Codecs), cfg.Workers))
-	}
-	shards, sample := shardsAndBatches(cfg, tr)
-	replicas := make([]*nn.Network, cfg.Workers)
-	opts := make([]*opt.SGD, cfg.Workers)
-	for w := range replicas {
-		replicas[w] = nn.NewResidualMLP(cfg.Net)
-		opts[w] = opt.NewSGD(cfg.Schedule.LR(0), cfg.Momentum, cfg.WeightDecay)
-	}
-	params := make([][]*nn.Param, cfg.Workers)
-	grads := make([][][]float64, cfg.Workers)
-	for w := range replicas {
-		params[w] = replicas[w].Params()
-		grads[w] = gradBuffers(params[w])
-	}
-	agg := gradBuffers(params[0])
-
-	h := &History{Mode: cfg.Mode}
-	iters := itersPerEpoch(cfg, tr)
-	var wireBits, denseBits int64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.Schedule.LR(epoch)
-		var lossSum float64
-		for it := 0; it < iters; it++ {
-			losses := computeGrads(cfg, replicas, shards, sample, epoch, it, grads)
-			for _, l := range losses {
-				lossSum += l / float64(cfg.Workers)
-			}
-			for pi := range agg {
-				for i := range agg[pi] {
-					agg[pi][i] = 0
-				}
-			}
-			for w := 0; w < cfg.Workers; w++ {
-				clipNorm(grads[w], cfg.ClipNorm)
-				for pi := range agg {
-					dec, bits := cfg.Codecs[w].EncodeDecode(pi, grads[w][pi])
-					wireBits += bits
-					denseBits += 32 * int64(len(dec))
-					a := agg[pi]
-					for i := range a {
-						a[i] += dec[i]
-					}
-				}
-			}
-			inv := 1.0 / float64(cfg.Workers)
-			for pi := range agg {
-				for i := range agg[pi] {
-					agg[pi][i] *= inv
-				}
-			}
-			for w := range replicas {
-				opts[w].LR = lr
-				opts[w].StepDense(params[w], agg)
-			}
-			h.Iterations++
-		}
-		h.TrainLoss = append(h.TrainLoss, lossSum/float64(iters))
-		h.ValAcc = append(h.ValAcc, replicas[0].Accuracy(val.X, val.Y))
-	}
-	h.FinalValAcc = h.ValAcc[len(h.ValAcc)-1]
-	if wireBits > 0 {
-		h.CompressionRatio = float64(denseBits) / float64(wireBits)
-	}
-	return h, replicas[0]
 }
 
 // shardsAndBatches prepares per-worker data shards and a deterministic
@@ -257,16 +178,21 @@ func gradBuffers(params []*nn.Param) [][]float64 {
 	return out
 }
 
-// computeGrads runs forward/backward on every worker's batch and copies the
-// resulting per-tensor gradients into grads[w]. Replicas hold identical
-// parameters in synchronous modes, so this is exactly data-parallel SGD.
+// computeGrads runs forward/backward on every worker's batch, one goroutine
+// per worker (each writes only its own replica, loss slot and grads[w], and
+// aggregation order is fixed afterwards, so results do not depend on the
+// interleaving), and copies the resulting per-tensor gradients into grads[w].
+// Replicas hold identical parameters in synchronous modes, so this is exactly
+// data-parallel SGD.
 func computeGrads(cfg Config, replicas []*nn.Network, shards []*data.Set,
 	sample func(int, int, int) []int, epoch, iter int, grads [][][]float64) []float64 {
 
 	losses := make([]float64, cfg.Workers)
 	var wg sync.WaitGroup
+	wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		runOne := func(w int) {
+		go func() {
+			defer wg.Done()
 			x, y := shards[w].Batch(sample(epoch, iter, w))
 			net := replicas[w]
 			logits := net.Forward(x)
@@ -274,13 +200,7 @@ func computeGrads(cfg Config, replicas []*nn.Network, shards []*data.Set,
 			for pi, p := range net.Params() {
 				copy(grads[w][pi], p.Grad)
 			}
-		}
-		if cfg.Parallel {
-			wg.Add(1)
-			go func(w int) { defer wg.Done(); runOne(w) }(w)
-		} else {
-			runOne(w)
-		}
+		}()
 	}
 	wg.Wait()
 	return losses
@@ -349,24 +269,54 @@ func PlanFor(net *nn.Network, maxSlice int64, servers int) *core.Plan {
 	return core.PartitionSlices(m, maxSlice, servers)
 }
 
-func runDense(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
+// runSync is synchronous data-parallel SGD, the one loop behind Dense, DGC
+// and Quantized: every worker computes a gradient on its shard, the gradients
+// are summed and averaged, and every replica applies the identical update
+// (the parameter-server broadcast). The three rules differ only in how a
+// worker's gradient reaches the sum — as is, in chunk-plan order (aggregate);
+// through its dgc.Compressor as a sparse update; through its quantization
+// codec, with the wire bits counted — in whether ClipNorm sees the aggregate
+// (Dense) or each worker's own gradient (the lossy rules, as in their
+// papers), and in the server's momentum: DGC carries momentum in the workers
+// (momentum correction), so its server applies plain SGD.
+func runSync(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
+	if cfg.Mode == Quantized && len(cfg.Codecs) != cfg.Workers {
+		panic(fmt.Sprintf("train: %d codecs for %d workers", len(cfg.Codecs), cfg.Workers))
+	}
+	serverMomentum := cfg.Momentum
+	if cfg.Mode == DGC {
+		serverMomentum = 0
+	}
 	shards, sample := shardsAndBatches(cfg, tr)
 	replicas := make([]*nn.Network, cfg.Workers)
 	opts := make([]*opt.SGD, cfg.Workers)
-	for w := range replicas {
-		replicas[w] = nn.NewResidualMLP(cfg.Net) // same seed -> identical init
-		opts[w] = opt.NewSGD(cfg.Schedule.LR(0), cfg.Momentum, cfg.WeightDecay)
-	}
 	params := make([][]*nn.Param, cfg.Workers)
 	grads := make([][][]float64, cfg.Workers)
 	for w := range replicas {
+		replicas[w] = nn.NewResidualMLP(cfg.Net) // same seed -> identical init
+		opts[w] = opt.NewSGD(cfg.Schedule.LR(0), serverMomentum, cfg.WeightDecay)
 		params[w] = replicas[w].Params()
 		grads[w] = gradBuffers(params[w])
 	}
 	agg := gradBuffers(params[0])
+	var comps []*dgc.Compressor
+	if cfg.Mode == DGC {
+		if cfg.DGCSparsity == 0 {
+			cfg.DGCSparsity = 0.999
+		}
+		sizes := make([]int, len(agg))
+		for pi := range agg {
+			sizes[pi] = len(agg[pi])
+		}
+		for range replicas {
+			comps = append(comps, dgc.NewCompressor(sizes, cfg.DGCSparsity, cfg.Momentum))
+		}
+	}
 
 	h := &History{Mode: cfg.Mode}
 	iters := itersPerEpoch(cfg, tr)
+	inv := 1.0 / float64(cfg.Workers)
+	var wireBits, denseBits int64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.Schedule.LR(epoch)
 		var lossSum float64
@@ -375,10 +325,34 @@ func runDense(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 			for _, l := range losses {
 				lossSum += l / float64(cfg.Workers)
 			}
-			aggregate(cfg, params[0], grads, agg)
-			clipNorm(agg, cfg.ClipNorm)
-			// Every replica applies the identical aggregated update (the
-			// parameter-server broadcast).
+			if cfg.Mode == Dense {
+				aggregate(cfg, params[0], grads, agg)
+				clipNorm(agg, cfg.ClipNorm)
+			} else {
+				for pi := range agg {
+					clear(agg[pi])
+				}
+				for w := range grads {
+					clipNorm(grads[w], cfg.ClipNorm)
+					for pi, a := range agg {
+						if cfg.Mode == DGC {
+							dgc.Apply(a, comps[w].Compress(pi, grads[w][pi]))
+							continue
+						}
+						dec, bits := cfg.Codecs[w].EncodeDecode(pi, grads[w][pi])
+						wireBits += bits
+						denseBits += 32 * int64(len(dec))
+						for i := range a {
+							a[i] += dec[i]
+						}
+					}
+				}
+				for _, a := range agg {
+					for i := range a {
+						a[i] *= inv
+					}
+				}
+			}
 			for w := range replicas {
 				opts[w].LR = lr
 				opts[w].StepDense(params[w], agg)
@@ -389,71 +363,9 @@ func runDense(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 		h.ValAcc = append(h.ValAcc, replicas[0].Accuracy(val.X, val.Y))
 	}
 	h.FinalValAcc = h.ValAcc[len(h.ValAcc)-1]
-	return h, replicas[0]
-}
-
-func runDGC(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
-	if cfg.DGCSparsity == 0 {
-		cfg.DGCSparsity = 0.999
+	if wireBits > 0 {
+		h.CompressionRatio = float64(denseBits) / float64(wireBits)
 	}
-	shards, sample := shardsAndBatches(cfg, tr)
-	replicas := make([]*nn.Network, cfg.Workers)
-	for w := range replicas {
-		replicas[w] = nn.NewResidualMLP(cfg.Net)
-	}
-	params := make([][]*nn.Param, cfg.Workers)
-	grads := make([][][]float64, cfg.Workers)
-	sizes := []int{}
-	for _, p := range replicas[0].Params() {
-		sizes = append(sizes, len(p.Data))
-	}
-	comps := make([]*dgc.Compressor, cfg.Workers)
-	for w := range replicas {
-		params[w] = replicas[w].Params()
-		grads[w] = gradBuffers(params[w])
-		comps[w] = dgc.NewCompressor(sizes, cfg.DGCSparsity, cfg.Momentum)
-	}
-	agg := gradBuffers(params[0])
-
-	h := &History{Mode: cfg.Mode}
-	iters := itersPerEpoch(cfg, tr)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.Schedule.LR(epoch)
-		var lossSum float64
-		for it := 0; it < iters; it++ {
-			losses := computeGrads(cfg, replicas, shards, sample, epoch, it, grads)
-			for _, l := range losses {
-				lossSum += l / float64(cfg.Workers)
-			}
-			// Each worker compresses; the server sums sparse updates.
-			for pi := range agg {
-				for i := range agg[pi] {
-					agg[pi][i] = 0
-				}
-			}
-			for w := 0; w < cfg.Workers; w++ {
-				clipNorm(grads[w], cfg.ClipNorm)
-				for pi := range agg {
-					sp := comps[w].Compress(pi, grads[w][pi])
-					dgc.Apply(agg[pi], sp)
-				}
-			}
-			inv := 1.0 / float64(cfg.Workers)
-			// DGC carries momentum in the workers (momentum correction), so
-			// the server applies plain SGD on the aggregated sparse update.
-			for w := range replicas {
-				for pi, p := range params[w] {
-					for i := range p.Data {
-						p.Data[i] -= lr * (agg[pi][i]*inv + cfg.WeightDecay*p.Data[i])
-					}
-				}
-			}
-			h.Iterations++
-		}
-		h.TrainLoss = append(h.TrainLoss, lossSum/float64(iters))
-		h.ValAcc = append(h.ValAcc, replicas[0].Accuracy(val.X, val.Y))
-	}
-	h.FinalValAcc = h.ValAcc[len(h.ValAcc)-1]
 	return h, replicas[0]
 }
 
