@@ -12,8 +12,8 @@
 // The throughput/utilization experiments (fig5, fig7-10, fig12-14, headline)
 // run on the discrete-event simulator and take seconds. Every sweep spreads
 // its cells over GOMAXPROCS workers, and every parameter-server cell runs on
-// -shards engine shards (cells that record utilization and ring all-reduce
-// cells run one shard; results are bit-identical at any value). The
+// -shards engine shards (ring all-reduce cells run one shard; results are
+// bit-identical at any value). The
 // convergence experiments (fig11, fig15) train real networks and take minutes
 // without -fast.
 //

@@ -79,7 +79,7 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 	fs.BoolVar(&opt.calibrate, "calibrate", false, "two-pass calibrated mode: re-run with the profile rebuilt from the first pass's measured stalls and report both")
 	fs.StringVar(&opt.stallsIn, "stalls", "", "run against a measured stall profile (file written by -stallsout) instead of the static timing")
 	fs.StringVar(&opt.stallsOut, "stallsout", "", "write the run's measured per-layer mean stalls to this file")
-	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards for the conservative-lookahead parallel engine (1 = legacy single-heap engine; results are bit-identical either way)")
+	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards for the conservative-lookahead parallel engine (1 = the single-heap engine; results are bit-identical either way)")
 	fs.IntVar(&cfg.Topology.RackSize, "racksize", 0, "machines per rack (0 = flat network; >0 adds per-rack ToR uplinks and an oversubscribable core)")
 	fs.Float64Var(&cfg.Topology.CoreOversub, "oversub", 0, "core oversubscription ratio for -racksize topologies (0 or 1 = non-blocking core, values in (0,1) undersubscribe)")
 	fs.StringVar(&cfg.Topology.CoreSched, "coresched", "", "queue discipline for the ToR core ports (requires -racksize; empty = blind FIFO ports)")
@@ -116,11 +116,7 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 		return cfg, opt, err
 	}
 	if opt.showTrace {
-		// The sharded engine cannot serve the utilization recorder (shared
-		// buckets): fall back to the legacy engine, which produces the
-		// identical Result.
 		cfg.Recorder = trace.NewRecorder(cfg.Machines, 0)
-		cfg.Shards = 1
 	}
 	if cfg.Faults, err = faultPlan(*planPath, *planSeed, cfg); err != nil {
 		return cfg, opt, err

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"p3/internal/netsim"
-	"p3/internal/sim"
 )
 
 // aggNode is one aggregator of the reduction tree (RackAggregation): a rack
@@ -34,9 +33,6 @@ type aggNode struct {
 	parent    *aggNode   // nil at the top of the tree
 	kids      []*aggNode // the nodes one tier down (none below a rack)
 	agg       []chunkAgg
-	// failovers counts reroutes decided on this aggregator's LP and lost the
-	// gradient contributions it swallowed while down (Config.Faults).
-	failovers, lost int64
 
 	cachedIter []int32                 // RackLocalPS rack nodes only
 	pending    map[int32][]pendingPull // RackLocalPS rack nodes only: chunk -> waiting pulls
@@ -44,6 +40,10 @@ type aggNode struct {
 
 // only reports whether machine m is all there is below the node.
 func (a *aggNode) only(m int) bool { return a.lo == m && a.hi == m+1 }
+
+// lp names the aggregator's LP the way its reduced streams name their
+// source (Src = -1-ord): what recovery takes as the observing LP.
+func (a *aggNode) lp() int { return -1 - a.ord }
 
 // buildAggs lays out the reduction tree over the topology's groups: one
 // node per rack and, under HierAggregation, one per pod above them.
@@ -118,13 +118,13 @@ func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
 			return
 		}
 		out := m
-		out.Src = int32(-1 - a.ord)
+		out.Src = int32(a.lp())
 		up := a.parent
-		if up != nil && cs.fs != nil && cs.fs.hasCrash && cs.downDetected(up, cs.net.AggNow(tier, idx)) {
+		if up != nil && cs.rec.down(up, a.lp()) {
 			// Hierarchical failover: re-parent the reduced stream from the
 			// down aggregator above straight to the server.
 			up = nil
-			a.failovers++
+			cs.rec.failover(a.lp())
 		}
 		if up != nil {
 			out.To, out.ToAgg, out.AggTier = up.idx, true, uint8(up.tier)
@@ -170,16 +170,11 @@ func (cs *clusterSim) descend(a *aggNode, m netsim.Message) {
 		cs.net.AggFanout(a.tier, a.idx, m, skip)
 		return
 	}
-	crash := cs.fs != nil && cs.fs.hasCrash
-	var now sim.Time
-	if crash {
-		now = cs.net.AggNow(a.tier, a.idx)
-	}
 	anyDown := false
 	for _, k := range a.kids {
 		if k.only(srvM) {
 			skip = k.idx
-		} else if crash && cs.downDetected(k, now) {
+		} else if cs.rec.down(k, a.lp()) {
 			anyDown = true
 		}
 	}
@@ -189,12 +184,12 @@ func (cs *clusterSim) descend(a *aggNode, m netsim.Message) {
 	}
 	// Failover fan: each copy for a down child serializes through the
 	// child's downlink individually — the cost of losing its fanout.
-	a.failovers++
+	cs.rec.failover(a.lp())
 	for _, k := range a.kids {
 		c := m
 		switch {
 		case k.idx == skip:
-		case cs.downDetected(k, now):
+		case cs.rec.down(k, a.lp()):
 			c.ToAgg, c.AggTier = false, 0
 			for w := k.lo; w < k.hi; w++ {
 				if w != srvM {
@@ -253,22 +248,22 @@ func (cs *clusterSim) weight(src, chunk int32) int {
 }
 
 // stream ships node a's copy of a server broadcast (msg, From the server's
-// machine): one stream to a's aggregator normally, or — when that
-// aggregator is down as detected at now, so the stream would die there —
-// one copy per child: the nodes below it, or a rack's machines directly.
-func (cs *clusterSim) stream(a *aggNode, msg netsim.Message, now sim.Time) {
+// machine): one stream to a's aggregator normally, or — when the server has
+// detected that aggregator down, so the stream would die there — one copy
+// per child: the nodes below it, or a rack's machines directly.
+func (cs *clusterSim) stream(a *aggNode, msg netsim.Message) {
 	srvM := msg.From
 	if a.only(srvM) {
 		return // the loopback already reached all of it
 	}
-	if cs.fs == nil || !cs.fs.hasCrash || !cs.downDetected(a, now) {
+	if !cs.rec.down(a, srvM) {
 		msg.To, msg.ToAgg, msg.AggTier = a.idx, true, uint8(a.tier)
 		cs.net.Send(msg)
 		return
 	}
-	cs.fs.machFailovers[srvM]++
+	cs.rec.failover(srvM)
 	for _, k := range a.kids {
-		cs.stream(k, msg, now)
+		cs.stream(k, msg)
 	}
 	if a.kids == nil {
 		for w := a.lo; w < a.hi; w++ {

@@ -21,7 +21,8 @@
 //
 // The files: config.go (Config, Validate, Result), cluster.go
 // (construction, dispatch, result), worker.go and server.go (the two
-// protocol ends), aggtree.go (in-network aggregation), faults.go.
+// protocol ends), aggtree.go (in-network aggregation), faults.go (fault
+// injection, and crash recovery behind the nil-safe recovery type).
 package cluster
 
 import (
@@ -97,9 +98,10 @@ type clusterSim struct {
 	workers []workerState
 	servers []serverState
 
-	// fs is the fault-injection wiring (Config.Faults); nil on fault-free
-	// runs, so every fault check is a single nil test on the hot paths.
-	fs *faultState
+	// rec is the crash-recovery component (faults.go): nil unless
+	// Config.Faults scripts an aggregator crash, and every method the
+	// protocol code calls answers the no-fault case on nil.
+	rec *recovery
 }
 
 // RunCalibrated is the two-pass calibrated mode: the first pass runs cfg as
@@ -111,13 +113,7 @@ type clusterSim struct {
 // compute-only one. Both results are returned, first the static pass.
 func RunCalibrated(cfg Config) (static, calibrated Result) {
 	static = Run(cfg)
-	// Profile at the same wire rate the runs use: BandwidthGbps when set,
-	// else the rate of an explicit Net override (mirroring newClusterSim).
-	gbps := cfg.BandwidthGbps
-	if gbps <= 0 && cfg.Net != nil {
-		gbps = cfg.Net.BandwidthGbps
-	}
-	cfg.Profile = strategy.CalibrateProfile(cfg.Model, gbps, static.MeanLayerStalls())
+	cfg.Profile = strategy.CalibrateProfile(cfg.Model, cfg.BandwidthGbps, static.MeanLayerStalls())
 	calibrated = Run(cfg)
 	return static, calibrated
 }
@@ -138,15 +134,7 @@ func newClusterSim(cfg Config) *clusterSim {
 	m := cfg.Model
 	n := cfg.Machines
 
-	var netCfg netsim.Config
-	if cfg.Net != nil {
-		netCfg = *cfg.Net
-	} else {
-		netCfg = netsim.DefaultConfig(cfg.BandwidthGbps)
-	}
-	if cfg.BandwidthGbps > 0 {
-		netCfg.BandwidthGbps = cfg.BandwidthGbps
-	}
+	netCfg := netsim.DefaultConfig(cfg.BandwidthGbps)
 	netCfg.Egress = cfg.Strategy.Discipline()
 	if cfg.PreemptQuantum > 0 {
 		netCfg.PreemptQuantum = cfg.PreemptQuantum
@@ -220,10 +208,10 @@ func newClusterSim(cfg Config) *clusterSim {
 		netCfg.AggDeliver = cs.aggDeliver
 	}
 	if cfg.Faults != nil {
-		// Builds cs.fs, hooks it into cs.loop and, for crash plans, sets
-		// netCfg.AggDrop — which must land before the network is
+		// Hooks the plan into cs.loop and, for crash plans, builds cs.rec
+		// and sets netCfg.AggDrop — which must land before the network is
 		// constructed.
-		cs.newFaultState(&netCfg)
+		cs.injectFaults(&netCfg)
 	}
 	cs.net = netsim.NewOnExec(exec, n, netCfg, cs.deliver, cfg.Recorder)
 
@@ -256,12 +244,6 @@ func newClusterSim(cfg Config) *clusterSim {
 			cs.servers[s].agg[c].iter = -1
 			cs.servers[s].lastDone[c] = -1
 		}
-		if cs.fs != nil && cs.fs.hasCrash {
-			cs.servers[s].seen = make([][]bool, nc)
-			for c := range cs.servers[s].seen {
-				cs.servers[s].seen[c] = make([]bool, n)
-			}
-		}
 	}
 
 	hostCost := worker.Costs(nc, chunkBytes, hostOverhead, hostRateGBps)
@@ -273,7 +255,7 @@ func newClusterSim(cfg Config) *clusterSim {
 				func(it worker.Item) { cs.installChunk(w, it.Chunk, it.Iter) }),
 		}
 	}
-	if cs.fs != nil {
+	if cfg.Faults != nil {
 		// Construction time, before the engine runs: the scripted events
 		// get the earliest insertion sequence numbers on their LPs, the
 		// LP-quantization rule fault determinism rests on.
@@ -300,7 +282,7 @@ func (cs *clusterSim) deliver(m netsim.Message) {
 	case kData:
 		cs.onData(m)
 	case kRepush:
-		cs.onRepush(m)
+		cs.rec.repush(m)
 	default:
 		panic(fmt.Sprintf("cluster: unknown message kind %d", m.Kind))
 	}
@@ -327,7 +309,7 @@ func (cs *clusterSim) result() Result {
 		CoreBytes:       cs.net.CoreBytes(),
 		SpineBytes:      cs.net.SpineBytes(),
 	}
-	if cs.fs != nil {
+	if cs.cfg.Faults != nil {
 		cs.faultCounters(&res)
 	}
 	return res

@@ -25,10 +25,6 @@ type Config struct {
 	Strategy strategy.Strategy
 	// BandwidthGbps is the per-direction NIC rate (the paper's x axis).
 	BandwidthGbps float64
-	// Net optionally overrides the full interconnect config; if zero-valued
-	// it is derived from BandwidthGbps via netsim.DefaultConfig. The
-	// Egress discipline is always forced from the strategy's Sched name.
-	Net *netsim.Config
 	// Profile optionally overrides the static FLOP-derived timing profile
 	// handed to model-aware disciplines (tictac) — the hook behind the
 	// calibrated two-pass mode (RunCalibrated), which re-runs with a
@@ -49,9 +45,9 @@ type Config struct {
 	// Seed drives the per-worker compute jitter (Sockeye's variable
 	// sequence lengths). Runs are deterministic for a fixed seed.
 	Seed int64
-	// Recorder, if non-nil, captures per-machine NIC utilization.
-	// Incompatible with Shards >= 2 (the buckets are shared across
-	// machines).
+	// Recorder, if non-nil, captures per-machine NIC utilization: machine
+	// m's series are written on m's LP only, so they are the same at every
+	// shard count.
 	Recorder *trace.Recorder
 	// Shards selects the engine: 0 or 1 runs the single-heap engine, >= 2
 	// the conservative-lookahead parallel engine with that many shards —
@@ -151,14 +147,11 @@ func (c Config) Validate() error {
 	if n < 0 || c.Servers < 0 || c.Servers > n {
 		return fmt.Errorf("cluster: %d servers on %d machines", c.Servers, n)
 	}
-	if c.BandwidthGbps <= 0 && (c.Net == nil || c.Net.BandwidthGbps <= 0) {
+	if c.BandwidthGbps <= 0 {
 		return fmt.Errorf("cluster: bandwidth %g Gbps", c.BandwidthGbps)
 	}
 	if _, err := sched.ByName(c.Strategy.Discipline()); err != nil {
 		return fmt.Errorf("cluster: strategy %s: %w", c.Strategy.Name, err)
-	}
-	if c.Recorder != nil && c.Shards >= 2 && n >= 2 {
-		return fmt.Errorf("cluster: Recorder needs Shards <= 1 (shared utilization buckets)")
 	}
 	if c.ServerMachines != nil && len(c.ServerMachines) != c.Servers {
 		return fmt.Errorf("cluster: %d ServerMachines for %d servers", len(c.ServerMachines), c.Servers)

@@ -7,6 +7,7 @@ import (
 	"p3/internal/faults"
 	"p3/internal/netsim"
 	"p3/internal/strategy"
+	"p3/internal/worker"
 )
 
 // quickPlan returns p with fast detection/recovery latencies so the small
@@ -15,6 +16,43 @@ func quickPlan(p *faults.Plan) *faults.Plan {
 	p.DetectNs = 1e6  // 1 ms
 	p.TimeoutNs = 2e6 // 2 ms
 	return p
+}
+
+// TestNilRecoveryIsNoFault pins the seam's contract: without a crash plan
+// cs.rec is nil, and each method the protocol code calls on it answers as a
+// run without crashes does — no aggregator is down, every install is the
+// first, a push adds its whole weight — without allocating.
+func TestNilRecoveryIsNoFault(t *testing.T) {
+	cfg := aggCfg(t, 16, 4, "fifo", "", true)
+	cfg.Faults = &faults.Plan{Events: []faults.Event{
+		{Kind: faults.KindStraggler, At: 0, Until: 1e6, Machine: 1, Factor: 2},
+	}}
+	if cs := newClusterSim(cfg.withDefaults()); cs.rec != nil {
+		t.Fatal("a plan without an aggregator crash built a recovery component")
+	}
+	var r *recovery
+	rack := &aggNode{ord: 1, idx: 1, lo: 4, hi: 8}
+	push := worker.Item{Chunk: 3, Iter: 2, Src: 5}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.down(rack, 5) || r.down(rack, rack.lp()) {
+			t.Error("nil recovery reports an aggregator down")
+		}
+		r.failover(5)
+		r.failover(rack.lp())
+		r.pushed(5, 3, 2)
+		if !r.firstInstall(5, 3, 2) || !r.firstInstall(5, 3, 2) {
+			t.Error("nil recovery dedups an install")
+		}
+		if got := r.counted(0, push, true, 4); got != 4 {
+			t.Errorf("nil recovery counts %d of a weight-4 push", got)
+		}
+		if got := r.counted(0, push, false, 1); got != 1 {
+			t.Errorf("nil recovery counts %d of a weight-1 push", got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("nil recovery allocates %.0f times per call round", allocs)
+	}
 }
 
 // TestFaultZeroPlanMatchesNoPlan is the fault layer's determinism base

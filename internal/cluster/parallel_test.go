@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p3/internal/netsim"
 	"p3/internal/strategy"
 	"p3/internal/trace"
+	"p3/internal/zoo"
 )
 
 // shardedCfg builds the config used by the shard-equality property: the
@@ -68,39 +68,52 @@ func TestShardedMatchesSingleResult(t *testing.T) {
 	}
 }
 
-// TestZeroLookaheadRejected pins the failure mode of a latency-free
-// topology: conservative parallel execution has no safe window, and the
-// run must refuse loudly instead of deadlocking.
-func TestZeroLookaheadRejected(t *testing.T) {
-	cfg := shardedCfg(t, 4, "fifo")
-	net := netsim.DefaultConfig(cfg.BandwidthGbps)
-	net.PropDelay = 0
-	cfg.Net = &net
-	cfg.Shards = 2
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("sharded run on a zero-latency topology did not panic")
+// TestShardedRecorderMatchesSingle pins that utilization tracing runs at
+// any shard count: machine m's series are written only on m's LP
+// (segmentDone on the sender, ingressDone on the receiver), so every
+// series — not only the Result — equals the one-shard run's. Named in the
+// CI -race determinism step.
+func TestShardedRecorderMatchesSingle(t *testing.T) {
+	sockeye := shardedCfg(t, 8, "fifo")
+	sockeye.Model, sockeye.Strategy = zoo.ByName("sockeye"), strategy.Baseline()
+	hier := hierCfg(t, 32, 4, 2, "damped")
+	hier.Topology.CoreSched, hier.Topology.SpineSched = "damped", "damped"
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"flat/16/p3", shardedCfg(t, 16, "p3")},
+		{"flat/8/sockeye-baseline", sockeye},
+		{"hier/32/damped-ports", hier},
+		{"flat/16/credit-adaptive", shardedCfg(t, 16, "credit-adaptive")},
+	}
+	for _, tc := range cases {
+		n := tc.cfg.Machines
+		run := func(shards int) (Result, [][]float64) {
+			cfg := tc.cfg
+			cfg.Shards = shards
+			cfg.Recorder = trace.NewRecorder(n, 0)
+			r := Run(cfg)
+			var series [][]float64
+			for m := 0; m < n; m++ {
+				series = append(series, cfg.Recorder.Series(m, trace.Out), cfg.Recorder.Series(m, trace.In))
+			}
+			return r, series
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lookahead") {
-			t.Fatalf("unhelpful zero-lookahead panic: %v", r)
+		want, wantSeries := run(1)
+		if len(wantSeries[0]) == 0 {
+			t.Fatalf("%s: nothing recorded", tc.name)
 		}
-	}()
-	Run(cfg)
-}
-
-// TestShardedRecorderRejected pins that utilization tracing (shared
-// time-bucket state) refuses to run sharded.
-func TestShardedRecorderRejected(t *testing.T) {
-	cfg := shardedCfg(t, 4, "fifo")
-	cfg.Recorder = trace.NewRecorder(4, 10*1000*1000)
-	cfg.Shards = 2
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sharded run with a Recorder did not panic")
+		for _, shards := range []int{2, 4, 7} {
+			got, gotSeries := run(shards)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/shards=%d: recorded run diverges from single engine:\n got %+v\nwant %+v", tc.name, shards, got, want)
+			}
+			if !reflect.DeepEqual(gotSeries, wantSeries) {
+				t.Errorf("%s/shards=%d: utilization series diverge from the single engine's", tc.name, shards)
+			}
 		}
-	}()
-	Run(cfg)
+	}
 }
 
 // TestShardedGatedMatchesSingle is the determinism contract for

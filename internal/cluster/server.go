@@ -5,7 +5,6 @@ package cluster
 
 import (
 	"p3/internal/netsim"
-	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/worker"
 )
@@ -32,12 +31,6 @@ type serverState struct {
 	// push resets the aggregation slot.
 	lastDone []int32
 	pending  map[int32][]pendingPull // chunk ID -> pulls waiting for their iteration
-	// seen[c][w] marks the workers whose contribution to chunk c's
-	// in-flight barrier has been counted — the dedup that lets crash
-	// recovery re-push a possibly-lost contribution without ever counting
-	// a worker twice. Allocated only under a crash-scripting fault plan;
-	// owned by the server's machine LP like the rest of serverState.
-	seen [][]bool
 }
 
 func (cs *clusterSim) onPush(m netsim.Message) {
@@ -48,24 +41,24 @@ func (cs *clusterSim) onPush(m netsim.Message) {
 // of a chunk; the Nth push completes the update. In Async (ASGD) mode every
 // push is its own update, answered only to the pushing worker. A reduced
 // push (Src < 0 under RackAggregation) counts as every worker whose
-// gradient was folded into it (weight).
+// gradient was folded into it (weight) — less, under a crash plan, whatever
+// recovery has already counted (recovery.counted).
 func (cs *clusterSim) pushProcessed(srv int, it worker.Item) {
 	if cs.cfg.Strategy.Async {
 		cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		return
 	}
-	if cs.fs != nil && cs.fs.hasCrash {
-		cs.pushProcessedFaults(srv, it)
-		return
-	}
 	s := &cs.servers[srv]
 	agg := &s.agg[it.Chunk]
-	if agg.iter != it.Iter {
-		agg.iter = it.Iter
-		agg.count = 0
-		agg.done = false
+	fresh := agg.iter != it.Iter
+	add := cs.rec.counted(srv, it, fresh, cs.weight(it.Src, it.Chunk))
+	if add == 0 {
+		return // a recovery duplicate: nothing new to count
 	}
-	agg.count += cs.weight(it.Src, it.Chunk)
+	if fresh {
+		*agg = chunkAgg{iter: it.Iter}
+	}
+	agg.count += add
 	if agg.count == cs.cfg.Machines {
 		agg.done = true
 		if it.Iter > s.lastDone[it.Chunk] {
@@ -101,12 +94,8 @@ func (cs *clusterSim) onUpdated(srv int, chunk, iter int32) {
 			msg.To = srvM
 			cs.net.Send(msg)
 		}
-		var now sim.Time // read by stream under crash plans only
-		if cs.fs != nil && cs.fs.hasCrash {
-			now = cs.procs[srvM].Now()
-		}
 		for i := range cs.tops {
-			cs.stream(&cs.tops[i], msg, now)
+			cs.stream(&cs.tops[i], msg)
 		}
 	}
 	switch cs.cfg.Strategy.Pull {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -60,6 +62,9 @@ type topoCell struct {
 	delays bool // CoreDelay 10 us (below PropDelay: it becomes the lookahead), SpineDelay 70 us
 	faults []faults.Event
 	want   topoGolden
+	// sum, where set, is the FNV-1a hash of the whole Result printed %+v —
+	// every iteration time and layer stall, not only what topoGolden names.
+	sum uint64
 }
 
 func (c topoCell) config(t *testing.T) Config {
@@ -106,20 +111,25 @@ func (c topoCell) config(t *testing.T) Config {
 	return cfg
 }
 
+// crash scripts one aggregator outage over [at, until); until 0 is permanent.
+func crash(tier string, idx int, at, until int64) faults.Event {
+	return faults.Event{Kind: faults.KindAggCrash, At: at, Until: until, Tier: tier, Index: idx}
+}
+
 // rackCrash and podCrash script a transient 50 ms aggregator outage that
 // swallows contributions and recovers inside the warm-up iteration, under a
 // half-rate window on one of the tier's port pairs. (Windows are picked per
 // cell: many others wedge the recovery protocol — ROADMAP item 4b.)
 func rackCrash(at int64, rack int) []faults.Event {
 	return []faults.Event{
-		{Kind: faults.KindAggCrash, At: at, Until: at + 50e6, Tier: faults.TierRack, Index: rack},
+		crash(faults.TierRack, rack, at, at+50e6),
 		{Kind: faults.KindLinkDegrade, At: 100e6, Until: 400e6, Link: faults.LinkToR, Index: 2, Factor: 0.5},
 	}
 }
 
 func podCrash(at int64, pod int) []faults.Event {
 	return []faults.Event{
-		{Kind: faults.KindAggCrash, At: at, Until: at + 50e6, Tier: faults.TierPod, Index: pod},
+		crash(faults.TierPod, pod, at, at+50e6),
 		{Kind: faults.KindLinkDegrade, At: 250e6, Until: 600e6, Link: faults.LinkSpine, Index: 0, Factor: 0.5},
 	}
 }
@@ -195,16 +205,58 @@ var topoGoldens = []topoCell{
 		want: topoGolden{ThroughputBits: 0x406ec0e3d0d39b76, MeanIterTime: 2081065555, Events: 429634, Msgs: 51522, WireBytes: 6964238496, CoreBytes: 4485356640, SpineBytes: 2997105440, TotalStall: 3550473388, FaultsInjected: 2, AggFailovers: 4643, DegradedNs: 300000000, LostReductions: 47}},
 }
 
+// crashGoldens were captured at commit 6076667, the last tree where crash
+// recovery was a second barrier function plus guards in worker.go, server.go
+// and aggtree.go. Between them the cells take every branch that now sits
+// behind the recovery seam (faults.go): a worker rerouting around its down
+// rack aggregator, a rack stream re-parented past a down pod aggregator, the
+// per-machine failover fan below a pod, a server broadcast streamed per child
+// node and per machine, re-pushes the seen bitmap drops, stale re-pushes
+// answered with data, late streams counted in part, and recovery pulls whose
+// answer arrives twice. The permanent crash keeps all of it running through
+// the measured iterations. Windows are clear of the ROADMAP 4(b) wedge.
+var crashGoldens = []topoCell{
+	{name: "16/pods2/hier/fifo/rack1@250-300", machines: 16, pods: 2, agg: "hier", strat: "fifo",
+		faults: []faults.Event{crash(faults.TierRack, 1, 250e6, 300e6)},
+		want:   topoGolden{ThroughputBits: 0x407091ff1e5a2226, MeanIterTime: 1931166112, Events: 405833, Msgs: 52397, WireBytes: 6850790864, CoreBytes: 5339189664, SpineBytes: 2363366464, TotalStall: 3245519332, FaultsInjected: 1, AggFailovers: 5153, LostReductions: 197}, sum: 0x1d7aac7a12a00c9c},
+	{name: "16/pods2/hier/damped-core/damped/pod0@550-570", machines: 16, pods: 2, agg: "hier", port: "damped", strat: "damped",
+		faults: []faults.Event{crash(faults.TierPod, 0, 550e6, 570e6)},
+		want:   topoGolden{ThroughputBits: 0x407d805f7f9307ad, MeanIterTime: 1084692183, Events: 276829, Msgs: 37665, WireBytes: 5925372880, CoreBytes: 3855532032, SpineBytes: 1367769088, TotalStall: 1553376883, FaultsInjected: 1, AggFailovers: 554, LostReductions: 213}, sum: 0x6b7cbec385117a43},
+	{name: "16/pods2/hier/credit/pod1@125-225", machines: 16, pods: 2, agg: "hier", strat: "credit",
+		faults: []faults.Event{crash(faults.TierPod, 1, 125e6, 225e6)},
+		want:   topoGolden{ThroughputBits: 0x407343a7a6b8556a, MeanIterTime: 1661105691, Events: 497000, Msgs: 57201, WireBytes: 6695809392, CoreBytes: 5096063712, SpineBytes: 2258346240, TotalStall: 2696521873, FaultsInjected: 1, AggFailovers: 5911, LostReductions: 30}, sum: 0x2f285640bc3179f4},
+	{name: "18/rackagg/damped/rack2@175-225/spread", machines: 18, agg: "rack", strat: "damped", spread: true,
+		faults: []faults.Event{crash(faults.TierRack, 2, 175e6, 225e6)},
+		want:   topoGolden{ThroughputBits: 0x406db42465d1cacc, MeanIterTime: 2423942052, Events: 369619, Msgs: 56263, WireBytes: 7978004704, CoreBytes: 5959320160, TotalStall: 4236814351, FaultsInjected: 1, AggFailovers: 4088, LostReductions: 92}, sum: 0x934a19b5aab118e6},
+	{name: "16/pods2/hier/fifo/rack1@300-", machines: 16, pods: 2, agg: "hier", strat: "fifo",
+		faults: []faults.Event{crash(faults.TierRack, 1, 300e6, 0)},
+		want:   topoGolden{ThroughputBits: 0x4061e6ea544e12ec, MeanIterTime: 3575016938, Events: 1023139, Msgs: 120381, WireBytes: 9001398384, CoreBytes: 9671535552, SpineBytes: 4797352128, TotalStall: 5730839460, FaultsInjected: 1, AggFailovers: 29518, LostReductions: 1632}, sum: 0xd39052405c16aa74},
+}
+
 // TestTopologyGoldens pins every topoGoldens cell at 1 and at 3 shards. A
 // mismatch prints the Result as a table literal, which is also how the
 // table is regenerated when a change means to move it.
-func TestTopologyGoldens(t *testing.T) {
-	for _, c := range topoGoldens {
+func TestTopologyGoldens(t *testing.T) { checkGoldens(t, topoGoldens) }
+
+// TestCrashGoldens pins the crashGoldens cells the same way, whole Result
+// included. Named in the CI -race fault determinism step.
+func TestCrashGoldens(t *testing.T) { checkGoldens(t, crashGoldens) }
+
+func checkGoldens(t *testing.T, cells []topoCell) {
+	for _, c := range cells {
 		for _, shards := range []int{1, 3} {
 			cfg := c.config(t)
 			cfg.Shards = shards
-			if got := topoGoldenOf(Run(cfg)); got != c.want {
+			r := Run(cfg)
+			if got := topoGoldenOf(r); got != c.want {
 				t.Errorf("%s, %d shard(s):\n got %#v\nwant %#v", c.name, shards, got, c.want)
+			}
+			if c.sum != 0 {
+				h := fnv.New64a()
+				fmt.Fprintf(h, "%+v", r)
+				if got := h.Sum64(); got != c.sum {
+					t.Errorf("%s, %d shard(s): whole-Result sum %#x, want %#x", c.name, shards, got, c.sum)
+				}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"p3/internal/faults"
-	"p3/internal/netsim"
 	"p3/internal/sim"
 	"p3/internal/trace"
 )
@@ -67,15 +66,11 @@ func TestRackAggregationRejections(t *testing.T) {
 		{name: "unknown coresched", base: racks, mut: func(c *Config) { c.Topology.CoreSched = "nosuch" }, want: "core scheduler"},
 		{name: "no model", base: flat, mut: func(c *Config) { c.Model = nil }, want: "no Model"},
 		{name: "no bandwidth", base: flat, mut: func(c *Config) { c.BandwidthGbps = 0 }, want: "bandwidth"},
-		{name: "bandwidth from Net", base: flat, mut: func(c *Config) {
-			net := netsim.DefaultConfig(1.5)
-			c.BandwidthGbps, c.Net = 0, &net
-		}},
 		{name: "more servers than machines", base: flat, mut: func(c *Config) { c.Servers = 5 }, want: "5 servers on 4 machines"},
 		{name: "server placement length", base: flat, mut: func(c *Config) { c.ServerMachines = []int{0, 1} }, want: "2 ServerMachines for 4 servers"},
 		{name: "server off the cluster", base: flat, mut: func(c *Config) { c.Servers, c.ServerMachines = 1, []int{4} }, want: "machine 4 of 4"},
 		{name: "two servers on one machine", base: flat, mut: func(c *Config) { c.Servers, c.ServerMachines = 2, []int{1, 1} }, want: "both placed on machine 1"},
-		{name: "recorder on a sharded run", base: flat, mut: func(c *Config) { c.Recorder, c.Shards = trace.NewRecorder(4, 0), 2 }, want: "Recorder"},
+		{name: "recorder on a sharded run", base: flat, mut: func(c *Config) { c.Recorder, c.Shards = trace.NewRecorder(4, 0), 2 }},
 		{name: "recorder on one shard", base: flat, mut: func(c *Config) { c.Recorder, c.Shards = trace.NewRecorder(4, 0), 1 }},
 	})
 }

@@ -1,9 +1,8 @@
 package cluster
 
 // Worker glue: what the compute loop (worker.Loop) and the receive-side
-// pool (worker.Pool) turn into on the wire. cs.fs is read in pushLayer and
-// installChunk only; stragglers, leave/join and stall checks hook into the
-// loop once, in newFaultState.
+// pool (worker.Pool) turn into on the wire. Stragglers, leave/join and stall
+// checks hook into the loop once, in injectFaults.
 
 import (
 	"p3/internal/netsim"
@@ -38,16 +37,14 @@ func (cs *clusterSim) pushLayer(w, l int, iter int32) {
 		// the direct push until the restart is detected.
 		if cs.aggs != nil && w != m.To {
 			rack := cs.node(netsim.TierRack, cs.cfg.Topology.RackOf(w))
-			if cs.fs != nil && cs.fs.hasCrash && cs.downDetected(rack, cs.procs[w].Now()) {
-				cs.fs.machFailovers[w]++
+			if cs.rec.down(rack, w) {
+				cs.rec.failover(w)
 			} else {
 				m.To = rack.idx
 				m.ToAgg = true
 			}
 		}
-		if cs.fs != nil && cs.fs.hasCrash {
-			cs.fs.pushedIter[w][id] = iter
-		}
+		cs.rec.pushed(w, m.Chunk, iter)
 		cs.net.Send(m)
 	}
 }
@@ -101,14 +98,7 @@ func (cs *clusterSim) onData(m netsim.Message) {
 // installChunk marks an updated parameter chunk as usable by the next
 // forward pass and unblocks the worker if it was stalled on this layer.
 func (cs *clusterSim) installChunk(w int, chunk, iter int32) {
-	if fs := cs.fs; fs != nil && fs.hasCrash {
-		// Crash recovery can deliver the same chunk twice (re-pull plus the
-		// original broadcast): only the first installation of an iteration
-		// counts, keeping recvCount consistent.
-		if fs.gotIter[w][chunk] >= iter {
-			return
-		}
-		fs.gotIter[w][chunk] = iter
+	if cs.rec.firstInstall(w, chunk, iter) {
+		cs.loop.Installed(w, cs.plan.Chunks[chunk].Layer, iter)
 	}
-	cs.loop.Installed(w, cs.plan.Chunks[chunk].Layer, iter)
 }

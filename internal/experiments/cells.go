@@ -108,9 +108,6 @@ func runCells(o Options, cells []cell) []outcome {
 	runOne := func(i int) {
 		c := cells[i]
 		c.WarmupIters, c.MeasureIters, c.Seed, c.Shards = warm, measure, o.Seed+1, o.Shards
-		if c.Recorder != nil {
-			c.Shards = 1 // the utilization buckets are shared across machines
-		}
 		//p3:wallclock-ok WallMs reports real simulator throughput
 		t0 := time.Now()
 		r := c.run()

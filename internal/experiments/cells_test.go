@@ -70,23 +70,30 @@ func TestRunCellsPoolMatchesSerial(t *testing.T) {
 }
 
 // TestRunCellsFillsRunControl pins what only the runner sets: iteration
-// counts and seed from Options, Shards on every cluster-path cell — except a
-// recorded one, which would otherwise panic with "cluster: Recorder needs
-// Shards <= 1" — and the second pass of a calibrated cell, on both paths.
+// counts and seed from Options, Shards on every cluster-path cell — a
+// recorded one included, whose series equal the one-shard run's — and the
+// second pass of a calibrated cell, on both paths.
 func TestRunCellsFillsRunControl(t *testing.T) {
 	o := Options{Fast: true, Seed: 1, Shards: 4}
 	cells := mixedCells()
 	outs := runCells(o, cells)
-	rec := cells[4].Recorder
-	if gbps := rec.Gbps(0, trace.Out); len(gbps) == 0 || outs[4].WarmupEnd <= 0 {
-		t.Errorf("recorded cell at Shards: 4 recorded %d buckets, warm-up ended at %v", len(gbps), outs[4].WarmupEnd)
-	}
 
 	warm, measure := o.iters()
 	control := func(c cell) cluster.Config {
 		cfg := c.Config
 		cfg.WarmupIters, cfg.MeasureIters, cfg.Seed = warm, measure, o.Seed+1
 		return cfg
+	}
+	single := control(cells[4])
+	single.Recorder = trace.NewRecorder(6, 0)
+	if want := cluster.Run(single); !reflect.DeepEqual(outs[4].Result, want) {
+		t.Errorf("recorded cell at Shards: 4 differs from a direct single-shard run:\n got %+v\nwant %+v", outs[4].Result, want)
+	}
+	for m := 0; m < 6; m++ {
+		got, want := cells[4].Recorder.Gbps(m, trace.Out), single.Recorder.Gbps(m, trace.Out)
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("recorded cell at Shards: 4, machine %d: %d outbound buckets differ from the single-shard run's %d", m, len(got), len(want))
+		}
 	}
 	if want := cluster.Run(control(cells[0])); !reflect.DeepEqual(outs[0].Result, want) {
 		t.Errorf("sharded cell differs from a direct single-shard run:\n got %+v\nwant %+v", outs[0].Result, want)

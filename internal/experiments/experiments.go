@@ -7,7 +7,7 @@
 // Every simulated sweep has one shape: declare the cells (cells.go), hand
 // them to runCells, project the outcomes into rows or series. One rule
 // covers sharding: every cluster-path cell runs at Options.Shards (clamped to
-// its machine count by cluster), recorded cells and ring cells run one shard.
+// its machine count by cluster), ring cells run one shard.
 package experiments
 
 import (
@@ -45,7 +45,7 @@ type Options struct {
 	Seed int64
 	// Shards is the shard count of every cluster-path cell's engine
 	// (cluster.Config.Shards, which clamps it to the cell's machine count);
-	// cells with a Recorder and ring cells run one shard. Results are
+	// ring cells run one shard. Results are
 	// bit-identical at any value (the determinism contract in internal/sim);
 	// shards only buy wall-clock on multi-core runners.
 	Shards int

@@ -168,8 +168,8 @@ type Config struct {
 	Profile *sched.Profile
 	// Topology optionally arranges the machines into racks behind an
 	// oversubscribed core. The zero value keeps the flat non-blocking
-	// switch of the paper's testbed (every path bit-identical to earlier
-	// releases).
+	// switch of the paper's testbed: no tier is built and every path is
+	// host to host.
 	Topology Topology
 	// Aggregation adds one in-rack aggregator LP per rack — and, when the
 	// topology has a spine tier (Topology.Pods), one pod aggregator LP per
@@ -195,8 +195,8 @@ type Config struct {
 	// payloads addressed to it through a FIFO reduce engine at this rate, so
 	// a rack's worth of concurrent gradient streams can queue at the ToR's
 	// reduction ASIC just like they queue at a link. 0 models a free
-	// (line-rate, zero-cost) reduction engine — bit-identical to earlier
-	// releases. Credit refunds still happen at aggregator arrival: the
+	// (line-rate, zero-cost) reduction engine: a payload reaches the
+	// aggregation logic the instant it arrives. Credit refunds still happen at aggregator arrival: the
 	// sender's transmission window covers the wire, not the reduce queue.
 	AggReduceGBps float64
 	// PreemptQuantum > 0 makes egress transmission resumable: serialization
@@ -242,7 +242,7 @@ type Topology struct {
 	CoreDelay sim.Time
 	// CoreSched names the sched.Discipline of every rack's uplink and
 	// downlink port queue. "" keeps the blind FIFO of plain switch ports
-	// (bit-identical to earlier releases); "fifo" runs the same global
+	// (a flight slice, no sched.Queue); "fifo" runs the same global
 	// arrival order through a sched.Queue (pinned bit-identical to "");
 	// "p3"/"damped"/"tictac"/... make the core ports expedite the same
 	// ranks the hosts do. Each port gets a fresh discipline instance,
@@ -252,9 +252,8 @@ type Topology struct {
 	// tier: each pod owns a spine uplink and downlink port above its ToRs,
 	// and only inter-pod traffic transits them (intra-pod inter-rack
 	// traffic turns around below the spine). 0 disables the spine tier
-	// (single-tier core, bit-identical to earlier releases); a Pods=1
-	// topology builds the spine LPs but routes nothing through them, so it
-	// is also bit-identical. Requires RackSize > 0, and the pod count must
+	// (single-tier core); a Pods=1 topology builds the spine LPs but routes
+	// nothing through them, so its Results equal Pods=0's. Requires RackSize > 0, and the pod count must
 	// divide the rack count evenly (checked by ValidateFor, where the
 	// machine count is known).
 	Pods int
@@ -274,14 +273,14 @@ type Topology struct {
 	SpineSched string
 }
 
-// Validate reports whether the topology's parameters are usable: a
+// ValidateFor reports whether the topology is usable over n machines: a
 // negative RackSize, CoreOversub, Pods or SpineOversub is always an
 // error, CoreSched/SpineSched must name registered scheduling
 // disciplines, the core knobs require a rack topology and the spine knobs
-// a spine tier. The zero value is valid (flat network). ValidateFor addition-
-// ally checks the machine-count-dependent constraint that the pods
-// divide the racks evenly.
-func (t Topology) Validate() error {
+// a spine tier, and the pod count must divide the rack count evenly (equal
+// pods keep the spine port rates uniform and the routing arithmetic-only).
+// The zero value is valid (flat network).
+func (t Topology) ValidateFor(n int) error {
 	if t.RackSize < 0 {
 		return fmt.Errorf("netsim: negative rack size %d", t.RackSize)
 	}
@@ -323,16 +322,6 @@ func (t Topology) Validate() error {
 		if _, err := sched.ByName(t.SpineSched); err != nil {
 			return fmt.Errorf("netsim: spine scheduler: %w", err)
 		}
-	}
-	return nil
-}
-
-// ValidateFor runs Validate plus the machine-count-dependent checks: with
-// a spine tier, the pod count must divide the rack count evenly (equal
-// pods keep the spine port rates uniform and the routing arithmetic-only).
-func (t Topology) ValidateFor(n int) error {
-	if err := t.Validate(); err != nil {
-		return err
 	}
 	if t.Pods > 0 {
 		racks := t.NumRacks(n)
@@ -658,7 +647,7 @@ type Network struct {
 	aggs    []aggregator // in ordinal order (racks, then pods); empty without Aggregation
 	deliver Handler
 	rec     *trace.Recorder // optional
-	sharded bool            // exec has >1 shard: no recorder (shared buckets)
+	sharded bool            // exec has >1 shard: flight records are pooled per LP
 	gated   bool            // the egress discipline admits against a credit window
 	look    sim.Time        // cfg.Lookahead(): the credit-refund quantum
 	free    []*flight       // released records, per LP when sharded (see pool)
@@ -676,8 +665,9 @@ func New(eng *sim.Engine, n int, cfg Config, handler Handler, rec *trace.Recorde
 // followed by the port and aggregator LPs in the order of the package
 // comment's "Tiers" section, matching Config.LPShards. Credit-gated
 // egress disciplines shard like any other under the window-relaxed refund
-// protocol (see the package comment); trace recorders still need the
-// single-shard engine, their buckets being shared across machines.
+// protocol (see the package comment), and so does a trace recorder: a
+// machine's series are written on its own LP only (segmentDone,
+// ingressDone).
 func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *Network {
 	if cfg.BandwidthGbps <= 0 {
 		panic(fmt.Sprintf("netsim: bandwidth %v Gbps", cfg.BandwidthGbps))
@@ -704,9 +694,6 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 	}
 	nw := &Network{exec: x, cfg: cfg, n: n, deliver: handler, rec: rec, sharded: x.Shards() > 1}
 	nw.look = cfg.Lookahead()
-	if nw.sharded && rec != nil {
-		panic("netsim: a trace.Recorder needs the single-shard engine (shared utilization buckets)")
-	}
 	nw.nics = make([]nic, n)
 	for i := range nw.nics {
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Egress), cfg.Profile)
@@ -716,8 +703,7 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 		sched.ApplySource(disc, int32(i))
 		q := sched.NewQueue(disc, txItem)
 		// The refund events of the window-relaxed credit protocol exist
-		// only for gated disciplines; ungated runs schedule none and stay
-		// bit-identical to earlier releases.
+		// only for gated disciplines; ungated runs schedule none.
 		nw.gated = q.Gated()
 		nw.nics[i] = nic{egress: q, rateScale: 1}
 	}

@@ -194,9 +194,10 @@ func TestRackUndersubscribedCore(t *testing.T) {
 	}
 }
 
-// TestTopologyValidate pins the topology validation surface: negative
-// sizes and ratios are rejected, CoreSched needs both a rack topology and
-// a registered discipline, and the zero value (flat network) is valid.
+// TestTopologyValidate pins the topology validation surface over 16
+// machines: negative sizes and ratios are rejected, CoreSched needs both a
+// rack topology and a registered discipline, and the zero value (flat
+// network) is valid.
 func TestTopologyValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -222,18 +223,14 @@ func TestTopologyValidate(t *testing.T) {
 		{"spine sched without pods", Topology{RackSize: 4, SpineSched: "p3"}, true},
 		{"unknown spine sched", Topology{RackSize: 4, Pods: 2, SpineSched: "nosuch"}, true},
 	} {
-		err := tc.top.Validate()
+		err := tc.top.ValidateFor(16)
 		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: Validate() = %v, wantErr %v", tc.name, err, tc.wantErr)
+			t.Errorf("%s: ValidateFor(16) = %v, wantErr %v", tc.name, err, tc.wantErr)
 		}
 	}
-	// ValidateFor adds the machine-count-dependent constraint: the pods
-	// must divide the racks evenly.
-	even := Topology{RackSize: 4, Pods: 2}
-	if err := even.ValidateFor(16); err != nil {
-		t.Errorf("ValidateFor(16) with 4 racks in 2 pods: %v", err)
-	}
-	if err := even.ValidateFor(12); err == nil {
+	// The pods must divide the racks evenly: the "pods" row's 4 racks in 2
+	// pods do, 3 racks do not.
+	if err := (Topology{RackSize: 4, Pods: 2}).ValidateFor(12); err == nil {
 		t.Error("ValidateFor(12) accepted 3 racks in 2 pods")
 	}
 }

@@ -10,8 +10,8 @@ import (
 // readers and writers on. A peer silent past the read timeout fails the
 // read (the loop closes the connection instead of waiting forever); a
 // peer not draining past the write timeout fails the write (the send loop
-// requeues instead of wedging). Zero timeouts leave that direction
-// unbounded, the pre-hardening behaviour.
+// requeues instead of wedging). A zero timeout arms no deadline: that
+// direction blocks for as long as the peer lets it.
 type deadlineConn struct {
 	conn         net.Conn
 	readTimeout  time.Duration

@@ -54,8 +54,8 @@ type link struct {
 // ReconnectConfig bounds the worker's reconnect-on-failure loop.
 type ReconnectConfig struct {
 	// MaxAttempts caps redials per connection failure; 0 disables
-	// reconnection entirely (a failed connection is dead, the pre-hardening
-	// behaviour).
+	// reconnection entirely: a failed connection is dead and frames for it
+	// are dropped.
 	MaxAttempts int
 	// BaseDelay is the first retry's backoff (default 10ms); each attempt
 	// doubles it up to MaxDelay (default 1s). Every wait is jittered

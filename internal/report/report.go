@@ -34,17 +34,13 @@ func Generate(o experiments.Options) string {
 
 	section5(&b, o)
 	section7(&b, o)
-	sectionUtil(&b, o, "Figure 8 — baseline network utilization", experiments.Fig8,
-		"bursty traffic with long idle gaps; inbound and outbound rarely overlap")
-	sectionUtil(&b, o, "Figure 9 — P3 network utilization", experiments.Fig9,
-		"idle time reduced; both directions busy simultaneously")
+	sectionUtil(&b, o, "Figure 8 — baseline network utilization", experiments.Fig8)
+	sectionUtil(&b, o, "Figure 9 — P3 network utilization", experiments.Fig9)
 	section10(&b, o)
 	section11(&b, o)
 	section12(&b, o)
-	sectionUtil(&b, o, "Figure 13 — TensorFlow-style utilization (Appendix B.1)", experiments.Fig13,
-		"pull deferral leaves the inbound direction idle during backprop")
-	sectionUtil(&b, o, "Figure 14 — Poseidon/WFBP utilization (Appendix B.1)", experiments.Fig14,
-		"layer-granularity WFBP is also bursty under 1 Gbps")
+	sectionUtil(&b, o, "Figure 13 — TensorFlow-style utilization (Appendix B.1)", experiments.Fig13)
+	sectionUtil(&b, o, "Figure 14 — Poseidon/WFBP utilization (Appendix B.1)", experiments.Fig14)
 	section15(&b, o)
 	sectionHeadline(&b, o)
 	sectionAblation(&b, o)
@@ -145,14 +141,8 @@ func section5(b *strings.Builder, o experiments.Options) {
 func section7(b *strings.Builder, o experiments.Options) {
 	b.WriteString("## Figure 7 — bandwidth vs throughput (4 machines)\n\n")
 	b.WriteString("Throughput per machine (samples/sec), Baseline / Slicing / P3.\n\n")
-	notes := map[string]string{
-		"fig7a": "paper: baseline degrades below 6 Gbps; P3 near-linear to 4 Gbps; +26% at 4 Gbps",
-		"fig7b": "paper: +18% max; slicing alone does not help",
-		"fig7c": "paper: slicing +49% at 30 Gbps; P3 +66% at 15 Gbps",
-		"fig7d": "paper: +38% max; heavy initial layer limits the gain",
-	}
 	for _, f := range experiments.Fig7(o) {
-		fmt.Fprintf(b, "### %s: %s\n\n%s\n\n", f.ID, f.Title, notes[f.ID])
+		fmt.Fprintf(b, "### %s: %s\n\n%s\n\n", f.ID, f.Title, strings.Join(f.Notes, "\n"))
 		b.WriteString(tsvToMarkdown(f.TSV()))
 		base, slic, p3 := f.Series[0], f.Series[1], f.Series[2]
 		bestGain, bestBW := 0.0, 0.0
@@ -167,13 +157,15 @@ func section7(b *strings.Builder, o experiments.Options) {
 	}
 }
 
+// sectionUtil is one utilization study; the paper's observation is the note
+// its sub-figures share.
 func sectionUtil(b *strings.Builder, o experiments.Options, title string,
-	fn func(experiments.Options) []*experiments.Figure, paperNote string) {
+	fn func(experiments.Options) []*experiments.Figure) {
 
-	fmt.Fprintf(b, "## %s\n\n", title)
-	fmt.Fprintf(b, "Paper: %s.\n\n", paperNote)
+	figs := fn(o)
+	fmt.Fprintf(b, "## %s\n\n%s\n\n", title, strings.Join(figs[0].Notes, "\n"))
 	b.WriteString("| config | dir | mean Gbps | peak Gbps | idle buckets |\n| --- | --- | --- | --- | --- |\n")
-	for _, f := range fn(o) {
+	for _, f := range figs {
 		for _, s := range f.Series {
 			if len(s.Y) == 0 {
 				continue

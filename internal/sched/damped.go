@@ -212,7 +212,7 @@ func (g *gatedDamped) OnCancel(it Item) {
 
 // OnPark and OnResume forward parked-transmission accounting to bases that
 // track it (credit-adaptive); for the rest a parked element simply stays
-// charged, the pre-Parker behaviour.
+// charged.
 func (g *gatedDamped) OnPark(it Item) {
 	if p, ok := g.adm.(Parker); ok {
 		p.OnPark(it)

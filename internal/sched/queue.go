@@ -173,9 +173,10 @@ func (q *Queue[T]) Discipline() Discipline { return q.d }
 
 // Gated reports whether the discipline gates dispatch with a credit window
 // (implements Admitter, possibly under wrappers). Gated queues need
-// completion feedback (Done) from the consumer; execution modes that cannot
-// deliver it synchronously (the sharded engine's cross-shard deliveries)
-// use this to reject the combination up front.
+// completion feedback (Done) from the consumer; netsim uses this to
+// schedule its window-relaxed credit refunds — which deliver that feedback
+// one lookahead after delivery, at any shard count — for gated egress
+// disciplines only.
 func (q *Queue[T]) Gated() bool { return q.adm != nil }
 
 // Len reports the number of queued elements.
@@ -548,7 +549,7 @@ func (q *Queue[T]) SetProfile(p *Profile) {
 // remaining bytes are off the wire and must stop counting against its
 // flow's admission window, without feeding the discipline's adaptation.
 // For disciplines that do not track parked bytes it is a no-op (the
-// element simply stays charged, the conservative pre-Parker behaviour).
+// element simply stays charged, which is conservative).
 // Balance every Park with a Resume before the element's Done.
 //
 //p3:noescape

@@ -125,8 +125,8 @@ type Canceler interface {
 // adaptation — a window that looks full of parked bytes is not congestion
 // evidence. OnResume re-charges the element when transmission continues;
 // the eventual OnDone then balances as usual. An Admitter without Parker
-// keeps parked bytes charged (the pre-Parker behaviour), which is safe but
-// lets a long-parked tail spuriously bind its flow's window.
+// keeps parked bytes charged, which is safe but lets a long-parked tail
+// spuriously bind its flow's window.
 type Parker interface {
 	OnPark(it Item)
 	OnResume(it Item)

@@ -27,9 +27,9 @@ type Exec interface {
 	// event currently executing on src's timeline. On a Parallel exec, at
 	// must be at least src's clock plus the lookahead.
 	Cross(src, dst int, at Time, fn func())
-	// Shards reports the parallelism: 1 for Single. Models use it to gate
-	// semantics that only a single-threaded run can provide (credit
-	// feedback across LPs, trace recording).
+	// Shards reports the parallelism: 1 for Single. Models use it to pick
+	// per-LP over shared bookkeeping (netsim pools flight records per LP
+	// above one shard).
 	Shards() int
 	Run() Time
 	Stop()
@@ -40,8 +40,8 @@ type Exec interface {
 // engine's heap and clock, Proc(lp) tags scheduled events with lp's
 // canonical key, and Cross tags with the sending LP's — so same-instant
 // ties fire in exactly the order a Parallel run computes (see the package
-// comment). Events scheduled directly on the Engine keep the legacy
-// untagged behavior.
+// comment). Events scheduled directly on the Engine stay untagged and
+// fire in call order.
 type Single struct{ Eng *Engine }
 
 // singleProc is Single's per-LP scheduling handle: Engine scheduling

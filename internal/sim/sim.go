@@ -8,14 +8,14 @@
 // order — ascending (virtual scheduling time, scheduling LP, per-LP
 // schedule order) — so a run is a pure function of its inputs (and of any
 // explicitly seeded randomness in the workload). For events scheduled
-// directly on an Engine the key reduces to plain scheduling order, the
-// legacy behavior; the LP components exist so the sharded engine computes
-// the identical order (see below).
+// directly on an Engine the key reduces to plain scheduling order; the LP
+// components exist so the sharded engine computes the identical order (see
+// below).
 //
 // # Parallel execution, lookahead and the determinism contract
 //
 // The Exec interface abstracts the engine behind logical processes (LPs):
-// Single runs every LP on one Engine — the exact legacy semantics — while
+// Single runs every LP on one Engine, one heap and one clock, while
 // Parallel shards LPs over goroutines, each shard with its own event heap
 // and local clock, synchronized by conservative lookahead. A Parallel run
 // remains a pure function of its inputs when the model obeys three rules:
@@ -99,8 +99,8 @@ type event struct {
 
 // ordKey packs the last two canonical tie components into one word:
 // scheduling LP plus one in the high 16 bits — zero marks raw Engine
-// scheduling, which therefore sorts before any tagged LP, preserving the
-// legacy order — and the per-LP schedule order in the low 48. The packing
+// scheduling, which therefore sorts before any tagged LP scheduling at the
+// same instant — and the per-LP schedule order in the low 48. The packing
 // compares exactly like (lp, seq) lexicographically, and its limits
 // (65534 LPs, 2^48 events scheduled per LP) sit orders of magnitude above
 // any simulation this repository can hold in memory; NewParallel rejects
@@ -201,9 +201,8 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently corrupt causality in the simulation. Raw Engine
 // scheduling tags the event with the zero LP mark and the engine-wide
-// sequence, which reproduces the legacy same-instant behavior exactly:
-// calls happen in nondecreasing virtual time, so (sched, seq) order is
-// call order.
+// sequence, so same-instant events fire in call order: calls happen in
+// nondecreasing virtual time, so (sched, seq) order is call order.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
