@@ -33,6 +33,9 @@ import (
 	"p3/internal/zoo"
 )
 
+// initIter tags the Pull that confirms the Inits landed, and its Data.
+const initIter = -1
+
 func main() {
 	id := flag.Int("id", 0, "worker id (0-based, unique per worker)")
 	serverList := flag.String("servers", "127.0.0.1:9700", "comma-separated server addresses")
@@ -65,6 +68,7 @@ func main() {
 	}
 
 	recv := make(chan struct{}, plan.NumChunks()+8)
+	initAck := make(chan int, len(addrs)) // the server whose confirming Pull was answered
 	profile := strategy.ComputeProfile(m, *gbps)
 	if *stallsIn != "" {
 		stalls, err := strategy.ReadStallFile(*stallsIn)
@@ -90,7 +94,12 @@ func main() {
 		Sched:   *schedName,
 		Profile: profile,
 		Handler: func(f *transport.Frame) {
-			if f.Type == transport.TypeData {
+			if f.Type == transport.TypeData && f.Iter == initIter {
+				select {
+				case initAck <- plan.Chunks[f.Key].Server:
+				default: // a repeated answer nobody waits for any more
+				}
+			} else if f.Type == transport.TypeData {
 				if *calibrate {
 					if l := plan.Chunks[f.Key].Layer; l < len(layerLast) {
 						calMu.Lock()
@@ -112,11 +121,37 @@ func main() {
 	defer worker.Close()
 
 	if *id == 0 {
+		// Confirm the Inits landed before any traffic, or a Push overtakes its
+		// Init and the server zero-initialises the key from the push's shape:
+		// Pull each server's last key after the Inits, in their own priority
+		// class, and wait for its Data. Every discipline that orders a class by
+		// arrival (all but the size-ordered one) releases that Pull from both
+		// queues it crosses — this send queue, the server's receive queue —
+		// only after every Init. Ordered by size the payload-free Pull goes
+		// first, finds no key and gets no answer: ask again until it does
+		// (there a Push cannot overtake its equally sized Init anyway).
+		last := make(map[int]core.Chunk) // per server that owns any key
 		for _, c := range plan.Chunks {
 			worker.Init(c.Server, uint64(c.ID), grads[c.ID])
+			last[c.Server] = c
 		}
-		//p3:wallclock-ok real startup settling on the live transport
-		time.Sleep(200 * time.Millisecond) // let inits land before traffic
+		ask := func() {
+			for _, c := range last {
+				worker.Pull(c.Server, uint64(c.ID), initIter, 0)
+			}
+		}
+		ask()
+		//p3:wallclock-ok an unanswered Pull can only be noticed by waiting
+		again := time.NewTicker(100 * time.Millisecond)
+		for len(last) > 0 {
+			select {
+			case srv := <-initAck:
+				delete(last, srv)
+			case <-again.C:
+				ask()
+			}
+		}
+		again.Stop()
 	}
 
 	var measured []time.Duration

@@ -70,6 +70,8 @@ func TestAggregationAndBroadcast(t *testing.T) {
 			if _, dup := got[worker][f.Key]; dup {
 				t.Errorf("worker %d received key %d twice", worker, f.Key)
 			}
+			// Copied: f.Values is the worker's held buffer for the key, valid
+			// only until the key's next Data; the assertions run after the test.
 			got[worker][f.Key] = append([]float32(nil), f.Values...)
 			mu.Unlock()
 			wg.Done()
@@ -142,6 +144,7 @@ func TestMultipleIterations(t *testing.T) {
 	tc := startCluster(t, 1, workers, "p3", SGDUpdater(0.5),
 		func(worker int, f *transport.Frame) {
 			if worker == 0 {
+				// Copied: the next iteration's Data for key 7 overwrites f.Values.
 				results <- append([]float32(nil), f.Values...)
 			}
 		})
@@ -172,6 +175,7 @@ func TestPullReturnsCurrentValue(t *testing.T) {
 	results := make(chan []float32, 1)
 	tc := startCluster(t, 1, 1, "fifo", SGDUpdater(1),
 		func(worker int, f *transport.Frame) {
+			// Copied: read on another goroutine, past the handler's validity window.
 			results <- append([]float32(nil), f.Values...)
 		})
 	tc.workers[0].Init(0, 3, []float32{5, 6})

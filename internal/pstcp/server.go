@@ -110,6 +110,15 @@ type Server struct {
 	params  map[uint64][]float32
 	agg     map[uint64]*aggState
 
+	// bufs holds every value buffer the server moves frames through: push
+	// and init bodies from the read loops until processLoop has folded the
+	// frame in, broadcast snapshots until sendLoop is done with the last
+	// destination's frame.
+	bufs bufPool
+	// drops counts pushes and inits dropped because their value count
+	// disagrees with the key's stored tensor; guarded by mu.
+	drops int64
+
 	wg     sync.WaitGroup
 	connWG sync.WaitGroup
 	done   chan struct{}
@@ -149,6 +158,7 @@ func NewServer(cfg ServerConfig) *Server {
 		writers: make(map[uint8]*connWriter),
 		params:  make(map[uint64][]float32),
 		agg:     make(map[uint64]*aggState),
+		bufs:    bufPool{free: make(map[int][][]float32), refs: make(map[*float32]int)},
 		done:    make(chan struct{}),
 	}
 }
@@ -226,15 +236,39 @@ func (s *Server) acceptLoop() {
 // side stops queueing broadcasts for a dead worker. Heartbeats refresh the
 // deadline (every read does) and are otherwise dropped here, never
 // reaching the receive queue.
+//
+// A frame's values are decoded where dst chooses: a Push or Init whose count
+// fits the key's stored tensor (or whose key is new) gets a buffer from the
+// free list; anything else gets none — its body is discarded off the wire, so
+// a frame costs memory only once its header has earned it, and the connection
+// stays usable. The frame then carries no values: a payload on a type that
+// has none is ignored, and handlePush and handleInit drop and count the one
+// whose shape was wrong.
 func (s *Server) readLoop(conn net.Conn) {
 	defer s.connWG.Done()
 	var sender uint8
 	registered := false
 	r := transport.NewFrameReader(deadlineConn{conn: conn, readTimeout: s.cfg.ReadTimeout})
+	var body []float32 // the free-list buffer the frame being read decodes into
+	dst := func(f *transport.Frame, n int) []float32 {
+		if f.Type == transport.TypePush || f.Type == transport.TypeInit {
+			s.mu.Lock()
+			param, known := s.params[f.Key]
+			s.mu.Unlock()
+			if !known || len(param) == n {
+				body = s.bufs.get(n, 1)
+			}
+		}
+		return body
+	}
 	for {
-		f, err := transport.ReadFrame(r)
+		body = nil
+		f, err := transport.ReadFrameInto(r, dst)
 		if err != nil {
-			break // connection closed, corrupt, or silent past the deadline
+			// Connection closed, corrupt, or silent past the deadline. A body
+			// cut short goes back whole: the list is keyed by length.
+			s.bufs.put(body)
+			break
 		}
 		switch f.Type {
 		case transport.TypeHello:
@@ -310,14 +344,17 @@ func (s *Server) processLoop() {
 			s.handlePull(f)
 		}
 		s.recvQ.Done(f)
+		s.bufs.put(f.Values) // folded in: the body returns to the free list
 	}
 }
 
 func (s *Server) handleInit(f *transport.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.params[f.Key]; !ok { // first init wins; replicas agree anyway
-		s.params[f.Key] = append([]float32(nil), f.Values...)
+	if param, ok := s.params[f.Key]; !ok { // first init wins; replicas agree anyway
+		s.params[f.Key] = append([]float32(nil), f.Values...) //p3:alloc-ok a key's stored tensor is made once
+	} else if len(param) != len(f.Values) {
+		s.drops++
 	}
 }
 
@@ -327,12 +364,12 @@ func (s *Server) handlePush(f *transport.Frame) {
 	if !ok {
 		// Push before init: treat the first push's shape as authoritative
 		// with zero-initialized parameters.
-		param = make([]float32, len(f.Values))
+		param = make([]float32, len(f.Values)) //p3:alloc-ok a key's stored tensor is made once
 		s.params[f.Key] = param
 	}
 	a := s.agg[f.Key]
 	if a == nil {
-		a = &aggState{iter: f.Iter, sum: make([]float32, len(param))}
+		a = &aggState{iter: f.Iter, sum: make([]float32, len(param))} //p3:alloc-ok a key's aggregation state is made once
 		s.agg[f.Key] = a
 	}
 	if a.iter != f.Iter {
@@ -344,8 +381,11 @@ func (s *Server) handlePush(f *transport.Frame) {
 		a.seen = [4]uint64{}
 	}
 	if len(f.Values) != len(a.sum) {
+		// Shape mismatch: the read loop already discarded the body unread,
+		// unless the key did not exist yet when it arrived.
+		s.drops++
 		s.mu.Unlock()
-		return // shape mismatch: drop (tests never hit this)
+		return
 	}
 	if !a.markSeen(f.Sender) {
 		// A retry duplicate: the worker's reconnect path re-sent a push whose
@@ -362,11 +402,15 @@ func (s *Server) handlePush(f *transport.Frame) {
 	var dsts []uint8
 	if complete {
 		s.cfg.Updater(f.Key, param, a.sum, s.cfg.Workers)
-		// Copy under the lock: the stored tensor mutates on later updates
-		// while the send loop is still serializing this broadcast.
-		snapshot = append([]float32(nil), param...)
 		for id := range s.writers {
 			dsts = append(dsts, id)
+		}
+		if !s.cfg.NotifyPull && len(dsts) > 0 && len(param) > 0 {
+			// Copy under the lock: the stored tensor mutates on later updates
+			// while the send loop is still serializing this broadcast. One
+			// snapshot, one reference per destination.
+			snapshot = s.bufs.get(len(param), len(dsts))
+			copy(snapshot, param)
 		}
 	}
 	s.mu.Unlock()
@@ -380,18 +424,16 @@ func (s *Server) handlePush(f *transport.Frame) {
 
 	if complete {
 		typ := transport.TypeData
-		var payload []float32 = snapshot
 		if s.cfg.NotifyPull {
 			// Stock KVStore: notify now, serve the data on explicit Pull.
 			typ = transport.TypeNotify
-			payload = nil
 		}
 		// With immediate broadcast (P3, Section 4.2) the data goes out
 		// right away — no notify/pull round trip.
 		for _, id := range dsts {
 			s.sendQ.Push(&transport.Frame{
 				Type: typ, Sender: uint8(s.cfg.ID), Dst: id,
-				Priority: f.Priority, Key: f.Key, Iter: f.Iter, Values: payload,
+				Priority: f.Priority, Key: f.Key, Iter: f.Iter, Values: snapshot,
 			})
 		}
 	}
@@ -400,8 +442,9 @@ func (s *Server) handlePush(f *transport.Frame) {
 func (s *Server) handlePull(f *transport.Frame) {
 	s.mu.Lock()
 	var param []float32
-	if stored := s.params[f.Key]; stored != nil {
-		param = append([]float32(nil), stored...)
+	if stored := s.params[f.Key]; len(stored) > 0 {
+		param = s.bufs.get(len(stored), 1)
+		copy(param, stored)
 	}
 	s.mu.Unlock()
 	if param == nil {
@@ -417,7 +460,8 @@ func (s *Server) handlePull(f *transport.Frame) {
 // admitted frame at a time, most urgent first, flow-aware across the
 // per-worker connections. Credit is
 // returned at flush, so a credit-gated discipline bounds the
-// buffered-but-unflushed backlog.
+// buffered-but-unflushed backlog; a Data frame's reference on its snapshot
+// is dropped at the same point, or when the frame fails or is dropped.
 func (s *Server) sendLoop() {
 	defer s.wg.Done()
 	transport.SendLoop(s.sendQ, func(f *transport.Frame) transport.FlushWriter {
@@ -428,7 +472,7 @@ func (s *Server) sendLoop() {
 			return nil
 		}
 		return cw.w
-	})
+	}, nil, func(f *transport.Frame) { s.bufs.put(f.Values) })
 }
 
 // heartbeatPriority ranks keep-alives ahead of all real traffic without

@@ -12,7 +12,11 @@ import (
 	"p3/internal/transport"
 )
 
-// Handler receives fully delivered Data frames on the worker.
+// Handler receives fully delivered Data (and Notify) frames on the worker.
+// f.Values is the buffer the worker holds for that key on that connection —
+// the paper's KVStore pulls into the parameter array the worker already has —
+// so it is valid until the next Data frame for the same key on the same
+// connection; a handler that retains values longer must copy them.
 type Handler func(f *transport.Frame)
 
 // Worker is one training process's communication endpoint: the P3Worker of
@@ -80,7 +84,9 @@ type WorkerConfig struct {
 	// layer index); nil degrades them to their model-blind order.
 	Profile *sched.Profile
 	// Handler runs on a receive goroutine for every Data/Notify frame; it
-	// must be safe for concurrent calls when multiple servers are used.
+	// must be safe for concurrent calls when multiple servers are used. The
+	// frame's Values are valid until the next Data frame for the same key on
+	// the same connection (see Handler): copy to retain.
 	Handler Handler
 
 	// ReadTimeout > 0 arms a read deadline on every server connection,
@@ -244,15 +250,29 @@ func (w *Worker) isClosed() bool {
 // to re-establish it with bounded, jittered exponential backoff. A
 // successful reconnect requeues the frames the send loop parked while the
 // link was down; exhaustion marks the link dead and drops them.
+//
+// A Data frame decodes into the buffer the loop holds for its key, made on
+// the key's first Data and reused across reconnects; no other frame type
+// carries values to a worker, so any other body is discarded off the wire.
 func (w *Worker) readLoop(li *link) {
 	defer w.readWG.Done()
+	held := make(map[uint64][]float32)
+	dst := func(f *transport.Frame, n int) []float32 {
+		if f.Type != transport.TypeData {
+			return nil
+		}
+		if len(held[f.Key]) != n {
+			held[f.Key] = make([]float32, n) //p3:alloc-ok first Data for this key on this link
+		}
+		return held[f.Key]
+	}
 	for {
 		li.mu.Lock()
 		conn := li.conn
 		li.mu.Unlock()
 		r := transport.NewFrameReader(deadlineConn{conn: conn, readTimeout: w.cfg.ReadTimeout})
 		for {
-			f, err := transport.ReadFrame(r)
+			f, err := transport.ReadFrameInto(r, dst)
 			if err != nil {
 				break
 			}
@@ -334,7 +354,7 @@ func (w *Worker) reconnect(li *link) bool {
 // meanwhile, so a gated flow to a down server never floods the parking lot.
 func (w *Worker) sendLoop() {
 	defer w.wg.Done()
-	transport.SendLoopErr(w.sendQ, func(f *transport.Frame) transport.FlushWriter {
+	transport.SendLoop(w.sendQ, func(f *transport.Frame) transport.FlushWriter {
 		if int(f.Dst) >= len(w.links) {
 			return nil
 		}
@@ -364,7 +384,7 @@ func (w *Worker) sendLoop() {
 		li.down = true
 		li.retry = append(li.retry, f)
 		li.mu.Unlock()
-	})
+	}, nil)
 }
 
 // heartbeatLoop keeps idle-but-healthy server connections inside the

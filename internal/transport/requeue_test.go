@@ -90,7 +90,7 @@ func TestSendLoopErrRoutesFailuresToCallback(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		SendLoopErr(q, func(f *Frame) FlushWriter {
+		SendLoop(q, func(f *Frame) FlushWriter {
 			if w, ok := writers[f.Dst]; ok {
 				return w
 			}
@@ -109,7 +109,7 @@ func TestSendLoopErrRoutesFailuresToCallback(t *testing.T) {
 			}
 			mu.Unlock()
 			failCh <- err
-		})
+		}, nil)
 	}()
 
 	noWriter := &Frame{Type: TypePush, Dst: 0, Key: 10}

@@ -12,7 +12,7 @@ type FlushWriter interface {
 	Flush() error
 }
 
-// ErrNoWriter is the error SendLoopErr hands its onErr callback for a
+// ErrNoWriter is the error SendLoop hands its onErr callback for a
 // frame whose destination has no writer right now (never registered, or
 // its connection is down awaiting a reconnect).
 var ErrNoWriter = errors.New("transport: no writer for destination")
@@ -25,27 +25,34 @@ var ErrNoWriter = errors.New("transport: no writer for destination")
 // popped frame's credit is returned (Done) when the loop flushes, which
 // happens whenever nothing is admitted — so a credit-gated discipline
 // bounds the buffered-but-unflushed backlog.
-func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter) {
-	SendLoopErr(q, sink, nil)
-}
-
-// SendLoopErr is SendLoop with an error path: every popped frame that did
-// not make it onto the wire — nil sink (ErrNoWriter), write error, or a
-// failed flush — is handed to onErr instead of being acknowledged. The
+//
+// Both callbacks may be nil. onErr is the error path: every popped frame
+// that did not make it onto the wire — nil sink (ErrNoWriter), write error,
+// or a failed flush — is handed to it instead of being acknowledged. The
 // callback owns the frame's credit from that point: it must eventually
 // Requeue (retry on a fresh connection) or Cancel it on the queue.
 // Duplicates are possible — a flush error cannot tell how many buffered
 // bytes reached the peer before the connection died — so receivers retried
 // through this path must deduplicate (pstcp servers track a per-iteration
-// seen-sender set). A nil onErr restores SendLoop's fire-and-forget
-// semantics: undeliverable frames are dropped with their credit returned.
-func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, error)) {
+// seen-sender set). Without onErr the loop is fire-and-forget:
+// undeliverable frames are dropped with their credit returned.
+//
+// done is called once per frame, after its credit is returned, when the
+// loop has finished with it for good — flushed, or failed or dropped with
+// no onErr to take it: the point at which the owner of the frame's Values
+// may reuse them.
+func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, error), done func(*Frame)) {
 	pending := make(map[FlushWriter][]*Frame) // written, not yet flushed/acked
+	var spare [][]*Frame                      // emptied pending slices, reused by the next writer to need one
+	finish := q.Done
+	if done != nil {
+		finish = func(f *Frame) { q.Done(f); done(f) }
+	}
 	fail := func(f *Frame, err error) {
 		if onErr != nil {
 			onErr(f, err)
 		} else {
-			q.Done(f)
+			finish(f)
 		}
 	}
 	flushAll := func() {
@@ -55,9 +62,11 @@ func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame,
 				if err != nil {
 					fail(f, err)
 				} else {
-					q.Done(f)
+					finish(f)
 				}
 			}
+			clear(fs)
+			spare = append(spare, fs[:0])
 			delete(pending, w)
 		}
 	}
@@ -82,6 +91,10 @@ func SendLoopErr(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame,
 			fail(f, err)
 			continue
 		}
-		pending[w] = append(pending[w], f)
+		fs, ok := pending[w]
+		if !ok && len(spare) > 0 {
+			fs, spare = spare[len(spare)-1], spare[:len(spare)-1]
+		}
+		pending[w] = append(fs, f)
 	}
 }

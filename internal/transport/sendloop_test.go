@@ -24,7 +24,7 @@ func TestSendLoopWholeFrames(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		SendLoop(q, func(*Frame) FlushWriter { return &sink })
+		SendLoop(q, func(*Frame) FlushWriter { return &sink }, nil, nil)
 	}()
 	<-done
 	for i := 0; i < 5; i++ {

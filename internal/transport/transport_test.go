@@ -24,14 +24,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != f.Type || got.Sender != f.Sender || got.Priority != f.Priority ||
-		got.Key != f.Key || got.Iter != f.Iter || len(got.Values) != len(f.Values) {
+	if !sameFrame(got, f) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, f)
-	}
-	for i := range f.Values {
-		if got.Values[i] != f.Values[i] {
-			t.Fatalf("value %d: %v != %v", i, got.Values[i], f.Values[i])
-		}
 	}
 }
 
@@ -46,17 +40,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if out.Type != typ || out.Sender != sender || out.Priority != prio ||
-			out.Key != key || out.Iter != iter || len(out.Values) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			// NaN != NaN: compare bit patterns.
-			if math.Float32bits(out.Values[i]) != math.Float32bits(vals[i]) {
-				return false
-			}
-		}
-		return true
+		return sameFrame(out, in) // bit patterns: NaN != NaN
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
