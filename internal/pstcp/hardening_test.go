@@ -1,6 +1,7 @@
 package pstcp
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -209,5 +210,87 @@ func TestDuplicatePushDedup(t *testing.T) {
 	})
 	if p, _ := srv.Stats(); p != 3 {
 		t.Fatalf("new iteration push ignored: pushes=%d, want 3", p)
+	}
+}
+
+// TestStaleFlushErrorLeavesFreshLinkUp: a frame buffered for a connection
+// that is then replaced fails at flush on the old writer, after the reconnect
+// has already put a fresh writer on the link. That failure must send the
+// frame again on the fresh connection, not mark the healthy link down (which
+// nothing would ever bring back). Server B stands still to hold the send
+// loop inside a write while the frame for server A sits in the old buffer.
+func TestStaleFlushErrorLeavesFreshLinkUp(t *testing.T) {
+	srv := NewServer(ServerConfig{ID: 0, Workers: 1, Sched: "fifo", Updater: SGDUpdater(1)})
+	addrA, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lnB.Close()
+	readB := make(chan int) // frames server B may read next; closed: read to the end
+	go func() {
+		conn, err := lnB.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := transport.NewFrameReader(conn)
+		discard := func(*transport.Frame, int) []float32 { return nil }
+		transport.ReadFrameInto(r, discard) // the Hello
+		for n := range readB {
+			for ; n > 0; n-- {
+				transport.ReadFrameInto(r, discard)
+			}
+		}
+		for {
+			if _, err := transport.ReadFrameInto(r, discard); err != nil {
+				return
+			}
+		}
+	}()
+
+	got := make(chan *transport.Frame, 4)
+	wk, err := DialWorkerCfg(WorkerConfig{
+		ID: 0, Servers: []string{addrA, lnB.Addr().String()}, Sched: "fifo",
+		Handler:   func(f *transport.Frame) { got <- f },
+		Reconnect: ReconnectConfig{MaxAttempts: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Close()
+	popped := func() { waitFor(t, 5*time.Second, func() bool { return wk.QueuedSends() == 0 }) }
+
+	big := make([]float32, 4<<20) // 16 MB: more than the loopback socket buffers hold
+	wk.Push(1, 1, 0, 0, big)
+	popped() // the send loop is inside this write until B reads it
+	wk.Push(0, 7, 0, 0, []float32{2})
+	wk.Push(1, 1, 1, 0, big)
+	readB <- 1
+	// B took the first big frame; the loop has buffered the push for A
+	// (no flush: the queue was not empty) and is inside the second big write.
+	popped()
+
+	li := wk.links[0]
+	li.mu.Lock()
+	li.conn.Close()
+	li.mu.Unlock()
+	waitFor(t, 5*time.Second, func() bool { return wk.Reconnects() >= 1 })
+	close(readB) // the second big write completes; the old A writer's flush fails
+
+	select {
+	case f := <-got:
+		if f.Key != 7 || f.Values[0] != -2 {
+			t.Fatalf("broadcast key %d values %v, want key 7 [-2]", f.Key, f.Values)
+		}
+	case <-time.After(5 * time.Second):
+		li.mu.Lock()
+		down, parked := li.down, len(li.retry)
+		li.mu.Unlock()
+		t.Fatalf("the push buffered on the replaced connection never arrived (link down %v, %d parked)", down, parked)
 	}
 }

@@ -20,7 +20,9 @@ import (
 func (s *Server) outstanding() (out int, freeBytes int64) {
 	s.bufs.mu.Lock()
 	defer s.bufs.mu.Unlock()
-	out = s.bufs.made
+	for _, made := range s.bufs.made {
+		out += made
+	}
 	for n, l := range s.bufs.free {
 		for _, b := range l {
 			if len(b) != n {
@@ -208,9 +210,7 @@ func newSteadyCluster(t *testing.T, sched string) *steadyCluster {
 	for w := 0; w < 2; w++ {
 		w := w
 		wk, err := DialWorkerCfg(WorkerConfig{ID: w, Servers: []string{addr}, Sched: sched,
-			// The first redial waits at least BaseDelay/2: long enough for the
-			// send loop to have failed everything it wrote to the dead socket.
-			Reconnect: ReconnectConfig{MaxAttempts: 100, BaseDelay: 40 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
+			Reconnect: ReconnectConfig{MaxAttempts: 100, MaxDelay: 100 * time.Millisecond},
 			Handler: func(f *transport.Frame) {
 				if f.Type != transport.TypeData {
 					return

@@ -29,16 +29,23 @@ import (
 	"p3/internal/transport"
 )
 
-// Updater folds an aggregated gradient into a stored parameter tensor.
-// sum holds the un-normalized sum over workers' pushes.
-type Updater func(key uint64, param, sum []float32, workers int)
+// Updater folds one iteration's aggregated gradient into a stored parameter
+// tensor in one pass. The un-normalized sum over the workers' pushes is
+// sum[i] + last[i]: last is the Nth push, the one that completes the
+// iteration, and sum holds the other workers-1 pushes already added
+// together (zeros when workers is 1). As it reads last[i] the updater
+// overwrites it with the updated param[i]: the Nth push's buffer is the
+// broadcast snapshot. All three slices have param's length.
+type Updater func(key uint64, param, sum, last []float32, workers int)
 
 // SGDUpdater returns the standard update rule: param -= lr * mean(grad).
 func SGDUpdater(lr float32) Updater {
-	return func(_ uint64, param, sum []float32, workers int) {
+	return func(_ uint64, param, sum, last []float32, workers int) {
 		scale := lr / float32(workers)
+		sum, last = sum[:len(param)], last[:len(param)]
 		for i := range param {
-			param[i] -= scale * sum[i]
+			p := param[i] - scale*(sum[i]+last[i])
+			param[i], last[i] = p, p
 		}
 	}
 }
@@ -120,8 +127,11 @@ type Server struct {
 	drops int64
 
 	wg     sync.WaitGroup
-	connWG sync.WaitGroup
-	done   chan struct{}
+	connWG sync.WaitGroup // the read loops, added by acceptLoop
+	// accepted is closed when acceptLoop returns: connWG gains no reader
+	// after that.
+	accepted chan struct{}
+	done     chan struct{}
 
 	// Stats
 	statsMu sync.Mutex
@@ -158,8 +168,10 @@ func NewServer(cfg ServerConfig) *Server {
 		writers: make(map[uint8]*connWriter),
 		params:  make(map[uint64][]float32),
 		agg:     make(map[uint64]*aggState),
-		bufs:    bufPool{free: make(map[int][][]float32), refs: make(map[*float32]int)},
-		done:    make(chan struct{}),
+		bufs: bufPool{free: make(map[int][][]float32), refs: make(map[*float32]int),
+			made: make(map[int]int), want: make(map[int]int)},
+		accepted: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -171,7 +183,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("pstcp: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.wg.Add(3)
+	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.processLoop()
 	go s.sendLoop()
@@ -187,6 +199,7 @@ func (s *Server) Close() {
 	close(s.done)
 	if s.ln != nil {
 		s.ln.Close()
+		<-s.accepted // no reader is added once connWG.Wait below has begun
 	}
 	s.mu.Lock()
 	for _, cw := range s.writers {
@@ -218,7 +231,7 @@ func (s *Server) Stats() (pushes, updates int64) {
 }
 
 func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+	defer close(s.accepted)
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -256,7 +269,7 @@ func (s *Server) readLoop(conn net.Conn) {
 			param, known := s.params[f.Key]
 			s.mu.Unlock()
 			if !known || len(param) == n {
-				body = s.bufs.get(n, 1)
+				body = s.bufs.get(n)
 			}
 		}
 		return body
@@ -344,7 +357,7 @@ func (s *Server) processLoop() {
 			s.handlePull(f)
 		}
 		s.recvQ.Done(f)
-		s.bufs.put(f.Values) // folded in: the body returns to the free list
+		s.bufs.put(f.Values) // folded in: the body goes back (a snapshot once its destinations are done too)
 	}
 }
 
@@ -353,6 +366,7 @@ func (s *Server) handleInit(f *transport.Frame) {
 	defer s.mu.Unlock()
 	if param, ok := s.params[f.Key]; !ok { // first init wins; replicas agree anyway
 		s.params[f.Key] = append([]float32(nil), f.Values...) //p3:alloc-ok a key's stored tensor is made once
+		s.bufs.reserve(len(f.Values), s.cfg.Workers)
 	} else if len(param) != len(f.Values) {
 		s.drops++
 	}
@@ -366,6 +380,7 @@ func (s *Server) handlePush(f *transport.Frame) {
 		// with zero-initialized parameters.
 		param = make([]float32, len(f.Values)) //p3:alloc-ok a key's stored tensor is made once
 		s.params[f.Key] = param
+		s.bufs.reserve(len(f.Values), s.cfg.Workers)
 	}
 	a := s.agg[f.Key]
 	if a == nil {
@@ -373,11 +388,9 @@ func (s *Server) handlePush(f *transport.Frame) {
 		s.agg[f.Key] = a
 	}
 	if a.iter != f.Iter {
+		// A new iteration: the sum is overwritten by its first push, not zeroed.
 		a.iter = f.Iter
 		a.count = 0
-		for i := range a.sum {
-			a.sum[i] = 0
-		}
 		a.seen = [4]uint64{}
 	}
 	if len(f.Values) != len(a.sum) {
@@ -393,24 +406,33 @@ func (s *Server) handlePush(f *transport.Frame) {
 		s.mu.Unlock()
 		return
 	}
-	for i, v := range f.Values {
-		a.sum[i] += v
-	}
+	// One pass over each pushed value: the first push of an iteration is
+	// copied into the sum, the middle ones are added to it, and the Nth is
+	// read by the update itself, alongside the sum. With one worker the
+	// first push is the Nth and the sum is never written: it stays zero.
 	a.count++
 	complete := a.count == s.cfg.Workers
 	var snapshot []float32
 	var dsts []uint8
-	if complete {
-		s.cfg.Updater(f.Key, param, a.sum, s.cfg.Workers)
+	switch {
+	case complete:
+		// The update leaves the new values in the Nth push's own buffer,
+		// under the lock: the stored tensor mutates on later updates while
+		// the send loop is still serializing this broadcast.
+		s.cfg.Updater(f.Key, param, a.sum, f.Values, s.cfg.Workers)
 		for id := range s.writers {
 			dsts = append(dsts, id)
 		}
 		if !s.cfg.NotifyPull && len(dsts) > 0 && len(param) > 0 {
-			// Copy under the lock: the stored tensor mutates on later updates
-			// while the send loop is still serializing this broadcast. One
-			// snapshot, one reference per destination.
-			snapshot = s.bufs.get(len(param), len(dsts))
-			copy(snapshot, param)
+			// One reference per destination, beside the one processLoop drops.
+			snapshot = f.Values
+			s.bufs.share(snapshot, len(dsts))
+		}
+	case a.count == 1:
+		copy(a.sum, f.Values)
+	default:
+		for i, v := range f.Values {
+			a.sum[i] += v
 		}
 	}
 	s.mu.Unlock()
@@ -443,7 +465,7 @@ func (s *Server) handlePull(f *transport.Frame) {
 	s.mu.Lock()
 	var param []float32
 	if stored := s.params[f.Key]; len(stored) > 0 {
-		param = s.bufs.get(len(stored), 1)
+		param = s.bufs.get(len(stored))
 		copy(param, stored)
 	}
 	s.mu.Unlock()

@@ -365,7 +365,7 @@ func (w *Worker) sendLoop() {
 			return nil
 		}
 		return li.w
-	}, func(f *transport.Frame, err error) {
+	}, func(f *transport.Frame, fw transport.FlushWriter, err error) {
 		if f.Type == transport.TypeHeartbeat || int(f.Dst) >= len(w.links) {
 			w.sendQ.Cancel(f) // keep-alives are never retried
 			return
@@ -375,6 +375,14 @@ func (w *Worker) sendLoop() {
 		if li.dead {
 			li.mu.Unlock()
 			w.sendQ.Cancel(f)
+			return
+		}
+		if fw != li.w && (fw != nil || !li.down) {
+			// The failure belongs to a connection a reconnect has replaced
+			// since (or the link was refused as down and is back up): the
+			// link's current writer is healthy, so the frame simply goes again.
+			li.mu.Unlock()
+			w.sendQ.Requeue(f)
 			return
 		}
 		// A write failure on a live-looking link means the connection just

@@ -382,3 +382,29 @@ func TestSmallBufioStillCarriesFrames(t *testing.T) {
 		t.Fatalf("frame through a 16-byte bufio.Reader differs (err %v)", err)
 	}
 }
+
+// TestSwapWords: swapWords turns float32 memory into the other byte order —
+// the wire's on a big-endian host — word by word, undoes itself, and leaves
+// a trailing partial word alone.
+func TestSwapWords(t *testing.T) {
+	vals := []float32{1, -2.5, float32(math.Inf(-1)), math.Float32frombits(0x7fc00001), 3e-42, 0}
+	other := binary.ByteOrder(binary.BigEndian)
+	if bigEndian {
+		other = binary.LittleEndian
+	}
+	b := bytes.Clone(floatBytes(vals))
+	swapWords(b)
+	for i, v := range vals {
+		if got := other.Uint32(b[4*i:]); got != math.Float32bits(v) {
+			t.Fatalf("value %d: swapped word reads %#08x, want %#08x", i, got, math.Float32bits(v))
+		}
+	}
+	swapWords(b)
+	if !bytes.Equal(b, floatBytes(vals)) {
+		t.Fatal("swapping twice changed the bytes")
+	}
+	odd := []byte{1, 2, 3, 4, 5, 6}
+	if swapWords(odd); !bytes.Equal(odd, []byte{4, 3, 2, 1, 5, 6}) {
+		t.Fatalf("six bytes swap to %v, want [4 3 2 1 5 6]", odd)
+	}
+}

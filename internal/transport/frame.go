@@ -18,13 +18,22 @@
 //	uint32  value count
 //	float32 x count values
 //
+// The values are exactly the in-memory layout of a little-endian []float32,
+// so on a little-endian host a body is copied whole, never converted value by
+// value: into the writer's free space on encode; on decode, what is already
+// buffered out of the reader's buffer and the rest straight off the
+// connection into the destination. A big-endian host runs the same copies,
+// then reverses each 4-byte word in place where the bytes landed — in the
+// writer's buffer on encode, in the destination on decode.
+//
 // # Ownership
 //
 // Every float that crosses the real path has one home per hop; the codec
 // itself holds none. WriteFrame encodes straight into the free space of the
-// bufio.Writer it is given and ReadFrameInto decodes straight out of the
-// bufio.Reader's buffer into a destination its caller chose from the
-// validated header, so neither side builds a per-frame byte buffer.
+// bufio.Writer it is given and ReadFrameInto decodes out of the
+// bufio.Reader's buffer, or past it off the connection, into a destination
+// its caller chose from the validated header, so neither side builds a
+// per-frame byte buffer.
 //
 //   - Outgoing: the caller owns the Values it queues (pstcp's Push and Init)
 //     and must leave them untouched until the frame is flushed; the send loop
@@ -39,10 +48,11 @@
 //     folded the frame in (or as soon as the read fails mid-body). A body
 //     whose count disagrees with the key's stored shape takes no buffer: it
 //     is discarded off the wire.
-//   - Server, outgoing: one broadcast is one snapshot from the same free
-//     list holding one reference per destination; the send loop's done
-//     callback drops a reference when that destination's frame is flushed,
-//     failed or dropped, and the last one returns the snapshot.
+//   - Server, outgoing: one broadcast is one snapshot — the body of the push
+//     that completed the update, overwritten with the updated values —
+//     holding one reference per destination; the send loop's done callback
+//     drops a reference when that destination's frame is flushed, failed or
+//     dropped, and the last one returns the snapshot to the free list.
 package transport
 
 import (
@@ -51,7 +61,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"unsafe"
 )
 
 // Frame types.
@@ -74,9 +84,8 @@ const MaxFrameValues = 1 << 24
 // the values.
 const headerBytes = 1 + 1 + 4 + 8 + 4 + 4
 
-// chunkBytes is how much of a frame's values the decoder asks its buffered
-// reader for at a time. A bufio.Reader or bufio.Writer at least this large
-// (bufio's default size) is used in place; anything else is wrapped in one.
+// chunkBytes is the smallest bufio.Reader or bufio.Writer the codec uses in
+// place (bufio's default size); anything else is wrapped in one this large.
 const chunkBytes = 4096
 
 var le = binary.LittleEndian
@@ -111,9 +120,11 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return bw.Flush()
 }
 
-// encode is the one encode loop: header and values are written into bw's own
-// buffer (AvailableBuffer), which Write then merely accounts for. A failed
-// Flush sticks to bw and fails the Write that follows it.
+// encode is the one encode loop: the header and then the body's bytes are
+// written into bw's own buffer (AvailableBuffer), which Write then merely
+// accounts for; a body larger than the free space goes one buffer's worth
+// of whole words at a time, so a big-endian host can swap each word where it
+// lands. A failed Flush sticks to bw and fails the Write that follows it.
 //
 //p3:noescape
 func encode(bw *bufio.Writer, f *Frame) error {
@@ -127,18 +138,20 @@ func encode(bw *bufio.Writer, f *Frame) error {
 	b = le.AppendUint64(b, f.Key)
 	b = le.AppendUint32(b, uint32(f.Iter))
 	b = le.AppendUint32(b, uint32(len(f.Values)))
-	for vals := f.Values; ; b = bw.AvailableBuffer() {
-		k := min((cap(b)-len(b))/4, len(vals))
-		for _, v := range vals[:k] {
-			b = le.AppendUint32(b, math.Float32bits(v))
+	for body := floatBytes(f.Values); ; b = bw.AvailableBuffer() {
+		n := len(b)
+		k := min((cap(b)-n)&^3, len(body))
+		b = append(b, body[:k]...)
+		if bigEndian {
+			swapWords(b[n:])
 		}
 		if _, err := bw.Write(b); err != nil {
 			return err
 		}
-		if vals = vals[k:]; len(vals) == 0 {
+		if body = body[k:]; len(body) == 0 {
 			return nil
 		}
-		bw.Flush() // values left over: bw has no room for another
+		bw.Flush() // bytes left over: bw has no room for another word
 	}
 }
 
@@ -178,8 +191,10 @@ func truncated(err error) error {
 }
 
 // decode is the one decode loop: the header is validated before anything
-// else is read or allocated, then the values are converted chunk by chunk
-// out of r's buffer (Peek, Discard) into the destination.
+// else is read or allocated, then the body is copied into the destination's
+// bytes — the part already buffered out of r's buffer (Peek, Discard), the
+// rest read straight from the connection (io.ReadFull) — or discarded off the
+// wire when there is no destination.
 //
 //p3:noescape
 func decode(r *bufio.Reader, dst func(*Frame, int) []float32) (*Frame, error) {
@@ -202,27 +217,50 @@ func decode(r *bufio.Reader, dst func(*Frame, int) []float32) (*Frame, error) {
 		Iter:     int32(le.Uint32(h[18:])),
 	}
 	r.Discard(4 + headerBytes)
-	if count > 0 {
-		f.Values = dst(f, int(count))
+	if count == 0 {
+		return f, nil
 	}
-	vals := f.Values
-	for rem := int(count); rem > 0; {
-		k := min(rem, chunkBytes/4)
-		b, err := r.Peek(4 * k)
-		if err != nil {
+	if f.Values = dst(f, int(count)); f.Values == nil {
+		if _, err := r.Discard(4 * int(count)); err != nil {
 			return nil, truncated(err)
 		}
-		if vals != nil {
-			for i := range vals[:k] {
-				vals[i] = math.Float32frombits(le.Uint32(b))
-				b = b[4:]
-			}
-			vals = vals[k:]
+		return f, nil
+	}
+	body := floatBytes(f.Values)[:4*count]
+	buffered, _ := r.Peek(min(r.Buffered(), len(body)))
+	k, _ := r.Discard(copy(body, buffered))
+	if k < len(body) {
+		if _, err := io.ReadFull(r, body[k:]); err != nil {
+			return nil, truncated(err)
 		}
-		r.Discard(4 * k)
-		rem -= k
+	}
+	if bigEndian {
+		swapWords(body)
 	}
 	return f, nil
+}
+
+// floatBytes views v as its in-memory bytes. The wire carries float32s
+// little-endian, so on a little-endian host these are the wire's bytes and a
+// body moves with one copy; a big-endian host swaps them word by word where
+// they land.
+func floatBytes(v []float32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+// bigEndian reports whether this host stores a float32 most significant byte
+// first, the reverse of the wire.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// swapWords reverses the byte order of every 4-byte word of b in place,
+// turning float32 memory into wire order and back on a big-endian host.
+func swapWords(b []byte) {
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+	}
 }
 
 // NewFrameWriter returns a buffered writer sized for typical slice frames.

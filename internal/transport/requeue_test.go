@@ -95,9 +95,13 @@ func TestSendLoopErrRoutesFailuresToCallback(t *testing.T) {
 				return w
 			}
 			return nil
-		}, func(f *Frame, err error) {
+		}, func(f *Frame, w FlushWriter, err error) {
 			mu.Lock()
-
+			// The error path names the writer that failed: none for a
+			// destination without one, the broken one for a write error.
+			if want := writers[f.Dst]; w != want {
+				t.Errorf("frame for dst %d failed on writer %v, want %v", f.Dst, w, want)
+			}
 			if !errors.Is(err, ErrNoWriter) {
 				bad.failNow = false // "reconnected": the retry must succeed
 			}

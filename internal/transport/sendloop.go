@@ -28,7 +28,9 @@ var ErrNoWriter = errors.New("transport: no writer for destination")
 //
 // Both callbacks may be nil. onErr is the error path: every popped frame
 // that did not make it onto the wire — nil sink (ErrNoWriter), write error,
-// or a failed flush — is handed to it instead of being acknowledged. The
+// or a failed flush — is handed to it instead of being acknowledged, with
+// the writer that failed (nil for ErrNoWriter): by the time a buffered
+// frame's flush fails, its destination may already be on a fresh writer. The
 // callback owns the frame's credit from that point: it must eventually
 // Requeue (retry on a fresh connection) or Cancel it on the queue.
 // Duplicates are possible — a flush error cannot tell how many buffered
@@ -41,16 +43,16 @@ var ErrNoWriter = errors.New("transport: no writer for destination")
 // loop has finished with it for good — flushed, or failed or dropped with
 // no onErr to take it: the point at which the owner of the frame's Values
 // may reuse them.
-func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, error), done func(*Frame)) {
+func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, FlushWriter, error), done func(*Frame)) {
 	pending := make(map[FlushWriter][]*Frame) // written, not yet flushed/acked
 	var spare [][]*Frame                      // emptied pending slices, reused by the next writer to need one
 	finish := q.Done
 	if done != nil {
 		finish = func(f *Frame) { q.Done(f); done(f) }
 	}
-	fail := func(f *Frame, err error) {
+	fail := func(f *Frame, w FlushWriter, err error) {
 		if onErr != nil {
-			onErr(f, err)
+			onErr(f, w, err)
 		} else {
 			finish(f)
 		}
@@ -60,7 +62,7 @@ func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, er
 			err := w.Flush()
 			for _, f := range fs {
 				if err != nil {
-					fail(f, err)
+					fail(f, w, err)
 				} else {
 					finish(f)
 				}
@@ -84,11 +86,11 @@ func SendLoop(q *SendQueue, sink func(*Frame) FlushWriter, onErr func(*Frame, er
 		}
 		w := sink(f)
 		if w == nil {
-			fail(f, ErrNoWriter)
+			fail(f, nil, ErrNoWriter)
 			continue
 		}
 		if err := WriteFrame(w, f); err != nil {
-			fail(f, err)
+			fail(f, w, err)
 			continue
 		}
 		fs, ok := pending[w]
