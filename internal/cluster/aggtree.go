@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"p3/internal/netsim"
+	"p3/internal/worker"
 )
 
 // aggNode is one aggregator of the reduction tree (RackAggregation): a rack
@@ -17,11 +18,11 @@ import (
 // AggDrop and outage callbacks, which the netsim contract runs on that
 // LP's timeline, so the sharded engine never races on it.
 //
-// agg holds, per chunk, the in-flight iteration and the weight of the
-// contributions reduced so far. Iterations strictly serialize per chunk at
-// an aggregator (a worker cannot push iteration k before the server's k-1
-// update, which needed this node's k-1 flush), so one slot per chunk
-// suffices — the same invariant the server-side chunkAgg relies on.
+// slots holds, per chunk, the reduction in flight: the same rule as the
+// server's barrier (worker.Slot), over the machines below the node.
+// Iterations strictly serialize per chunk at an aggregator (a worker
+// cannot push iteration k before the server's k-1 update), so one slot
+// per chunk suffices, as it does at the server.
 // Under RackLocalPS a rack node is also the rack's parameter cache:
 // cachedIter[c] is the newest iteration whose kCache update for chunk c
 // landed (-1 initially), and pending holds the rack's pulls that arrived
@@ -32,7 +33,7 @@ type aggNode struct {
 	lo, hi    int        // the machines [lo, hi) below it
 	parent    *aggNode   // nil at the top of the tree
 	kids      []*aggNode // the nodes one tier down (none below a rack)
-	agg       []chunkAgg
+	slots     []worker.Slot
 
 	cachedIter []int32                 // RackLocalPS rack nodes only
 	pending    map[int32][]pendingPull // RackLocalPS rack nodes only: chunk -> waiting pulls
@@ -57,13 +58,10 @@ func (cs *clusterSim) buildAggs() {
 	for tier, span := range spans {
 		top = len(cs.aggs)
 		for lo := 0; lo < n; lo += span {
-			a := aggNode{tier: tier, idx: lo / span, ord: len(cs.aggs), lo: lo, hi: min(lo+span, n),
-				agg: make([]chunkAgg, cs.plan.NumChunks())}
-			for c := range a.agg {
-				a.agg[c].iter = -1
-			}
+			a := aggNode{tier: tier, idx: lo / span, ord: len(cs.aggs), lo: lo, hi: min(lo+span, n)}
+			a.slots = worker.NewSlots(cs.plan.NumChunks(), n, func(c int) int { return cs.expect(&a, int32(c)) })
 			if cs.cfg.RackLocalPS && tier == netsim.TierRack {
-				a.cachedIter = make([]int32, len(a.agg))
+				a.cachedIter = make([]int32, len(a.slots))
 				for c := range a.cachedIter {
 					a.cachedIter[c] = -1
 				}
@@ -91,11 +89,11 @@ func (cs *clusterSim) node(tier, idx int) *aggNode {
 // aggDeliver is the netsim AggDeliver handler, running on the addressed
 // aggregator's LP.
 //
-// Gradient pushes reduce: each arriving contribution counts at its weight
-// (a worker's push as 1, a reduced stream from a node below as that node's
-// expect), and the one that completes the node's (chunk, iteration) flushes
-// ONE reduced push, same bytes, weighted as everything below the node, to
-// the parent node — or, at the top of the tree, to the chunk's server.
+// Gradient pushes reduce: each arriving contribution counts the machines
+// it carries (span), and the one that completes the node's (chunk,
+// iteration) flushes ONE reduced push, same bytes, carrying everything
+// below the node, to the parent node — or, at the top of the tree, to the
+// chunk's server.
 //
 // Broadcast traffic (immediate data, notifies, and above the racks the
 // kCache streams) descends: one copy per child, fanned at line rate — a
@@ -108,13 +106,8 @@ func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
 	a := cs.node(tier, idx)
 	switch m.Kind {
 	case kPush:
-		slot := &a.agg[m.Chunk]
-		if slot.iter != m.Iter {
-			slot.iter = m.Iter
-			slot.count = 0
-		}
-		slot.count += cs.weight(m.Src, m.Chunk)
-		if slot.count != cs.expect(a, m.Chunk) {
+		lo, hi, skip := cs.span(m.Src, m.Chunk)
+		if _, complete := a.slots[m.Chunk].Add(m.Iter, lo, hi, skip); !complete {
 			return
 		}
 		out := m
@@ -132,10 +125,6 @@ func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
 			out.To, out.ToAgg, out.AggTier = cs.srvMachine[cs.plan.Chunks[m.Chunk].Server], false, 0
 		}
 		cs.net.AggSend(tier, idx, out)
-		// Flushed contributions are accounted for downstream: reset the
-		// slot so a later crash on this aggregator cannot count them as
-		// lost (event-neutral — a completed slot never flushes again).
-		slot.count = 0
 	case kData, kNotify, kCache:
 		if m.Kind == kCache && a.kids == nil {
 			cs.refreshCache(a, m)
@@ -237,14 +226,16 @@ func (cs *clusterSim) expect(a *aggNode, chunk int32) int {
 	return expect
 }
 
-// weight is how many workers' gradients a push of chunk from src carries:
-// one for a worker's own push, the reducing node's expect for a reduced
-// stream (Src = -1-ord).
-func (cs *clusterSim) weight(src, chunk int32) int {
+// span is the machines whose gradients a push of chunk from src carries:
+// [lo, hi) except skip. A worker's own push carries the worker; a reduced
+// stream (Src = -1-ord) the machines below the reducing node except the
+// chunk's server machine, which it does not reduce (expect).
+func (cs *clusterSim) span(src, chunk int32) (lo, hi, skip int) {
 	if src >= 0 {
-		return 1
+		return int(src), int(src) + 1, -1
 	}
-	return cs.expect(&cs.aggs[-1-src], chunk)
+	a := &cs.aggs[-1-src]
+	return a.lo, a.hi, cs.srvMachine[cs.plan.Chunks[chunk].Server]
 }
 
 // stream ships node a's copy of a server broadcast (msg, From the server's

@@ -97,6 +97,9 @@ type clusterSim struct {
 
 	workers []workerState
 	servers []serverState
+	// slots[c] is chunk c's aggregation barrier at its server, owned by the
+	// server's machine LP.
+	slots []worker.Slot
 
 	// rec is the crash-recovery component (faults.go): nil unless
 	// Config.Faults scripts an aggregator crash, and every method the
@@ -236,15 +239,10 @@ func newClusterSim(cfg Config) *clusterSim {
 		cs.servers[s] = serverState{
 			proc: worker.NewPool(cs.procs[cs.srvMachine[s]], serverThreads, updCost, newQueue(s),
 				func(it worker.Item) { cs.pushProcessed(s, it) }),
-			agg:      make([]chunkAgg, nc),
-			lastDone: make([]int32, nc),
-			pending:  make(map[int32][]pendingPull),
-		}
-		for c := range cs.servers[s].agg {
-			cs.servers[s].agg[c].iter = -1
-			cs.servers[s].lastDone[c] = -1
+			pending: make(map[int32][]pendingPull),
 		}
 	}
+	cs.slots = worker.NewSlots(nc, n, nil)
 
 	hostCost := worker.Costs(nc, chunkBytes, hostOverhead, hostRateGBps)
 	cs.workers = make([]workerState, n)

@@ -12,9 +12,10 @@ package cluster
 // answer the no-fault case on a nil receiver. Recovery is driven from both
 // ends on top of one dedup invariant:
 //
-//   - every contribution the server counts is tracked in a per-chunk seen
-//     bitmap, so a direct re-push and a late rack/pod stream for the same
-//     worker can never double-count;
+//   - the server counts every contribution once per machine, in the
+//     chunk's slot (worker.Slot, the rule of every run, crash or not), so a
+//     direct re-push and a late rack/pod stream for the same worker can
+//     never double-count;
 //   - the server re-arms a timeout on every aggregation barrier born while
 //     a crash window could overlap it, and asks still-unseen machines of
 //     crash-affected racks/pods for a direct re-push (kRepush);
@@ -24,9 +25,9 @@ package cluster
 //
 // All recovery state is partitioned by the LP that owns it (a machine's
 // lines and counter on the machine's LP, an aggregator's counters on the
-// aggregator's LP, a chunk's seen bitmap on its server's machine LP), so
-// the sharded engine never races on it and fault runs are bit-identical
-// across shard counts.
+// aggregator's LP), as the slots are (a chunk's on its server's machine
+// LP), so the sharded engine never races on it and fault runs are
+// bit-identical across shard counts.
 
 import (
 	"p3/internal/faults"
@@ -37,7 +38,7 @@ import (
 
 // recovery is the crash-recovery component of a run: nil unless the plan
 // scripts an aggregator crash. down, failover, pushed, firstInstall and
-// counted are what the protocol code calls, and on a nil receiver they
+// arrived are what the protocol code calls, and on a nil receiver they
 // answer as a run without crashes does; the rest runs only under a crash
 // plan (the kRepush handler, netsim's AggDrop and outage callbacks, the
 // two retry timers).
@@ -58,11 +59,6 @@ type recovery struct {
 	affected []bool
 	// lines[w*chunks+c] is machine w's record for chunk c, owned by w's LP.
 	lines []line
-	// seen[c*machines+w] marks the workers whose contribution to chunk c's
-	// in-flight barrier has been counted — the dedup that lets recovery
-	// re-push a possibly-lost contribution without ever counting a worker
-	// twice. One bitmap per chunk, owned by its server's machine LP.
-	seen []bool
 	// failovers[lp] counts the failover actions taken on an LP (detected
 	// reroutes, re-pushes, recovery pulls, repush rounds): machines first,
 	// then aggregators by ordinal. lost[ord] counts the gradient
@@ -122,7 +118,6 @@ func (cs *clusterSim) injectFaults(netCfg *netsim.Config) {
 		cs: cs, plan: p, timeout: sim.Time(p.Timeout()),
 		affected:  make([]bool, n),
 		lines:     make([]line, n*nc),
-		seen:      make([]bool, nc*n),
 		failovers: make([]int64, n+len(cs.aggs)),
 		lost:      make([]int64, len(cs.aggs)),
 	}
@@ -238,76 +233,48 @@ func (r *recovery) firstInstall(w int, chunk, iter int32) bool {
 	return true
 }
 
-// counted is how many workers' gradients the processed push adds to server
-// srv's barrier for its (chunk, iteration): all it carries (weight) without
-// a crash plan. Under one, the contribution goes through the chunk's seen
-// bitmap, so what a re-push or a late stream already counted adds nothing;
-// a push that opens the barrier (fresh) clears the bitmap and, inside a
-// possible crash window, arms the re-push timer; and a stale re-push of an
-// already-completed iteration adds nothing and is answered with the current
-// value, so the re-pusher also recovers any broadcast it missed.
-func (r *recovery) counted(srv int, it worker.Item, fresh bool, weight int) int {
-	if r == nil {
-		return weight
+// arrived runs before server srv counts a processed push into the chunk's
+// slot. A stale re-push of an already-completed iteration, which the slot
+// counts zero, is answered with the current value, so the re-pusher also
+// recovers any broadcast it missed; a push that opens the barrier inside a
+// possible crash window arms the re-push timer.
+func (r *recovery) arrived(srv int, it worker.Item, slot *worker.Slot) {
+	if r == nil || slot.Open(it.Iter) {
+		return
 	}
-	cs := r.cs
-	if it.Iter <= cs.servers[srv].lastDone[it.Chunk] {
+	if slot.Answerable(it.Iter) {
 		if it.Src >= 0 {
-			cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
+			r.cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		}
-		return 0
+		return
 	}
-	srvM := cs.srvMachine[srv]
-	seen := r.chunkSeen(it.Chunk)
-	if fresh {
-		clear(seen)
-		now := cs.procs[srvM].Now()
-		if _, pending := r.plan.CrashOverlap(int64(now), int64(now)); pending {
-			r.barrierCheck(srv, it.Chunk, it.Iter, now, r.timeout)
-		}
+	now := r.cs.procs[r.cs.srvMachine[srv]].Now()
+	if _, pending := r.plan.CrashOverlap(int64(now), int64(now)); pending {
+		r.barrierCheck(srv, it.Chunk, it.Iter, now, r.timeout)
 	}
-	// A reduced stream covers the machines below its node except the
-	// chunk's server machine, mirroring expect.
-	lo, hi := int(it.Src), int(it.Src)+1
-	if it.Src < 0 {
-		a := &cs.aggs[-1-it.Src]
-		lo, hi = a.lo, a.hi
-	}
-	n := 0
-	for w := lo; w < hi; w++ {
-		if !seen[w] && (it.Src >= 0 || w != srvM) {
-			seen[w] = true
-			n++
-		}
-	}
-	return n
-}
-
-func (r *recovery) chunkSeen(chunk int32) []bool {
-	n := r.cs.cfg.Machines
-	return r.seen[int(chunk)*n:][:n]
 }
 
 // crashed runs on the crashed aggregator's LP at the crash instant:
 // whatever partial reductions the aggregator held are lost with it.
 func (r *recovery) crashed(a *aggNode) {
-	for c := range a.agg {
-		if a.agg[c].count > 0 {
-			r.lost[a.ord] += int64(a.agg[c].count)
-			a.agg[c].iter = -1
-			a.agg[c].count = 0
-		}
+	for c := range a.slots {
+		r.lost[a.ord] += int64(a.slots[c].Abandon())
 	}
 }
 
 // aggDrop is the netsim AggDrop handler: it counts the gradient
 // contributions a down aggregator swallowed, on that aggregator's own LP —
-// reduced streams at their weight; broadcast traffic carries no
-// contributions.
+// a reduced stream as every machine it carries (expect); broadcast traffic
+// carries no contributions.
 func (r *recovery) aggDrop(tier, idx int, m netsim.Message) {
-	if m.Kind == kPush {
-		r.lost[r.cs.node(tier, idx).ord] += int64(r.cs.weight(m.Src, m.Chunk))
+	if m.Kind != kPush {
+		return
 	}
+	n := 1
+	if m.Src < 0 {
+		n = r.cs.expect(&r.cs.aggs[-1-m.Src], m.Chunk)
+	}
+	r.lost[r.cs.node(tier, idx).ord] += int64(n)
 }
 
 // backoff doubles a retry timer up to 32x the configured timeout:
@@ -329,8 +296,8 @@ func (r *recovery) barrierCheck(srv int, chunk, iter int32, since, delay sim.Tim
 	cs := r.cs
 	srvM := cs.srvMachine[srv]
 	cs.procs[srvM].After(delay, func() {
-		agg := &cs.servers[srv].agg[chunk]
-		if agg.iter != iter || agg.done {
+		slot := &cs.slots[chunk]
+		if !slot.Open(iter) {
 			return
 		}
 		now := cs.procs[srvM].Now()
@@ -338,8 +305,8 @@ func (r *recovery) barrierCheck(srv int, chunk, iter int32, since, delay sim.Tim
 		if fire {
 			sent := false
 			c := cs.plan.Chunks[chunk]
-			for w, seen := range r.chunkSeen(chunk) {
-				if seen || !r.affected[w] || w == srvM {
+			for w, affected := range r.affected {
+				if !affected || w == srvM || slot.Seen(w) {
 					continue
 				}
 				sent = true

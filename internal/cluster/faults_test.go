@@ -21,7 +21,8 @@ func quickPlan(p *faults.Plan) *faults.Plan {
 // TestNilRecoveryIsNoFault pins the seam's contract: without a crash plan
 // cs.rec is nil, and each method the protocol code calls on it answers as a
 // run without crashes does — no aggregator is down, every install is the
-// first, a push adds its whole weight — without allocating.
+// first, a push's arrival at its barrier needs no recovery step — without
+// allocating.
 func TestNilRecoveryIsNoFault(t *testing.T) {
 	cfg := aggCfg(t, 16, 4, "fifo", "", true)
 	cfg.Faults = &faults.Plan{Events: []faults.Event{
@@ -33,6 +34,8 @@ func TestNilRecoveryIsNoFault(t *testing.T) {
 	var r *recovery
 	rack := &aggNode{ord: 1, idx: 1, lo: 4, hi: 8}
 	push := worker.Item{Chunk: 3, Iter: 2, Src: 5}
+	slots := worker.NewSlots(2, 16, nil)
+	slots[1].Add(2, 0, 16, -1) // iteration 2 done: a crash plan would answer the push
 	allocs := testing.AllocsPerRun(100, func() {
 		if r.down(rack, 5) || r.down(rack, rack.lp()) {
 			t.Error("nil recovery reports an aggregator down")
@@ -43,12 +46,8 @@ func TestNilRecoveryIsNoFault(t *testing.T) {
 		if !r.firstInstall(5, 3, 2) || !r.firstInstall(5, 3, 2) {
 			t.Error("nil recovery dedups an install")
 		}
-		if got := r.counted(0, push, true, 4); got != 4 {
-			t.Errorf("nil recovery counts %d of a weight-4 push", got)
-		}
-		if got := r.counted(0, push, false, 1); got != 1 {
-			t.Errorf("nil recovery counts %d of a weight-1 push", got)
-		}
+		r.arrived(0, push, &slots[0]) // a fresh barrier: no re-push timer
+		r.arrived(0, push, &slots[1]) // a stale push: no answer
 	})
 	if allocs != 0 {
 		t.Errorf("nil recovery allocates %.0f times per call round", allocs)

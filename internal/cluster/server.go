@@ -9,28 +9,14 @@ import (
 	"p3/internal/worker"
 )
 
-type chunkAgg struct {
-	iter  int32
-	count int
-	done  bool
-}
-
 type pendingPull struct {
 	iter int32
 	src  int
 }
 
 type serverState struct {
-	proc *worker.Pool
-	agg  []chunkAgg // indexed by chunk ID (only own chunks used)
-	// lastDone[c] is the newest iteration whose update completed for chunk
-	// c (-1 initially). A pull for iteration <= lastDone is answerable
-	// immediately with the current value, exactly as a real KVStore pull
-	// returns whatever the store holds; without this, a pull tagged with an
-	// older iteration could strand forever once a faster worker's next
-	// push resets the aggregation slot.
-	lastDone []int32
-	pending  map[int32][]pendingPull // chunk ID -> pulls waiting for their iteration
+	proc    *worker.Pool
+	pending map[int32][]pendingPull // chunk ID -> pulls waiting for their iteration
 }
 
 func (cs *clusterSim) onPush(m netsim.Message) {
@@ -38,32 +24,21 @@ func (cs *clusterSim) onPush(m netsim.Message) {
 }
 
 // pushProcessed runs when the server finishes aggregating one worker's push
-// of a chunk; the Nth push completes the update. In Async (ASGD) mode every
-// push is its own update, answered only to the pushing worker. A reduced
-// push (Src < 0 under RackAggregation) counts as every worker whose
-// gradient was folded into it (weight) — less, under a crash plan, whatever
-// recovery has already counted (recovery.counted).
+// of a chunk into the chunk's slot (clusterSim.slots); the push that
+// completes it completes the update. In Async (ASGD) mode every push is its
+// own update, answered only to the pushing worker. A reduced push (Src < 0
+// under RackAggregation) counts as every worker whose gradient was folded
+// into it (span), less whatever a re-push already counted under a crash
+// plan.
 func (cs *clusterSim) pushProcessed(srv int, it worker.Item) {
 	if cs.cfg.Strategy.Async {
 		cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		return
 	}
-	s := &cs.servers[srv]
-	agg := &s.agg[it.Chunk]
-	fresh := agg.iter != it.Iter
-	add := cs.rec.counted(srv, it, fresh, cs.weight(it.Src, it.Chunk))
-	if add == 0 {
-		return // a recovery duplicate: nothing new to count
-	}
-	if fresh {
-		*agg = chunkAgg{iter: it.Iter}
-	}
-	agg.count += add
-	if agg.count == cs.cfg.Machines {
-		agg.done = true
-		if it.Iter > s.lastDone[it.Chunk] {
-			s.lastDone[it.Chunk] = it.Iter
-		}
+	slot := &cs.slots[it.Chunk]
+	cs.rec.arrived(srv, it, slot)
+	lo, hi, skip := cs.span(it.Src, it.Chunk)
+	if _, complete := slot.Add(it.Iter, lo, hi, skip); complete {
 		cs.onUpdated(srv, it.Chunk, it.Iter)
 	}
 }
@@ -126,13 +101,14 @@ func (cs *clusterSim) sendData(srv int, chunk, iter int32, dst int) {
 
 func (cs *clusterSim) onPull(m netsim.Message) {
 	srv := cs.machineSrv[m.To]
-	s := &cs.servers[srv]
-	if s.lastDone[m.Chunk] >= m.Iter {
+	if cs.slots[m.Chunk].Answerable(m.Iter) {
 		// The requested (or a newer) update already landed: answer with
-		// the current value, as a real key-value store does.
+		// the current value, as a real key-value store does. Any other pull
+		// waits for its update (servePending).
 		cs.sendData(srv, m.Chunk, m.Iter, int(m.Src))
 		return
 	}
+	s := &cs.servers[srv]
 	s.pending[m.Chunk] = append(s.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
 }
 

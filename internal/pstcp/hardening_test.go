@@ -182,7 +182,9 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // TestDuplicatePushDedup drives the server's aggregation directly: a push
 // retried through the reconnect path (same sender, same iteration) must not
 // double-count, and the update must fire exactly once when the second
-// worker's push lands.
+// worker's push lands. A retry that arrives after its iteration completed,
+// while the next one is open, counts zero and is answered with the stored
+// value: it must not reset the open iteration.
 func TestDuplicatePushDedup(t *testing.T) {
 	srv := NewServer(ServerConfig{ID: 0, Workers: 2, Sched: "fifo", Updater: SGDUpdater(1)})
 	push := func(sender uint8, v float32) {
@@ -210,6 +212,66 @@ func TestDuplicatePushDedup(t *testing.T) {
 	})
 	if p, _ := srv.Stats(); p != 3 {
 		t.Fatalf("new iteration push ignored: pushes=%d, want 3", p)
+	}
+	srv.handlePush(&transport.Frame{
+		Type: transport.TypePush, Sender: 1, Key: 5, Iter: 0, Values: []float32{2},
+	})
+	srv.handlePush(&transport.Frame{
+		Type: transport.TypePush, Sender: 1, Key: 5, Iter: 1, Values: []float32{3},
+	})
+	if p, u := srv.Stats(); p != 4 || u != 2 {
+		t.Fatalf("after a stale retry and the open iteration's last push: pushes=%d updates=%d, want 4/2", p, u)
+	}
+	// param = -3 - 1 * (1+3)/2 = -5.
+	if got := srv.params[5][0]; got != -5 {
+		t.Fatalf("param = %v, want -5", got)
+	}
+	// No worker is registered, so the update broadcast nothing: the one
+	// queued frame is the stale retry's answer, holding iteration 0's value.
+	f, ok := srv.sendQ.TryPop()
+	if !ok || f.Type != transport.TypeData || f.Dst != 1 || f.Iter != 0 || len(f.Values) != 1 || f.Values[0] != -3 {
+		t.Fatalf("stale retry answered with %+v (queued %v), want Data to worker 1 for iteration 0 holding -3", f, ok)
+	}
+}
+
+// TestCloseWithSilentPeer: a peer that connects and never sends a frame,
+// not even Hello, must not hold up Close, and no read deadline is set to
+// end its reader.
+func TestCloseWithSilentPeer(t *testing.T) {
+	srv := NewServer(ServerConfig{ID: 0, Workers: 1, Sched: "fifo", Updater: SGDUpdater(1)})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// A worker dialled after the silent peer is accepted after it: once the
+	// worker's round trip completes, the silent connection has its reader.
+	got := make(chan *transport.Frame, 1)
+	wk, err := DialWorker(0, []string{addr}, "fifo", func(f *transport.Frame) { got <- f })
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk.Push(0, 1, 0, 0, []float32{1})
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no broadcast")
+	}
+	wk.Close()
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked after 2s on a peer that never sent Hello")
 	}
 }
 

@@ -68,6 +68,24 @@ func TestNotifyPullProtocol(t *testing.T) {
 	}
 }
 
+// TestPullBeforeUpdateAnswersStoredValue pins where the TCP server parts
+// from the simulated one (see worker.Slot): a pull for an iteration whose
+// update has not landed is answered at once with the value the server
+// stores, where cluster parks it until the update.
+func TestPullBeforeUpdateAnswersStoredValue(t *testing.T) {
+	srv := NewServer(ServerConfig{ID: 0, Workers: 2, NotifyPull: true, Updater: SGDUpdater(1)})
+	srv.handleInit(&transport.Frame{Type: transport.TypeInit, Key: 1, Values: []float32{10}})
+	srv.handlePush(&transport.Frame{Type: transport.TypePush, Sender: 0, Key: 1, Iter: 0, Values: []float32{2}})
+	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 0, Key: 1, Iter: 0})
+	f, ok := srv.sendQ.TryPop()
+	if !ok || f.Type != transport.TypeData || f.Dst != 0 || f.Iter != 0 || len(f.Values) != 1 || f.Values[0] != 10 {
+		t.Fatalf("pull of an open iteration answered with %+v (queued %v), want Data for iteration 0 holding the init value 10", f, ok)
+	}
+	if _, u := srv.Stats(); u != 0 {
+		t.Fatalf("%d updates from one of two workers", u)
+	}
+}
+
 // TestPriorityReducesUrgentLatency measures, on real sockets, the paper's
 // core effect: with a large low-priority backlog queued ahead of it, an
 // urgent slice completes its round trip dramatically sooner under priority

@@ -8,43 +8,54 @@ import (
 )
 
 // refSlot is the server's reduce rule for one key written the plain way: a
-// push for another iteration than the slot's restarts it with a zeroed sum,
-// a push of the wrong shape or from a sender already counted is ignored,
-// every other push is added to the sum, and the Nth applies SGD.
+// push of the wrong shape is ignored; a push for an iteration already
+// completed is answered with the stored values, and one older than the
+// slot's open iteration is ignored; a push for a newer iteration restarts
+// the slot with a zeroed sum; a push from a sender already counted is
+// ignored, every other push is added to the sum, and the Nth applies SGD.
 type refSlot struct {
 	param, sum []float32
-	iter       int32
+	iter, done int32
 	count      int
 	seen       map[uint8]bool
 }
 
-func (r *refSlot) push(sender uint8, iter int32, vals []float32, workers int, lr float32) (updated bool) {
-	if iter != r.iter || r.seen == nil {
+func (r *refSlot) push(sender uint8, iter int32, vals []float32, workers int, lr float32) (updated, answered bool) {
+	switch {
+	case len(vals) != len(r.param):
+		return false, false
+	case iter <= r.done:
+		return false, true
+	case iter < r.iter:
+		return false, false
+	case iter > r.iter:
 		r.iter, r.count, r.seen = iter, 0, map[uint8]bool{}
 		clear(r.sum)
 	}
-	if len(vals) != len(r.param) || r.seen[sender] {
-		return false
+	if r.seen[sender] {
+		return false, false
 	}
 	r.seen[sender] = true
 	for i, v := range vals {
 		r.sum[i] += v
 	}
 	if r.count++; r.count < workers {
-		return false
+		return false, false
 	}
+	r.done = iter
 	for i := range r.param {
 		r.param[i] -= lr / float32(workers) * r.sum[i]
 	}
-	return true
+	return true, false
 }
 
 // TestReduceMatchesReference drives handlePush with a seeded stream of
 // integer-valued pushes over two keys — duplicates, pushes for an older
 // iteration, a newer iteration arriving over a partly filled slot and pushes
 // of the wrong shape among them — and requires the stored parameters to equal
-// refSlot's after every push, and every broadcast snapshot to equal them
-// after every update, exactly (==).
+// refSlot's after every push, every broadcast snapshot to equal them after
+// every update, and the answer to every push of a completed iteration to
+// equal them too, exactly (==).
 func TestReduceMatchesReference(t *testing.T) {
 	const lr, shape = 0.5, 37
 	for _, workers := range []int{1, 2, 3, 5} {
@@ -64,9 +75,10 @@ func TestReduceMatchesReference(t *testing.T) {
 		for key := uint64(0); key < 2; key++ {
 			init := grad(shape)
 			s.handleInit(&transport.Frame{Type: transport.TypeInit, Key: key, Values: init})
-			refs[key] = &refSlot{param: append([]float32(nil), init...), sum: make([]float32, shape)}
+			refs[key] = &refSlot{param: append([]float32(nil), init...), sum: make([]float32, shape),
+				done: -1, seen: map[uint8]bool{}}
 		}
-		var dup, older, newerOverPartial, mismatch, updates int
+		var dup, older, answers, newerOverPartial, mismatch, updates int
 		for step := 0; step < 2000; step++ {
 			key := uint64(rng.IntN(2))
 			ref := refs[key]
@@ -92,17 +104,24 @@ func TestReduceMatchesReference(t *testing.T) {
 				dup++
 			}
 			vals := grad(n)
-			updated := ref.push(sender, iter, vals, workers, lr)
+			updated, answered := ref.push(sender, iter, vals, workers, lr)
 			s.handlePush(&transport.Frame{Type: transport.TypePush, Sender: sender, Key: key, Iter: iter, Values: vals})
 			for i, v := range s.params[key] {
 				if v != ref.param[i] {
 					t.Fatalf("workers %d, step %d, key %d: param[%d] = %v, reference %v", workers, step, key, i, v, ref.param[i])
 				}
 			}
-			for id := 0; id < 2; id++ {
+			frames := 0 // two broadcast snapshots per update, one answer per push of a completed iteration
+			if updated {
+				frames = 2
+			} else if answered {
+				frames = 1
+			}
+			for k := 0; k <= frames; k++ {
 				f, ok := s.sendQ.TryPop()
-				if ok != updated {
-					t.Fatalf("workers %d, step %d: broadcast %v, reference updated %v", workers, step, ok, updated)
+				if ok != (k < frames) {
+					t.Fatalf("workers %d, step %d: frame %d sent %v, reference sends %d (updated %v, answered %v)",
+						workers, step, k, ok, frames, updated, answered)
 				}
 				if !ok {
 					break
@@ -115,19 +134,26 @@ func TestReduceMatchesReference(t *testing.T) {
 						t.Fatalf("workers %d, step %d: snapshot[%d] = %v, param %v", workers, step, i, v, ref.param[i])
 					}
 				}
+				if answered && (f.Type != transport.TypeData || f.Dst != sender || f.Iter != iter) {
+					t.Fatalf("workers %d, step %d: answer %v to %d for iteration %d, want Data to %d for %d",
+						workers, step, f.Type, f.Dst, f.Iter, sender, iter)
+				}
 				s.sendQ.Done(f)
 				s.bufs.put(f.Values)
 			}
 			if updated {
 				updates++
 			}
+			if answered {
+				answers++
+			}
 		}
 		if _, u := s.Stats(); u != int64(updates) {
 			t.Fatalf("workers %d: server counted %d updates, reference %d", workers, u, updates)
 		}
-		t.Logf("workers %d: %d updates, %d duplicates, %d older, %d newer over a partial slot, %d mismatched",
-			workers, updates, dup, older, newerOverPartial, mismatch)
-		if updates == 0 || older == 0 || mismatch == 0 || (workers > 1 && (dup == 0 || newerOverPartial == 0)) {
+		t.Logf("workers %d: %d updates, %d duplicates, %d older, %d answered as stale, %d newer over a partial slot, %d mismatched",
+			workers, updates, dup, older, answers, newerOverPartial, mismatch)
+		if updates == 0 || older == 0 || answers == 0 || mismatch == 0 || (workers > 1 && (dup == 0 || newerOverPartial == 0)) {
 			t.Fatalf("workers %d: the stream missed a case", workers)
 		}
 	}

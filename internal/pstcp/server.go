@@ -6,9 +6,11 @@
 //     pushes slices into a scheduled send queue, and a single consumer
 //     goroutine performs blocking sends of the most urgent slice;
 //   - the server pushes received frames into a scheduled receive queue
-//     drained by a single processor goroutine, aggregates per key, applies
-//     the update on the Nth push, and immediately broadcasts the new values
-//     to all workers (the explicit notify+pull of stock KVStore is removed);
+//     drained by a single processor goroutine, aggregates per key under the
+//     simulator's slot rule (worker.Slot: once per worker, stale pushes
+//     answered but not counted), applies the update on the Nth push, and
+//     immediately broadcasts the new values to all workers (the explicit
+//     notify+pull of stock KVStore is removed);
 //   - the queue discipline is a sched registry name ("p3" reproduces the
 //     paper, "fifo" the baseline, "credit" a ByteScheduler-style window;
 //     see internal/sched for the full set).
@@ -27,6 +29,7 @@ import (
 
 	"p3/internal/sched"
 	"p3/internal/transport"
+	"p3/internal/worker"
 )
 
 // Updater folds one iteration's aggregated gradient into a stored parameter
@@ -85,24 +88,11 @@ type ServerConfig struct {
 	HeartbeatEvery time.Duration
 }
 
-type aggState struct {
-	iter  int32
-	count int
-	sum   []float32
-	// seen is a bitmask of the workers already counted this iteration, so a
-	// push retried through the reconnect path (which cannot know whether the
-	// original reached the wire before the connection died) never
-	// double-counts.
-	seen [4]uint64
-}
-
-func (a *aggState) markSeen(w uint8) bool {
-	mask := uint64(1) << (w % 64)
-	if a.seen[w/64]&mask != 0 {
-		return false
-	}
-	a.seen[w/64] |= mask
-	return true
+// reduction is one key's aggregation: which workers have pushed which
+// iteration (the slot), and the sum of their pushes so far.
+type reduction struct {
+	worker.Slot
+	sum []float32
 }
 
 // Server is one parameter server process.
@@ -112,10 +102,14 @@ type Server struct {
 	recvQ *transport.SendQueue
 	sendQ *transport.SendQueue
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// conns holds every connection acceptLoop has handed to a read loop
+	// that has not yet returned, registered by Hello or not: what Close
+	// closes.
+	conns   map[net.Conn]struct{}
 	writers map[uint8]*connWriter
 	params  map[uint64][]float32
-	agg     map[uint64]*aggState
+	agg     map[uint64]*reduction
 
 	// bufs holds every value buffer the server moves frames through: push
 	// and init bodies from the read loops until processLoop has folded the
@@ -123,7 +117,8 @@ type Server struct {
 	// destination's frame.
 	bufs bufPool
 	// drops counts pushes and inits dropped because their value count
-	// disagrees with the key's stored tensor; guarded by mu.
+	// disagrees with the key's stored tensor, and pushes from a sender
+	// that is not one of the Workers; guarded by mu.
 	drops int64
 
 	wg     sync.WaitGroup
@@ -165,9 +160,10 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg:     cfg,
 		recvQ:   newQ(),
 		sendQ:   newQ(),
+		conns:   make(map[net.Conn]struct{}),
 		writers: make(map[uint8]*connWriter),
 		params:  make(map[uint64][]float32),
-		agg:     make(map[uint64]*aggState),
+		agg:     make(map[uint64]*reduction),
 		bufs: bufPool{free: make(map[int][][]float32), refs: make(map[*float32]int),
 			made: make(map[int]int), want: make(map[int]int)},
 		accepted: make(chan struct{}),
@@ -202,8 +198,8 @@ func (s *Server) Close() {
 		<-s.accepted // no reader is added once connWG.Wait below has begun
 	}
 	s.mu.Lock()
-	for _, cw := range s.writers {
-		cw.conn.Close()
+	for conn := range s.conns {
+		conn.Close() // a silent peer's too: its reader would block forever
 	}
 	s.mu.Unlock()
 	s.connWG.Wait() // readers drain before the process queue closes
@@ -237,6 +233,9 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
 		s.connWG.Add(1)
 		go s.readLoop(conn)
 	}
@@ -260,7 +259,6 @@ func (s *Server) acceptLoop() {
 func (s *Server) readLoop(conn net.Conn) {
 	defer s.connWG.Done()
 	var sender uint8
-	registered := false
 	r := transport.NewFrameReader(deadlineConn{conn: conn, readTimeout: s.cfg.ReadTimeout})
 	var body []float32 // the free-list buffer the frame being read decodes into
 	dst := func(f *transport.Frame, n int) []float32 {
@@ -285,7 +283,7 @@ func (s *Server) readLoop(conn net.Conn) {
 		}
 		switch f.Type {
 		case transport.TypeHello:
-			sender, registered = f.Sender, true
+			sender = f.Sender
 			s.mu.Lock()
 			s.writers[f.Sender] = &connWriter{
 				conn: conn,
@@ -299,15 +297,15 @@ func (s *Server) readLoop(conn net.Conn) {
 		}
 	}
 	conn.Close()
-	if registered {
-		s.mu.Lock()
-		// Deregister only our own registration: the worker may already have
-		// reconnected on a fresh connection that must keep its writer.
-		if cw := s.writers[sender]; cw != nil && cw.conn == conn {
-			delete(s.writers, sender)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	// Deregister only our own registration, if Hello made one: the worker
+	// may already have reconnected on a fresh connection that must keep its
+	// writer.
+	if cw := s.writers[sender]; cw != nil && cw.conn == conn {
+		delete(s.writers, sender)
 	}
+	s.mu.Unlock()
 }
 
 // heartbeatLoop keeps idle-but-healthy worker connections inside the
@@ -382,27 +380,31 @@ func (s *Server) handlePush(f *transport.Frame) {
 		s.params[f.Key] = param
 		s.bufs.reserve(len(f.Values), s.cfg.Workers)
 	}
-	a := s.agg[f.Key]
-	if a == nil {
-		a = &aggState{iter: f.Iter, sum: make([]float32, len(param))} //p3:alloc-ok a key's aggregation state is made once
-		s.agg[f.Key] = a
+	r := s.agg[f.Key]
+	if r == nil {
+		r = &reduction{Slot: worker.NewSlots(1, s.cfg.Workers, nil)[0], sum: make([]float32, len(param))} //p3:alloc-ok a key's aggregation state is made once
+		s.agg[f.Key] = r
 	}
-	if a.iter != f.Iter {
-		// A new iteration: the sum is overwritten by its first push, not zeroed.
-		a.iter = f.Iter
-		a.count = 0
-		a.seen = [4]uint64{}
-	}
-	if len(f.Values) != len(a.sum) {
-		// Shape mismatch: the read loop already discarded the body unread,
-		// unless the key did not exist yet when it arrived.
+	if len(f.Values) != len(r.sum) || int(f.Sender) >= s.cfg.Workers {
+		// Shape mismatch (the read loop already discarded the body unread,
+		// unless the key did not exist yet when it arrived), or a sender the
+		// update does not wait for.
 		s.drops++
 		s.mu.Unlock()
 		return
 	}
-	if !a.markSeen(f.Sender) {
-		// A retry duplicate: the worker's reconnect path re-sent a push whose
-		// original already arrived before the connection died.
+	if r.Answerable(f.Iter) {
+		// A retry of a completed iteration: the worker's reconnect path
+		// re-sent a push it could not know had arrived. It counts zero and
+		// is answered as a pull, so the worker also gets the broadcast it
+		// may have missed.
+		s.mu.Unlock()
+		s.handlePull(f)
+		return
+	}
+	added, complete := r.Add(f.Iter, int(f.Sender), int(f.Sender)+1, -1)
+	if added == 0 {
+		// A retry duplicate within the open iteration, or a push older than it.
 		s.mu.Unlock()
 		return
 	}
@@ -410,8 +412,6 @@ func (s *Server) handlePush(f *transport.Frame) {
 	// copied into the sum, the middle ones are added to it, and the Nth is
 	// read by the update itself, alongside the sum. With one worker the
 	// first push is the Nth and the sum is never written: it stays zero.
-	a.count++
-	complete := a.count == s.cfg.Workers
 	var snapshot []float32
 	var dsts []uint8
 	switch {
@@ -419,7 +419,7 @@ func (s *Server) handlePush(f *transport.Frame) {
 		// The update leaves the new values in the Nth push's own buffer,
 		// under the lock: the stored tensor mutates on later updates while
 		// the send loop is still serializing this broadcast.
-		s.cfg.Updater(f.Key, param, a.sum, f.Values, s.cfg.Workers)
+		s.cfg.Updater(f.Key, param, r.sum, f.Values, s.cfg.Workers)
 		for id := range s.writers {
 			dsts = append(dsts, id)
 		}
@@ -428,11 +428,11 @@ func (s *Server) handlePush(f *transport.Frame) {
 			snapshot = f.Values
 			s.bufs.share(snapshot, len(dsts))
 		}
-	case a.count == 1:
-		copy(a.sum, f.Values)
+	case r.Count() == 1:
+		copy(r.sum, f.Values)
 	default:
 		for i, v := range f.Values {
-			a.sum[i] += v
+			r.sum[i] += v
 		}
 	}
 	s.mu.Unlock()

@@ -11,6 +11,8 @@
 //   - Pool, the priority-ordered consumer of Section 4.2: what arrives at
 //     an endpoint is drained through a sched.Queue by a fixed number of
 //     processing threads, same-key items serialized.
+//   - Slot, the parameter server's per-slot aggregation rule of Section
+//     4.2, shared by cluster's servers and aggregators and by pstcp.
 //   - Summary, the run's makespans, iteration times, throughput and stalls.
 //
 // The aggregation method plugs in through Loop's hooks and decides what a
