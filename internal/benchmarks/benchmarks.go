@@ -153,7 +153,9 @@ func sendQueueBench(disc string) func(b *testing.B) {
 }
 
 // engineBench prices one scheduled-and-fired event on the discrete-event
-// engine (the closure is reused, so the cost is the slab heap alone).
+// engine. The closure is reused and every push is for a fresh instant, so
+// the cost is the event queue's heap path alone: the path an untied event
+// takes, which same-instant batching must not slow.
 func engineBench(b *testing.B) {
 	var eng sim.Engine
 	n := 0

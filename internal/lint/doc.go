@@ -40,7 +40,7 @@
 // through closures built in the loop body; iterate sorted keys instead, or
 // document a genuinely order-insensitive walk with //p3:maporder-ok <reason>.
 //
-// sizebudget — three hot structs sit on measured performance cliffs, pinned
+// sizebudget — four hot structs sit on measured performance cliffs, pinned
 // with //p3:sizebudget <bytes>:
 //
 //   - sim's event struct (32 bytes: at, sched, packed ord, fn). The event
@@ -63,11 +63,15 @@
 //     is a property of the queue, injected per discipline via ApplySource.
 //     (sched's TestEntrySize pins the 56 directly.)
 //
-//   - sim.Engine (128 bytes, 48 of them padding). Every event writes the
+//   - sim.Engine (128 bytes, 24 of them padding). Every event writes the
 //     header; 128 bytes is a size class whose objects own their two cache
 //     lines, so concurrent sweep cells cannot false-share it. At its
 //     natural 80 bytes two pooled cells cost up to a third more wall time,
 //     by allocation luck (PR 19).
+//
+//   - sim's pshard (128 bytes, 8 of them padding), one shard of a Parallel
+//     run, for the same reason: every event writes its queue and clock,
+//     and NewParallel allocates the shards back to back.
 //
 // The analyzer recomputes each annotated struct's size under the gc layout
 // (types.Sizes) and fails on any mismatch, in either direction: growth is

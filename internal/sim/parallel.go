@@ -17,7 +17,7 @@ type Proc interface {
 }
 
 // Exec abstracts the execution engine behind logical processes. Single is
-// the single-heap engine; Parallel shards LPs over goroutines under
+// the single-queue engine; Parallel shards LPs over goroutines under
 // conservative lookahead (see the package comment for the contract).
 type Exec interface {
 	// Proc returns the scheduling handle of LP lp. Handles carry the LP
@@ -37,7 +37,7 @@ type Exec interface {
 }
 
 // Single adapts one Engine to the Exec interface: every LP shares the
-// engine's heap and clock, Proc(lp) tags scheduled events with lp's
+// engine's queue and clock, Proc(lp) tags scheduled events with lp's
 // canonical key, and Cross tags with the sending LP's — so same-instant
 // ties fire in exactly the order a Parallel run computes (see the package
 // comment). Events scheduled directly on the Engine stay untagged and
@@ -68,7 +68,7 @@ func (s Single) Processed() uint64 { return s.Eng.Processed() }
 // carries the canonical key stamped at the send — the sender's virtual
 // clock, the sending LP, and the per-LP schedule order — so after
 // injection it sorts against the destination's local events exactly as it
-// would have on a single heap.
+// would have on a single queue.
 type xmsg struct {
 	at    Time
 	sched Time
@@ -76,27 +76,48 @@ type xmsg struct {
 	fn    func()
 }
 
-// pshard is one shard: an event heap, a local clock, and per-destination
-// outboxes for cross-shard sends. Shards are allocated individually so two
-// shards' hot fields never share a cache line.
+// pshard is one shard: an event queue, a local clock, the schedule counters
+// of the LPs it owns, and per-destination outboxes for cross-shard sends.
+// Every event writes the queue, now and nRun, and every scheduling call an
+// lpSeq entry, so no two shards may share a cache line: shards are
+// allocated individually, each padded to 128 bytes, a size class whose
+// objects are 128-byte aligned (the sim.Engine layout, for the same
+// reason). Before the padding a shard took 72 bytes, in the 80-byte class
+// that NewParallel filled back to back, so one shard's outbox header
+// shared a line with the queue its neighbour writes on every event. The
+// budget keeps it at 128: one more word would move it to the 144-byte
+// class, whose objects straddle lines.
+//
+//p3:sizebudget 128
 type pshard struct {
-	heap   eventHeap
+	q      queue
 	now    Time
 	nRun   uint64
+	lpSeq  []uint64  // schedule counters of this shard's LPs, indexed by shardProc.idx
 	outbox [][]xmsg  // indexed by destination shard; owned by this shard's goroutine during a window
 	work   chan Time // window horizons from the coordinator
+	_      [8]byte
 }
 
 func (s *pshard) runWindow(horizon Time, stopped *atomic.Bool) {
 	// Strictly before the horizon: an event at the horizon itself may need
 	// to be ordered against cross messages injected at this window's
 	// barrier, so it belongs to a later window.
-	for len(s.heap) > 0 && s.heap[0].at < horizon && !stopped.Load() {
-		ev := s.heap.pop()
+	for !stopped.Load() {
+		ev, ok := s.q.popUntil(horizon - 1)
+		if !ok {
+			break
+		}
 		s.now = ev.at
 		s.nRun++
 		ev.fn()
 	}
+}
+
+// active reports whether the shard has an event before horizon.
+func (s *pshard) active(horizon Time) bool {
+	t, ok := s.q.earliest()
+	return ok && t < horizon
 }
 
 // shardProc is the per-LP scheduling handle of a Parallel executor. Local
@@ -104,9 +125,15 @@ func (s *pshard) runWindow(horizon Time, stopped *atomic.Bool) {
 // the LP's schedule counter — the same key a Single run stamps, which is
 // what keeps same-instant ties engine-independent.
 type shardProc struct {
-	s  *pshard
-	p  *Parallel
-	lp int32
+	s   *pshard
+	lp  int32
+	idx int32 // the LP's entry in s.lpSeq
+}
+
+// stamp advances the LP's schedule counter and returns its canonical ord.
+func (p shardProc) stamp() uint64 {
+	p.s.lpSeq[p.idx]++
+	return ordKey(p.lp, p.s.lpSeq[p.idx])
 }
 
 func (p shardProc) Now() Time { return p.s.now }
@@ -115,8 +142,7 @@ func (p shardProc) At(t Time, fn func()) {
 	if t < p.s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, p.s.now))
 	}
-	p.p.lpSeq[p.lp]++
-	p.s.heap.push(event{at: t, sched: p.s.now, ord: ordKey(p.lp, p.p.lpSeq[p.lp]), fn: fn})
+	p.s.q.push(event{at: t, sched: p.s.now, ord: p.stamp(), fn: fn})
 }
 
 func (p shardProc) After(d Time, fn func()) { p.At(p.s.now+d, fn) }
@@ -134,12 +160,6 @@ type Parallel struct {
 	look    Time
 	stopped atomic.Bool
 	windowW sync.WaitGroup // open window dispatches
-
-	// lpSeq is the per-LP schedule counter behind the canonical key. Each
-	// entry is touched only by the goroutine of the shard owning that LP
-	// (local At and Cross both run on the scheduling LP's shard), so no
-	// synchronization is needed.
-	lpSeq []uint64
 }
 
 // NewParallel builds a Parallel executor over len(lpShard) logical
@@ -163,17 +183,23 @@ func NewParallel(shards int, lpShard []int, lookahead Time) (*Parallel, error) {
 		procs:   make([]shardProc, len(lpShard)),
 		lpShard: make([]int32, len(lpShard)),
 		look:    lookahead,
-		lpSeq:   make([]uint64, len(lpShard)),
 	}
-	for i := range p.shards {
-		p.shards[i] = &pshard{outbox: make([][]xmsg, shards)}
-	}
+	owned := make([]int, shards)
 	for lp, s := range lpShard {
 		if s < 0 || s >= shards {
 			return nil, fmt.Errorf("sim: LP %d assigned to shard %d of %d", lp, s, shards)
 		}
+		owned[s]++
+	}
+	for i := range p.shards {
+		// Counters in whole cache lines, so no two shards' share one.
+		p.shards[i] = &pshard{lpSeq: make([]uint64, 0, (owned[i]+7)&^7), outbox: make([][]xmsg, shards)}
+	}
+	for lp, s := range lpShard {
 		p.lpShard[lp] = int32(s)
-		p.procs[lp] = shardProc{s: p.shards[s], p: p, lp: int32(lp)}
+		sh := p.shards[s]
+		p.procs[lp] = shardProc{s: sh, lp: int32(lp), idx: int32(len(sh.lpSeq))}
+		sh.lpSeq = append(sh.lpSeq, 0)
 	}
 	return p, nil
 }
@@ -190,13 +216,13 @@ func (p *Parallel) Shards() int { return len(p.shards) }
 // counter are written without synchronization) and at must respect the
 // lookahead.
 func (p *Parallel) Cross(src, dst int, at Time, fn func()) {
-	ss := p.shards[p.lpShard[src]]
+	sp := p.procs[src]
+	ss := sp.s
 	if at < ss.now+p.look {
 		panic(fmt.Sprintf("sim: cross-shard send at %v from now %v violates lookahead %v", at, ss.now, p.look))
 	}
-	p.lpSeq[src]++
 	ds := p.lpShard[dst]
-	ss.outbox[ds] = append(ss.outbox[ds], xmsg{at: at, sched: ss.now, ord: ordKey(int32(src), p.lpSeq[src]), fn: fn})
+	ss.outbox[ds] = append(ss.outbox[ds], xmsg{at: at, sched: ss.now, ord: sp.stamp(), fn: fn})
 }
 
 // Stop makes Run return once every shard finishes its current event. Which
@@ -215,7 +241,7 @@ func (p *Parallel) Processed() uint64 {
 	return n
 }
 
-// Run processes events until every heap drains or Stop is called, and
+// Run processes events until every queue drains or Stop is called, and
 // returns the final virtual time (the maximum over shards). Worker
 // goroutines live only for the duration of the call.
 func (p *Parallel) Run() Time {
@@ -237,8 +263,8 @@ func (p *Parallel) Run() Time {
 	for !p.stopped.Load() {
 		tmin := inf
 		for _, s := range p.shards {
-			if len(s.heap) > 0 && s.heap[0].at < tmin {
-				tmin = s.heap[0].at
+			if t, ok := s.q.earliest(); ok && t < tmin {
+				tmin = t
 			}
 		}
 		if tmin == inf {
@@ -248,7 +274,7 @@ func (p *Parallel) Run() Time {
 		nActive := 0
 		var only *pshard
 		for _, s := range p.shards {
-			if len(s.heap) > 0 && s.heap[0].at < horizon {
+			if s.active(horizon) {
 				nActive++
 				only = s
 			}
@@ -261,7 +287,7 @@ func (p *Parallel) Run() Time {
 		} else {
 			p.windowW.Add(nActive)
 			for _, s := range p.shards {
-				if len(s.heap) > 0 && s.heap[0].at < horizon {
+				if s.active(horizon) {
 					s.work <- horizon
 				}
 			}
@@ -283,8 +309,8 @@ func (p *Parallel) Run() Time {
 	return end
 }
 
-// inject drains every outbox into the destination heaps. Each message
-// keeps the canonical key stamped at its send, and the heap orders events
+// inject drains every outbox into the destination queues. Each message
+// keeps the canonical key stamped at its send, and the queue orders events
 // by that key, so injection order — which depends on barrier boundaries —
 // carries no semantic weight: two messages arriving at one LP at the same
 // instant, or a message tying with a locally scheduled event there, fire
@@ -296,7 +322,7 @@ func (p *Parallel) inject() {
 		for _, src := range p.shards {
 			box := src.outbox[ds]
 			for i := range box {
-				dst.heap.push(event{at: box[i].at, sched: box[i].sched, ord: box[i].ord, fn: box[i].fn})
+				dst.q.push(event{at: box[i].at, sched: box[i].sched, ord: box[i].ord, fn: box[i].fn})
 			}
 			clear(box) // release the buffered closures
 			src.outbox[ds] = box[:0]

@@ -15,8 +15,8 @@
 // # Parallel execution, lookahead and the determinism contract
 //
 // The Exec interface abstracts the engine behind logical processes (LPs):
-// Single runs every LP on one Engine, one heap and one clock, while
-// Parallel shards LPs over goroutines, each shard with its own event heap
+// Single runs every LP on one Engine, one queue and one clock, while
+// Parallel shards LPs over goroutines, each shard with its own event queue
 // and local clock, synchronized by conservative lookahead. A Parallel run
 // remains a pure function of its inputs when the model obeys three rules:
 //
@@ -36,7 +36,7 @@
 //     should have influenced. Every event — local or cross — carries the
 //     canonical key (virtual scheduling time, scheduling LP, per-LP
 //     schedule order), stamped at the scheduling call from the
-//     simulation's own state, and each shard's heap fires same-instant
+//     simulation's own state, and each shard's queue fires same-instant
 //     events in key order. A cross message buffered across a barrier
 //     keeps the key stamped at its send, so where it lands relative to
 //     the destination's local events does not depend on the shard count,
@@ -50,6 +50,22 @@
 //
 // Within one shard, same-instant events still fire in scheduling order,
 // exactly as on a Single engine.
+//
+// # Same-instant batching
+//
+// Both engines keep their pending events in one queue type. Symmetric
+// machines finish identical work together, so ties on the virtual clock
+// are the common case, not the exception: 95 % of ring16's fired events
+// and 94 % of rack256_hier's (per shard) fire at the same instant as the
+// event before them, against 31 % on faults64_credit, 23 % on ps64_flat
+// and 10 % on paper4. A binary heap pays for each tie a sift per push and
+// per pop whose every level compares all three key words, and its depth
+// is not what costs: ring16 holds only 32–127 events pending. So the queue
+// puts the first event of an instant in its heap and the instant's later
+// events in a batch, sorts the batch once when the instant comes up, and
+// fires it from a slice (see queue). Because the key is a strict total
+// order, the firing order, and with it every Result, is the one a plain
+// heap gives.
 package sim
 
 import (
@@ -78,105 +94,14 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a virtual timestamp.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is one scheduled callback. Beyond the firing time, it carries the
-// canonical tie key: the virtual instant it was scheduled at, and the
-// packed (scheduling LP, per-LP schedule order) word. Both engines compute
-// the key from the simulation alone, which is what lets same-instant ties
-// resolve identically on any shard count (see the package comment).
-//
-// The struct is kept at 32 bytes deliberately: the heap moves events by
-// value, and one more word pushes the copies off the compiler's
-// register-move path and triples the per-event cost — which is why lp and
-// seq share a word instead of having fields of their own.
-//
-//p3:sizebudget 32
-type event struct {
-	at    Time
-	sched Time   // virtual time of the scheduling call
-	ord   uint64 // ordKey(lp, seq): scheduling LP and per-LP schedule order
-	fn    func()
-}
-
-// ordKey packs the last two canonical tie components into one word:
-// scheduling LP plus one in the high 16 bits — zero marks raw Engine
-// scheduling, which therefore sorts before any tagged LP scheduling at the
-// same instant — and the per-LP schedule order in the low 48. The packing
-// compares exactly like (lp, seq) lexicographically, and its limits
-// (65534 LPs, 2^48 events scheduled per LP) sit orders of magnitude above
-// any simulation this repository can hold in memory; NewParallel rejects
-// LP counts beyond the field width.
-func ordKey(lp int32, seq uint64) uint64 { return uint64(lp+1)<<48 | seq }
-
-// eventHeap is a slab-backed binary min-heap of events ordered by the
-// canonical key (at, sched, ord): all pending events live by value in
-// one contiguous slice that is reused across the run, and the sift code is
-// monomorphic — container/heap, which this replaced, boxed every scheduled
-// event into an `any` and so cost one heap allocation per event on top of
-// the caller's closure. pop clears the vacated slot, so the slab never
-// pins a fired event's closure (and the whole object graph it captures)
-// for the garbage collector.
-type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].sched != h[j].sched {
-		return h[i].sched < h[j].sched
-	}
-	return h[i].ord < h[j].ord
-}
-
-// push appends ev to the slab and sifts it up.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.before(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event, clearing the vacated slot.
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // the slab must not pin the fired closure
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && s.before(right, left) {
-			min = right
-		}
-		if !s.before(min, i) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 //
-// Every event writes now, nRun and the heap's length, so the header must not
-// share a cache line with anything another goroutine writes: sweeps run one
-// engine per pool worker, each allocated by the run that uses it. At its
-// natural 80 bytes the allocator packs it among that size class's other
-// objects, and two concurrent cells then cost up to a third more wall time,
+// Every event writes now, nRun and the queue, so the header must not share a
+// cache line with anything another goroutine writes: sweeps run one engine
+// per pool worker, each allocated by the run that uses it. Unpadded (80
+// bytes then, 104 with the batching queue) the allocator packs it among
+// that size class's other objects, and two concurrent cells then cost up
+// to a third more wall time,
 // by allocation luck (PR 19: the 24-cell -fast scale sweep on two workers,
 // 5.1 s padded vs 4.9-7.0 s unpadded). 128 bytes is a size class whose
 // objects are 128-byte aligned: two cache lines of the engine's own.
@@ -184,12 +109,12 @@ func (h *eventHeap) pop() event {
 //p3:sizebudget 128
 type Engine struct {
 	now     Time
-	events  eventHeap
+	q       queue
 	seq     uint64
 	lpSeq   []uint64 // per-LP schedule counters for tagged (Proc/Cross) events
 	stopped bool
 	nRun    uint64
-	_       [48]byte
+	_       [24]byte
 }
 
 // Now returns the current virtual time.
@@ -208,7 +133,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, sched: e.now, ord: e.seq, fn: fn})
+	e.q.push(event{at: t, sched: e.now, ord: e.seq, fn: fn})
 }
 
 // atFrom schedules fn at t with the canonical key of LP lp: the current
@@ -223,7 +148,7 @@ func (e *Engine) atFrom(lp int32, t Time, fn func()) {
 		e.lpSeq = append(e.lpSeq, make([]uint64, n-len(e.lpSeq))...)
 	}
 	e.lpSeq[lp]++
-	e.events.push(event{at: t, sched: e.now, ord: ordKey(lp, e.lpSeq[lp]), fn: fn})
+	e.q.push(event{at: t, sched: e.now, ord: ordKey(lp, e.lpSeq[lp]), fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -235,34 +160,34 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run processes events until the queue is empty or Stop is called. It returns
 // the final virtual time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		ev := e.events.pop()
-		e.now = ev.at
-		e.nRun++
-		ev.fn()
-	}
+	e.run(maxTime)
 	return e.now
 }
 
 // RunUntil processes events with timestamps ≤ deadline, advances the clock to
 // deadline, and returns it. Events after the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := e.events.pop()
-		e.now = ev.at
-		e.nRun++
-		ev.fn()
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
 }
 
+// run fires events with timestamps ≤ deadline until none is left or Stop is
+// called.
+func (e *Engine) run(deadline Time) {
+	e.stopped = false
+	for !e.stopped {
+		ev, ok := e.q.popUntil(deadline)
+		if !ok {
+			return
+		}
+		e.now = ev.at
+		e.nRun++
+		ev.fn()
+	}
+}
+
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.len() }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -179,44 +180,148 @@ func TestDeterminism(t *testing.T) {
 // internal/benchmarks, shared with `p3bench bench` and the CI regression
 // gate, and runs under go test via the root BenchmarkDispatch driver.
 
-// TestPoppedEventSlotCleared pins the slab-hygiene fix: once an event has
-// fired, the heap's backing array must not keep its closure reachable — a
-// long-lived engine (the zoo sweeps reuse one per run) would otherwise pin
-// every dead closure and whatever it captured until the slab shrank.
+// TestPoppedEventSlotCleared pins slab hygiene: once an event has fired, no
+// place an event can sit — the heap's slab, a batch's, the current
+// instant's — may keep its closure reachable, or a long run would pin every
+// dead closure and whatever it captured until the engine is dropped. The
+// schedule fires some instants from the heap alone and some from batches,
+// stops mid-instant with events pending in all three places, and stops
+// again after a batch outgrew its slab and moved onto the larger one the
+// current instant just spent, so the check sees every slab with live and
+// with fired slots.
 func TestPoppedEventSlotCleared(t *testing.T) {
 	var eng Engine
-	eng.At(1, func() {})
-	eng.At(2, func() {})
+	fired := map[int]bool{}
+	probe, probed := false, -1
+	id := 0
+	var mk func() func()
+	mk = func() func() {
+		me := id
+		id++
+		return func() {
+			if probe {
+				probed = me
+				return
+			}
+			fired[me] = true
+			switch me {
+			case 8: // the third of instant 4
+				eng.Stop()
+			case 56: // the last of instant 100: its slab is spent
+				for i := 0; i < 5; i++ {
+					eng.At(300, mk())
+				}
+				eng.Stop()
+			}
+		}
+	}
+	for _, at := range []Time{1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 7, 7} {
+		eng.At(at, mk())
+	}
+	for i := 0; i < 40; i++ {
+		eng.At(100, mk())
+	}
+	eng.At(300, mk())
+	eng.At(300, mk())
+	check := func(wantPending int) {
+		t.Helper()
+		seen := map[int]bool{}
+		forEachSlot(&eng.q, func(where string, ev event) {
+			probe = true
+			ev.fn()
+			probe = false
+			if fired[probed] {
+				t.Fatalf("%s slot still pins fired event %d's closure", where, probed)
+			}
+			if seen[probed] {
+				t.Fatalf("event %d sits in two slots", probed)
+			}
+			seen[probed] = true
+		})
+		if len(seen) != wantPending || eng.Pending() != wantPending {
+			t.Fatalf("slots hold %d events, Pending %d, want %d", len(seen), eng.Pending(), wantPending)
+		}
+	}
 	eng.Run()
-	slab := eng.events[:cap(eng.events)]
-	for i, ev := range slab {
-		if ev.fn != nil {
-			t.Fatalf("slab slot %d still pins a fired event's closure", i)
+	if len(fired) != 9 {
+		t.Fatalf("fired %d events before the first Stop, want 9", len(fired))
+	}
+	if b := eng.q.b; b == nil || b.next == len(b.cur) || b.n == 0 || len(eng.q.heap) == 0 {
+		t.Fatal("schedule no longer leaves events pending in the current instant, a batch and the heap")
+	}
+	check(id - 9)
+	eng.Run()
+	if b := eng.q.b; len(fired) != 57 || b.n != 1 || cap(b.evs[0]) < 40 {
+		t.Fatal("schedule no longer moves a full batch onto the spent current instant's slab")
+	}
+	check(id - 57)
+	eng.Run()
+	check(0)
+}
+
+// forEachSlot calls fn on every non-empty slot of every slab q holds,
+// including the capacity past each slice's length.
+func forEachSlot(q *queue, fn func(where string, ev event)) {
+	walk := func(where string, s []event) {
+		for _, ev := range s[:cap(s)] {
+			if ev.fn != nil {
+				fn(where, ev)
+			}
+		}
+	}
+	walk("heap", q.heap)
+	if b := q.b; b != nil {
+		walk("current-instant", b.cur)
+		for i := range b.evs {
+			walk(fmt.Sprintf("batch %d", i), b.evs[i])
 		}
 	}
 }
 
 // TestEngineSteadyStateAllocs pins the scheduling cost: re-arming an event
 // from within an event (the simulator's universal pattern) must not allocate
-// once the slab has grown — container/heap boxed every push into an `any`,
-// one heap allocation per event on top of the caller's closure.
+// once the slabs have grown — container/heap boxed every push into an `any`,
+// one heap allocation per event on top of the caller's closure. The tied
+// case re-arms 64 events at one shared instant, so every push after the
+// first lands in a batch and every instant fires from the current-instant
+// slab: those slabs pass between the batches and the current instant
+// without being reallocated.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	var eng Engine
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n%2 == 0 {
-			eng.After(10, tick) // re-arm with the SAME closure value: no capture alloc
-		} else {
-			eng.After(5, tick)
+	t.Run("distinct", func(t *testing.T) {
+		var eng Engine
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n%2 == 0 {
+				eng.After(10, tick) // re-arm with the SAME closure value: no capture alloc
+			} else {
+				eng.After(5, tick)
+			}
 		}
-	}
-	eng.After(1, tick)
-	avg := testing.AllocsPerRun(500, func() {
-		eng.RunUntil(eng.Now() + 100)
+		eng.After(1, tick)
+		avg := testing.AllocsPerRun(500, func() {
+			eng.RunUntil(eng.Now() + 100)
+		})
+		if avg != 0 {
+			t.Fatalf("steady-state event scheduling allocates %.2f per 100-tick window, want 0", avg)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state event scheduling allocates %.2f per 100-tick window, want 0", avg)
-	}
+	t.Run("tied", func(t *testing.T) {
+		var eng Engine
+		var tick func()
+		tick = func() { eng.After(10, tick) }
+		for i := 0; i < 64; i++ {
+			eng.After(1, tick)
+		}
+		avg := testing.AllocsPerRun(500, func() {
+			eng.RunUntil(eng.Now() + 100)
+		})
+		if avg != 0 {
+			t.Fatalf("re-arming 64 tied events allocates %.2f per 10-instant window, want 0", avg)
+		}
+		if eng.q.b == nil || eng.Pending() != 64 {
+			t.Fatalf("the tied re-arm no longer batches (%d pending)", eng.Pending())
+		}
+	})
 }
