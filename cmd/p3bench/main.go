@@ -1,21 +1,19 @@
-// Command p3bench regenerates every table and figure of the paper's
-// evaluation section. Each experiment prints an ASCII rendering plus the
-// underlying TSV series, with the paper's reference values in the notes.
+// Command p3bench regenerates the tables and figures of the paper's
+// evaluation section, one target per entry of experiments.All (`p3bench -h`
+// lists them). A figure prints an ASCII rendering plus the underlying TSV
+// series, with the paper's reference values in the notes; a table prints
+// its TSV.
 //
 // Usage:
 //
-//	p3bench [-fast] [-seed N] [-shards N] [-plot] [-baseline FILE] \
-//	        [fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 \
-//	         headline ablation sched scale rack faults allreduce tta compression \
-//	         sensitivity bench | all]
+//	p3bench [-fast] [-seed N] [-shards N] [-plot] [-tsv] [-baseline FILE] [TARGET... | bench | all]
 //
-// The throughput/utilization experiments (fig5, fig7-10, fig12-14, headline)
-// run on the discrete-event simulator and take seconds. Every sweep spreads
-// its cells over GOMAXPROCS workers, and every parameter-server cell runs on
-// -shards engine shards (ring all-reduce cells run one shard; results are
-// bit-identical at any value). The
-// convergence experiments (fig11, fig15) train real networks and take minutes
-// without -fast.
+// The throughput/utilization experiments run on the discrete-event
+// simulator and take seconds. Every sweep spreads its cells over GOMAXPROCS
+// workers, and every parameter-server cell runs on -shards engine shards
+// (ring all-reduce cells run one shard; results are bit-identical at any
+// value). The convergence experiments (fig11, fig15, tta, compression)
+// train real networks and take minutes without -fast.
 //
 // bench runs the dispatch-path microbenchmarks (ns/op + allocs/op for the
 // scheduler queue, transport queue and event engine) plus the zoo-simulation
@@ -39,31 +37,20 @@ import (
 	"p3/internal/experiments"
 )
 
-var figOrder = []string{
-	"fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-	"headline", "ablation", "sched", "scale", "rack", "faults", "allreduce", "tta", "compression", "sensitivity",
-}
-
-// figures are the targets that render as plots and TSV series; the other
-// names in figOrder render as tables.
-var figures = map[string]func(experiments.Options) []*experiments.Figure{
-	"fig5":      experiments.Fig5,
-	"fig7":      experiments.Fig7,
-	"fig8":      experiments.Fig8,
-	"fig9":      experiments.Fig9,
-	"fig10":     experiments.Fig10,
-	"fig11":     experiments.Fig11,
-	"fig12":     experiments.Fig12,
-	"fig13":     experiments.Fig13,
-	"fig14":     experiments.Fig14,
-	"fig15":     experiments.Fig15,
-	"allreduce": experiments.ExtAllreduce,
+// ids lists the experiments' IDs in experiments.All's order.
+func ids() []string {
+	out := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		out[i] = e.ID
+	}
+	return out
 }
 
 // expandTargets resolves the command line's targets into the list to run, in
 // order and without repeats: no target at all, or "all" wherever it appears,
-// stands for every experiment in figOrder (not for bench); -baseline implies
-// bench. A name that is neither an experiment, bench nor all is an error.
+// stands for every experiment in experiments.All (not for bench); -baseline
+// implies bench. A name that is neither an experiment, bench nor all is an
+// error.
 func expandTargets(args []string, baseline bool) ([]string, error) {
 	if len(args) == 0 {
 		args = []string{"all"}
@@ -79,8 +66,8 @@ func expandTargets(args []string, baseline bool) ([]string, error) {
 	for _, a := range args {
 		switch {
 		case a == "all":
-			add(figOrder...)
-		case a == "bench" || slices.Contains(figOrder, a):
+			add(ids()...)
+		case a == "bench" || slices.Contains(ids(), a):
 			add(a)
 		default:
 			return nil, fmt.Errorf("unknown target %q", a)
@@ -100,7 +87,7 @@ func main() {
 	tsv := flag.Bool("tsv", true, "print TSV series")
 	baseline := flag.String("baseline", "", "compare dispatch microbenchmarks against this artifact; exit 1 on regression (implies the bench target)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: p3bench [flags] [%s|bench|all]...\n", strings.Join(figOrder, "|"))
+		fmt.Fprintf(os.Stderr, "usage: p3bench [flags] [%s|bench|all]...\n", strings.Join(ids(), "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -114,53 +101,22 @@ func main() {
 
 	o := experiments.Options{Fast: *fast, Seed: *seed, Shards: *shards}
 	for _, t := range targets {
-		switch {
-		case t == "headline":
-			fmt.Println("== Section 5.3 headline speedups (P3 vs baseline) ==")
-			fmt.Print(experiments.HeadlineTable(experiments.Headline(o)))
-			fmt.Println()
-		case t == "ablation":
-			fmt.Println("== Ablation: contribution of each P3 design decision (per-machine samples/sec) ==")
-			fmt.Print(experiments.AblationTable(experiments.Ablation(o)))
-			fmt.Println()
-		case t == "sched":
-			fmt.Println("== Scheduler ablation: every queue discipline on the sliced strategy (internal/sched) ==")
-			fmt.Print(experiments.SchedulerTable(experiments.SchedulerAblation(o)))
-			fmt.Println()
-		case t == "scale":
-			fmt.Println("== Scale axis: cluster sizes past the paper's testbed (resnet50 @1.5Gbps, sliced strategy) ==")
-			fmt.Print(experiments.ScaleTable(experiments.Scale(o)))
-			fmt.Println()
-		case t == "rack":
-			fmt.Println("== Rack axis: multi-rack topology, oversubscribed core, server placement (resnet50 @1.5Gbps) ==")
-			fmt.Print(experiments.RackTable(experiments.Rack(o)))
-			fmt.Println()
-		case t == "faults":
-			fmt.Println("== Faults: scripted stragglers, link degradation and aggregator crashes per discipline (resnet50 @1.5Gbps, rack-aggregated) ==")
-			fmt.Print(experiments.FaultsTable(experiments.Faults(o)))
-			fmt.Println()
-		case t == "compression":
-			fmt.Println("== Extension: compression family (related work, Section 6) vs dense exchange ==")
-			fmt.Print(experiments.CompressionTable(experiments.ExtCompression(o)))
-			fmt.Println()
-		case t == "sensitivity":
-			fmt.Println("== Sensitivity: server count and batch size (VGG-19 @15Gbps, per-machine images/sec) ==")
-			fmt.Print(experiments.SensitivityTable(experiments.Sensitivity(o)))
-			fmt.Println()
-		case t == "tta":
-			fmt.Println("== Extension: time-to-accuracy (ResNet-110 profile @1Gbps iteration times x substitute-task convergence) ==")
-			fmt.Print(experiments.TimeToAccuracyTable(experiments.TimeToAccuracy(o)))
-			fmt.Println()
-		case t == "bench":
+		if t == "bench" {
 			runBench(*baseline, *fast)
-		default: // a figure: expandTargets let nothing else through
-			for _, fig := range figures[t](o) {
-				if *plot {
-					fmt.Println(fig.ASCII(72, 16))
-				}
-				if *tsv {
-					fmt.Println(fig.TSV())
-				}
+			continue
+		}
+		// expandTargets let nothing else through.
+		e := experiments.All[slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == t })]
+		if e.Table != nil {
+			fmt.Printf("== %s ==\n%s\n", e.Title, e.Table(o))
+			continue
+		}
+		for _, fig := range e.Figures(o) {
+			if *plot {
+				fmt.Println(fig.ASCII(72, 16))
+			}
+			if *tsv {
+				fmt.Println(fig.TSV())
 			}
 		}
 	}

@@ -25,14 +25,6 @@ type AblationRow struct {
 // and priority scheduling — the mechanism's two core components, each alone
 // and together.
 func Ablation(o Options) []AblationRow {
-	cases := []struct {
-		model string
-		gbps  float64
-	}{
-		{"resnet50", 4},
-		{"vgg19", 15},
-		{"sockeye", 4},
-	}
 	priorityShards := strategy.Strategy{
 		Name: "priority-shards", Granularity: strategy.Shards,
 		Sched: "p3", Pull: strategy.Immediate,
@@ -42,15 +34,15 @@ func Ablation(o Options) []AblationRow {
 		priorityShards, strategy.P3(0),
 	}
 	var cells []cell
-	for _, c := range cases {
+	for _, c := range paperPoints {
 		m := zoo.ByName(c.model)
 		for _, s := range strategies {
 			cells = append(cells, testbed(m, s, c.gbps))
 		}
 	}
 	outs := runCells(o, cells)
-	rows := make([]AblationRow, 0, len(cases))
-	for ci, c := range cases {
+	rows := make([]AblationRow, 0, len(paperPoints))
+	for ci, c := range paperPoints {
 		g := outs[ci*len(strategies):]
 		rows = append(rows, AblationRow{
 			Model:         c.model,
@@ -65,14 +57,15 @@ func Ablation(o Options) []AblationRow {
 	return rows
 }
 
-// AblationTable renders the decomposition.
-func AblationTable(rows []AblationRow) string {
-	out := "model\tGbps\tbaseline\t+immediate\t+slicing\t+priority\tfull_p3\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%s\t%g\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			r.Model, r.BandwidthGbps, r.Baseline, r.ImmediateOnly, r.SlicingOnly, r.PriorityOnly, r.FullP3)
-	}
-	return out
+// ablationCols print the decomposition.
+var ablationCols = []column[AblationRow]{
+	{"model", "%s", func(r AblationRow) any { return r.Model }},
+	{"Gbps", "%g", func(r AblationRow) any { return r.BandwidthGbps }},
+	{"baseline", "%.1f", func(r AblationRow) any { return r.Baseline }},
+	{"+immediate", "%.1f", func(r AblationRow) any { return r.ImmediateOnly }},
+	{"+slicing", "%.1f", func(r AblationRow) any { return r.SlicingOnly }},
+	{"+priority", "%.1f", func(r AblationRow) any { return r.PriorityOnly }},
+	{"full_p3", "%.1f", func(r AblationRow) any { return r.FullP3 }},
 }
 
 // ExtAllreduce is the extension experiment backing the paper's Section 6
@@ -158,15 +151,15 @@ func TimeToAccuracy(o Options) []TimeToAccuracyRow {
 	return rows
 }
 
-// TimeToAccuracyTable renders the extension rows.
-func TimeToAccuracyTable(rows []TimeToAccuracyRow) string {
-	out := "mechanism\titer_ms\tfinal_acc\tminutes_to_80%\n"
-	for _, r := range rows {
-		to80 := "never"
-		if r.MinutesTo80 >= 0 {
-			to80 = fmt.Sprintf("%.1f", r.MinutesTo80)
+// ttaCols print the extension rows.
+var ttaCols = []column[TimeToAccuracyRow]{
+	{"mechanism", "%s", func(r TimeToAccuracyRow) any { return r.Mechanism }},
+	{"iter_ms", "%.1f", func(r TimeToAccuracyRow) any { return r.IterMs }},
+	{"final_acc", "%.4f", func(r TimeToAccuracyRow) any { return r.FinalAcc }},
+	{"minutes_to_80%", "%s", func(r TimeToAccuracyRow) any {
+		if r.MinutesTo80 < 0 {
+			return "never"
 		}
-		out += fmt.Sprintf("%s\t%.1f\t%.4f\t%s\n", r.Mechanism, r.IterMs, r.FinalAcc, to80)
-	}
-	return out
+		return fmt.Sprintf("%.1f", r.MinutesTo80)
+	}},
 }

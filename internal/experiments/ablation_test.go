@@ -27,11 +27,12 @@ func TestAblation(t *testing.T) {
 			t.Errorf("%s: slicing (%.1f) hurt the baseline (%.1f)", r.Model, r.SlicingOnly, r.Baseline)
 		}
 	}
-	tbl := AblationTable(rows)
+	tbl := tsv(ablationCols, rows)
 	if !strings.Contains(tbl, "full_p3") {
 		t.Fatalf("table:\n%s", tbl)
 	}
 	checkGolden(t, "ablation", tbl)
+	checkSection(t, "ablation", nil, tbl, "Ablation — contribution of each design decision", "| --- |")
 }
 
 func TestExtAllreduce(t *testing.T) {
@@ -40,6 +41,7 @@ func TestExtAllreduce(t *testing.T) {
 		t.Fatalf("%d allreduce figures", len(figs))
 	}
 	checkGolden(t, "allreduce", figsTSV(figs))
+	checkSection(t, "allreduce", figs, "", "Extension — P3 principles on ring all-reduce", "| --- |", "Measured: sliced+priority")
 	for _, f := range figs {
 		checkFigure(t, f)
 		if len(f.Series) != 3 {
@@ -83,9 +85,10 @@ func TestTimeToAccuracy(t *testing.T) {
 		t.Errorf("dgc iteration (%.1f ms) not below baseline (%.1f ms)",
 			byName["dgc"].IterMs, byName["baseline"].IterMs)
 	}
-	tbl := TimeToAccuracyTable(rows)
+	tbl := tsv(ttaCols, rows)
 	if !strings.Contains(tbl, "minutes_to_80%") {
 		t.Fatalf("table:\n%s", tbl)
 	}
 	checkGolden(t, "tta", tbl)
+	checkSection(t, "tta", nil, tbl, "Extension — time to accuracy", "| --- |", "minutes_to_80%")
 }

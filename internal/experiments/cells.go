@@ -23,6 +23,9 @@ type cell struct {
 	ring bool
 	// calibrated runs the two-pass calibrated mode and keeps its second pass.
 	calibrated bool
+	// tag names a swept axis that is not a config field: Rack's server
+	// placement, Faults' scenario.
+	tag string
 }
 
 // testbed is a cell on the paper's four-machine cluster.
@@ -61,6 +64,54 @@ type outcome struct {
 	// both of its passes. Serial costs are what `go run ./bench` measures,
 	// one cell at a time.
 	WallMs float64
+}
+
+// Row is one cell of a sweep together with what it produced. The fields
+// the Config and the Result both carry (Model, Machines, Strategy,
+// BandwidthGbps) are read as r.Config.X or r.Result.X.
+type Row struct {
+	cell
+	outcome
+}
+
+// Table is a sweep's result: one Row per cell, printed through the sweep's
+// columns.
+type Table struct {
+	Rows []Row
+	cols []column[Row]
+}
+
+// TSV renders the table, one line per cell.
+func (t *Table) TSV() string { return tsv(t.cols, t.Rows) }
+
+// runTable runs the cells and pairs each with its outcome.
+func runTable(o Options, cells []cell, cols []column[Row]) *Table {
+	t := &Table{Rows: make([]Row, len(cells)), cols: cols}
+	for i, out := range runCells(o, cells) {
+		t.Rows[i] = Row{cells[i], out}
+	}
+	return t
+}
+
+// Columns more than one sweep prints.
+var (
+	colModel      = column[Row]{"model", "%s", func(r Row) any { return r.Config.Model.Name }}
+	colMachines   = column[Row]{"machines", "%d", func(r Row) any { return r.Config.Machines }}
+	colRack       = column[Row]{"rack", "%d", func(r Row) any { return r.Topology.RackSize }}
+	colPath       = column[Row]{"path", "%s", func(r Row) any { return r.path() }}
+	colSched      = column[Row]{"sched", "%s", func(r Row) any { return r.Config.Strategy.Sched }}
+	colPerMachine = column[Row]{"samples/s/machine", "%.1f", func(r Row) any { return r.PerMachine }}
+	colIterMs     = column[Row]{"iter_ms", "%.2f", func(r Row) any { return r.IterMs }}
+	colEvents     = column[Row]{"events", "%d", func(r Row) any { return r.Events }}
+	colWall       = column[Row]{"sim_wall_ms", "%.1f", func(r Row) any { return r.WallMs }}
+)
+
+// path names the cell's aggregation path.
+func (c cell) path() string {
+	if c.ring {
+		return PathRing
+	}
+	return PathCluster
 }
 
 // run executes the cell as configured.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"p3/internal/nn"
 	"p3/internal/quant"
 	"p3/internal/train"
@@ -58,11 +56,9 @@ func ExtCompression(o Options) []CompressionRow {
 	return rows
 }
 
-// CompressionTable renders the comparison.
-func CompressionTable(rows []CompressionRow) string {
-	out := "mechanism\tfinal_acc\tcompression_x\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%s\t%.4f\t%.1f\n", r.Mechanism, r.FinalAcc, r.CompressionRatio)
-	}
-	return out
+// compressionCols print the comparison.
+var compressionCols = []column[CompressionRow]{
+	{"mechanism", "%s", func(r CompressionRow) any { return r.Mechanism }},
+	{"final_acc", "%.4f", func(r CompressionRow) any { return r.FinalAcc }},
+	{"compression_x", "%.1f", func(r CompressionRow) any { return r.CompressionRatio }},
 }

@@ -34,9 +34,10 @@ func TestExtCompression(t *testing.T) {
 	if byName["dgc@99.9%"].CompressionRatio < 100 {
 		t.Errorf("dgc ratio %v", byName["dgc@99.9%"].CompressionRatio)
 	}
-	tbl := CompressionTable(rows)
+	tbl := tsv(compressionCols, rows)
 	if !strings.Contains(tbl, "compression_x") {
 		t.Fatal("table broken")
 	}
 	checkGolden(t, "compression", tbl)
+	checkSection(t, "compression", nil, tbl, "Extension — compression family", "| --- |")
 }

@@ -1,13 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Figures 5 and 7-15, plus the Section 5.3 headline
-// speedups). Each experiment returns structured Figure values that the
-// cmd/p3bench tool and the root benchmarks render as TSV series and ASCII
-// plots, side by side with the paper's reference numbers.
+// speedups) and the extensions past it. All lists them in order, one
+// Experiment each: its ID is the cmd/p3bench target and the golden's name,
+// and cmd/p3report renders each as one section.
 //
 // Every simulated sweep has one shape: declare the cells (cells.go), hand
-// them to runCells, project the outcomes into rows or series. One rule
-// covers sharding: every cluster-path cell runs at Options.Shards (clamped to
-// its machine count by cluster), ring cells run one shard.
+// them to runCells, project the outcomes into series, typed rows, or — for
+// the long sweeps — a Table: each cell beside its outcome, printed through
+// a list of columns. One rule covers sharding: every cluster-path cell runs
+// at Options.Shards (clamped to its machine count by cluster), ring cells
+// run one shard.
 package experiments
 
 import (
@@ -176,15 +178,16 @@ type utilSpec struct {
 	strategy        strategy.Strategy
 }
 
-// utilConfigs are the sub-figures of the utilization and slice-size studies.
-var utilConfigs = []struct {
+// modelAt is a model at a bandwidth (Gbps).
+type modelAt struct {
 	model string
 	gbps  float64
-}{
-	{"resnet50", 4},
-	{"vgg19", 15},
-	{"sockeye", 4},
 }
+
+// paperPoints are the models at the bandwidths the paper singles out: the
+// sub-figures of the utilization and slice-size studies and the grid of
+// both ablations.
+var paperPoints = []modelAt{{"resnet50", 4}, {"vgg19", 15}, {"sockeye", 4}}
 
 // utilizationFigures runs each spec with a recorder attached and extracts
 // machine 0's inbound/outbound Gbps series (10 ms buckets), as measured by
@@ -221,10 +224,10 @@ func utilizationFigures(o Options, specs []utilSpec) []*Figure {
 	return figs
 }
 
-// utilizationStudy is Figure 8 or 9: one strategy over utilConfigs.
+// utilizationStudy is Figure 8 or 9: one strategy over paperPoints.
 func utilizationStudy(o Options, fig, title, note string, s strategy.Strategy) []*Figure {
 	var specs []utilSpec
-	for i, uc := range utilConfigs {
+	for i, uc := range paperPoints {
 		specs = append(specs, utilSpec{
 			id:    fmt.Sprintf("%s%c", fig, 'a'+i),
 			title: fmt.Sprintf("%s network utilization: %s at %gGbps", title, uc.model, uc.gbps),
@@ -290,7 +293,7 @@ func Fig12(o Options) []*Figure {
 		sizes = []float64{1000, 50_000, 1_000_000}
 	}
 	var figs []*Figure
-	for i, uc := range utilConfigs {
+	for i, uc := range paperPoints {
 		m := zoo.ByName(uc.model)
 		figs = append(figs, &Figure{
 			ID:     fmt.Sprintf("fig12%c", 'a'+i),
@@ -374,4 +377,15 @@ func Headline(o Options) []HeadlineRow {
 		})
 	}
 	return rows
+}
+
+// headlineCols print the Section 5.3 summary rows.
+var headlineCols = []column[HeadlineRow]{
+	{"model", "%s", func(r HeadlineRow) any { return r.Model }},
+	{"Gbps", "%g", func(r HeadlineRow) any { return r.BandwidthGbps }},
+	{"baseline", "%.1f", func(r HeadlineRow) any { return r.Baseline }},
+	{"slicing", "%.1f", func(r HeadlineRow) any { return r.Slicing }},
+	{"p3", "%.1f", func(r HeadlineRow) any { return r.P3 }},
+	{"speedup%", "%+.1f", func(r HeadlineRow) any { return r.SpeedupPct }},
+	{"paper%", "%+.1f", func(r HeadlineRow) any { return r.PaperPct }},
 }

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,6 +46,19 @@ func TestFig5(t *testing.T) {
 	if hi < 100 {
 		t.Fatalf("vgg19 max tensor %.1fM, want >100M (fc6)", hi)
 	}
+	// The three paper claims the report's "Measured: matches" line stands
+	// for: no ResNet-50 tensor above 2.4M, fc6 71.5% of VGG-19, Sockeye's
+	// first tensor its largest.
+	if _, hi := minMax(figs[0].Series[0].Y); hi >= 2.4 {
+		t.Errorf("resnet50 largest tensor %.2fM, paper says < 2.4M", hi)
+	}
+	if share := fmt.Sprintf("%.1f", hi/sum(vgg.Series[0].Y)*100); share != "71.5" {
+		t.Errorf("vgg19 fc6 share %s%%, paper says 71.5%%", share)
+	}
+	if y := figs[2].Series[0].Y; y[0] != slices.Max(y) {
+		t.Errorf("sockeye's first tensor (%.2fM) is not its largest (%.2fM)", y[0], slices.Max(y))
+	}
+	checkSection(t, "fig5", figs, "", "Figure 5 — parameter distribution", "Measured: matches")
 }
 
 func minMax(xs []float64) (lo, hi float64) {
@@ -63,6 +80,18 @@ func TestFig7FastShapes(t *testing.T) {
 		t.Fatalf("fig7 has %d sub-figures", len(figs))
 	}
 	checkGolden(t, "fig7", figsTSV(figs))
+	checkSection(t, "fig7", figs, "", "Figure 7 — bandwidth vs throughput", "| --- |", "Measured:", "max P3 gain")
+	// p3report's known deviations 2 and 3 quote these two gains.
+	gainAt := func(f *Figure, series int, x float64) string {
+		i := slices.Index(f.Series[0].X, x)
+		return fmt.Sprintf("%+.0f%%", (f.Series[series].Y[i]/f.Series[0].Y[i]-1)*100)
+	}
+	if g := gainAt(figs[2], 1, 30); g != "+17%" {
+		t.Errorf("vgg19 slicing-only gain at 30 Gbps %s, the report's deviation 2 says ~+17%%", g)
+	}
+	if g := gainAt(figs[1], 2, 4); g != "+7%" {
+		t.Errorf("inception3 P3 gain at 4 Gbps %s, the report's deviation 3 says +7%%", g)
+	}
 	for _, f := range figs {
 		checkFigure(t, f)
 		if len(f.Series) != 3 {
@@ -90,7 +119,9 @@ func TestFig8And9(t *testing.T) {
 		if len(figs) != 3 {
 			t.Fatalf("%d sub-figures", len(figs))
 		}
-		checkGolden(t, []string{"fig8", "fig9"}[i], figsTSV(figs))
+		id := []string{"fig8", "fig9"}[i]
+		checkGolden(t, id, figsTSV(figs))
+		checkSection(t, id, figs, "", []string{"Figure 8 — baseline network utilization", "Figure 9 — P3 network utilization"}[i], "| --- |")
 		for _, f := range figs {
 			checkFigure(t, f)
 			if len(f.Series) != 2 {
@@ -118,6 +149,7 @@ func TestFig10Scaling(t *testing.T) {
 		t.Fatalf("fig10 has %d sub-figures", len(figs))
 	}
 	checkGolden(t, "fig10", figsTSV(figs))
+	checkSection(t, "fig10", figs, "", "Figure 10 — scalability", "| --- |", "Measured: max P3 gain")
 	for _, f := range figs {
 		checkFigure(t, f)
 		for _, s := range f.Series {
@@ -137,6 +169,7 @@ func TestFig12SliceSweep(t *testing.T) {
 		t.Fatalf("fig12 has %d sub-figures", len(figs))
 	}
 	checkGolden(t, "fig12", figsTSV(figs))
+	checkSection(t, "fig12", figs, "", "Figure 12 — slice size vs throughput", "| --- |", "Measured peak:")
 	for _, f := range figs {
 		checkFigure(t, f)
 		s := f.Series[0]
@@ -157,7 +190,9 @@ func TestFig13And14(t *testing.T) {
 			t.Fatalf("%d figures", len(figs))
 		}
 		checkFigure(t, figs[0])
-		checkGolden(t, []string{"fig13", "fig14"}[i], figsTSV(figs))
+		id := []string{"fig13", "fig14"}[i]
+		checkGolden(t, id, figsTSV(figs))
+		checkSection(t, id, figs, "", []string{"Figure 13 — TensorFlow-style utilization", "Figure 14 — Poseidon/WFBP utilization"}[i], "| --- |")
 	}
 }
 
@@ -174,11 +209,12 @@ func TestHeadline(t *testing.T) {
 			t.Errorf("%s: P3 %.1f below baseline %.1f", r.Model, r.P3, r.Baseline)
 		}
 	}
-	tbl := HeadlineTable(rows)
+	tbl := tsv(headlineCols, rows)
 	if !strings.Contains(tbl, "vgg19") {
 		t.Fatalf("headline table:\n%s", tbl)
 	}
 	checkGolden(t, "headline", tbl)
+	checkSection(t, "headline", nil, tbl, "Section 5.3 headline speedups", "| --- |")
 }
 
 func TestFig11Fast(t *testing.T) {
@@ -189,6 +225,7 @@ func TestFig11Fast(t *testing.T) {
 	f := figs[0]
 	checkFigure(t, f)
 	checkGolden(t, "fig11", figsTSV(figs))
+	checkSection(t, "fig11", figs, "", "Figure 11 — convergence: P3 vs DGC", "| --- |", "Measured band gap")
 	if len(f.Series) != 4 {
 		t.Fatalf("fig11 has %d series, want min/max bands for p3 and dgc", len(f.Series))
 	}
@@ -206,6 +243,7 @@ func TestFig15Fast(t *testing.T) {
 	f := figs[0]
 	checkFigure(t, f)
 	checkGolden(t, "fig15", figsTSV(figs))
+	checkSection(t, "fig15", figs, "", "Figure 15 — ASGD vs P3", "80% reached at")
 	if len(f.Series) != 2 {
 		t.Fatalf("fig15 has %d series", len(f.Series))
 	}
@@ -223,5 +261,40 @@ func TestASCIIHandlesEmptyFigure(t *testing.T) {
 	f := &Figure{ID: "x", Title: "t", Series: []Series{{Name: "s"}}}
 	if out := f.ASCII(40, 8); !strings.Contains(out, "no data") {
 		t.Fatalf("empty figure rendering: %q", out)
+	}
+}
+
+// TestAll checks the experiment list's structure: unique IDs, exactly one
+// of Figures and Table, a Summary only beside Figures, a golden for every
+// ID but fig5 (its figures run no simulation), and no report paragraph
+// pointing at a DESIGN.md the repository never had.
+func TestAll(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range All {
+		if e.ID == "" || e.Title == "" || seen[e.ID] {
+			t.Errorf("entry %q: empty or repeated ID, or no title", e.ID)
+		}
+		seen[e.ID] = true
+		if (e.Figures == nil) == (e.Table == nil) {
+			t.Errorf("%s: want exactly one of Figures and Table", e.ID)
+		}
+		if e.Summary != nil && e.Figures == nil {
+			t.Errorf("%s: a Summary without Figures", e.ID)
+		}
+		if _, err := os.Stat(filepath.Join("testdata", e.ID+".golden")); (err == nil) == (e.ID == "fig5") {
+			t.Errorf("%s: golden present %v, want it for every ID but fig5", e.ID, err == nil)
+		}
+		if strings.Contains(e.Title+e.About, "DESIGN.md") {
+			t.Errorf("%s: cites DESIGN.md, which does not exist", e.ID)
+		}
+	}
+}
+
+func TestTSVToMarkdown(t *testing.T) {
+	in := "# comment dropped\na\tb\n1\t2\n3\t4\n"
+	got := markdown(in)
+	want := "| a | b |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n"
+	if got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }

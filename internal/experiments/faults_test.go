@@ -11,23 +11,11 @@ func TestFaultSweepFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep in -short mode")
 	}
-	rows := Faults(Options{Fast: true, Seed: 1, Shards: 2})
-	if len(rows) != 12 {
-		t.Fatalf("got %d rows, want 12 (3 disciplines x 4 scenarios)", len(rows))
+	tb := Faults(Options{Fast: true, Seed: 1, Shards: 2})
+	if len(tb.Rows) != 12 {
+		t.Fatalf("got %d rows, want 12 (3 disciplines x 4 scenarios)", len(tb.Rows))
 	}
-	seen := map[string]map[string]FaultRow{}
-	for _, r := range rows {
-		if r.PerMachine <= 0 || r.IterMs <= 0 {
-			t.Fatalf("degenerate row: %+v", r)
-		}
-		if r.RetainedPct <= 0 || r.RetainedPct > 120 {
-			t.Errorf("retained_pct out of range: %+v", r)
-		}
-		if seen[r.Sched] == nil {
-			seen[r.Sched] = map[string]FaultRow{}
-		}
-		seen[r.Sched][r.Scenario] = r
-	}
+	seen := byScenario(t, tb)
 	for _, sched := range []string{"fifo", "damped", "credit"} {
 		cells := seen[sched]
 		for _, scenario := range []string{"clean", "straggler", "agg-crash", "nic-degrade"} {
@@ -37,25 +25,53 @@ func TestFaultSweepFast(t *testing.T) {
 			}
 			switch scenario {
 			case "agg-crash":
-				if r.Failovers == 0 || r.Lost == 0 {
+				if r.AggFailovers == 0 || r.LostReductions == 0 {
 					t.Errorf("%s/agg-crash recorded %d failovers, %d lost reductions — the crash never exercised the failover path",
-						sched, r.Failovers, r.Lost)
+						sched, r.AggFailovers, r.LostReductions)
 				}
 			case "clean":
-				if r.RetainedPct != 100 {
-					t.Errorf("%s/clean retained %.1f%%, want exactly 100 (it is its own baseline)", sched, r.RetainedPct)
+				if r.retained != 100 {
+					t.Errorf("%s/clean retained %.1f%%, want exactly 100 (it is its own baseline)", sched, r.retained)
 				}
 				fallthrough
 			default:
-				if r.Failovers != 0 || r.Lost != 0 {
+				if r.AggFailovers != 0 || r.LostReductions != 0 {
 					t.Errorf("%s/%s recorded %d failovers, %d lost reductions without an aggregator crash",
-						sched, scenario, r.Failovers, r.Lost)
+						sched, scenario, r.AggFailovers, r.LostReductions)
 				}
 			}
 		}
 	}
 	// Shards: 2 above, same golden: the table is shard-count independent.
-	checkGolden(t, "faults", stripWall(FaultsTable(rows)))
+	checkGolden(t, "faults", stripWall(t, tb))
+	checkSection(t, "faults", nil, tb.TSV(), "Extension — fault injection and graceful degradation", "| --- |")
+}
+
+// faultCell is one row of the fault sweep with its retained_pct.
+type faultCell struct {
+	Row
+	retained float64
+}
+
+// byScenario indexes the fault sweep by discipline and scenario, checking
+// every row's throughput and retained_pct on the way.
+func byScenario(t *testing.T, tb *Table) map[string]map[string]faultCell {
+	t.Helper()
+	out := map[string]map[string]faultCell{}
+	for _, r := range tb.Rows {
+		c := faultCell{r, float(t, tb, r, "retained_pct")}
+		if r.PerMachine <= 0 || r.IterMs <= 0 {
+			t.Fatalf("degenerate row %s/%s", r.Config.Strategy.Sched, r.tag)
+		}
+		if c.retained <= 0 || c.retained > 120 {
+			t.Errorf("%s/%s: retained_pct %.1f out of range", r.Config.Strategy.Sched, r.tag, c.retained)
+		}
+		if out[r.Config.Strategy.Sched] == nil {
+			out[r.Config.Strategy.Sched] = map[string]faultCell{}
+		}
+		out[r.Config.Strategy.Sched][r.tag] = c
+	}
+	return out
 }
 
 // TestFaultGracefulDegradationFinding pins the graceful-degradation
@@ -88,35 +104,31 @@ func TestFaultGracefulDegradationFinding(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("full 64-machine fault sweep is for the non-race suite")
 	}
-	rows := Faults(Options{Seed: 1, Shards: 4})
-	cell := map[string]map[string]FaultRow{}
-	for _, r := range rows {
-		if cell[r.Sched] == nil {
-			cell[r.Sched] = map[string]FaultRow{}
-		}
-		cell[r.Sched][r.Scenario] = r
+	tb := Faults(Options{Seed: 1, Shards: 4})
+	cell := byScenario(t, tb)
+	for _, r := range tb.Rows {
 		t.Logf("%s/%s: %.1f samples/s/machine, retained %.1f%%, %d failovers, %d lost",
-			r.Sched, r.Scenario, r.PerMachine, r.RetainedPct, r.Failovers, r.Lost)
+			r.Config.Strategy.Sched, r.tag, r.PerMachine, float(t, tb, r, "retained_pct"), r.AggFailovers, r.LostReductions)
 	}
 	for _, sched := range []string{"fifo", "damped", "credit"} {
-		if got := cell[sched]["straggler"].RetainedPct; got < 95 {
+		if got := cell[sched]["straggler"].retained; got < 95 {
 			t.Errorf("%s retained %.1f%% under the 1.5x straggler, want >= 95 — the comm-bound regime stopped hiding the straggler, re-pin",
 				sched, got)
 		}
 		crash := cell[sched]["agg-crash"]
-		if crash.RetainedPct <= 1 || crash.RetainedPct >= 50 {
+		if crash.retained <= 1 || crash.retained >= 50 {
 			t.Errorf("%s retained %.1f%% under the permanent aggregator crash, want a degraded-but-alive run in (1, 50) — re-measure",
-				sched, crash.RetainedPct)
+				sched, crash.retained)
 		}
 	}
-	fifoNic := cell["fifo"]["nic-degrade"].RetainedPct
-	creditNic := cell["credit"]["nic-degrade"].RetainedPct
+	fifoNic := cell["fifo"]["nic-degrade"].retained
+	creditNic := cell["credit"]["nic-degrade"].retained
 	if creditNic <= fifoNic {
 		t.Errorf("credit retained %.1f%% under the half-rate NIC vs fifo's %.1f%% — the windowed-degradation ordering flipped, re-pin",
 			creditNic, fifoNic)
 	}
-	fifoCrash := cell["fifo"]["agg-crash"].RetainedPct
-	creditCrash := cell["credit"]["agg-crash"].RetainedPct
+	fifoCrash := cell["fifo"]["agg-crash"].retained
+	creditCrash := cell["credit"]["agg-crash"].retained
 	if fifoCrash <= creditCrash {
 		t.Errorf("fifo retained %.1f%% under the aggregator crash vs credit's %.1f%% — the static-window/BDP-mismatch finding flipped; if an adaptive window fixed it, re-pin",
 			fifoCrash, creditCrash)

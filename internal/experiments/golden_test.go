@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,17 +45,28 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// stripWall drops the last tab-separated column of every line: the
-// sim_wall_ms column of the scale, rack and fault tables, the one value in
-// them that is not a function of the cell's config.
-func stripWall(table string) string {
-	lines := strings.Split(table, "\n")
-	for i, l := range lines {
-		if j := strings.LastIndexByte(l, '\t'); j >= 0 {
-			lines[i] = l[:j]
+// stripWall renders the table without its sim_wall_ms column, the one
+// value in it that is not a function of the cell's config.
+func stripWall(t *testing.T, tb *Table) string {
+	t.Helper()
+	cols := slices.DeleteFunc(slices.Clone(tb.cols), func(c column[Row]) bool { return c.name == "sim_wall_ms" })
+	if len(cols) != len(tb.cols)-1 {
+		t.Fatalf("table has no sim_wall_ms column to strip")
+	}
+	return tsv(cols, tb.Rows)
+}
+
+// float is row r's value in the named column of tb: how tests read the
+// columns derived after the run (retained_pct, ttc_speedup_vs_fifo).
+func float(t *testing.T, tb *Table, r Row, name string) float64 {
+	t.Helper()
+	for _, c := range tb.cols {
+		if c.name == name {
+			return c.val(r).(float64)
 		}
 	}
-	return strings.Join(lines, "\n")
+	t.Fatalf("table has no column %q", name)
+	return 0
 }
 
 // figsTSV is the golden text of a figure set: every sub-figure's TSV.
@@ -63,4 +76,40 @@ func figsTSV(figs []*Figure) string {
 		b.WriteString(f.TSV())
 	}
 	return b.String()
+}
+
+// byID is the entry of All with the given ID.
+func byID(t *testing.T, id string) Experiment {
+	t.Helper()
+	i := slices.IndexFunc(All, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		t.Fatalf("no experiment %q in All", id)
+	}
+	return All[i]
+}
+
+// checkSection renders output a test already computed as the experiment's
+// report section and checks it: the section heading, a body under the
+// heading and paragraph, every fragment given, and no pointer to a
+// DESIGN.md the repository never had. table is the TSV of a Table entry;
+// figs the figures of a Figures entry.
+func checkSection(t *testing.T, id string, figs []*Figure, table string, frags ...string) {
+	t.Helper()
+	e := byID(t, id)
+	sec := e.section(figs, table)
+	head := fmt.Sprintf("## %s\n\n", e.Title)
+	if e.About != "" {
+		head += e.About + "\n\n"
+	}
+	if !strings.HasPrefix(sec, head) || strings.TrimSpace(sec[len(head):]) == "" {
+		t.Errorf("%s: section has no body under its heading:\n%s", id, sec)
+	}
+	for _, frag := range frags {
+		if !strings.Contains(sec, frag) {
+			t.Errorf("%s: section missing %q:\n%s", id, frag, sec)
+		}
+	}
+	if strings.Contains(sec, "DESIGN.md") {
+		t.Errorf("%s: section cites DESIGN.md, which does not exist", id)
+	}
 }

@@ -32,62 +32,60 @@ func TestRackSweepFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rack sweep in -short mode")
 	}
-	rows := Rack(Options{Fast: true, Seed: 1})
-	if len(rows) == 0 {
+	tb := Rack(Options{Fast: true, Seed: 1})
+	if len(tb.Rows) == 0 {
 		t.Fatal("no rack rows")
 	}
 	events := map[rackProto]uint64{}
-	byProto := map[rackProto]RackRow{}
-	for _, r := range rows {
+	byProto := map[rackProto]Row{}
+	for _, r := range tb.Rows {
 		if r.PerMachine <= 0 || r.IterMs <= 0 {
-			t.Fatalf("degenerate row: %+v", r)
+			t.Fatalf("degenerate row: %+v", r.Config)
 		}
-		key := rackProto{r.Agg, r.Hier, r.Local, r.Pull, r.Pods, r.AggGBps}
+		key := rackProto{r.RackAggregation, r.HierAggregation, r.RackLocalPS,
+			r.Config.Strategy.Pull == strategy.NotifyPull, r.Topology.Pods, r.AggReduceGBps}
 		if want, ok := events[key]; !ok {
 			events[key] = r.Events
 		} else if r.Events != want {
-			t.Errorf("event volume should depend only on the protocol axes: %+v has %d, want %d", r, r.Events, want)
+			t.Errorf("event volume should depend only on the protocol axes: %+v has %d, want %d", r.Config, r.Events, want)
 		}
-		if r.CoreMB <= 0 {
-			t.Errorf("no core traffic recorded: %+v", r)
+		if r.CoreBytes <= 0 {
+			t.Errorf("no core traffic recorded: %+v", r.Config)
 		}
-		if r.Pods > 0 && r.SpineMB <= 0 {
-			t.Errorf("no spine traffic recorded on a two-tier cell: %+v", r)
+		if r.Topology.Pods > 0 && r.SpineBytes <= 0 {
+			t.Errorf("no spine traffic recorded on a two-tier cell: %+v", r.Config)
 		}
-		if r.Pods == 0 && r.SpineMB != 0 {
-			t.Errorf("spine traffic on a single-tier cell: %+v", r)
+		if r.Topology.Pods == 0 && r.SpineBytes != 0 {
+			t.Errorf("spine traffic on a single-tier cell: %+v", r.Config)
 		}
 		byProto[key] = r
 	}
-	flat := byProto[rackProto{}]
-	agg := byProto[rackProto{agg: true}]
-	if agg.Model == "" || flat.Model == "" {
-		t.Fatal("fast sweep lost the single-tier agg on/off pair")
+	pair := func(what string, a, b rackProto) (Row, Row) {
+		ra, okA := byProto[a]
+		rb, okB := byProto[b]
+		if !okA || !okB {
+			t.Fatalf("fast sweep lost the %s pair", what)
+		}
+		return ra, rb
 	}
-	if agg.CoreMB >= flat.CoreMB {
-		t.Errorf("aggregation moved %.0f MB through the core, flat moved %.0f — aggregation should shrink core traffic",
-			agg.CoreMB, flat.CoreMB)
+	flat, agg := pair("single-tier agg on/off", rackProto{}, rackProto{agg: true})
+	if agg.CoreBytes >= flat.CoreBytes {
+		t.Errorf("aggregation moved %d bytes through the core, flat moved %d — aggregation should shrink core traffic",
+			agg.CoreBytes, flat.CoreBytes)
 	}
-	twoTier := byProto[rackProto{agg: true, pods: 2}]
-	hier := byProto[rackProto{agg: true, pods: 2, hier: true}]
-	if twoTier.Model == "" || hier.Model == "" {
-		t.Fatal("fast sweep lost the two-tier rack-only/hier pair")
+	twoTier, hier := pair("two-tier rack-only/hier", rackProto{agg: true, pods: 2}, rackProto{agg: true, pods: 2, hier: true})
+	if hier.SpineBytes >= twoTier.SpineBytes {
+		t.Errorf("hierarchical aggregation moved %d bytes through the spine, rack-only moved %d — the pod reduction should shrink spine traffic",
+			hier.SpineBytes, twoTier.SpineBytes)
 	}
-	if hier.SpineMB >= twoTier.SpineMB {
-		t.Errorf("hierarchical aggregation moved %.0f MB through the spine, rack-only moved %.0f — the pod reduction should shrink spine traffic",
-			hier.SpineMB, twoTier.SpineMB)
+	pull, local := pair("pull-mode local on/off", rackProto{agg: true, pull: true}, rackProto{agg: true, pull: true, local: true})
+	if local.CoreBytes >= pull.CoreBytes {
+		t.Errorf("rack-local PS moved %d bytes through the core, plain pull moved %d — pulls should stay in-rack",
+			local.CoreBytes, pull.CoreBytes)
 	}
-	pull := byProto[rackProto{agg: true, pull: true}]
-	local := byProto[rackProto{agg: true, pull: true, local: true}]
-	if pull.Model == "" || local.Model == "" {
-		t.Fatal("fast sweep lost the pull-mode local on/off pair")
-	}
-	if local.CoreMB >= pull.CoreMB {
-		t.Errorf("rack-local PS moved %.0f MB through the core, plain pull moved %.0f — pulls should stay in-rack",
-			local.CoreMB, pull.CoreMB)
-	}
-	table := RackTable(rows)
-	checkGolden(t, "rack", stripWall(table))
+	table := tb.TSV()
+	checkGolden(t, "rack", stripWall(t, tb))
+	checkSection(t, "rack", nil, table, "Extension — rack-scale topology", "| --- |")
 	for _, want := range []string{"spread", "packed", "4:1", "blind", "damped", "baseline", "sliced", "inf", "\ton\t", "\toff\t"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("rack table missing %q:\n%s", want, table)

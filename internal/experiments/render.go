@@ -111,13 +111,51 @@ func (f *Figure) ASCII(width, height int) string {
 	return b.String()
 }
 
-// HeadlineTable renders the Section 5.3 summary rows.
-func HeadlineTable(rows []HeadlineRow) string {
+// column is one column of a table over rows of type R: its header, the
+// fmt verb its cells print with, and a row's value.
+type column[R any] struct {
+	name, verb string
+	val        func(R) any
+}
+
+// tsv renders rows as a tab-separated table: a header line of column names,
+// then one line per row.
+func tsv[R any](cols []column[R], rows []R) string {
 	var b strings.Builder
-	b.WriteString("model\tGbps\tbaseline\tslicing\tp3\tspeedup%\tpaper%\n")
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte('\t')
+		}
+		b.WriteString(c.name)
+	}
+	b.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s\t%g\t%.1f\t%.1f\t%.1f\t%+.1f\t%+.1f\n",
-			r.Model, r.BandwidthGbps, r.Baseline, r.Slicing, r.P3, r.SpeedupPct, r.PaperPct)
+		for i, c := range cols {
+			if i > 0 {
+				b.WriteByte('\t')
+			}
+			fmt.Fprintf(&b, c.verb, c.val(r))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// markdown renders a TSV table as a markdown table, dropping its # comment
+// lines.
+func markdown(table string) string {
+	var b strings.Builder
+	rows := 0
+	for _, line := range strings.Split(strings.TrimRight(table, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		cells := strings.Split(line, "\t")
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
+		if rows == 0 {
+			b.WriteString("|" + strings.Repeat(" --- |", len(cells)) + "\n")
+		}
+		rows++
 	}
 	return b.String()
 }

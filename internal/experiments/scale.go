@@ -1,38 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"p3/internal/zoo"
-)
-
-// ScaleRow is one cell of the cluster-size scale axis: a model at the
-// 1.5 Gbps bottleneck bandwidth (where ordering dominates), swept well past
-// the paper's 4-16 machines on both aggregation paths. WallMs records the
-// simulator's own cost for the cell — the number the dispatch-path
-// optimization is accountable to — and Events its discrete-event volume.
-type ScaleRow struct {
-	Model    string
-	Machines int
-	// Path is the aggregation path: "cluster" (parameter server) or "ring"
-	// (all-reduce).
-	Path  string
-	Sched string
-	// Profile is the timing profile the discipline ranked against:
-	// "static" (FLOP-derived), "measured" (the two-pass calibrated mode,
-	// rebuilt from the first pass's observed stalls), or "-" for
-	// model-blind disciplines.
-	Profile string
-	// PerMachine is per-machine training throughput (samples/sec); the
-	// paper's scalability claim is that it stays flat as machines grow.
-	PerMachine float64
-	IterMs     float64
-	// Events is the discrete-event count of the run; at 64 machines the
-	// cluster path multiplies traffic ~250x over 4 machines.
-	Events uint64
-	// WallMs is the wall-clock cost of simulating the cell (outcome.WallMs).
-	WallMs float64
-}
+import "p3/internal/zoo"
 
 // scaleSizes returns the machine-count axis. 64 machines was impractical
 // before the O(log F) dispatch rewrite: every egress queue holds one flow
@@ -89,13 +57,16 @@ func scaleVariants() []scaleVariant {
 // Scale sweeps cluster sizes past the paper's testbed (Figure 10 stops at
 // 16 machines): the sliced strategy under fifo, p3, damped-p3 and
 // static/calibrated tictac ordering, parameter server and ring all-reduce,
-// at the bottleneck bandwidth. The damped and calibrated columns pin the
-// 64-machine result: strict p3 inverts against fifo at high fan-in, the
-// damped rank does not.
-func Scale(o Options) []ScaleRow {
-	const name = "resnet50"
-	m := zoo.ByName(name)
-	var rows []ScaleRow
+// at the 1.5 Gbps bottleneck bandwidth, where ordering dominates. The
+// paper's scalability claim is that per-machine throughput stays flat as
+// machines grow. The damped and calibrated columns pin the 64-machine
+// result: strict p3 inverts against fifo at high fan-in, the damped rank
+// does not. The profile column names what a discipline ranked against:
+// "static" (FLOP-derived), "measured" (the two-pass calibrated mode,
+// rebuilt from the first pass's observed stalls), or "-" for model-blind
+// disciplines. events and sim_wall_ms are the simulator's own cost per cell.
+func Scale(o Options) *Table {
+	m := zoo.ByName("resnet50")
 	var cells []cell
 	for _, path := range []string{PathCluster, PathRing} {
 		for _, n := range scaleSizes(path, o.Fast) {
@@ -106,33 +77,23 @@ func Scale(o Options) []ScaleRow {
 					// single-pass fifo/p3/damped/tictac axis.
 					continue
 				}
-				row := ScaleRow{Model: name, Machines: n, Path: path, Sched: v.sched, Profile: "-"}
-				switch {
-				case v.calibrated:
-					row.Profile = "measured"
-				case v.sched == "tictac":
-					row.Profile = "static"
-				}
-				rows = append(rows, row)
 				c := testbed(m, sliced(v.sched), 1.5)
 				c.Machines, c.ring, c.calibrated = n, path == PathRing, v.calibrated
 				cells = append(cells, c)
 			}
 		}
 	}
-	for i, out := range runCells(o, cells) {
-		rows[i].PerMachine, rows[i].IterMs, rows[i].Events, rows[i].WallMs = out.PerMachine, out.IterMs, out.Events, out.WallMs
-	}
-	return rows
-}
-
-// ScaleTable renders the scale axis, one line per (path, machines, sched,
-// profile).
-func ScaleTable(rows []ScaleRow) string {
-	out := "model\tpath\tmachines\tsched\tprofile\tsamples/s/machine\titer_ms\tevents\tsim_wall_ms\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%s\t%s\t%d\t%s\t%s\t%.1f\t%.2f\t%d\t%.1f\n",
-			r.Model, r.Path, r.Machines, r.Sched, r.Profile, r.PerMachine, r.IterMs, r.Events, r.WallMs)
-	}
-	return out
+	return runTable(o, cells, []column[Row]{
+		colModel, colPath, colMachines, colSched,
+		{"profile", "%s", func(r Row) any {
+			switch {
+			case r.calibrated:
+				return "measured"
+			case r.Config.Strategy.Sched == "tictac":
+				return "static"
+			}
+			return "-"
+		}},
+		colPerMachine, colIterMs, colEvents, colWall,
+	})
 }

@@ -13,8 +13,8 @@ func TestScaleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-machine sweep in -short mode")
 	}
-	rows := Scale(Options{Fast: true, Seed: 1})
-	if len(rows) == 0 {
+	tb := Scale(Options{Fast: true, Seed: 1})
+	if len(tb.Rows) == 0 {
 		t.Fatal("no scale rows")
 	}
 	events := map[int]uint64{}
@@ -24,25 +24,26 @@ func TestScaleSweep(t *testing.T) {
 		machines int
 	}
 	type variantKey struct {
-		sched   string
-		profile string
+		sched      string
+		calibrated bool
 	}
-	byCell := map[cellKey]map[variantKey]ScaleRow{}
-	for _, r := range rows {
+	byCell := map[cellKey]map[variantKey]Row{}
+	for _, r := range tb.Rows {
 		if r.PerMachine <= 0 || r.IterMs <= 0 {
-			t.Fatalf("degenerate row: %+v", r)
+			t.Fatalf("degenerate row: %+v", r.Config)
 		}
-		if r.Path == PathCluster && r.Sched == "p3" {
-			events[r.Machines] = r.Events
+		sched := r.Config.Strategy.Sched
+		if !r.ring && sched == "p3" {
+			events[r.Config.Machines] = r.Events
 		}
-		if r.Machines == 64 {
+		if r.Config.Machines == 64 {
 			saw64 = true
 		}
-		ck := cellKey{r.Path, r.Machines}
+		ck := cellKey{r.path(), r.Config.Machines}
 		if byCell[ck] == nil {
-			byCell[ck] = map[variantKey]ScaleRow{}
+			byCell[ck] = map[variantKey]Row{}
 		}
-		byCell[ck][variantKey{r.Sched, r.Profile}] = r
+		byCell[ck][variantKey{sched, r.calibrated}] = r
 	}
 	if !saw64 {
 		t.Fatal("fast sweep lost the 64-machine cell")
@@ -59,10 +60,10 @@ func TestScaleSweep(t *testing.T) {
 		if len(per) != len(scaleVariants()) {
 			t.Fatalf("%v: %d variants, want %d", ck, len(per), len(scaleVariants()))
 		}
-		fifo := per[variantKey{"fifo", "-"}]
-		p3 := per[variantKey{"p3", "-"}]
-		damped := per[variantKey{"damped", "-"}]
-		dampedCal := per[variantKey{"damped:tictac", "measured"}]
+		fifo := per[variantKey{"fifo", false}]
+		p3 := per[variantKey{"p3", false}]
+		damped := per[variantKey{"damped", false}]
+		dampedCal := per[variantKey{"damped:tictac", true}]
 		if damped.IterMs > fifo.IterMs {
 			t.Errorf("%v: damped %.2f ms above fifo %.2f ms — inversion", ck, damped.IterMs, fifo.IterMs)
 		}
@@ -75,9 +76,14 @@ func TestScaleSweep(t *testing.T) {
 		if ck.machines == 64 && damped.IterMs > p3.IterMs {
 			t.Errorf("%v: damped %.2f ms above strict p3 %.2f ms", ck, damped.IterMs, p3.IterMs)
 		}
+		// The inversion the report's scale paragraph states.
+		if ck == (cellKey{PathCluster, 64}) && p3.IterMs <= fifo.IterMs {
+			t.Errorf("%v: strict p3 %.2f ms no longer above fifo %.2f ms — the 64-machine inversion is gone, reword the report", ck, p3.IterMs, fifo.IterMs)
+		}
 	}
-	table := ScaleTable(rows)
-	checkGolden(t, "scale", stripWall(table))
+	table := tb.TSV()
+	checkGolden(t, "scale", stripWall(t, tb))
+	checkSection(t, "scale", nil, table, "Extension — scale axis", "| --- |")
 	if !strings.Contains(table, "cluster\t64\tp3") {
 		t.Fatalf("table missing the 64-machine p3 cell:\n%s", table)
 	}

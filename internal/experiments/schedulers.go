@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"p3/internal/netsim"
 	"p3/internal/sched"
@@ -21,62 +22,17 @@ const (
 	PathRing    = "ring"
 )
 
-// SchedulerRow is one (model, path, discipline, preemption) cell of the
-// scheduler ablation.
-type SchedulerRow struct {
-	Model         string
-	BandwidthGbps float64
-	// Path is the aggregation path: "cluster" (parameter server) or "ring"
-	// (all-reduce).
-	Path  string
-	Sched string
-	// Preempt is the egress preemption quantum in wire bytes (0 = off:
-	// an in-flight message always finishes — the paper's semantics).
-	// Non-zero rows model true sub-message preemption, the upper bound
-	// that parameter slicing approximates. Preemption is inert by
-	// construction for fifo (nothing is ever more urgent) and rr (stride
-	// rank is a dispatch position, not urgency), so those rows pin the
-	// segmented path's bit-parity instead of measuring a policy.
-	Preempt int64
-	// PerMachine is the per-machine training throughput (samples/sec).
-	PerMachine float64
-	// IterMs is the mean iteration makespan in milliseconds.
-	IterMs float64
-	// TTCSpeedup is the time-to-convergence speedup over non-preemptive
-	// fifo on the same path. Synchronous SGD's convergence trajectory is
-	// identical under every discipline (the wire order changes, the math
-	// does not), so time-to-convergence scales exactly with iteration
-	// time: fifo_iter / sched_iter.
-	TTCSpeedup float64
-}
-
 // schedCases returns the (model, bandwidth) grid of the ablation: each
 // sweep model at its paper-headline bandwidth, plus every zoo model at the
 // 1.5 Gbps bottleneck where ordering (and preemption) dominates. Fast mode
 // trims the low-bandwidth axis to the cheapest model.
-func schedCases(o Options) []struct {
-	model string
-	gbps  float64
-} {
-	cases := []struct {
-		model string
-		gbps  float64
-	}{
-		{"resnet50", 4},
-		{"vgg19", 15},
-		{"sockeye", 4},
-	}
+func schedCases(o Options) []modelAt {
+	cases := slices.Clone(paperPoints)
 	if o.Fast {
-		return append(cases, struct {
-			model string
-			gbps  float64
-		}{"resnet110", 1.5})
+		return append(cases, modelAt{"resnet110", 1.5})
 	}
 	for _, m := range []string{"resnet50", "inception3", "vgg19", "sockeye", "resnet110"} {
-		cases = append(cases, struct {
-			model string
-			gbps  float64
-		}{m, 1.5})
+		cases = append(cases, modelAt{m, 1.5})
 	}
 	return cases
 }
@@ -89,18 +45,23 @@ func schedCases(o Options) []struct {
 // critical-path ranking, per-destination adaptive credit, and the
 // true-preemption upper bound (netsim.DefaultPreemptQuantum segments) that
 // parameter slicing approximates, with no changes outside the strategy's
-// Sched name and the network's preemption quantum.
-func SchedulerAblation(o Options) []SchedulerRow {
-	var rows []SchedulerRow
+// Sched name and the network's preemption quantum. Preemption is inert by
+// construction for fifo (nothing is ever more urgent) and rr (stride rank
+// is a dispatch position, not urgency), so those rows pin the segmented
+// path's bit-parity instead of measuring a policy.
+//
+// ttc_speedup_vs_fifo is the time-to-convergence speedup over
+// non-preemptive fifo on the same path. Synchronous SGD's convergence
+// trajectory is identical under every discipline (the wire order changes,
+// the math does not), so time-to-convergence scales exactly with iteration
+// time: fifo_iter / sched_iter.
+func SchedulerAblation(o Options) *Table {
 	var cells []cell
 	for _, c := range schedCases(o) {
 		m := zoo.ByName(c.model)
 		for _, path := range []string{PathCluster, PathRing} {
 			for _, name := range SchedDisciplines() {
 				for _, preempt := range []int64{0, netsim.DefaultPreemptQuantum} {
-					rows = append(rows, SchedulerRow{
-						Model: c.model, BandwidthGbps: c.gbps, Path: path, Sched: name, Preempt: preempt,
-					})
 					cl := testbed(m, sliced(name), c.gbps)
 					cl.PreemptQuantum = preempt
 					cl.ring = path == PathRing
@@ -109,41 +70,32 @@ func SchedulerAblation(o Options) []SchedulerRow {
 			}
 		}
 	}
-	for i, out := range runCells(o, cells) {
-		rows[i].PerMachine, rows[i].IterMs = out.PerMachine, out.IterMs
-	}
-	// Resolve TTCSpeedup against each (model, bandwidth, path) group's
-	// non-preemptive fifo row (a model appears at several bandwidths): the
-	// fifo cell doubles as its group's reference, so this is a serial second
-	// pass over the outcomes.
+	// Each (model, bandwidth, path) group's non-preemptive fifo cell is its
+	// reference (a model appears at several bandwidths), read after the run.
 	type group struct {
 		model string
 		gbps  float64
 		path  string
 	}
+	groupOf := func(r Row) group { return group{r.Config.Model.Name, r.Config.BandwidthGbps, r.path()} }
 	fifoIter := make(map[group]float64)
-	for i := range rows {
-		if rows[i].Sched == "fifo" && rows[i].Preempt == 0 {
-			fifoIter[group{rows[i].Model, rows[i].BandwidthGbps, rows[i].Path}] = rows[i].IterMs
+	t := runTable(o, cells, []column[Row]{
+		colModel,
+		{"Gbps", "%g", func(r Row) any { return r.Config.BandwidthGbps }},
+		colPath, colSched,
+		{"preempt", "%s", func(r Row) any {
+			if r.PreemptQuantum > 0 {
+				return fmt.Sprintf("%dKiB", r.PreemptQuantum>>10)
+			}
+			return "off"
+		}},
+		colPerMachine, colIterMs,
+		{"ttc_speedup_vs_fifo", "%.3fx", func(r Row) any { return fifoIter[groupOf(r)] / r.IterMs }},
+	})
+	for _, r := range t.Rows {
+		if r.Config.Strategy.Sched == "fifo" && r.PreemptQuantum == 0 {
+			fifoIter[groupOf(r)] = r.IterMs
 		}
 	}
-	for i := range rows {
-		rows[i].TTCSpeedup = fifoIter[group{rows[i].Model, rows[i].BandwidthGbps, rows[i].Path}] / rows[i].IterMs
-	}
-	return rows
-}
-
-// SchedulerTable renders the ablation, one line per (model, path,
-// discipline, preemption) cell.
-func SchedulerTable(rows []SchedulerRow) string {
-	out := "model\tGbps\tpath\tsched\tpreempt\tsamples/s/machine\titer_ms\tttc_speedup_vs_fifo\n"
-	for _, r := range rows {
-		preempt := "off"
-		if r.Preempt > 0 {
-			preempt = fmt.Sprintf("%dKiB", r.Preempt>>10)
-		}
-		out += fmt.Sprintf("%s\t%g\t%s\t%s\t%s\t%.1f\t%.2f\t%.3fx\n",
-			r.Model, r.BandwidthGbps, r.Path, r.Sched, preempt, r.PerMachine, r.IterMs, r.TTCSpeedup)
-	}
-	return out
+	return t
 }

@@ -14,8 +14,10 @@ import (
 // than collapsing.
 func TestSchedulerAblation(t *testing.T) {
 	o := Options{Fast: true}
-	rows := SchedulerAblation(o)
-	checkGolden(t, "sched", SchedulerTable(rows))
+	tb := SchedulerAblation(o)
+	rows := tb.Rows
+	checkGolden(t, "sched", tb.TSV())
+	checkSection(t, "sched", nil, tb.TSV(), "Scheduler ablation — every discipline", "| --- |")
 	cases := len(schedCases(o))
 	const paths = 2
 	const preempts = 2
@@ -38,16 +40,18 @@ func TestSchedulerAblation(t *testing.T) {
 		gbps  float64
 		path  string
 	}
-	byCell := map[cellKey]map[string]SchedulerRow{}
+	keyOf := func(r Row) cellKey { return cellKey{r.Config.Model.Name, r.Config.BandwidthGbps, r.path()} }
+	byCell := map[cellKey]map[string]Row{}
 	for _, r := range rows {
-		key := cellKey{r.Model, r.BandwidthGbps, r.Path}
+		key := keyOf(r)
 		if byCell[key] == nil {
-			byCell[key] = map[string]SchedulerRow{}
+			byCell[key] = map[string]Row{}
 		}
-		if r.Preempt == 0 {
-			byCell[key][r.Sched] = r
+		if r.PreemptQuantum == 0 {
+			byCell[key][r.Config.Strategy.Sched] = r
 		}
 	}
+	ttc := func(r Row) float64 { return float(t, tb, r, "ttc_speedup_vs_fifo") }
 	if len(byCell) != cases*paths {
 		t.Fatalf("%d (model, bandwidth, path) cells, want %d", len(byCell), cases*paths)
 	}
@@ -64,14 +68,14 @@ func TestSchedulerAblation(t *testing.T) {
 			if !(p3.IterMs < fifo.IterMs) {
 				t.Errorf("%v: p3 iter %.2f ms not below fifo %.2f ms", cell, p3.IterMs, fifo.IterMs)
 			}
-			if !(p3.TTCSpeedup > 1.0) {
-				t.Errorf("%v: p3 time-to-convergence speedup %.3f <= 1", cell, p3.TTCSpeedup)
+			if !(ttc(p3) > 1.0) {
+				t.Errorf("%v: p3 time-to-convergence speedup %.3f <= 1", cell, ttc(p3))
 			}
 		} else if p3.IterMs > fifo.IterMs {
 			t.Errorf("%v: p3 iter %.2f ms above fifo %.2f ms", cell, p3.IterMs, fifo.IterMs)
 		}
-		if fifo.TTCSpeedup != 1.0 {
-			t.Errorf("%v: fifo speedup %.3f, want exactly 1", cell, fifo.TTCSpeedup)
+		if ttc(fifo) != 1.0 {
+			t.Errorf("%v: fifo speedup %.3f, want exactly 1", cell, ttc(fifo))
 		}
 		// The credit window approximates p3 (it is p3 plus a bounded
 		// in-flight budget), so it must land within a few percent; the
@@ -102,13 +106,14 @@ func TestSchedulerAblation(t *testing.T) {
 	// urgency), so their preemptive rows must reproduce the non-preemptive
 	// numbers exactly — segment timing telescopes.
 	for _, r := range rows {
-		if (r.Sched != "fifo" && r.Sched != "rr") || r.Preempt == 0 {
+		sched := r.Config.Strategy.Sched
+		if (sched != "fifo" && sched != "rr") || r.PreemptQuantum == 0 {
 			continue
 		}
-		base := byCell[cellKey{r.Model, r.BandwidthGbps, r.Path}][r.Sched]
+		base := byCell[keyOf(r)][sched]
 		if r.IterMs != base.IterMs || r.PerMachine != base.PerMachine {
-			t.Errorf("%s/%g/%s: preemptive %s (%.4f ms) != %s (%.4f ms); preemption must be inert",
-				r.Model, r.BandwidthGbps, r.Path, r.Sched, r.IterMs, r.Sched, base.IterMs)
+			t.Errorf("%v: preemptive %s (%.4f ms) != %s (%.4f ms); preemption must be inert",
+				keyOf(r), sched, r.IterMs, sched, base.IterMs)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"p3/internal/strategy"
 	"p3/internal/zoo"
 )
@@ -61,11 +59,11 @@ func Sensitivity(o Options) []SensitivityRow {
 	return rows
 }
 
-// SensitivityTable renders the sweep.
-func SensitivityTable(rows []SensitivityRow) string {
-	out := "knob\tvalue\tbaseline\tp3\tgain%\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%s\t%d\t%.1f\t%.1f\t%+.1f\n", r.Knob, r.Value, r.Baseline, r.P3, r.GainPct)
-	}
-	return out
+// sensitivityCols print the sweep.
+var sensitivityCols = []column[SensitivityRow]{
+	{"knob", "%s", func(r SensitivityRow) any { return r.Knob }},
+	{"value", "%d", func(r SensitivityRow) any { return r.Value }},
+	{"baseline", "%.1f", func(r SensitivityRow) any { return r.Baseline }},
+	{"p3", "%.1f", func(r SensitivityRow) any { return r.P3 }},
+	{"gain%", "%+.1f", func(r SensitivityRow) any { return r.GainPct }},
 }

@@ -31,9 +31,10 @@ func TestSensitivity(t *testing.T) {
 	if oneServer.P3 > fourServers.P3*1.001 {
 		t.Errorf("1 server (%.1f) beat 4 servers (%.1f) under P3", oneServer.P3, fourServers.P3)
 	}
-	tbl := SensitivityTable(rows)
+	tbl := tsv(sensitivityCols, rows)
 	if !strings.Contains(tbl, "gain%") {
 		t.Fatal("table broken")
 	}
 	checkGolden(t, "sensitivity", tbl)
+	checkSection(t, "sensitivity", nil, tbl, "Sensitivity — server count and batch size", "| --- |")
 }
