@@ -270,7 +270,7 @@ func TestShardSpeedup64(t *testing.T) {
 
 // BenchmarkScale256Shards8Credit is the 256-machine credit cell on the
 // parallel executor — the cell the window-relaxed refund protocol moved
-// off the single-heap engine (credit-gated egress historically forced
+// off the one-shard sim.Engine (credit-gated egress historically forced
 // shards=1, so this cell used to run single-core while every ungated
 // discipline fanned out).
 func BenchmarkScale256Shards8Credit(b *testing.B) {

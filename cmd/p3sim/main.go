@@ -79,7 +79,7 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 	fs.BoolVar(&opt.calibrate, "calibrate", false, "two-pass calibrated mode: re-run with the profile rebuilt from the first pass's measured stalls and report both")
 	fs.StringVar(&opt.stallsIn, "stalls", "", "run against a measured stall profile (file written by -stallsout) instead of the static timing")
 	fs.StringVar(&opt.stallsOut, "stallsout", "", "write the run's measured per-layer mean stalls to this file")
-	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards for the conservative-lookahead parallel engine (1 = the single-heap engine; results are bit-identical either way)")
+	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards: 1 runs one event loop, >= 2 the conservative-lookahead parallel engine with that many (results are bit-identical either way)")
 	fs.IntVar(&cfg.Topology.RackSize, "racksize", 0, "machines per rack (0 = flat network; >0 adds per-rack ToR uplinks and an oversubscribable core)")
 	fs.Float64Var(&cfg.Topology.CoreOversub, "oversub", 0, "core oversubscription ratio for -racksize topologies (0 or 1 = non-blocking core, values in (0,1) undersubscribe)")
 	fs.StringVar(&cfg.Topology.CoreSched, "coresched", "", "queue discipline for the ToR core ports (requires -racksize; empty = blind FIFO ports)")
@@ -100,6 +100,11 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 		// 0 would mean Config's default; the recorder and the plan generator
 		// below need the actual count.
 		return cfg, opt, fmt.Errorf("-machines %d: must be at least 1", cfg.Machines)
+	}
+	if cfg.Shards < 1 {
+		// Config reads 0 as one shard; the engine line printed after the
+		// run should not.
+		return cfg, opt, fmt.Errorf("-shards %d: must be at least 1", cfg.Shards)
 	}
 	if cfg.Strategy, err = strategy.ByName(*stratName); err != nil {
 		return cfg, opt, err

@@ -34,6 +34,8 @@ func TestTopologyFromFlags(t *testing.T) {
 		{args: "-machines 4 -pods 2", wantErr: "without a rack topology"},
 		{args: "-machines 8 -racksize 4 -rackagg -strategy asgd", wantErr: "ASGD"},
 		{args: "-machines 0", wantErr: "-machines"},
+		{args: "-shards 0", wantErr: "-shards 0"},
+		{args: "-shards -3", wantErr: "-shards -3"},
 		{args: "-strategy nosuch", wantErr: "nosuch"},
 		{args: "-model nosuch", wantErr: "nosuch"},
 	} {

@@ -156,14 +156,13 @@ func newClusterSim(cfg Config) *clusterSim {
 	}
 	netCfg.Profile = prof
 
-	// Engine selection: the single-heap engine for Shards <= 1, the
-	// conservative-lookahead parallel engine above that. The lookahead is
-	// the topology's minimum cross-LP latency; shard assignment is
-	// rack-aligned so only the core hop crosses shards.
-	shards := cfg.Shards
-	if shards > n {
-		shards = n
-	}
+	// Engine selection: one sim.Engine, the one-shard Exec, for
+	// Shards <= 1; above that the conservative-lookahead parallel engine,
+	// whose every shard is an Engine. A one-shard Parallel would give the
+	// same Result at a higher price per event (the sim package comment
+	// quotes it). The lookahead is the topology's minimum cross-LP latency;
+	// shard assignment is rack-aligned so only the core hop crosses shards.
+	shards := min(cfg.Shards, n)
 	var exec sim.Exec
 	if shards >= 2 {
 		p, err := sim.NewParallel(shards, netCfg.LPShards(n, shards), netCfg.Lookahead())
@@ -172,7 +171,7 @@ func newClusterSim(cfg Config) *clusterSim {
 		}
 		exec = p
 	} else {
-		exec = sim.Single{Eng: &sim.Engine{}}
+		exec = &sim.Engine{}
 	}
 
 	cs := &clusterSim{
@@ -216,7 +215,7 @@ func newClusterSim(cfg Config) *clusterSim {
 		// constructed.
 		cs.injectFaults(&netCfg)
 	}
-	cs.net = netsim.NewOnExec(exec, n, netCfg, cs.deliver, cfg.Recorder)
+	cs.net = netsim.New(exec, n, netCfg, cs.deliver, cfg.Recorder)
 
 	// Every processing pool runs the strategy's discipline on a fresh
 	// instance; the item view exposes the chunk's wire priority and size,

@@ -49,10 +49,11 @@ type Config struct {
 	// m's series are written on m's LP only, so they are the same at every
 	// shard count.
 	Recorder *trace.Recorder
-	// Shards selects the engine: 0 or 1 runs the single-heap engine, >= 2
-	// the conservative-lookahead parallel engine with that many shards —
-	// producing, by the sim package's determinism contract, the same
-	// Result. Values above the machine count are clamped.
+	// Shards selects the engine: 0 or 1 runs one sim.Engine, >= 2 the
+	// conservative-lookahead parallel engine with that many shards, each
+	// an Engine of its own — producing, by the sim package's determinism
+	// contract, the same Result. Values above the machine count are
+	// clamped.
 	Shards int
 	// Topology optionally arranges machines into racks behind an
 	// oversubscribed core (netsim.Topology); the zero value keeps the flat

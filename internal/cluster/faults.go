@@ -93,7 +93,7 @@ var tierOf = map[string]int{
 
 // injectFaults hooks the plan into the run under construction. Called
 // after the reduction tree exists and before the network is constructed
-// (netCfg.AggDrop must be set before NewOnExec).
+// (netCfg.AggDrop must be set before netsim.New).
 func (cs *clusterSim) injectFaults(netCfg *netsim.Config) {
 	p := cs.cfg.Faults
 	// Stragglers and worker-leave windows are read off the static plan at

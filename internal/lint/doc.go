@@ -69,9 +69,12 @@
 //     natural 80 bytes two pooled cells cost up to a third more wall time,
 //     by allocation luck (PR 19).
 //
-//   - sim's pshard (128 bytes, 8 of them padding), one shard of a Parallel
-//     run, for the same reason: every event writes its queue and clock,
-//     and NewParallel allocates the shards back to back.
+//   - sim's pshard (256 bytes, 96 of them padding), one shard of a
+//     Parallel run: an embedded Engine plus the shard's outboxes and work
+//     channel, for the same reason. Every event writes its Engine header
+//     and NewParallel allocates the shards back to back; at its natural
+//     160 bytes the shards would share lines, and 256 is the smallest
+//     size class above that whose objects are 128-byte aligned.
 //
 // The analyzer recomputes each annotated struct's size under the gc layout
 // (types.Sizes) and fails on any mismatch, in either direction: growth is

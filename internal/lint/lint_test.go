@@ -120,7 +120,7 @@ func TestSizeBudgetFixture(t *testing.T) {
 }
 
 // TestSizeBudgetRealStructs pins the live annotations: sim's event struct
-// (32), sim.Engine (128), sim's pshard (128) and sched.Item (24) carry
+// (32), sim.Engine (128), sim's pshard (256) and sched.Item (24) carry
 // //p3:sizebudget, and the analyzer must agree silently. If this test
 // fails, a field was added to a budgeted hot struct — see
 // internal/lint/doc.go for the measured cliffs before changing the budget.

@@ -52,7 +52,7 @@ var DefaultSinks = []Sink{
 	{"p3/internal/sim", "Proc", "At"},
 	{"p3/internal/sim", "Proc", "After"},
 	{"p3/internal/sim", "Exec", "Cross"},
-	{"p3/internal/sim", "Single", "Cross"},
+	{"p3/internal/sim", "Engine", "Cross"},
 	{"p3/internal/sim", "Parallel", "Cross"},
 	{"p3/internal/sched", "Queue", "Push"},
 	{"p3/internal/netsim", "Network", "Send"},

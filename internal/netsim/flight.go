@@ -124,7 +124,7 @@ func (nw *Network) after(lp int, d sim.Time, f *flight, then func(*Network, *fli
 // xfer carries one hop handoff from LP src to LP dst, running then(nw, f)
 // on dst's timeline at the absolute time at, through the engine's Cross
 // path. Cross stamps the canonical tie key (virtual send time, source LP,
-// per-source send order) on both engines, so a handoff colliding with
+// per-source send order) on every Exec, so a handoff colliding with
 // another arrival — or with a local timer — at one (LP, instant) fires in
 // the same order on any shard count. Every hop goes through here — even
 // same-shard and same-machine pairs — precisely to keep that tie order

@@ -168,7 +168,7 @@ func checkRecycling(t *testing.T, cfg Config, n, shards int) {
 			nw.AggFanout(tier, idx, m, -1)
 		}
 	}
-	nw = NewOnExec(x, n, cfg, func(m Message) {
+	nw = New(x, n, cfg, func(m Message) {
 		got[m.To] = append(got[m.To], m)
 		if m.Iter > 0 && !m.FromAgg {
 			// Answer from inside the delivery: reuses the record just freed.

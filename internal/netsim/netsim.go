@@ -653,22 +653,17 @@ type Network struct {
 	free    []*flight       // released records, per LP when sharded (see pool)
 }
 
-// New creates a network of n machines on the given engine. handler is invoked
-// (on the virtual clock) when a message has fully arrived. rec may be nil.
-// It panics on an unknown egress discipline name — validate names from user
-// input with sched.ByName first.
-func New(eng *sim.Engine, n int, cfg Config, handler Handler, rec *trace.Recorder) *Network {
-	return NewOnExec(sim.Single{Eng: eng}, n, cfg, handler, rec)
-}
-
-// NewOnExec creates a network of n machines on an Exec: machine i is LP i,
-// followed by the port and aggregator LPs in the order of the package
-// comment's "Tiers" section, matching Config.LPShards. Credit-gated
-// egress disciplines shard like any other under the window-relaxed refund
+// New creates a network of n machines on an Exec (a bare *sim.Engine is
+// the one-shard Exec): machine i is LP i, followed by the port and
+// aggregator LPs in the order of the package comment's "Tiers" section,
+// matching Config.LPShards. handler is invoked (on the virtual clock) when
+// a message has fully arrived. rec may be nil. Credit-gated egress
+// disciplines shard like any other under the window-relaxed refund
 // protocol (see the package comment), and so does a trace recorder: a
 // machine's series are written on its own LP only (segmentDone,
-// ingressDone).
-func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *Network {
+// ingressDone). New panics on an unknown egress discipline name —
+// validate names from user input with sched.ByName first.
+func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *Network {
 	if cfg.BandwidthGbps <= 0 {
 		panic(fmt.Sprintf("netsim: bandwidth %v Gbps", cfg.BandwidthGbps))
 	}

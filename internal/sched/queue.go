@@ -323,27 +323,36 @@ func (q *Queue[T]) take(f *flow[T]) T {
 	return e.v
 }
 
-// skipHead moves the most urgent flow from the head heap to the walk
-// buffer, exposing the next most urgent one at heads[0]. The admission
-// walks call it for every head they pass over and end with restoreWalk.
+// admitted is the admission walk behind PopReady, Preempts, PopReadyIf and
+// Blocked: it consults flow heads in urgency order and returns the first
+// the discipline admits (any head, ungated), or nil once it reaches a head
+// not before limit (nil: no limit) or runs out of heads. A refused head
+// moves from the head heap to the walk buffer, exposing the next most
+// urgent one at heads[0]; the skipped prefix goes back before the walk
+// returns. Heap layout after restoration may differ, but dispatch order
+// cannot: the order is ordKey's strict total order, not the layout.
 //
 //p3:noescape
-func (q *Queue[T]) skipHead() {
-	q.walk = append(q.walk, q.heads[0])
-	q.headRemove(0)
-}
-
-// restoreWalk pushes the admission walk's skipped prefix back into the head
-// heap. Heap layout after restoration may differ, but dispatch order cannot:
-// the order is ordKey's strict total order, not the layout.
-//
-//p3:noescape
-func (q *Queue[T]) restoreWalk() {
+func (q *Queue[T]) admitted(limit *ordKey) *flow[T] {
+	var chosen *flow[T]
+	for len(q.heads) > 0 {
+		f := q.heads[0]
+		if limit != nil && !f.head.before(limit) {
+			break // heads are urgency-ordered: no candidate remains
+		}
+		if q.adm == nil || q.adm.Admit(f.ents[0].it) {
+			chosen = f
+			break
+		}
+		q.walk = append(q.walk, f)
+		q.headRemove(0)
+	}
 	for i, f := range q.walk {
 		q.headPush(f)
 		q.walk[i] = nil
 	}
 	q.walk = q.walk[:0]
+	return chosen
 }
 
 // Peek returns the most urgent element without removing it, ignoring any
@@ -387,20 +396,11 @@ func (q *Queue[T]) PopReady() (T, bool) {
 	if q.adm == nil {
 		return q.Pop()
 	}
-	var chosen *flow[T]
-	for len(q.heads) > 0 {
-		if f := q.heads[0]; q.adm.Admit(f.ents[0].it) {
-			chosen = f
-			break
-		}
-		q.skipHead()
+	if f := q.admitted(nil); f != nil {
+		return q.take(f), true
 	}
-	q.restoreWalk()
-	if chosen == nil {
-		var zero T
-		return zero, false
-	}
-	return q.take(chosen), true
+	var zero T
+	return zero, false
 }
 
 // Preempts reports whether PopReady would dispatch an element strictly more
@@ -423,23 +423,7 @@ func (q *Queue[T]) Preempts(hold T) bool {
 		return false
 	}
 	hk := keyOf(q.d, q.view(hold))
-	if q.adm == nil {
-		return q.heads[0].head.before(&hk)
-	}
-	found := false
-	for len(q.heads) > 0 {
-		f := q.heads[0]
-		if !f.head.before(&hk) {
-			break // heads are urgency-ordered: no candidate remains
-		}
-		if q.adm.Admit(f.ents[0].it) {
-			found = true
-			break
-		}
-		q.skipHead()
-	}
-	q.restoreWalk()
-	return found
+	return q.admitted(&hk) != nil
 }
 
 // PopReadyIf is PopReady with a caller veto: it selects the element
@@ -451,30 +435,16 @@ func (q *Queue[T]) Preempts(hold T) bool {
 // skipping a vetoed candidate for a less urgent one would reorder the
 // discipline, so the veto ends the walk.
 //
-// keep must not touch the queue (no Push/Pop/Done/Cancel): it runs while
-// the head heap is mid-walk. It should be a pure predicate of the
-// candidate.
+// keep must not touch the queue (no Push/Pop/Done/Cancel). It should be a
+// pure predicate of the candidate.
 //
 //p3:noescape
 func (q *Queue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
-	var chosen *flow[T]
-	for len(q.heads) > 0 {
-		f := q.heads[0]
-		if q.adm != nil && !q.adm.Admit(f.ents[0].it) {
-			q.skipHead()
-			continue
-		}
-		if keep(f.ents[0].v) {
-			chosen = f
-		}
-		break
+	if f := q.admitted(nil); f != nil && keep(f.ents[0].v) {
+		return q.take(f), true
 	}
-	q.restoreWalk()
-	if chosen == nil {
-		var zero T
-		return zero, false
-	}
-	return q.take(chosen), true
+	var zero T
+	return zero, false
 }
 
 // Done releases v's in-flight charge (a no-op for disciplines without a
@@ -581,10 +551,5 @@ func (q *Queue[T]) Blocked() bool {
 	if q.adm == nil || q.n == 0 {
 		return false
 	}
-	for len(q.heads) > 0 && !q.adm.Admit(q.heads[0].ents[0].it) {
-		q.skipHead()
-	}
-	admissible := len(q.heads) > 0
-	q.restoreWalk()
-	return !admissible
+	return q.admitted(nil) == nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,7 +81,7 @@ func lockstepTrace(t *testing.T, mk func(nLP int, look Time) Exec) [][]string {
 // same-instant multi-source bursts.
 func TestParallelMatchesSingleTrace(t *testing.T) {
 	want := lockstepTrace(t, func(nLP int, look Time) Exec {
-		return Single{Eng: &Engine{}}
+		return &Engine{}
 	})
 	for _, shards := range []int{2, 3, 4, 6} {
 		got := lockstepTrace(t, func(nLP int, look Time) Exec {
@@ -212,4 +213,111 @@ func TestParallelConcurrentCrossSends(t *testing.T) {
 	if uint64(total) != p.Processed() {
 		t.Fatalf("received %d events, engine processed %d", total, p.Processed())
 	}
+}
+
+// shardedProgram interprets code as a program of Proc.At calls (zero delay
+// included) and Cross calls (delay at least the lookahead) over six LPs on
+// x, and returns each LP's firing trace of (id, time) pairs. Every fired
+// event reads how many children to schedule, and each child's kind,
+// destination and delay, from its own LP's cursor into code; ids and the
+// spawning budget are per LP too. So everything an event touches belongs to
+// its LP, as the state discipline requires, and each trace is a function
+// of that LP's own event sequence.
+func shardedProgram(x Exec, code []byte) [][]int64 {
+	const (
+		nLP    = 6
+		look   = Time(10)
+		budget = 60
+	)
+	type lpState struct {
+		pc, ids, fired int
+		trace          []int64
+	}
+	st := make([]lpState, nLP)
+	procs := make([]Proc, nLP)
+	for lp := range procs {
+		st[lp].pc = 7 * lp
+		procs[lp] = x.Proc(lp)
+	}
+	next := func(pc *int) int {
+		if len(code) == 0 {
+			return 0
+		}
+		b := code[*pc%len(code)]
+		*pc++
+		return int(b)
+	}
+	// Few distinct delays, so instants repeat and ties are the rule.
+	delays := [...]Time{0, 0, 3, 10, 10, 20, 35}
+	var mk func(lp int, id int64) func()
+	mk = func(lp int, id int64) func() {
+		return func() {
+			s := &st[lp]
+			s.fired++
+			now := procs[lp].Now()
+			s.trace = append(s.trace, id, int64(now))
+			children := next(&s.pc) % 4
+			if s.fired > budget {
+				children = 0
+			}
+			for c := 0; c < children; c++ {
+				b := next(&s.pc)
+				s.ids++
+				cid := int64(lp)<<32 | int64(s.ids)
+				d := delays[(b>>4)%len(delays)]
+				if b%2 == 0 {
+					procs[lp].At(now+d, mk(lp, cid))
+				} else {
+					dst := (b >> 1) % nLP
+					x.Cross(lp, dst, now+look+d, mk(dst, cid))
+				}
+			}
+		}
+	}
+	top := 0
+	for i, n := 0, 1+next(&top)%8; i < n; i++ {
+		b := next(&top)
+		lp := b % nLP
+		procs[lp].At(delays[(b>>4)%len(delays)], mk(lp, -int64(i)-1))
+	}
+	x.Run()
+	traces := make([][]int64, nLP)
+	for lp := range st {
+		traces[lp] = st[lp].trace
+	}
+	return traces
+}
+
+// FuzzShardedOrder holds a Parallel run at 2, 3 and 4 shards, with the
+// LP-to-shard assignment drawn from the input, to the per-LP firing traces
+// and the processed count of the same program on one Engine.
+func FuzzShardedOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x05\x13\x21\x35\x47\x59\x6b\x7d\x8f\x91\xa3\xb5"))
+	f.Add([]byte{0x03, 0x11, 0x00, 0x03, 0x01, 0x13, 0x27, 0x03, 0x41, 0x00, 0x02, 0x33})
+	f.Fuzz(func(t *testing.T, code []byte) {
+		eng := &Engine{}
+		want := shardedProgram(eng, code)
+		for shards := 2; shards <= 4; shards++ {
+			lpShard := make([]int, len(want))
+			for lp := range lpShard {
+				if len(code) > 0 {
+					lpShard[lp] = int(code[lp%len(code)]) % shards
+				}
+			}
+			p, err := NewParallel(shards, lpShard, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := shardedProgram(p, code)
+			for lp := range want {
+				if !slices.Equal(got[lp], want[lp]) {
+					t.Fatalf("%d shards %v: LP %d's (id, time) trace diverges from one Engine's\n got %v\nwant %v", shards, lpShard, lp, got[lp], want[lp])
+				}
+			}
+			if p.Processed() != eng.Processed() {
+				t.Fatalf("%d shards %v: processed %d events, one Engine %d", shards, lpShard, p.Processed(), eng.Processed())
+			}
+		}
+	})
 }

@@ -4,9 +4,9 @@ import "math"
 
 // event is one scheduled callback. Beyond the firing time, it carries the
 // canonical tie key: the virtual instant it was scheduled at, and the
-// packed (scheduling LP, per-LP schedule order) word. Both engines compute
-// the key from the simulation alone, which is what lets same-instant ties
-// resolve identically on any shard count (see the package comment).
+// packed (scheduling LP, per-LP schedule order) word. The key comes from
+// the simulation alone, which is what lets same-instant ties resolve
+// identically on any shard count (see the package comment).
 //
 // The struct is kept at 32 bytes deliberately: the heap moves events by
 // value, and one more word pushes the copies off the compiler's
@@ -43,10 +43,9 @@ func before(a, b *event) bool {
 	return a.ord < b.ord
 }
 
-// queue is the pending-event set of both engines (an Engine, and each
-// shard of a Parallel run). It fires events in canonical key order, like
-// the binary heap it is built on, but keeps same-instant events apart from
-// that heap.
+// queue is the pending-event set of an Engine, and so of each shard of a
+// Parallel run. It fires events in canonical key order, like the binary
+// heap it is built on, but keeps same-instant events apart from that heap.
 //
 // Symmetric machines finish identical work together, so most events of a
 // run fire at the same virtual instant as the event before them: 95 % on

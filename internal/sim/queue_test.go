@@ -74,10 +74,9 @@ type scheduler struct {
 const progLPs = 6
 
 func engineScheduler(eng *Engine) scheduler {
-	x := Single{Eng: eng}
 	procs := make([]Proc, progLPs)
 	for lp := range procs {
-		procs[lp] = x.Proc(lp)
+		procs[lp] = eng.Proc(lp)
 	}
 	return scheduler{
 		now: eng.Now,
@@ -86,7 +85,7 @@ func engineScheduler(eng *Engine) scheduler {
 			case lp < 0:
 				eng.At(t, fn)
 			case lp >= progLPs:
-				x.Cross(lp-progLPs, 0, t, fn) // Single stamps Cross with the sender's key
+				eng.Cross(lp-progLPs, 0, t, fn) // an Engine stamps Cross with the sender's key
 			default:
 				procs[lp].At(t, fn)
 			}
