@@ -68,7 +68,7 @@ func main() {
 	}
 
 	recv := make(chan struct{}, plan.NumChunks()+8)
-	initAck := make(chan int, len(addrs)) // the server whose confirming Pull was answered
+	initAck := make(chan struct{}, len(addrs)) // a server's confirming Pull was answered
 	profile := strategy.ComputeProfile(m, *gbps)
 	if *stallsIn != "" {
 		stalls, err := strategy.ReadStallFile(*stallsIn)
@@ -96,7 +96,7 @@ func main() {
 		Handler: func(f *transport.Frame) {
 			if f.Type == transport.TypeData && f.Iter == initIter {
 				select {
-				case initAck <- plan.Chunks[f.Key].Server:
+				case initAck <- struct{}{}:
 				default: // a repeated answer nobody waits for any more
 				}
 			} else if f.Type == transport.TypeData {
@@ -124,34 +124,23 @@ func main() {
 		// Confirm the Inits landed before any traffic, or a Push overtakes its
 		// Init and the server zero-initialises the key from the push's shape:
 		// Pull each server's last key after the Inits, in their own priority
-		// class, and wait for its Data. Every discipline that orders a class by
-		// arrival (all but the size-ordered one) releases that Pull from both
-		// queues it crosses — this send queue, the server's receive queue —
-		// only after every Init. Ordered by size the payload-free Pull goes
-		// first, finds no key and gets no answer: ask again until it does
-		// (there a Push cannot overtake its equally sized Init anyway).
+		// class, and wait for its Data. A server parks a pull for a key it has
+		// not made yet until the key's Init lands, so every Pull is answered
+		// once. Every discipline that orders a class by arrival (all but the
+		// size-ordered one) lands that last Init only after every other one;
+		// ordered by size, a Push cannot overtake its equally sized Init
+		// anyway.
 		last := make(map[int]core.Chunk) // per server that owns any key
 		for _, c := range plan.Chunks {
 			worker.Init(c.Server, uint64(c.ID), grads[c.ID])
 			last[c.Server] = c
 		}
-		ask := func() {
-			for _, c := range last {
-				worker.Pull(c.Server, uint64(c.ID), initIter, 0)
-			}
+		for _, c := range last {
+			worker.Pull(c.Server, uint64(c.ID), initIter, 0)
 		}
-		ask()
-		//p3:wallclock-ok an unanswered Pull can only be noticed by waiting
-		again := time.NewTicker(100 * time.Millisecond)
-		for len(last) > 0 {
-			select {
-			case srv := <-initAck:
-				delete(last, srv)
-			case <-again.C:
-				ask()
-			}
+		for range last {
+			<-initAck
 		}
-		again.Stop()
 	}
 
 	var measured []time.Duration

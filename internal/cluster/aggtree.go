@@ -25,8 +25,9 @@ import (
 // per chunk suffices, as it does at the server.
 // Under RackLocalPS a rack node is also the rack's parameter cache:
 // cachedIter[c] is the newest iteration whose kCache update for chunk c
-// landed (-1 initially), and pending holds the rack's pulls that arrived
-// ahead of their iteration's cache update.
+// landed (-1 initially), and parked holds the rack's pulls that arrived
+// ahead of their iteration's cache update (the server's pull rule,
+// worker.Parked).
 type aggNode struct {
 	tier, idx int        // the aggregator's netsim address
 	ord       int        // its ordinal (racks, then pods): a reduced stream carries Src = -1-ord
@@ -35,8 +36,8 @@ type aggNode struct {
 	kids      []*aggNode // the nodes one tier down (none below a rack)
 	slots     []worker.Slot
 
-	cachedIter []int32                 // RackLocalPS rack nodes only
-	pending    map[int32][]pendingPull // RackLocalPS rack nodes only: chunk -> waiting pulls
+	cachedIter []int32       // RackLocalPS rack nodes only
+	parked     worker.Parked // RackLocalPS rack nodes only, by chunk ID
 }
 
 // only reports whether machine m is all there is below the node.
@@ -65,7 +66,6 @@ func (cs *clusterSim) buildAggs() {
 				for c := range a.cachedIter {
 					a.cachedIter[c] = -1
 				}
-				a.pending = make(map[int32][]pendingPull)
 			}
 			cs.aggs = append(cs.aggs, a)
 		}
@@ -136,7 +136,7 @@ func (cs *clusterSim) aggDeliver(tier, idx int, m netsim.Message) {
 			cs.aggServePull(a, m.Chunk, m.Iter, int(m.Src))
 			return
 		}
-		a.pending[m.Chunk] = append(a.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
+		a.parked.Park(uint64(m.Chunk), worker.Pull{Iter: m.Iter, Src: m.Src})
 	default:
 		panic(fmt.Sprintf("cluster: message kind %d has no aggregator semantics", m.Kind))
 	}
@@ -199,7 +199,7 @@ func (cs *clusterSim) refreshCache(a *aggNode, m netsim.Message) {
 	if m.Iter > a.cachedIter[m.Chunk] {
 		a.cachedIter[m.Chunk] = m.Iter
 	}
-	servePending(a.pending, m.Chunk, m.Iter, func(p pendingPull) { cs.aggServePull(a, m.Chunk, p.iter, p.src) })
+	a.parked.Release(uint64(m.Chunk), m.Iter, func(p worker.Pull) { cs.aggServePull(a, m.Chunk, p.Iter, int(p.Src)) })
 }
 
 // aggServePull answers a rack-local parameter pull from rack node a's

@@ -238,7 +238,6 @@ func newClusterSim(cfg Config) *clusterSim {
 		cs.servers[s] = serverState{
 			proc: worker.NewPool(cs.procs[cs.srvMachine[s]], serverThreads, updCost, newQueue(s),
 				func(it worker.Item) { cs.pushProcessed(s, it) }),
-			pending: make(map[int32][]pendingPull),
 		}
 	}
 	cs.slots = worker.NewSlots(nc, n, nil)

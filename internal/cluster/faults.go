@@ -74,7 +74,7 @@ type recovery struct {
 // twice only feeds the congestion that delayed the first copy — the retry
 // storm that turns one crashed aggregator into a network collapse. The same
 // goes for stallCheck's recovery pulls: a pull the server cannot answer yet
-// parks in its pending list and is answered when the update lands, so one
+// parks (worker.Parked) and is answered when the update lands, so one
 // pull per iteration is guaranteed a reply and every further round would
 // duplicate the full-chunk data answer into the already-congested failover
 // path. got doubles as the dedup line for whatever recovery delivers twice.
@@ -233,19 +233,11 @@ func (r *recovery) firstInstall(w int, chunk, iter int32) bool {
 	return true
 }
 
-// arrived runs before server srv counts a processed push into the chunk's
-// slot. A stale re-push of an already-completed iteration, which the slot
-// counts zero, is answered with the current value, so the re-pusher also
-// recovers any broadcast it missed; a push that opens the barrier inside a
-// possible crash window arms the re-push timer.
+// arrived runs before server srv counts a processed push for an iteration
+// not yet completed into the chunk's slot: a push that opens the barrier
+// inside a possible crash window arms the re-push timer.
 func (r *recovery) arrived(srv int, it worker.Item, slot *worker.Slot) {
 	if r == nil || slot.Open(it.Iter) {
-		return
-	}
-	if slot.Answerable(it.Iter) {
-		if it.Src >= 0 {
-			r.cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
-		}
 		return
 	}
 	now := r.cs.procs[r.cs.srvMachine[srv]].Now()
@@ -351,7 +343,7 @@ func (r *recovery) repush(m netsim.Message) {
 // of iteration iter-1 and a scripted crash could explain the gap (a
 // broadcast stream dropped at a down aggregator). Each firing re-pulls the
 // still-missing chunks directly from their servers — once per iteration
-// (line.repulled): an unanswerable pull parks in the server's pending list
+// (line.repulled): an unanswerable pull parks at the server (worker.Parked)
 // and is answered when the update lands, so a second pull can only
 // duplicate the data answer behind the first — backing off exponentially
 // between rounds; stragglers of the dedup line are still dedup'd at

@@ -35,7 +35,7 @@ func TestNilRecoveryIsNoFault(t *testing.T) {
 	rack := &aggNode{ord: 1, idx: 1, lo: 4, hi: 8}
 	push := worker.Item{Chunk: 3, Iter: 2, Src: 5}
 	slots := worker.NewSlots(2, 16, nil)
-	slots[1].Add(2, 0, 16, -1) // iteration 2 done: a crash plan would answer the push
+	slots[1].Add(2, 0, 1, -1) // iteration 2 open
 	allocs := testing.AllocsPerRun(100, func() {
 		if r.down(rack, 5) || r.down(rack, rack.lp()) {
 			t.Error("nil recovery reports an aggregator down")
@@ -46,8 +46,8 @@ func TestNilRecoveryIsNoFault(t *testing.T) {
 		if !r.firstInstall(5, 3, 2) || !r.firstInstall(5, 3, 2) {
 			t.Error("nil recovery dedups an install")
 		}
-		r.arrived(0, push, &slots[0]) // a fresh barrier: no re-push timer
-		r.arrived(0, push, &slots[1]) // a stale push: no answer
+		r.arrived(0, push, &slots[0]) // a push that opens a barrier: no re-push timer
+		r.arrived(0, push, &slots[1]) // a push into the open barrier
 	})
 	if allocs != 0 {
 		t.Errorf("nil recovery allocates %.0f times per call round", allocs)

@@ -7,7 +7,7 @@ import (
 
 // TestEngineResetDeterministic pins the construct → run → construct → run
 // contract that the maporder analyzer guards statically: every run starts
-// from a fresh engine and rebuilds every structure (per-server pending-pull
+// from a fresh engine and rebuilds every structure (per-server parked-pull
 // maps, processing pools, aggregator state, fault schedules), and each must
 // be repopulated in a deterministic order, so three consecutive Runs of one
 // config are bit-identical. A single unsorted map walk anywhere in

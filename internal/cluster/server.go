@@ -9,14 +9,9 @@ import (
 	"p3/internal/worker"
 )
 
-type pendingPull struct {
-	iter int32
-	src  int
-}
-
 type serverState struct {
-	proc    *worker.Pool
-	pending map[int32][]pendingPull // chunk ID -> pulls waiting for their iteration
+	proc   *worker.Pool
+	parked worker.Parked // by chunk ID: pulls waiting for their iteration
 }
 
 func (cs *clusterSim) onPush(m netsim.Message) {
@@ -29,13 +24,21 @@ func (cs *clusterSim) onPush(m netsim.Message) {
 // own update, answered only to the pushing worker. A reduced push (Src < 0
 // under RackAggregation) counts as every worker whose gradient was folded
 // into it (span), less whatever a re-push already counted under a crash
-// plan.
+// plan. A worker's push for an already-completed iteration (a crash
+// recovery re-push) counts zero and is answered as a pull, so the pusher
+// also recovers any broadcast it missed.
 func (cs *clusterSim) pushProcessed(srv int, it worker.Item) {
 	if cs.cfg.Strategy.Async {
 		cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		return
 	}
 	slot := &cs.slots[it.Chunk]
+	if slot.Answerable(it.Iter) {
+		if it.Src >= 0 {
+			cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
+		}
+		return
+	}
 	cs.rec.arrived(srv, it, slot)
 	lo, hi, skip := cs.span(it.Src, it.Chunk)
 	if _, complete := slot.Add(it.Iter, lo, hi, skip); complete {
@@ -88,7 +91,7 @@ func (cs *clusterSim) onUpdated(srv int, chunk, iter int32) {
 	}
 	// Serve any pulls that were waiting for this (or an older) iteration,
 	// regardless of pull mode: the stored value now satisfies them.
-	servePending(cs.servers[srv].pending, chunk, iter, func(p pendingPull) { cs.sendData(srv, chunk, p.iter, p.src) })
+	cs.servers[srv].parked.Release(uint64(chunk), iter, func(p worker.Pull) { cs.sendData(srv, chunk, p.Iter, int(p.Src)) })
 }
 
 func (cs *clusterSim) sendData(srv int, chunk, iter int32, dst int) {
@@ -104,33 +107,9 @@ func (cs *clusterSim) onPull(m netsim.Message) {
 	if cs.slots[m.Chunk].Answerable(m.Iter) {
 		// The requested (or a newer) update already landed: answer with
 		// the current value, as a real key-value store does. Any other pull
-		// waits for its update (servePending).
+		// parks until its update (onUpdated).
 		cs.sendData(srv, m.Chunk, m.Iter, int(m.Src))
 		return
 	}
-	s := &cs.servers[srv]
-	s.pending[m.Chunk] = append(s.pending[m.Chunk], pendingPull{iter: m.Iter, src: int(m.Src)})
-}
-
-// servePending serves, in arrival order, the pulls waiting on chunk that
-// iteration iter (or an older one they asked for) satisfies, and keeps the
-// rest waiting.
-func servePending(pending map[int32][]pendingPull, chunk, iter int32, serve func(pendingPull)) {
-	pend := pending[chunk]
-	if len(pend) == 0 {
-		return
-	}
-	rest := pend[:0]
-	for _, p := range pend {
-		if p.iter <= iter {
-			serve(p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	if len(rest) == 0 {
-		delete(pending, chunk)
-	} else {
-		pending[chunk] = rest
-	}
+	cs.servers[srv].parked.Park(uint64(m.Chunk), worker.Pull{Iter: m.Iter, Src: m.Src})
 }

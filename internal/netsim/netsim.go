@@ -356,15 +356,6 @@ func (t Topology) RackOf(machine int) int { return machine / t.RackSize }
 // NumRacks is the rack count for n machines (the last rack may be partial).
 func (t Topology) NumRacks(n int) int { return (n + t.RackSize - 1) / t.RackSize }
 
-// RackMachines is the number of machines in rack r of an n-machine
-// cluster: RackSize for full racks, fewer for a trailing partial rack.
-func (t Topology) RackMachines(n, r int) int {
-	if rest := n - r*t.RackSize; rest < t.RackSize {
-		return rest
-	}
-	return t.RackSize
-}
-
 // tierDim is one switching tier as the Topology describes it.
 type tierDim struct {
 	span    int      // machines below one full group

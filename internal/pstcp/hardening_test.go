@@ -203,7 +203,7 @@ func TestDuplicatePushDedup(t *testing.T) {
 	}
 	// param = 0 - 1 * (4+2)/2 = -3; a double-counted duplicate would give
 	// (4+4+2)/2 = -5 instead.
-	if got := srv.params[5][0]; got != -3 {
+	if got := srv.keys[5].param[0]; got != -3 {
 		t.Fatalf("param = %v, want -3 (duplicate leaked into the sum)", got)
 	}
 	// Next iteration resets the seen set: the same sender counts again.
@@ -223,7 +223,7 @@ func TestDuplicatePushDedup(t *testing.T) {
 		t.Fatalf("after a stale retry and the open iteration's last push: pushes=%d updates=%d, want 4/2", p, u)
 	}
 	// param = -3 - 1 * (1+3)/2 = -5.
-	if got := srv.params[5][0]; got != -5 {
+	if got := srv.keys[5].param[0]; got != -5 {
 		t.Fatalf("param = %v, want -5", got)
 	}
 	// No worker is registered, so the update broadcast nothing: the one

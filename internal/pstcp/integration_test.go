@@ -209,7 +209,7 @@ func TestMalformedFrameClosesConnOnly(t *testing.T) {
 	defer w.Close()
 	w.Init(0, 9, []float32{5})
 	time.Sleep(20 * time.Millisecond)
-	w.Pull(0, 9, 0, 0)
+	w.Pull(0, 9, -1, 0)
 	select {
 	case f := <-got:
 		if f.Values[0] != 5 {

@@ -68,21 +68,64 @@ func TestNotifyPullProtocol(t *testing.T) {
 	}
 }
 
-// TestPullBeforeUpdateAnswersStoredValue pins where the TCP server parts
-// from the simulated one (see worker.Slot): a pull for an iteration whose
-// update has not landed is answered at once with the value the server
-// stores, where cluster parks it until the update.
-func TestPullBeforeUpdateAnswersStoredValue(t *testing.T) {
+// TestPullParksUntilItsIteration pins the pull rule every server shares
+// (worker.Parked): a pull for a key the server has not made yet is answered
+// when the key's Init lands, and a pull for an iteration whose update has
+// not landed is answered when it does, with the updated value, and not
+// before.
+func TestPullParksUntilItsIteration(t *testing.T) {
 	srv := NewServer(ServerConfig{ID: 0, Workers: 2, NotifyPull: true, Updater: SGDUpdater(1)})
+	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 1, Key: 1, Iter: -1})
+	if f, ok := srv.sendQ.TryPop(); ok {
+		t.Fatalf("pull of an unknown key answered with %+v", f)
+	}
 	srv.handleInit(&transport.Frame{Type: transport.TypeInit, Key: 1, Values: []float32{10}})
+	f, ok := srv.sendQ.TryPop()
+	if !ok || f.Type != transport.TypeData || f.Dst != 1 || f.Iter != -1 || len(f.Values) != 1 || f.Values[0] != 10 {
+		t.Fatalf("parked pull answered at Init with %+v (queued %v), want Data for iteration -1 holding the init value 10", f, ok)
+	}
+
 	srv.handlePush(&transport.Frame{Type: transport.TypePush, Sender: 0, Key: 1, Iter: 0, Values: []float32{2}})
 	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 0, Key: 1, Iter: 0})
-	f, ok := srv.sendQ.TryPop()
-	if !ok || f.Type != transport.TypeData || f.Dst != 0 || f.Iter != 0 || len(f.Values) != 1 || f.Values[0] != 10 {
-		t.Fatalf("pull of an open iteration answered with %+v (queued %v), want Data for iteration 0 holding the init value 10", f, ok)
+	if f, ok := srv.sendQ.TryPop(); ok {
+		t.Fatalf("pull of an open iteration answered before its update with %+v", f)
 	}
-	if _, u := srv.Stats(); u != 0 {
-		t.Fatalf("%d updates from one of two workers", u)
+	srv.handlePush(&transport.Frame{Type: transport.TypePush, Sender: 1, Key: 1, Iter: 0, Values: []float32{4}})
+	var data *transport.Frame
+	for f, ok := srv.sendQ.TryPop(); ok; f, ok = srv.sendQ.TryPop() {
+		if f.Type == transport.TypeData {
+			data = f
+		}
+	}
+	if data == nil || data.Dst != 0 || data.Iter != 0 || len(data.Values) != 1 || data.Values[0] != 7 { // 10 - 1*(2+4)/2
+		t.Fatalf("parked pull answered at the update with %+v, want Data for iteration 0 holding 7", data)
+	}
+}
+
+// TestPullOfZeroLengthKeyIsAnswered: a key with no values is still a key,
+// and a pull of it gets an empty Data.
+func TestPullOfZeroLengthKeyIsAnswered(t *testing.T) {
+	srv := NewServer(ServerConfig{ID: 0, Workers: 1})
+	srv.handleInit(&transport.Frame{Type: transport.TypeInit, Key: 2})
+	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 0, Key: 2, Iter: -1})
+	if f, ok := srv.sendQ.TryPop(); !ok || f.Type != transport.TypeData || f.Key != 2 || f.Iter != -1 || len(f.Values) != 0 {
+		t.Fatalf("pull of a zero-length key answered with %+v (queued %v), want an empty Data for iteration -1", f, ok)
+	}
+}
+
+// TestPullFromUnknownSenderIsDropped: a pull from a sender that is not one
+// of the Workers is neither answered nor parked, only counted, as such a
+// push is.
+func TestPullFromUnknownSenderIsDropped(t *testing.T) {
+	srv := NewServer(ServerConfig{ID: 0, Workers: 2})
+	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 2, Key: 1, Iter: -1})
+	srv.handleInit(&transport.Frame{Type: transport.TypeInit, Key: 1, Values: []float32{1}})
+	srv.handlePull(&transport.Frame{Type: transport.TypePull, Sender: 2, Key: 1, Iter: -1})
+	if f, ok := srv.sendQ.TryPop(); ok {
+		t.Fatalf("pull from sender 2 of 2 workers answered with %+v", f)
+	}
+	if srv.drops != 2 {
+		t.Fatalf("%d drops, want the 2 pulls", srv.drops)
 	}
 }
 

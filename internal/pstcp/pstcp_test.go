@@ -180,7 +180,7 @@ func TestPullReturnsCurrentValue(t *testing.T) {
 		})
 	tc.workers[0].Init(0, 3, []float32{5, 6})
 	time.Sleep(20 * time.Millisecond)
-	tc.workers[0].Pull(0, 3, 0, 0)
+	tc.workers[0].Pull(0, 3, -1, 0)
 	select {
 	case v := <-results:
 		if v[0] != 5 || v[1] != 6 {

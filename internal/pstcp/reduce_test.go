@@ -106,7 +106,7 @@ func TestReduceMatchesReference(t *testing.T) {
 			vals := grad(n)
 			updated, answered := ref.push(sender, iter, vals, workers, lr)
 			s.handlePush(&transport.Frame{Type: transport.TypePush, Sender: sender, Key: key, Iter: iter, Values: vals})
-			for i, v := range s.params[key] {
+			for i, v := range s.keys[key].param {
 				if v != ref.param[i] {
 					t.Fatalf("workers %d, step %d, key %d: param[%d] = %v, reference %v", workers, step, key, i, v, ref.param[i])
 				}

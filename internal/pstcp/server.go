@@ -11,6 +11,9 @@
 //     answered but not counted), applies the update on the Nth push, and
 //     immediately broadcasts the new values to all workers (the explicit
 //     notify+pull of stock KVStore is removed);
+//   - a pull is answered under the simulator's pull rule (worker.Parked):
+//     once its key holds the iteration it asks for (-1: the initial value,
+//     held from the key's first Init or Push), parked until then;
 //   - the queue discipline is a sched registry name ("p3" reproduces the
 //     paper, "fifo" the baseline, "credit" a ByteScheduler-style window;
 //     see internal/sched for the full set).
@@ -88,11 +91,11 @@ type ServerConfig struct {
 	HeartbeatEvery time.Duration
 }
 
-// reduction is one key's aggregation: which workers have pushed which
+// reduction is one key: its stored tensor, which workers have pushed which
 // iteration (the slot), and the sum of their pushes so far.
 type reduction struct {
 	worker.Slot
-	sum []float32
+	param, sum []float32
 }
 
 // Server is one parameter server process.
@@ -108,8 +111,8 @@ type Server struct {
 	// closes.
 	conns   map[net.Conn]struct{}
 	writers map[uint8]*connWriter
-	params  map[uint64][]float32
-	agg     map[uint64]*reduction
+	keys    map[uint64]*reduction
+	parked  worker.Parked // pulls waiting for their key to hold their iteration
 
 	// bufs holds every value buffer the server moves frames through: push
 	// and init bodies from the read loops until processLoop has folded the
@@ -117,9 +120,11 @@ type Server struct {
 	// destination's frame.
 	bufs bufPool
 	// drops counts pushes and inits dropped because their value count
-	// disagrees with the key's stored tensor, and pushes from a sender
-	// that is not one of the Workers; guarded by mu.
-	drops int64
+	// disagrees with the key's stored tensor, and pushes and pulls from a
+	// sender that is not one of the Workers. pushes counts the pushes
+	// folded in, updates the iterations they completed. All three are
+	// guarded by mu.
+	drops, pushes, updates int64
 
 	wg     sync.WaitGroup
 	connWG sync.WaitGroup // the read loops, added by acceptLoop
@@ -127,11 +132,6 @@ type Server struct {
 	// after that.
 	accepted chan struct{}
 	done     chan struct{}
-
-	// Stats
-	statsMu sync.Mutex
-	pushes  int64
-	updates int64
 }
 
 type connWriter struct {
@@ -162,8 +162,7 @@ func NewServer(cfg ServerConfig) *Server {
 		sendQ:   newQ(),
 		conns:   make(map[net.Conn]struct{}),
 		writers: make(map[uint8]*connWriter),
-		params:  make(map[uint64][]float32),
-		agg:     make(map[uint64]*reduction),
+		keys:    make(map[uint64]*reduction),
 		bufs: bufPool{free: make(map[int][][]float32), refs: make(map[*float32]int),
 			made: make(map[int]int), want: make(map[int]int)},
 		accepted: make(chan struct{}),
@@ -208,21 +207,10 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// SetProfile swaps the timing profile of the server's receive and send
-// queues at runtime — the calibrated mode's feedback hook: run a pass on
-// the static profile, measure the real per-layer stalls, rebuild the
-// profile (strategy.CalibrateProfile) and apply it here without restarting
-// the server. Queued frames re-order under the new profile; a no-op for
-// profile-blind disciplines.
-func (s *Server) SetProfile(p *sched.Profile) {
-	s.recvQ.SetProfile(p)
-	s.sendQ.SetProfile(p)
-}
-
 // Stats returns (pushes processed, updates applied).
 func (s *Server) Stats() (pushes, updates int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.pushes, s.updates
 }
 
@@ -264,9 +252,9 @@ func (s *Server) readLoop(conn net.Conn) {
 	dst := func(f *transport.Frame, n int) []float32 {
 		if f.Type == transport.TypePush || f.Type == transport.TypeInit {
 			s.mu.Lock()
-			param, known := s.params[f.Key]
+			r := s.keys[f.Key]
 			s.mu.Unlock()
-			if !known || len(param) == n {
+			if r == nil || len(r.param) == n {
 				body = s.bufs.get(n)
 			}
 		}
@@ -362,30 +350,33 @@ func (s *Server) processLoop() {
 func (s *Server) handleInit(f *transport.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if param, ok := s.params[f.Key]; !ok { // first init wins; replicas agree anyway
-		s.params[f.Key] = append([]float32(nil), f.Values...) //p3:alloc-ok a key's stored tensor is made once
-		s.bufs.reserve(len(f.Values), s.cfg.Workers)
-	} else if len(param) != len(f.Values) {
+	if r := s.keys[f.Key]; r == nil { // first init wins; replicas agree anyway
+		s.newKey(f.Key, append([]float32(nil), f.Values...)) //p3:alloc-ok a key's stored tensor is made once
+	} else if len(r.param) != len(f.Values) {
 		s.drops++
 	}
 }
 
+// newKey makes key k from its first Init or Push, with param as its stored
+// tensor, and answers the pulls parked for its initial value. Called with
+// mu held.
+func (s *Server) newKey(k uint64, param []float32) *reduction {
+	r := &reduction{Slot: worker.NewSlots(1, s.cfg.Workers, nil)[0], param: param, sum: make([]float32, len(param))} //p3:alloc-ok a key's state is made once
+	s.keys[k] = r
+	s.bufs.reserve(len(param), s.cfg.Workers)
+	s.parked.Release(k, -1, func(p worker.Pull) { s.answer(k, r, p) })
+	return r
+}
+
 func (s *Server) handlePush(f *transport.Frame) {
 	s.mu.Lock()
-	param, ok := s.params[f.Key]
-	if !ok {
+	r := s.keys[f.Key]
+	if r == nil {
 		// Push before init: treat the first push's shape as authoritative
 		// with zero-initialized parameters.
-		param = make([]float32, len(f.Values)) //p3:alloc-ok a key's stored tensor is made once
-		s.params[f.Key] = param
-		s.bufs.reserve(len(f.Values), s.cfg.Workers)
+		r = s.newKey(f.Key, make([]float32, len(f.Values))) //p3:alloc-ok a key's stored tensor is made once
 	}
-	r := s.agg[f.Key]
-	if r == nil {
-		r = &reduction{Slot: worker.NewSlots(1, s.cfg.Workers, nil)[0], sum: make([]float32, len(param))} //p3:alloc-ok a key's aggregation state is made once
-		s.agg[f.Key] = r
-	}
-	if len(f.Values) != len(r.sum) || int(f.Sender) >= s.cfg.Workers {
+	if len(f.Values) != len(r.param) || int(f.Sender) >= s.cfg.Workers {
 		// Shape mismatch (the read loop already discarded the body unread,
 		// unless the key did not exist yet when it arrived), or a sender the
 		// update does not wait for.
@@ -398,8 +389,8 @@ func (s *Server) handlePush(f *transport.Frame) {
 		// re-sent a push it could not know had arrived. It counts zero and
 		// is answered as a pull, so the worker also gets the broadcast it
 		// may have missed.
+		s.answer(f.Key, r, worker.Pull{Iter: f.Iter, Src: int32(f.Sender), Priority: f.Priority})
 		s.mu.Unlock()
-		s.handlePull(f)
 		return
 	}
 	added, complete := r.Add(f.Iter, int(f.Sender), int(f.Sender)+1, -1)
@@ -408,6 +399,7 @@ func (s *Server) handlePush(f *transport.Frame) {
 		s.mu.Unlock()
 		return
 	}
+	s.pushes++
 	// One pass over each pushed value: the first push of an iteration is
 	// copied into the sum, the middle ones are added to it, and the Nth is
 	// read by the update itself, alongside the sum. With one worker the
@@ -416,18 +408,20 @@ func (s *Server) handlePush(f *transport.Frame) {
 	var dsts []uint8
 	switch {
 	case complete:
+		s.updates++
 		// The update leaves the new values in the Nth push's own buffer,
 		// under the lock: the stored tensor mutates on later updates while
 		// the send loop is still serializing this broadcast.
-		s.cfg.Updater(f.Key, param, r.sum, f.Values, s.cfg.Workers)
+		s.cfg.Updater(f.Key, r.param, r.sum, f.Values, s.cfg.Workers)
 		for id := range s.writers {
 			dsts = append(dsts, id)
 		}
-		if !s.cfg.NotifyPull && len(dsts) > 0 && len(param) > 0 {
+		if !s.cfg.NotifyPull && len(dsts) > 0 && len(r.param) > 0 {
 			// One reference per destination, beside the one processLoop drops.
 			snapshot = f.Values
 			s.bufs.share(snapshot, len(dsts))
 		}
+		s.parked.Release(f.Key, f.Iter, func(p worker.Pull) { s.answer(f.Key, r, p) })
 	case r.Count() == 1:
 		copy(r.sum, f.Values)
 	default:
@@ -436,13 +430,6 @@ func (s *Server) handlePush(f *transport.Frame) {
 		}
 	}
 	s.mu.Unlock()
-
-	s.statsMu.Lock()
-	s.pushes++
-	if complete {
-		s.updates++
-	}
-	s.statsMu.Unlock()
 
 	if complete {
 		typ := transport.TypeData
@@ -461,20 +448,33 @@ func (s *Server) handlePush(f *transport.Frame) {
 	}
 }
 
+// handlePull answers a pull once key holds the iteration it asks for (-1:
+// the initial value) and parks it until then (worker.Parked).
 func (s *Server) handlePull(f *transport.Frame) {
 	s.mu.Lock()
-	var param []float32
-	if stored := s.params[f.Key]; len(stored) > 0 {
-		param = s.bufs.get(len(stored))
-		copy(param, stored)
+	defer s.mu.Unlock()
+	p := worker.Pull{Iter: f.Iter, Src: int32(f.Sender), Priority: f.Priority}
+	switch r := s.keys[f.Key]; {
+	case int(f.Sender) >= s.cfg.Workers:
+		s.drops++ // not one the update waits for, as in handlePush: parking stays bounded by Workers
+	case r != nil && r.Answerable(f.Iter):
+		s.answer(f.Key, r, p)
+	default:
+		s.parked.Park(f.Key, p)
 	}
-	s.mu.Unlock()
-	if param == nil {
-		return
+}
+
+// answer sends pull p a copy of key k's stored tensor (r), tagged with the
+// iteration it asked for. Called with mu held.
+func (s *Server) answer(k uint64, r *reduction, p worker.Pull) {
+	var values []float32
+	if len(r.param) > 0 {
+		values = s.bufs.get(len(r.param))
+		copy(values, r.param)
 	}
 	s.sendQ.Push(&transport.Frame{
-		Type: transport.TypeData, Sender: uint8(s.cfg.ID), Dst: f.Sender,
-		Priority: f.Priority, Key: f.Key, Iter: f.Iter, Values: param,
+		Type: transport.TypeData, Sender: uint8(s.cfg.ID), Dst: uint8(p.Src),
+		Priority: p.Priority, Key: k, Iter: p.Iter, Values: values,
 	})
 }
 

@@ -210,10 +210,9 @@ func (w *Worker) QueuedSends() int { return w.sendQ.Len() }
 func (w *Worker) Reconnects() int64 { return w.reconnects.Load() }
 
 // SetProfile swaps the send queue's timing profile at runtime — the
-// calibrated mode's feedback hook (see Server.SetProfile): after measuring
-// its real per-layer sync stalls a worker re-ranks subsequent pushes
-// against the observed timeline instead of the static one. A no-op for
-// profile-blind disciplines.
+// calibrated mode's feedback hook: after measuring its real per-layer sync
+// stalls a worker re-ranks subsequent pushes against the observed timeline
+// instead of the static one. A no-op for profile-blind disciplines.
 func (w *Worker) SetProfile(p *sched.Profile) { w.sendQ.SetProfile(p) }
 
 // Close tears down the connections and waits for the worker's goroutines.

@@ -123,8 +123,8 @@
 // the system actually produced — the closed-loop form of TicTac's
 // observed-timing priorities. The simulators expose it as a two-pass mode
 // (cluster.RunCalibrated, ring.RunCalibrated), the real transport as
-// runtime hooks (transport.SendQueue.SetProfile, pstcp Server/Worker.
-// SetProfile — safe mid-traffic: Queue.SetProfile re-keys and re-enqueues
+// runtime hooks (transport.SendQueue.SetProfile, pstcp.Worker.SetProfile —
+// safe mid-traffic: Queue.SetProfile re-keys and re-enqueues
 // what is queued, so it re-orders under the new profile), and the CLIs as
 // -calibrate/-stalls/-stallsout. Caveat, pinned by
 // the scale sweep: under STRICT priority at saturation the feedback

@@ -259,16 +259,28 @@ func ReadStallFile(path string) ([]sim.Time, error) {
 	if err != nil {
 		return nil, err
 	}
+	stalls, err := parseStalls(buf)
+	if err != nil {
+		return nil, fmt.Errorf("strategy: stall file %s %w", path, err)
+	}
+	return stalls, nil
+}
+
+// parseStalls parses a stall file's contents. A WriteStallFile artifact is
+// dense, one line per layer 0..L-1, so a layer index at or past the file's
+// line count is rejected: the slice never grows past the file.
+func parseStalls(buf []byte) ([]sim.Time, error) {
+	lines := strings.Split(strings.TrimRight(string(buf), "\n"), "\n")
 	var stalls []sim.Time
-	for ln, line := range strings.Split(string(buf), "\n") {
+	for ln, line := range lines {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		var layer int
 		var ns int64
-		if _, err := fmt.Sscanf(line, "%d\t%d", &layer, &ns); err != nil || layer < 0 {
-			return nil, fmt.Errorf("strategy: stall file %s line %d: %q", path, ln+1, line)
+		if _, err := fmt.Sscanf(line, "%d\t%d", &layer, &ns); err != nil || layer < 0 || layer >= len(lines) {
+			return nil, fmt.Errorf("line %d: %q", ln+1, line)
 		}
 		for len(stalls) <= layer {
 			stalls = append(stalls, 0)

@@ -1,6 +1,9 @@
 package strategy
 
 import (
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"p3/internal/core"
@@ -150,4 +153,32 @@ func TestComputeProfile(t *testing.T) {
 	if got := prof.TxNs(1_000_000); got != 800_000 {
 		t.Fatalf("TxNs(1MB)@10Gbps = %d ns, want 800000", got)
 	}
+}
+
+// FuzzReadStallFile holds the stall-file reader to two rules on arbitrary
+// input: it never panics nor grows its slice past the file's lines (a
+// one-line file naming layer 1000000000 once asked for 8 GB), and whatever
+// it accepts survives WriteStallFile and ReadStallFile unchanged.
+func FuzzReadStallFile(f *testing.F) {
+	f.Add([]byte("0\t5\n1\t0\n2\t-3\n"))
+	f.Add([]byte("1\t7\n0\t2"))
+	f.Add([]byte("1000000000\t0"))
+	f.Add([]byte("0\t1\n\n  \n0\t2\n"))
+	f.Add([]byte("-1\t4\n"))
+	path := filepath.Join(f.TempDir(), "stalls")
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		stalls, err := parseStalls(buf)
+		if err != nil {
+			return
+		}
+		if len(stalls) > strings.Count(string(buf), "\n")+1 {
+			t.Fatalf("%q parsed into %d layers", buf, len(stalls))
+		}
+		if err := WriteStallFile(path, stalls); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ReadStallFile(path); err != nil || !reflect.DeepEqual(again, stalls) {
+			t.Fatalf("%q: %v round-trips to %v (%v)", buf, stalls, again, err)
+		}
+	})
 }

@@ -14,12 +14,8 @@ package worker
 //   - the contribution that brings the count to the slot's need completes
 //     the iteration, which is Answerable from then on.
 //
-// The transports differ on a pull for an iteration that is not yet
-// Answerable: the simulated server (cluster) parks it until the update
-// lands, the TCP server (pstcp) answers every pull at once with the value
-// it stores. No driver in the repository can tell: p3worker and bench/
-// pull only to confirm their Inits, tagged iteration -1, which every slot
-// answers.
+// A pull for an iteration that is not yet Answerable parks until it is
+// (Parked, the rule's pull half).
 type Slot struct {
 	iter, done  int32    // the newest iteration contributed to, the newest completed (-1 initially)
 	count, need int32    // members counted toward iter; the count that completes it
