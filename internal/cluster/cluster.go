@@ -215,6 +215,13 @@ func newClusterSim(cfg Config) *clusterSim {
 		// constructed.
 		cs.injectFaults(&netCfg)
 	}
+	if !cfg.RackAggregation {
+		// A flat push or pull sends each server's share of the chunks
+		// down one host egress flow: size the flows for it once. Under
+		// rack aggregation most of it goes to the rack's aggregator
+		// instead, and the same sizing measured more allocation, not less.
+		netCfg.FlowDepth = (cs.plan.NumChunks() + cfg.Servers - 1) / cfg.Servers
+	}
 	cs.net = netsim.New(exec, n, netCfg, cs.deliver, cfg.Recorder)
 
 	// Every processing pool runs the strategy's discipline on a fresh

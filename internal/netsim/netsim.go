@@ -130,6 +130,14 @@
 // and lists never shrink: under the sharded engine, traffic whose per-LP
 // sends and deliveries do not balance leaves its surplus idle on the
 // receiving LPs' lists, at most one record per message.
+//
+// A host egress queue holds one flow per destination (sched.Queue). With
+// Config.FlowDepth each new flow starts with room for that many messages,
+// which the cluster layer sets to a server's share of a flat run's chunks:
+// every flow is then sized once instead of growing through the warm-up
+// iteration. Rack-aggregated runs, the ring and the probes leave it 0, and
+// their flows grow on demand. A flow that outgrows its room takes the
+// largest idle slab its queue holds before it allocates.
 package netsim
 
 import (
@@ -213,6 +221,11 @@ type Config struct {
 	// telescopes exactly, so a run in which no preemption fires is
 	// bit-identical to PreemptQuantum 0.
 	PreemptQuantum int64
+	// FlowDepth sizes host egress: each NIC queue's new per-destination
+	// flow starts with room for this many messages (sched.Queue.SizeFlows).
+	// It is a capacity, never a bound, and moves no Result; 0 grows each
+	// flow on demand. The cluster layer derives it from its plan.
+	FlowDepth int
 }
 
 // Topology describes a multi-rack interconnect: racks of RackSize machines
@@ -688,6 +701,7 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		// destination, de-synchronizing otherwise identical schedules.
 		sched.ApplySource(disc, int32(i))
 		q := sched.NewQueue(disc, txItem)
+		q.SizeFlows(cfg.FlowDepth)
 		// The refund events of the window-relaxed credit protocol exist
 		// only for gated disciplines; ungated runs schedule none.
 		nw.gated = q.Gated()

@@ -162,7 +162,8 @@
 // urgent head is admitted — the common case, in which no flow leaves the
 // head heap — and k never exceeds F):
 //
-//   - Push: O(log F + log n_f)
+//   - Push: O(log F + log n_f), plus a scan of the idle shells when the
+//     flow's slab is full
 //   - Peek: O(1)
 //   - Pop: O(log F + log n_f)
 //   - PopReady, PopReadyIf, Preempts, Blocked:
@@ -173,9 +174,13 @@
 // admission walk all live in reusable slabs, a drained flow is evicted from
 // the flow map immediately (a long-running queue holds memory proportional
 // to its current flow set, not its historical one) and its shell is
-// recycled through a free list for the next flow that appears. Allocation
-// occurs only while a slab or the flow map is still growing toward the
-// working-set high-water mark. The CI benchmark gate (`p3bench -baseline`)
+// recycled through a free list for the next flow that appears. A flow
+// whose slab is full swaps in the largest idle slab on that list with more
+// room before it grows (TestSlabSwapMatchesReference), so a deep flow that
+// lands on a shallow recycled shell reuses the slab a deep flow left idle.
+// Allocation occurs only while the slabs or the flow map are still growing
+// toward the working-set high-water mark; SizeFlows lets a caller that
+// knows its flows' depth start each new shell there. The CI benchmark gate (`p3bench -baseline`)
 // enforces both halves of this contract — allocs/op must be zero and ns/op
 // may not regress — and TestDispatchMatchesLinearScanReference pins the
 // dispatcher bit-identical to the retained linear-scan reference

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -96,5 +97,43 @@ func FuzzByName(f *testing.F) {
 				t.Fatalf("ByName(%q): idle queue refused an oversized item: wedge", name)
 			}
 		}
+	})
+}
+
+// FuzzQueueMatchesReference runs fuzzed programs — pushes, bursts, pops of
+// every kind, drains, Done and Cancel, preemption and Blocked probes,
+// recalibrations — over p3, fifo and credit-adaptive through the reference
+// tests' interpreter (program), which holds every primitive to refQueue's
+// answer and every unused slab slot to zero. The program's bytes are its
+// choices, one per decision.
+func FuzzQueueMatchesReference(f *testing.F) {
+	for seed := uint64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 3))
+		prog := make([]byte, 600)
+		for i := range prog {
+			prog[i] = byte(rng.Uint32())
+		}
+		f.Add(uint8(seed), prog)
+	}
+	names := []string{"p3", "fifo", "credit-adaptive:1500"}
+	f.Fuzz(func(t *testing.T, disc uint8, prog []byte) {
+		// The fuzzer minimizes each new input in time quadratic in its
+		// length, so programs stop at 128 choices: enough for bursts of up
+		// to 24 copies each, drains, and a swap in about one random
+		// program in seven.
+		prog = prog[:min(len(prog), 128)]
+		next := func(n int) int {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := int(prog[0])
+			prog = prog[1:]
+			return b % n
+		}
+		p := newProgram(t, names[int(disc)%len(names)], next)
+		for len(prog) > 0 {
+			p.step()
+		}
+		p.drain()
 	})
 }

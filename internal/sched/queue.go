@@ -36,8 +36,10 @@ import "sort"
 // storage recycled through a free list, so a long-running queue (the pstcp
 // server's send queues live for the process lifetime) holds memory
 // proportional to its current, not historical, flow set, and steady-state
-// operation allocates nothing. See doc.go for the per-operation complexity
-// contract.
+// operation allocates nothing. A full flow first swaps in a roomier idle
+// slab from the free list (reslab) and grows only when there is none; a
+// new shell starts with room for SizeFlows entries (0: grow on demand).
+// See doc.go for the per-operation complexity contract.
 //
 // The view function projects an element into the scheduler-visible Item;
 // it must be pure (the queue may call it more than once per element).
@@ -53,6 +55,7 @@ type Queue[T any] struct {
 	walk  []*flow[T]         // reusable admission-walk buffer (skipped prefix)
 	free  []*flow[T]         // drained flow shells kept for reuse
 	seq   uint64             // global insertion counter (cross-flow tie-break)
+	depth int                // entries a new flow shell has room for (SizeFlows)
 	n     int
 }
 
@@ -278,14 +281,17 @@ func (q *Queue[T]) Push(v T) {
 			q.free = q.free[:k-1]
 			f.dest = it.Dest
 		} else {
-			//p3:alloc-ok first flow per destination; recycled via q.free thereafter
-			f = &flow[T]{dest: it.Dest}
+			//p3:alloc-ok first flow per destination, sized once (SizeFlows); recycled via q.free thereafter
+			f = &flow[T]{dest: it.Dest, ents: make([]entry[T], 0, q.depth)}
 		}
 		q.flows[it.Dest] = f
 		f.push(e)
 		f.head = e.ordKey
 		q.headPush(f)
 	} else {
+		if len(f.ents) == cap(f.ents) {
+			q.reslab(f)
+		}
 		f.push(e)
 		if e.before(&f.head) { // v is the flow's new head
 			f.head = e.ordKey
@@ -294,6 +300,36 @@ func (q *Queue[T]) Push(v T) {
 	}
 	q.n++
 }
+
+// reslab runs before a full flow would grow its slab: it swaps in the
+// largest idle slab on the free list with more room, copying f's entries
+// over and handing f's cleared slab to the idle shell. A shell popped off
+// the free list is whichever drained last, often a shallow one, while
+// deeper slabs sit idle; the swap lets a deep flow reuse them instead of
+// growing its own. The order is ordKey's total order, not the slab
+// layout, so the swap cannot move dispatch. It allocates nothing.
+//
+//p3:noescape
+func (q *Queue[T]) reslab(f *flow[T]) {
+	var idle *flow[T]
+	for _, g := range q.free {
+		if cap(g.ents) > cap(f.ents) && (idle == nil || cap(g.ents) > cap(idle.ents)) {
+			idle = g
+		}
+	}
+	if idle == nil {
+		return
+	}
+	ents := idle.ents[:copy(idle.ents[:cap(idle.ents)], f.ents)]
+	clear(f.ents) // the slab must not pin dead values
+	idle.ents, f.ents = f.ents[:0], ents
+}
+
+// SizeFlows gives every flow shell the queue creates from now on room for
+// depth entries, so a caller that knows how deep its flows get (netsim's
+// host egress, from the plan) pays for each slab once instead of growing
+// it. It is a capacity, never a bound: a deeper flow grows as usual.
+func (q *Queue[T]) SizeFlows(depth int) { q.depth = depth }
 
 // take pops f's head, evicts f if that drained it, and runs the dispatch
 // bookkeeping. f must currently be in the head heap.

@@ -22,12 +22,22 @@ type Item struct {
 // strategy's Sched name): fifo for baseline strategies, p3 priority ordering
 // for the server- and worker-side producer/consumer loops of Section 4.2,
 // or any other discipline.
+//
+// An item popped while its chunk is busy is deferred: refunded to the
+// queue's credit window and kept on one list, in deferral order, until the
+// chunk frees up. Deferrals are rare (a clean parameter-server run has
+// none), so one short list per pool, scanned on each finish, costs less
+// than a per-chunk table whose empty headers alone outweighed every
+// deferral of a run.
 type Pool struct {
 	queue *sched.Queue[Item]
-	// chunkBusy, waiting and cost are indexed by chunk id (dense).
+	// chunkBusy and cost are indexed by chunk id (dense).
 	chunkBusy []bool
-	waiting   [][]Item
 	cost      []sim.Time
+	// deferred holds the items popped while their chunk was busy, oldest
+	// first: a chunk's first entry is its oldest, so re-queueing it keeps
+	// each chunk's deferrals in FIFO order.
+	deferred []Item
 	// idle holds the free processing threads. Each slot's completion
 	// continuation is bound once at construction, so starting an item
 	// allocates nothing; len(idle) == 0 means every thread is busy.
@@ -62,7 +72,6 @@ func NewPool(proc sim.Proc, threads int, cost []sim.Time, queue *sched.Queue[Ite
 	p := &Pool{
 		queue:     queue,
 		chunkBusy: make([]bool, len(cost)),
-		waiting:   make([][]Item, len(cost)),
 		cost:      cost,
 		idle:      make([]*poolSlot, threads),
 		proc:      proc,
@@ -98,7 +107,7 @@ func (p *Pool) pump() {
 			// Cancel, not Done — an adaptive window must not read this
 			// refund as a completed transfer.
 			p.queue.Cancel(it)
-			p.waiting[it.Chunk] = append(p.waiting[it.Chunk], it)
+			p.deferred = append(p.deferred, it)
 			continue
 		}
 		p.start(it)
@@ -122,11 +131,14 @@ func (p *Pool) finish(s *poolSlot) {
 	p.idle = append(p.idle, s)
 	p.chunkBusy[it.Chunk] = false
 	p.queue.Done(it)
-	if w := p.waiting[it.Chunk]; len(w) > 0 {
-		p.queue.Push(w[0])
-		// Shift down instead of re-slicing from the front, so the chunk's
-		// backing array is reused by every later deferral.
-		p.waiting[it.Chunk] = w[:copy(w, w[1:])]
+	for i, d := range p.deferred {
+		if d.Chunk == it.Chunk {
+			p.queue.Push(d)
+			// Shift down instead of re-slicing from the front, so the
+			// list's backing array is reused by every later deferral.
+			p.deferred = p.deferred[:i+copy(p.deferred[i:], p.deferred[i+1:])]
+			break
+		}
 	}
 	p.done(it)
 	p.pump()

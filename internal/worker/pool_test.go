@@ -54,8 +54,9 @@ func TestPoolDefersSameChunk(t *testing.T) {
 	}
 }
 
-// TestPoolDoesNotAllocate: once the queue's flow shells and the deferral
-// lists have grown, Add -> finish allocates nothing, deferrals included.
+// TestPoolDoesNotAllocate: once the queue's flow shells and the pool's one
+// deferral list have grown, Add -> finish allocates nothing, deferrals
+// included.
 func TestPoolDoesNotAllocate(t *testing.T) {
 	var eng sim.Engine
 	view := func(it Item) sched.Item { return sched.Item{Priority: it.Priority, Bytes: 1, Dest: it.Src} }
