@@ -26,8 +26,9 @@ type flight struct {
 	wire int64 // total egress wire bytes: payload + header
 	sent int64 // wire bytes already serialized at egress
 
-	start, dur sim.Time // serialization interval of the hop in progress
-	port       *port    // switch port the record is queued on or headed for
+	start sim.Time // start of the egress segment in progress
+	dur   sim.Time // service time of the segment or stage hop in progress
+	port  *port    // switch port the record is queued on or headed for
 
 	// fire is bound once, when the record is first created, and is the only
 	// func() a hop ever hands the engine; then — a method expression, so
@@ -38,8 +39,9 @@ type flight struct {
 	next *flight // intrusive link: a flightQ or an LP's free list
 }
 
-// flightQ is an intrusive FIFO of records: ingress, blind switch ports and
-// aggregator reduce engines all serve strictly in arrival order.
+// flightQ is an intrusive FIFO of records: the arrival-order queue of a
+// stage without a port discipline (every ingress and reduce engine, and a
+// blind switch port).
 type flightQ struct{ head, tail *flight }
 
 func (q *flightQ) push(f *flight) {

@@ -40,6 +40,20 @@
 // order). Ungated disciplines schedule no refund events at all, keeping
 // their schedules (and goldens) untouched.
 //
+// # Stages
+//
+// Every hop but host egress is one store-and-forward stage (type stage) on
+// its own LP: it serves one message at a time, in arrival order or in a
+// port discipline's, for over + (bytes+hdr)·8 / (rate·scale) nanoseconds.
+// A host ingress is a stage at the NIC rate with the per-message overhead
+// and framing; a switch port one at its oversubscribed rate with framing
+// and no overhead; an aggregator's reduce engine one at AggReduceGBps·8
+// bits/ns charging the payload only. The scale is the scripted degrade
+// factor (1 outside a window). Host egress stays its own code: segments,
+// preemption and credit refunds are behaviour, not data. It reads the
+// NIC's rate and scale from the ingress stage, so one field degrades both
+// directions.
+//
 // # Tiers
 //
 // Topology stacks switching tiers on the machines, and the network keeps
@@ -47,15 +61,14 @@
 // of RackSize machines, the last possibly partial), tier 1 — with
 // Topology.Pods — the spine (one group per pod of racks/Pods racks); a flat
 // network has no tiers. A group owns one uplink and one downlink port, each
-// its own LP: a store-and-forward queue serializing at the group's actual
-// aggregate NIC rate divided by the oversubscription of its tier and of
-// every tier below (CoreOversub, SpineOversub), with no per-message
-// software overhead. A port is blind FIFO by default — the regime where
-// host-egress priorities die at the ToR — or, with CoreSched/SpineSched, a
-// sched.Queue running a fresh instance of the named discipline (seeded
-// with the port's LP index, profile-applied like a host NIC), so ranks
-// survive into the fabric; "fifo" is pinned bit-identical to the blind
-// queue. With Config.Aggregation every group also owns an aggregator LP —
+// a stage on its own LP serializing at the group's actual aggregate NIC
+// rate divided by the oversubscription of its tier and of every tier below
+// (CoreOversub, SpineOversub). A port is blind FIFO by default — the
+// regime where host-egress priorities die at the ToR — or, with
+// CoreSched/SpineSched, a sched.Queue running a fresh instance of the
+// named discipline (seeded with the port's LP index, profile-applied like
+// a host NIC), so ranks survive into the fabric; "fifo" is pinned
+// bit-identical to the blind queue. With Config.Aggregation every group also owns an aggregator LP —
 // the Parameter Hub design point, one reduction primitive placed at each
 // switch of the fabric.
 //
@@ -96,9 +109,9 @@
 // machines, a higher aggregator's the aggregators of the groups below it,
 // each copy entering the child group's downlink). Ingest is free by
 // default — a switch-side reduction engine, not a host NIC — but
-// Config.AggReduceGBps gives the engine a finite rate: payloads then queue
-// FIFO at the aggregator and are reduced at that many bytes per nanosecond
-// before AggDeliver sees them. Every aggregator hop goes through the
+// Config.AggReduceGBps gives the engine a finite rate: payloads then pass
+// the aggregator's stage, reduced at that many bytes per nanosecond, before
+// AggDeliver sees them. Every aggregator hop goes through the
 // canonical cross-LP transfer (xfer), so an N-shard run reproduces the
 // 1-shard Result bit for bit.
 //
@@ -113,15 +126,15 @@
 // therefore schedules without allocating, in exactly the call order of a
 // closure per hop, so event keys and Results are unchanged.
 //
-// A record belongs to the LP of its pending event or of the queue it waits
-// in; ownership moves with the Cross hand-off and with nothing else. It is
-// released on the LP where delivery completes — the destination machine
-// after ingress, the aggregator at arrival or after its reduce engine —
-// except under a gated egress discipline, where the record rides the
-// credit refund and is released on the sender's LP (a message waiting in a
-// reduce engine lends the refund a second record). Handlers get the
-// Message by value, after the release: they may keep it, and a Send from
-// inside a delivery reuses the record just freed.
+// A record belongs to the LP of its pending event or of the egress queue or
+// stage it waits in; ownership moves with the Cross hand-off and with
+// nothing else. It is released on the LP where delivery completes — the
+// destination machine after its ingress stage, the aggregator at arrival or
+// after its reduce stage — except under a gated egress discipline, where
+// the record rides the credit refund and is released on the sender's LP (a
+// message waiting in a reduce stage lends the refund a second record).
+// Handlers get the Message by value, after the release: they may keep it,
+// and a Send from inside a delivery reuses the record just freed.
 //
 // Free lists are per LP under the sharded engine: an LP's list is touched
 // only by events on that LP's timeline, so shards never share one and no
@@ -579,41 +592,41 @@ type nic struct {
 	// the class that displaced them: preemption costs a tail exactly the
 	// displacing burst, never its position within its own class.
 	parked []*flight
-	// ingress stays store-and-forward FIFO: reordering happens at the
-	// sender, exactly as in the real system (the receiver drains the socket
-	// in arrival order).
-	ingress    flightQ
-	ingressBsy bool
-	stats      nicStats
-	// rateScale multiplies the NIC's serialization rate (both directions);
-	// 1 outside any scripted degradation window. It is read at segment (or
-	// whole-message) start on the owning LP, so scheduled changes quantize
-	// to the LP's own timeline.
-	rateScale float64
+	// in is the ingress, a blind FIFO: reordering happens at the sender,
+	// exactly as in the real system (the receiver drains the socket in
+	// arrival order). Its rate and degrade scale are the NIC's, and egress
+	// reads them too.
+	in    stage
+	stats nicStats
+}
+
+// stage is one store-and-forward server owned by its LP (see the package
+// comment's "Stages" section). A message waits in arrival order (q) or in
+// a per-flow sched.Queue running a port discipline (sq). scale is read at
+// service start, so scheduled changes quantize to the LP's own timeline.
+// bytes/msgs count the payload that began service (LP-owned, so
+// shard-safe; summed after the run).
+type stage struct {
+	lp          int
+	busy        bool
+	q           flightQ
+	sq          *sched.Queue[*flight] // nil: strict arrival order
+	rate        float64               // bits per nanosecond (Gbps)
+	over        sim.Time              // per-message overhead
+	hdr         int64                 // framing bytes charged per message
+	scale       float64
+	bytes, msgs int64
 }
 
 // port is one switch port — the uplink or downlink of one group of one
-// tier: a store-and-forward queue serializing at the group's
-// oversubscribed rate, owned by its own LP. Without a port discipline it
-// is a blind FIFO (q); with one it is a per-flow sched.Queue (sq) running
-// the named discipline — the priority-aware ToR/spine. bytes/msgs count
-// the payload traffic that transited the port (LP-owned, so shard-safe;
-// summed after the run).
+// tier: a stage serializing at the group's oversubscribed rate with no
+// per-message overhead. Without a port discipline it is a blind FIFO; with
+// one it runs the named discipline — the priority-aware ToR/spine.
 type port struct {
-	lp    int
-	tier  int     // index into Network.tiers
-	group int     // group within the tier: the rack at tier 0, the pod at tier 1
-	up    bool    // uplink (towards the tier above) or downlink (towards the group)
-	rate  float64 // Gbps, i.e. bits per nanosecond
-	busy  bool
-	q     flightQ
-	sq    *sched.Queue[*flight] // nil without a port discipline
-	bytes int64
-	msgs  int64
-	// rateScale multiplies the port's serialization rate; 1 outside any
-	// scripted degradation window (read at serialization start, on the
-	// port's own LP).
-	rateScale float64
+	stage
+	tier  int  // index into Network.tiers
+	group int  // group within the tier: the rack at tier 0, the pod at tier 1
+	up    bool // uplink (towards the tier above) or downlink (towards the group)
 }
 
 // tier is one switching level of the fabric (see the package comment's
@@ -626,18 +639,17 @@ type tier struct {
 	agg0     int      // ordinal of group 0's aggregator (with Aggregation)
 }
 
-// aggregator is one group's aggregator LP. Under a finite AggReduceGBps it
-// owns a reduction engine: arriving payloads queue FIFO (q) and are
-// reduced at the configured rate on the aggregator's own LP before the
-// application sees them. The credit refund of a gated sender happens at
-// arrival, before the reduce queue — the transmission window covers the
-// wire, not the ASIC — so capacity modelling composes with credit
-// disciplines without changing the refund timing.
+// aggregator is one group's aggregator LP. Under a finite AggReduceGBps its
+// stage is the reduction engine: arriving payloads queue FIFO and are
+// reduced at the configured rate (payload only, no framing) on the
+// aggregator's own LP before the application sees them. The credit refund
+// of a gated sender happens at arrival, before the reduce queue — the
+// transmission window covers the wire, not the ASIC — so capacity
+// modelling composes with credit disciplines without changing the refund
+// timing.
 type aggregator struct {
-	lp   int
+	stage
 	down bool // taken offline by ScheduleAggOutage
-	busy bool
-	q    flightQ
 }
 
 // Network simulates the interconnect for n machines.
@@ -705,7 +717,8 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		// The refund events of the window-relaxed credit protocol exist
 		// only for gated disciplines; ungated runs schedule none.
 		nw.gated = q.Gated()
-		nw.nics[i] = nic{egress: q, rateScale: 1}
+		in := stage{lp: i, rate: cfg.BandwidthGbps, over: cfg.PerMsgOverhead, hdr: cfg.HeaderBytes, scale: 1}
+		nw.nics[i] = nic{egress: q, in: in}
 	}
 	nw.procs = make([]sim.Proc, cfg.NumLPs(n))
 	nw.free = make([]*flight, len(nw.procs))
@@ -715,7 +728,7 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 	dims := cfg.dims(n)
 	next := n // the next unassigned LP
 	newPort := func(k, g int, up bool, rate float64) port {
-		l := port{lp: next, tier: k, group: g, up: up, rate: rate, rateScale: 1}
+		l := port{stage: stage{lp: next, rate: rate, hdr: cfg.HeaderBytes, scale: 1}, tier: k, group: g, up: up}
 		if name := dims[k].sched; name != "" {
 			disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
 			sched.ApplySource(disc, int32(l.lp))
@@ -747,7 +760,9 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		for k := range nw.tiers {
 			nw.tiers[k].agg0 = len(nw.aggs)
 			for range nw.tiers[k].up {
-				nw.aggs = append(nw.aggs, aggregator{lp: next})
+				// The engine's rate is bytes per ns times 8 (exact in
+				// float64), so the one service formula charges bytes/GBps.
+				nw.aggs = append(nw.aggs, aggregator{stage: stage{lp: next, rate: cfg.AggReduceGBps * 8, scale: 1}})
 				next++
 			}
 		}
@@ -832,13 +847,6 @@ func (nw *Network) sumStats(f func(*nicStats) int64) int64 {
 		t += f(&nw.nics[i].stats)
 	}
 	return t
-}
-
-// wireTime is the serialization time of a message in one direction.
-func (nw *Network) wireTime(bytes int64) sim.Time {
-	bits := float64(bytes+nw.cfg.HeaderBytes) * 8
-	return nw.cfg.PerMsgOverhead + sim.Time(bits/nw.cfg.BandwidthGbps)
-	// BandwidthGbps is Gbit/s = bit/ns, so bits/rate is already nanoseconds.
 }
 
 func (nw *Network) localTime(bytes int64) sim.Time {
@@ -946,52 +954,52 @@ func (nw *Network) toPort(src int, l *port, at sim.Time, f *flight) {
 	nw.xfer(src, l.lp, at, f, (*Network).portEnqueue)
 }
 
-// portEnqueue queues f on the port it was handed to — the blind FIFO or
-// the discipline-ordered port queue — and pumps it.
+// enqueue queues f at stage s and pumps it; then runs when f's service
+// ends, on s's LP.
 //
 //p3:noescape
-func (nw *Network) portEnqueue(f *flight) {
-	l := f.port
-	if l.sq != nil {
-		l.sq.Push(f)
+func (nw *Network) enqueue(s *stage, f *flight, then func(*Network, *flight)) {
+	if s.sq != nil {
+		s.sq.Push(f)
 	} else {
-		l.q.push(f)
+		s.q.push(f)
 	}
-	nw.pumpPort(l)
+	nw.pump(s, then)
 }
 
-// pumpPort serializes the port's next message at the port's rate and
-// forwards it via routeFromPort. Switch ports pay no per-message software
-// overhead; header bytes still serialize. With a port discipline the next
-// message is the discipline's choice (a gated discipline's window opens
-// and closes entirely on this LP — serialization start to serialization
-// end — so port gating is shard-safe); without one it is strict arrival
-// order.
+// pump starts serving the stage's next message unless one is in service —
+// the one place a non-egress service time is computed. With a port
+// discipline the next message is the discipline's choice (a gated
+// discipline's window opens and closes entirely on this LP — service start
+// to service end — so port gating is shard-safe); without one it is strict
+// arrival order. A stage's then must clear busy and pump again.
 //
 //p3:noescape
-func (nw *Network) pumpPort(l *port) {
-	if l.busy {
+func (nw *Network) pump(s *stage, then func(*Network, *flight)) {
+	if s.busy {
 		return
 	}
 	var f *flight
-	if l.sq != nil {
+	if s.sq != nil {
 		var ok bool
-		f, ok = l.sq.PopReady()
-		if !ok {
-			return // empty, or every flow credit-blocked: Done below repumps
+		if f, ok = s.sq.PopReady(); !ok {
+			return // empty, or every flow credit-blocked: Done repumps
 		}
-	} else if f = l.q.pop(); f == nil {
+	} else if f = s.q.pop(); f == nil {
 		return
 	}
-	l.busy = true
-	l.bytes += f.msg.Bytes
-	l.msgs++
-	bits := float64(f.msg.Bytes+nw.cfg.HeaderBytes) * 8
-	rate := l.rate
-	if l.rateScale != 1 {
-		rate *= l.rateScale
-	}
-	nw.after(l.lp, sim.Time(bits/rate), f, (*Network).portDone)
+	s.busy = true
+	s.bytes += f.msg.Bytes
+	s.msgs++
+	f.dur = s.over + sim.Time(float64(f.msg.Bytes+s.hdr)*8/(s.rate*s.scale))
+	nw.after(s.lp, f.dur, f, then)
+}
+
+// portEnqueue queues f on the port it was handed to.
+//
+//p3:noescape
+func (nw *Network) portEnqueue(f *flight) {
+	nw.enqueue(&f.port.stage, f, (*Network).portDone)
 }
 
 // portDone runs when f finishes serializing at its port.
@@ -1004,7 +1012,7 @@ func (nw *Network) portDone(f *flight) {
 		l.sq.Done(f)
 	}
 	nw.routeFromPort(l, f)
-	nw.pumpPort(l)
+	nw.pump(&l.stage, (*Network).portDone)
 }
 
 // routeFromPort hands a message that finished serializing at a switch
@@ -1088,8 +1096,7 @@ func (nw *Network) deliverAgg(f *flight) {
 			// f waits in the reduce queue, so the refund rides its own record.
 			nw.refundCredit(a.lp, nw.acquire(a.lp, m))
 		}
-		a.q.push(f)
-		nw.pumpAggIngest(a)
+		nw.enqueue(&a.stage, f, (*Network).aggReduced)
 		return
 	}
 	if refund {
@@ -1111,25 +1118,6 @@ func (nw *Network) handAgg(down bool, m Message) {
 	}
 }
 
-// pumpAggIngest serializes the aggregator's next queued payload through
-// the reduce engine at AggReduceGBps bytes per second (== bytes per
-// nanosecond) on the aggregator's own LP, then hands it to AggDeliver.
-// Header bytes are wire framing, not reduction work, so only the payload
-// is charged.
-//
-//p3:noescape
-func (nw *Network) pumpAggIngest(a *aggregator) {
-	if a.busy {
-		return
-	}
-	f := a.q.pop()
-	if f == nil {
-		return
-	}
-	a.busy = true
-	nw.after(a.lp, sim.Time(float64(f.msg.Bytes)/nw.cfg.AggReduceGBps), f, (*Network).aggReduced)
-}
-
 // aggReduced runs when the reduce engine finishes f's payload. A crash
 // that lands mid-reduction swallows the in-flight payload: the outage
 // begins the instant the event fires, not at the next queue boundary.
@@ -1141,7 +1129,7 @@ func (nw *Network) aggReduced(f *flight) {
 	nw.release(a.lp, f)
 	a.busy = false
 	nw.handAgg(a.down, m)
-	nw.pumpAggIngest(a)
+	nw.pump(&a.stage, (*Network).aggReduced)
 }
 
 // AggSend transmits m from the tier's aggregator idx. m.To names a
@@ -1280,12 +1268,9 @@ func (nw *Network) egressSeg(f *flight) int64 {
 func (nw *Network) pumpSegment(machine int, f *flight) {
 	n := &nw.nics[machine]
 	seg := nw.egressSeg(f)
-	rate := nw.cfg.BandwidthGbps
-	if s := n.rateScale; s != 1 {
-		// Sampled once per segment on the owning LP: a degradation window
-		// opening mid-message slows only the segments that start inside it.
-		rate *= s
-	}
+	// The NIC's degrade scale is sampled once per segment on the owning LP:
+	// a window opening mid-message slows only the segments that start in it.
+	rate := n.in.rate * n.in.scale
 	f.dur = sim.Time(float64(f.sent+seg)*8/rate) - sim.Time(float64(f.sent)*8/rate)
 	if f.sent == 0 {
 		f.dur = nw.cfg.PerMsgOverhead + f.dur
@@ -1346,31 +1331,11 @@ func (nw *Network) segmentDone(f *flight) {
 	nw.pumpSegment(machine, f)
 }
 
+// arrive queues f at its destination machine's ingress.
+//
 //p3:noescape
 func (nw *Network) arrive(f *flight) {
-	to := f.msg.To
-	nw.nics[to].ingress.push(f)
-	nw.pumpIngress(to)
-}
-
-//p3:noescape
-func (nw *Network) pumpIngress(machine int) {
-	n := &nw.nics[machine]
-	if n.ingressBsy {
-		return
-	}
-	f := n.ingress.pop()
-	if f == nil {
-		return
-	}
-	n.ingressBsy = true
-	f.start = nw.procs[machine].Now()
-	f.dur = nw.wireTime(f.msg.Bytes)
-	if s := n.rateScale; s != 1 {
-		bits := float64(f.msg.Bytes+nw.cfg.HeaderBytes) * 8
-		f.dur = nw.cfg.PerMsgOverhead + sim.Time(bits/(nw.cfg.BandwidthGbps*s))
-	}
-	nw.after(machine, f.dur, f, (*Network).ingressDone)
+	nw.enqueue(&nw.nics[f.msg.To].in, f, (*Network).ingressDone)
 }
 
 // ingressDone runs when f has fully serialized into its destination
@@ -1381,8 +1346,9 @@ func (nw *Network) ingressDone(f *flight) {
 	m := f.msg
 	machine := m.To
 	n := &nw.nics[machine]
-	nw.rec.AddRange(machine, trace.In, f.start, f.start+f.dur, m.Bytes+nw.cfg.HeaderBytes)
-	n.ingressBsy = false
+	end := nw.procs[machine].Now() // service began f.dur earlier
+	nw.rec.AddRange(machine, trace.In, end-f.dur, end, m.Bytes+n.in.hdr)
+	n.in.busy = false
 	n.stats.msgsDelivered++
 	n.stats.bytesDelivered += m.Bytes
 	if nw.gated && !m.FromAgg {
@@ -1400,7 +1366,7 @@ func (nw *Network) ingressDone(f *flight) {
 		nw.release(machine, f)
 	}
 	nw.deliver(m)
-	nw.pumpIngress(machine)
+	nw.pump(&n.in, (*Network).ingressDone)
 }
 
 // QueuedEgress reports how many messages wait in machine m's egress queue
@@ -1424,10 +1390,11 @@ func (nw *Network) AggNow(tier, idx int) sim.Time {
 // schedules nothing.
 
 // ScheduleHostDegrade multiplies machine's NIC serialization rate (both
-// directions) by factor during [at, until). Windows compose
+// directions: egress reads its ingress stage's scale) by factor during
+// [at, until), with one event per window edge. Windows compose
 // multiplicatively; a lone window restores the rate exactly (f/f == 1).
 func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor float64) {
-	nw.degrade(machine, &nw.nics[machine].rateScale, at, until, factor)
+	nw.degrade(&nw.nics[machine].in, at, until, factor)
 }
 
 // ScheduleTierDegrade multiplies the uplink and downlink serialization
@@ -1436,19 +1403,18 @@ func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor f
 // per boundary on each port's own LP.
 func (nw *Network) ScheduleTierDegrade(tier, idx int, at, until sim.Time, factor float64) {
 	t := &nw.tiers[tier]
-	for _, l := range []*port{&t.up[idx], &t.down[idx]} {
-		nw.degrade(l.lp, &l.rateScale, at, until, factor)
-	}
+	nw.degrade(&t.up[idx].stage, at, until, factor)
+	nw.degrade(&t.down[idx].stage, at, until, factor)
 }
 
-// degrade scales *rateScale, which lp owns, by factor during [at, until).
-func (nw *Network) degrade(lp int, rateScale *float64, at, until sim.Time, factor float64) {
+// degrade scales s's rate by factor during [at, until), on s's own LP.
+func (nw *Network) degrade(s *stage, at, until sim.Time, factor float64) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("netsim: degrade factor %g", factor))
 	}
-	p := nw.procs[lp]
-	p.At(at, func() { *rateScale *= factor })
-	p.At(until, func() { *rateScale /= factor })
+	p := nw.procs[s.lp]
+	p.At(at, func() { s.scale *= factor })
+	p.At(until, func() { s.scale /= factor })
 }
 
 // ScheduleAggOutage takes the tier's aggregator idx offline during

@@ -356,3 +356,25 @@ func TestStaleFlushErrorLeavesFreshLinkUp(t *testing.T) {
 		t.Fatalf("the push buffered on the replaced connection never arrived (link down %v, %d parked)", down, parked)
 	}
 }
+
+// TestWorkerCountBounds pins the id space on both ends of a link: a server
+// takes 1..MaxWorkers workers (ids are one byte, so a larger count could
+// never complete an update) and a worker dials with an id below MaxWorkers.
+func TestWorkerCountBounds(t *testing.T) {
+	for _, n := range []int{-1, 0, MaxWorkers + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewServer with %d workers did not panic", n)
+				}
+			}()
+			NewServer(ServerConfig{Workers: n, Sched: "p3"})
+		}()
+	}
+	NewServer(ServerConfig{Workers: MaxWorkers, Sched: "p3"})
+	for _, id := range []int{-1, MaxWorkers} {
+		if _, err := DialWorkerCfg(WorkerConfig{ID: id, Sched: "p3"}); err == nil {
+			t.Errorf("DialWorkerCfg accepted worker id %d", id)
+		}
+	}
+}

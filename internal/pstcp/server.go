@@ -56,10 +56,14 @@ func SGDUpdater(lr float32) Updater {
 	}
 }
 
+// MaxWorkers bounds the workers of one server: a worker id is one byte on
+// the wire (Frame.Sender), so ids run 0..MaxWorkers-1.
+const MaxWorkers = 256
+
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	ID      int
-	Workers int // number of workers that must push before an update
+	Workers int // number of workers that must push before an update (1..MaxWorkers)
 	// Sched names the queue discipline (sched registry) applied to the
 	// receive and send queues: "p3" for the paper's priority mechanism,
 	// "fifo" (or empty) for the baseline, "credit[:bytes]" for a
@@ -143,8 +147,8 @@ type connWriter struct {
 // It panics on an unknown Sched name (validate with sched.ByName first if
 // the name comes from user input).
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Workers <= 0 {
-		panic(fmt.Sprintf("pstcp: server needs workers > 0, got %d", cfg.Workers))
+	if cfg.Workers <= 0 || cfg.Workers > MaxWorkers {
+		panic(fmt.Sprintf("pstcp: server needs 1..%d workers, got %d", MaxWorkers, cfg.Workers))
 	}
 	if cfg.Updater == nil {
 		cfg.Updater = SGDUpdater(0.1)

@@ -71,7 +71,7 @@ type ReconnectConfig struct {
 
 // WorkerConfig configures DialWorkerCfg.
 type WorkerConfig struct {
-	// ID is the worker's unique id (0..255).
+	// ID is the worker's unique id (0..MaxWorkers-1).
 	ID int
 	// Servers are the parameter-server addresses, one connection each; a
 	// frame's Dst indexes this list.
@@ -114,7 +114,7 @@ func DialWorker(id int, addrs []string, schedName string, handler Handler) (*Wor
 
 // DialWorkerCfg connects a worker to every configured server.
 func DialWorkerCfg(cfg WorkerConfig) (*Worker, error) {
-	if cfg.ID < 0 || cfg.ID > 255 {
+	if cfg.ID < 0 || cfg.ID >= MaxWorkers {
 		return nil, fmt.Errorf("pstcp: worker id %d out of range", cfg.ID)
 	}
 	disc, err := sched.ByName(cfg.Sched)

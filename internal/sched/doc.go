@@ -166,7 +166,7 @@
 //     flow's slab is full
 //   - Peek: O(1)
 //   - Pop: O(log F + log n_f)
-//   - PopReady, PopReadyIf, Preempts, Blocked:
+//   - PopReady, PopReadyIf, Preempts:
 //     O(k log F + log n_f); ungated disciplines pin k = 1
 //   - Done, Cancel, Len, Discipline: O(1)
 //

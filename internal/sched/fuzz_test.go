@@ -101,7 +101,7 @@ func FuzzByName(f *testing.F) {
 }
 
 // FuzzQueueMatchesReference runs fuzzed programs — pushes, bursts, pops of
-// every kind, drains, Done and Cancel, preemption and Blocked probes,
+// every kind, drains, Done and Cancel, preemption probes,
 // recalibrations — over p3, fifo and credit-adaptive through the reference
 // tests' interpreter (program), which holds every primitive to refQueue's
 // answer and every unused slab slot to zero. The program's bytes are its

@@ -359,9 +359,9 @@ func (q *Queue[T]) take(f *flow[T]) T {
 	return e.v
 }
 
-// admitted is the admission walk behind PopReady, Preempts, PopReadyIf and
-// Blocked: it consults flow heads in urgency order and returns the first
-// the discipline admits (any head, ungated), or nil once it reaches a head
+// admitted is the admission walk behind PopReady, Preempts and PopReadyIf:
+// it consults flow heads in urgency order and returns the first the
+// discipline admits (any head, ungated), or nil once it reaches a head
 // not before limit (nil: no limit) or runs out of heads. A refused head
 // moves from the head heap to the walk buffer, exposing the next most
 // urgent one at heads[0]; the skipped prefix goes back before the walk
@@ -444,7 +444,7 @@ func (q *Queue[T]) PopReady() (T, bool) {
 // insertion-order guarantee within a priority class). It is the
 // segment-boundary check of preemptive transmitters: hold is the in-flight
 // element, and a true result means the caller should park it (Cancel +
-// Push, progress retained) and re-dispatch. Like Blocked, it consults the
+// Push, progress retained) and re-dispatch. Like PopReady, it consults the
 // discipline's Admit and so belongs inside the dispatch loop's cadence.
 //
 // hold is keyed through the raw view, without a Ranker pass: under a
@@ -574,18 +574,4 @@ func (q *Queue[T]) Resume(v T) {
 	if p, ok := q.adm.(Parker); ok {
 		p.OnResume(q.view(v))
 	}
-}
-
-// Blocked reports whether elements are queued but every flow head is
-// currently refused by the credit window — i.e. a Done call is required
-// before progress. It consults the discipline's Admit, which for adaptive
-// disciplines records each refusal as a congestion signal — treat Blocked
-// as part of the dispatch loop, not a free-standing query to poll.
-//
-//p3:noescape
-func (q *Queue[T]) Blocked() bool {
-	if q.adm == nil || q.n == 0 {
-		return false
-	}
-	return q.admitted(nil) == nil
 }

@@ -242,10 +242,6 @@ func (p *program) step() {
 		}
 	case op < 50:
 		p.release()
-	case op < 55: // Blocked probe (mutates adaptive state via Admit)
-		if g, w := p.q.Blocked(), p.r.Blocked(); g != w {
-			p.fail("Blocked = %v, reference %v", g, w)
-		}
 	case op < 59:
 		p.burst()
 	case op < 63: // drain: whole flows empty at whatever depth they reached

@@ -258,19 +258,6 @@ func (q *refQueue[T]) Cancel(v T) {
 	q.adm.OnDone(q.view(v))
 }
 
-func (q *refQueue[T]) Blocked() bool {
-	if q.adm == nil || q.n == 0 {
-		return false
-	}
-	for _, f := range q.heads() {
-		e, _ := f.q.Peek()
-		if q.adm.Admit(e.it) {
-			return false
-		}
-	}
-	return true
-}
-
 // SetProfile mirrors Queue.SetProfile's rule: apply the profile, then
 // re-enqueue everything queued in its original insertion order (re-ranked,
 // with fresh sequence numbers).

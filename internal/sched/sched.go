@@ -99,8 +99,8 @@ type Dispatcher interface {
 // An Admitter must admit at least one item when nothing is in flight, or the
 // queue would wedge. Admit is part of the adaptation protocol, not a pure
 // query: an adaptive discipline may record a refusal as a congestion
-// signal, so callers must not poll it (or Queue.Blocked) outside the
-// dispatch loop's own cadence.
+// signal, so callers must not poll it outside the dispatch loop's own
+// cadence.
 type Admitter interface {
 	Admit(it Item) bool
 	OnStart(it Item)

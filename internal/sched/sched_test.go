@@ -123,8 +123,8 @@ func TestCreditGatedWindow(t *testing.T) {
 	if _, ok := q.PopReady(); ok {
 		t.Fatal("second low-priority item admitted beyond the credit window")
 	}
-	if !q.Blocked() {
-		t.Fatal("queue should report Blocked while the window is full")
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d while the window is full, want the refused item still queued", q.Len())
 	}
 	// An urgent item arrives; it is also blocked (the window is about
 	// in-flight bytes), but as soon as credit returns it goes first.
