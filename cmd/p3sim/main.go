@@ -152,14 +152,10 @@ func main() {
 	}
 	var r cluster.Result
 	if opt.calibrate {
-		// Two passes by hand rather than cluster.RunCalibrated so the
-		// utilization recorder (and any -stallsout artifact) reflects only
-		// the calibrated pass.
-		first := cfg
-		first.Recorder = nil
-		static := cluster.Run(first)
-		cfg.Profile = strategy.CalibrateProfile(m, bw, static.MeanLayerStalls())
-		r = cluster.Run(cfg)
+		// The recorder (and any -stallsout artifact) reflects only the
+		// calibrated pass.
+		var static cluster.Result
+		static, r = cluster.RunCalibrated(cfg)
 		firstLabel := "static"
 		if opt.stallsIn != "" {
 			firstLabel = "stall-file" // the first pass already ran on -stalls

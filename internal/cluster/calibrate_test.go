@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"p3/internal/strategy"
+	"p3/internal/trace"
 	"p3/internal/zoo"
 )
 
@@ -62,5 +64,29 @@ func TestCalibrationFeedbackBoundedByDamping(t *testing.T) {
 	if dampedCal.MeanIterTime > fifo.MeanIterTime {
 		t.Errorf("calibrated damped:tictac %.2f ms above fifo %.2f ms at 64 machines",
 			dampedCal.MeanIterTime.Millis(), fifo.MeanIterTime.Millis())
+	}
+}
+
+// TestRunCalibratedRecordsOnePass: RunCalibrated's recorder holds the
+// calibrated pass alone — the series a plain Run on the calibrated profile
+// records — not the two passes' bytes summed into one trace.
+func TestRunCalibratedRecordsOnePass(t *testing.T) {
+	cfg := Config{
+		Model: zoo.ByName("resnet110"), Machines: 4, Strategy: strategy.TicTac(0),
+		BandwidthGbps: 4, WarmupIters: 1, MeasureIters: 1, Seed: 1,
+		Recorder: trace.NewRecorder(4, 0),
+	}
+	static, _ := RunCalibrated(cfg)
+	plain := cfg
+	plain.Recorder = trace.NewRecorder(4, 0)
+	plain.Profile = strategy.CalibrateProfile(cfg.Model, cfg.BandwidthGbps, static.MeanLayerStalls())
+	Run(plain)
+	for m := range cfg.Machines {
+		for _, d := range []trace.Dir{trace.Out, trace.In} {
+			if got, want := cfg.Recorder.Series(m, d), plain.Recorder.Series(m, d); !slices.Equal(got, want) {
+				t.Errorf("machine %d %v: RunCalibrated recorded %.0f B, the calibrated pass alone %.0f B",
+					m, d, cfg.Recorder.TotalBytes(m, d), plain.Recorder.TotalBytes(m, d))
+			}
+		}
 	}
 }

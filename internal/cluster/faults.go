@@ -159,7 +159,7 @@ func (cs *clusterSim) scheduleFaults() {
 			cs.net.ScheduleTierDegrade(tierOf[e.Link], e.Index, at, until, e.Factor)
 		case e.Kind == faults.KindAggCrash:
 			a := cs.node(tierOf[e.Tier], e.Index)
-			cs.net.ScheduleAggOutage(a.tier, a.idx, at, until, func() { cs.rec.crashed(a) }, nil)
+			cs.net.ScheduleAggOutage(a.tier, a.idx, at, until, func() { cs.rec.crashed(a) })
 		}
 	}
 }

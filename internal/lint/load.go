@@ -93,18 +93,12 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
+	imp := exportImporter(fset, "gc", func(path string) string { return exports[path] })
 	sizes := types.SizesFor("gc", envGOARCH())
 
 	var out []*Package
 	for _, p := range targets {
-		pkg, err := typeCheck(fset, imp, sizes, p)
+		pkg, err := check(fset, imp, sizes, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -113,47 +107,46 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return out, nil
 }
 
-// typeCheck parses and checks one listed package.
-func typeCheck(fset *token.FileSet, imp types.Importer, sizes types.Sizes, p *listPkg) (*Package, error) {
-	var files []*ast.File
-	var paths []string
-	for _, name := range p.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(p.Dir, name)
+// exportImporter imports each dependency from the compiled export data
+// file that file names for its import path ("" when there is none).
+func exportImporter(fset *token.FileSet, compiler string, file func(path string) string) types.Importer {
+	return importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+		name := file(path)
+		if name == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		paths = append(paths, path)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: imp, Sizes: sizes}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
-	}
-	return &Package{
-		ImportPath: p.ImportPath,
-		Dir:        p.Dir,
-		GoFiles:    paths,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		Sizes:      sizes,
-	}, nil
+		return os.Open(name)
+	})
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
+// check parses files (relative names resolve against dir) and type-checks
+// them as the package path, importing dependencies through imp. It is the
+// one parse-and-check path of both the standalone loader and the vet
+// unit.
+func check(fset *token.FileSet, imp types.Importer, sizes types.Sizes, path, dir string, files []string) (*Package, error) {
+	pkg := &Package{ImportPath: path, Dir: dir, Fset: fset, Sizes: sizes, Info: &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}}
+	for _, name := range files {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(dir, name)
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		pkg.Files = append(pkg.Files, f)
+		pkg.GoFiles = append(pkg.GoFiles, name)
 	}
+	conf := types.Config{Importer: imp, Sizes: sizes}
+	var err error
+	if pkg.Types, err = conf.Check(path, fset, pkg.Files, pkg.Info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	return pkg, nil
 }
 
 func envGOARCH() string {

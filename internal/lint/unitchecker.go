@@ -3,9 +3,6 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -63,46 +60,18 @@ func RunUnit(cfgPath string, analyzers []*Analyzer, w io.Writer) (int, error) {
 	}
 
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0, nil
-			}
-			return 0, err
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
+	imp := exportImporter(fset, cfg.Compiler, func(path string) string {
 		if mapped, ok := cfg.ImportMap[path]; ok {
 			path = mapped
 		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
+		return cfg.PackageFile[path]
 	})
-	info := newInfo()
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor(cfg.Compiler, envGOARCH())}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := check(fset, imp, types.SizesFor(cfg.Compiler, envGOARCH()), cfg.ImportPath, cfg.Dir, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0, nil
 		}
-		return 0, fmt.Errorf("type-checking %s: %v", cfg.ImportPath, err)
-	}
-
-	pkg := &Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		GoFiles:    cfg.GoFiles,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		Sizes:      conf.Sizes,
+		return 0, err
 	}
 	diags, err := RunAnalyzers(pkg, analyzers)
 	if err != nil {

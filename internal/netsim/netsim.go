@@ -604,29 +604,29 @@ type nic struct {
 // comment's "Stages" section). A message waits in arrival order (q) or in
 // a per-flow sched.Queue running a port discipline (sq). scale is read at
 // service start, so scheduled changes quantize to the LP's own timeline.
-// bytes/msgs count the payload that began service (LP-owned, so
-// shard-safe; summed after the run).
 type stage struct {
-	lp          int
-	busy        bool
-	q           flightQ
-	sq          *sched.Queue[*flight] // nil: strict arrival order
-	rate        float64               // bits per nanosecond (Gbps)
-	over        sim.Time              // per-message overhead
-	hdr         int64                 // framing bytes charged per message
-	scale       float64
-	bytes, msgs int64
+	lp    int
+	busy  bool
+	q     flightQ
+	sq    *sched.Queue[*flight] // nil: strict arrival order
+	rate  float64               // bits per nanosecond (Gbps)
+	over  sim.Time              // per-message overhead
+	hdr   int64                 // framing bytes charged per message
+	scale float64
 }
 
 // port is one switch port — the uplink or downlink of one group of one
 // tier: a stage serializing at the group's oversubscribed rate with no
 // per-message overhead. Without a port discipline it is a blind FIFO; with
 // one it runs the named discipline — the priority-aware ToR/spine.
+// bytes/msgs count the payload that finished serializing (LP-owned, so
+// shard-safe; summed after the run).
 type port struct {
 	stage
-	tier  int  // index into Network.tiers
-	group int  // group within the tier: the rack at tier 0, the pod at tier 1
-	up    bool // uplink (towards the tier above) or downlink (towards the group)
+	tier        int  // index into Network.tiers
+	group       int  // group within the tier: the rack at tier 0, the pod at tier 1
+	up          bool // uplink (towards the tier above) or downlink (towards the group)
+	bytes, msgs int64
 }
 
 // tier is one switching level of the fabric (see the package comment's
@@ -989,8 +989,6 @@ func (nw *Network) pump(s *stage, then func(*Network, *flight)) {
 		return
 	}
 	s.busy = true
-	s.bytes += f.msg.Bytes
-	s.msgs++
 	f.dur = s.over + sim.Time(float64(f.msg.Bytes+s.hdr)*8/(s.rate*s.scale))
 	nw.after(s.lp, f.dur, f, then)
 }
@@ -1008,6 +1006,8 @@ func (nw *Network) portEnqueue(f *flight) {
 func (nw *Network) portDone(f *flight) {
 	l := f.port
 	l.busy = false
+	l.bytes += f.msg.Bytes
+	l.msgs++
 	if l.sq != nil {
 		l.sq.Done(f)
 	}
@@ -1217,7 +1217,7 @@ func (nw *Network) pumpEgress(machine int) {
 		if !n.egress.Preempts(tail) {
 			n.parked = n.parked[:k-1]
 			// Re-charge the resumed remainder against its flow's window
-			// (a Parker discipline stopped counting it while parked).
+			// (credit-adaptive stopped counting it while parked).
 			n.egress.Resume(tail)
 			n.egressBusy = true
 			nw.pumpSegment(machine, tail)
@@ -1321,8 +1321,8 @@ func (nw *Network) segmentDone(f *flight) {
 		// smaller class.
 		f.pri = pre.pri
 		n.parked = append(n.parked, f)
-		// A Parker discipline stops counting the parked remainder
-		// against its flow's admission window until it resumes.
+		// credit-adaptive stops counting the parked remainder against
+		// its flow's window until it resumes (credit keeps it charged).
 		n.egress.Park(f)
 		n.stats.preemptions++
 		nw.pumpSegment(machine, pre)
@@ -1421,10 +1421,10 @@ func (nw *Network) degrade(s *stage, at, until sim.Time, factor float64) {
 // [at, until) — or permanently when until <= at. While down, arriving
 // aggregator-addressed messages go to Config.AggDrop instead of
 // AggDeliver; payloads queued (or mid-reduction) in the reduce engine at
-// the crash instant are dropped the same way. onCrash and onRestart run
-// on the aggregator's LP at the window edges (either may be nil); the
-// application uses them to discard its partial-reduction state.
-func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash, onRestart func()) {
+// the crash instant are dropped the same way. onCrash (if non-nil) runs
+// on the aggregator's LP at the crash instant; the application uses it to
+// discard its partial-reduction state.
+func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash func()) {
 	if nw.aggs == nil {
 		panic("netsim: ScheduleAggOutage without Config.Aggregation")
 	}
@@ -1448,11 +1448,6 @@ func (nw *Network) ScheduleAggOutage(tier, idx int, at, until sim.Time, onCrash,
 		}
 	})
 	if until > at {
-		p.At(until, func() {
-			a.down = false
-			if onRestart != nil {
-				onRestart()
-			}
-		})
+		p.At(until, func() { a.down = false })
 	}
 }

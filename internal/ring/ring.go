@@ -146,8 +146,11 @@ type ringSim struct {
 // (strategy.CalibrateProfile), so model-aware disciplines rank against the
 // iteration timeline the cluster really produces instead of the idealized
 // compute-only one. Both results are returned, first the static pass.
+// Only the calibrated pass feeds cfg.Recorder: the first runs without it.
 func RunCalibrated(cfg Config) (static, calibrated Result) {
-	static = Run(cfg)
+	first := cfg
+	first.Recorder = nil
+	static = Run(first)
 	cfg.Profile = strategy.CalibrateProfile(cfg.Model, cfg.BandwidthGbps, static.MeanLayerStalls())
 	calibrated = Run(cfg)
 	return static, calibrated

@@ -2,11 +2,13 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"p3/internal/model"
 	"p3/internal/strategy"
+	"p3/internal/trace"
 	"p3/internal/zoo"
 )
 
@@ -203,4 +205,25 @@ func TestWedgedRunPanics(t *testing.T) {
 	}()
 	r := rs.result()
 	t.Fatalf("wedged run returned throughput %v", r.Throughput)
+}
+
+// TestRunCalibratedRecordsOnePass: RunCalibrated's recorder holds the
+// calibrated pass alone — the series a plain Run on the calibrated profile
+// records — not the two passes' bytes summed into one trace.
+func TestRunCalibratedRecordsOnePass(t *testing.T) {
+	c := cfg(strategy.Strategy{Name: "ar-tictac", Granularity: strategy.Slices, Sched: "tictac"}, 1, 4)
+	c.Recorder = trace.NewRecorder(4, 0)
+	static, _ := RunCalibrated(c)
+	plain := c
+	plain.Recorder = trace.NewRecorder(4, 0)
+	plain.Profile = strategy.CalibrateProfile(c.Model, c.BandwidthGbps, static.MeanLayerStalls())
+	Run(plain)
+	for m := range c.Machines {
+		for _, d := range []trace.Dir{trace.Out, trace.In} {
+			if got, want := c.Recorder.Series(m, d), plain.Recorder.Series(m, d); !slices.Equal(got, want) {
+				t.Errorf("machine %d %v: RunCalibrated recorded %.0f B, the calibrated pass alone %.0f B",
+					m, d, c.Recorder.TotalBytes(m, d), plain.Recorder.TotalBytes(m, d))
+			}
+		}
+	}
 }

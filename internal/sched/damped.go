@@ -103,7 +103,7 @@ func NewDamped(base Discipline, weight int64) (Discipline, error) {
 	}
 	d := &Damped{base: base, weight: uint64(weight)}
 	if adm, ok := base.(Admitter); ok {
-		return &gatedDamped{Damped: *d, adm: adm}, nil
+		return &gatedDamped{Damped: *d, Admitter: adm}, nil
 	}
 	return d, nil
 }
@@ -187,42 +187,13 @@ func (d *Damped) SetProfile(p *Profile) {
 }
 
 // gatedDamped is the wrapper variant for Admitter bases (damped:credit,
-// damped:credit-adaptive): the rank transform plus pass-through credit
-// accounting. It is a separate type so that a damped ungated base does not
+// damped:credit-adaptive): the rank transform plus the base's own credit
+// window. It is a separate type so that a damped ungated base does not
 // present an Admitter to the queue (which would route every dispatch
 // through the admission walk).
 type gatedDamped struct {
 	Damped
-	adm Admitter
-}
-
-func (g *gatedDamped) Admit(it Item) bool { return g.adm.Admit(it) }
-func (g *gatedDamped) OnStart(it Item)    { g.adm.OnStart(it) }
-func (g *gatedDamped) OnDone(it Item)     { g.adm.OnDone(it) }
-
-// OnCancel forwards to the base's cancel path, falling back to completion
-// semantics exactly as Queue.Cancel would for the bare base.
-func (g *gatedDamped) OnCancel(it Item) {
-	if c, ok := g.adm.(Canceler); ok {
-		c.OnCancel(it)
-		return
-	}
-	g.adm.OnDone(it)
-}
-
-// OnPark and OnResume forward parked-transmission accounting to bases that
-// track it (credit-adaptive); for the rest a parked element simply stays
-// charged.
-func (g *gatedDamped) OnPark(it Item) {
-	if p, ok := g.adm.(Parker); ok {
-		p.OnPark(it)
-	}
-}
-
-func (g *gatedDamped) OnResume(it Item) {
-	if p, ok := g.adm.(Parker); ok {
-		p.OnResume(it)
-	}
+	Admitter
 }
 
 // dampedByArg resolves "damped[:base[@weight]]" from the text after the

@@ -33,20 +33,19 @@
 //     per item, before insertion.
 //   - Dispatcher: observes dequeues (OnDispatch), e.g. to advance a
 //     virtual clock.
-//   - Admitter: gates dispatch with a credit window. Admit is consulted
-//     before an item may start; OnStart/OnDone bracket its in-flight
-//     interval; an Admitter must admit at least one item when nothing is
-//     in flight, or the queue would wedge. Admit doubles as an adaptation
-//     signal (a refusal is congestion evidence to credit-adaptive), so it
-//     belongs inside the dispatch loop's cadence, never in a free-standing
-//     poll. Canceler refines an Admitter: OnCancel refunds an admission
-//     the caller backed out of without feeding the adaptation. Parker
-//     refines it further for preemptive transmitters: OnPark moves a
-//     preempted element's remaining bytes out of the admission window
-//     (they are off the wire, and a window full of parked bytes is not
-//     congestion evidence), OnResume re-charges them; Queue.Park/Resume
-//     route the calls and are no-ops for disciplines without the
-//     interface, which simply keep parked bytes charged.
+//   - Admitter: gates dispatch with a credit window, one contract for
+//     every event of an admitted item. Admit is consulted before an item
+//     may start; OnStart/OnDone bracket its in-flight interval; an
+//     Admitter must admit at least one item when nothing is in flight, or
+//     the queue would wedge. Admit doubles as an adaptation signal (a
+//     refusal is congestion evidence to credit-adaptive), so it belongs
+//     inside the dispatch loop's cadence, never in a free-standing poll.
+//     OnCancel refunds an admission the caller backed out of; OnPark and
+//     OnResume bracket a preempted element's time off the wire. Neither
+//     feeds the adaptation: credit-adaptive releases the bytes, credit
+//     refunds a cancel as a completion and keeps parked bytes charged.
+//     Queue.Done/Cancel/Park/Resume route the calls and are no-ops for
+//     ungated disciplines.
 //
 // Profiled disciplines (tictac, damped over a profiled base) additionally
 // consume a Profile — the model timing that strategies derive via

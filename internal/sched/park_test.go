@@ -5,7 +5,7 @@ import "testing"
 // TestAdaptiveCreditParkAccounting pins the preemption-aware credit fix: a
 // parked (preempted) transmission's remaining bytes must stop counting
 // against its flow's admission window, and the park/resume transitions must
-// not feed the AIMD — before the Parker interface, a long-parked tail kept
+// not feed the AIMD — before credit-adaptive released parked bytes, a long-parked tail kept
 // its flow's window spuriously bound and every refusal it caused was
 // recorded as credit-starvation evidence.
 func TestAdaptiveCreditParkAccounting(t *testing.T) {
@@ -75,12 +75,13 @@ func TestAdaptiveCreditParkDiscardsRefusalEvidence(t *testing.T) {
 }
 
 // TestQueueParkResume drives the Park/Resume plumbing through the queue
-// (and the gatedDamped forwarding): the element's own view routes the
-// park, a non-Parker discipline ignores it, and the walk stays balanced.
+// (and through damped's embedded window): the element's own view routes
+// the park, a fixed window keeps the parked bytes charged, and the walk
+// stays balanced.
 func TestQueueParkResume(t *testing.T) {
+	bulk := Item{Priority: 5, Bytes: 900, Dest: 1}
 	for _, name := range []string{"credit-adaptive:1000", "damped:credit-adaptive:1000"} {
 		q := NewQueue(MustByName(name), ident)
-		bulk := Item{Priority: 5, Bytes: 900, Dest: 1}
 		q.Push(bulk)
 		v, ok := q.PopReady()
 		if !ok {
@@ -98,23 +99,58 @@ func TestQueueParkResume(t *testing.T) {
 		q.Resume(v)
 		q.Done(v)
 	}
-	// Non-Parker admitters (plain credit) keep parked bytes charged: Park
-	// must be a safe no-op, not an underflow.
-	q := NewQueue(MustByName("credit:1000"), ident)
-	bulk := Item{Priority: 5, Bytes: 900, Dest: 1}
-	q.Push(bulk)
-	v, _ := q.PopReady()
-	q.Park(v)
-	q.Push(Item{Priority: 0, Bytes: 900, Dest: 1})
-	if _, ok := q.PopReady(); ok {
-		t.Fatal("credit (no Parker) admitted past bytes that stay charged while parked")
+	// Fixed windows keep parked bytes charged: Park must be a safe no-op,
+	// not an underflow.
+	for _, name := range []string{"credit:1000", "damped:credit:1000"} {
+		q := NewQueue(MustByName(name), ident)
+		q.Push(bulk)
+		v, _ := q.PopReady()
+		q.Park(v)
+		q.Push(Item{Priority: 0, Bytes: 900, Dest: 1})
+		if _, ok := q.PopReady(); ok {
+			t.Fatalf("%s admitted past bytes that stay charged while parked", name)
+		}
+		q.Resume(v)
+		q.Done(v)
+		if _, ok := q.PopReady(); !ok {
+			t.Fatalf("%s: Done after Resume left the window charged", name)
+		}
 	}
-	q.Resume(v)
-	q.Done(v)
 	// Ungated disciplines: Park/Resume are no-ops.
 	p := NewQueue(MustByName("p3"), ident)
 	p.Push(bulk)
-	v, _ = p.Pop()
+	v, _ := p.Pop()
 	p.Park(v)
 	p.Resume(v)
+}
+
+// TestQueueCancelRefundsFixedWindow: Cancel through a fixed window, bare
+// or under damped's embedding, refunds the charge exactly as Done would —
+// the next item is admissible, and a second refund of the same bytes
+// underflows.
+func TestQueueCancelRefundsFixedWindow(t *testing.T) {
+	bulk := Item{Priority: 5, Bytes: 900, Dest: 1}
+	for _, name := range []string{"credit:1000", "damped:credit:1000"} {
+		q := NewQueue(MustByName(name), ident)
+		q.Push(bulk)
+		q.Push(Item{Priority: 6, Bytes: 900, Dest: 1})
+		v, _ := q.PopReady()
+		if _, ok := q.PopReady(); ok {
+			t.Fatalf("%s: 900+900 admitted into a 1000-byte window", name)
+		}
+		q.Cancel(v)
+		w, ok := q.PopReady()
+		if !ok {
+			t.Fatalf("%s: Cancel did not refund the window", name)
+		}
+		q.Done(w)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: cancelling bytes already refunded did not underflow", name)
+				}
+			}()
+			q.Cancel(v)
+		}()
+	}
 }

@@ -495,23 +495,17 @@ func (q *Queue[T]) Done(v T) {
 
 // Cancel releases v's in-flight charge without signalling a completion:
 // use it when the caller backs out of work it popped (e.g. re-queueing an
-// item deferred on a serialization constraint, or parking a preempted
-// transmission), so adaptive disciplines do not tune their windows on bytes
-// that were never actually processed. The refund is routed by v's own Item
-// view — v carries its destination, so a flow skipped at dispatch can never
-// absorb another flow's refund. Falls back to Done semantics for
-// disciplines without a cancel path.
+// item deferred on a serialization constraint), so adaptive disciplines do
+// not tune their windows on bytes that were never actually processed. The
+// refund is routed by v's own Item view — v carries its destination, so a
+// flow skipped at dispatch can never absorb another flow's refund. A no-op
+// for disciplines without a credit window.
 //
 //p3:noescape
 func (q *Queue[T]) Cancel(v T) {
-	if q.adm == nil {
-		return
+	if q.adm != nil {
+		q.adm.OnCancel(q.view(v))
 	}
-	if c, ok := q.adm.(Canceler); ok {
-		c.OnCancel(q.view(v))
-		return
-	}
-	q.adm.OnDone(q.view(v))
 }
 
 // SetProfile applies a (re)calibrated timing profile to the queue's
@@ -550,28 +544,28 @@ func (q *Queue[T]) SetProfile(p *Profile) {
 	}
 }
 
-// Park tells a Parker discipline that v — popped earlier and still
-// unfinished — has been preempted and parked outside the queue: its
-// remaining bytes are off the wire and must stop counting against its
-// flow's admission window, without feeding the discipline's adaptation.
-// For disciplines that do not track parked bytes it is a no-op (the
-// element simply stays charged, which is conservative).
-// Balance every Park with a Resume before the element's Done.
+// Park tells the credit window that v — popped earlier and still
+// unfinished — has been preempted and parked outside the queue, without
+// feeding the discipline's adaptation. Whether the parked remainder stops
+// counting against its flow's window is the discipline's choice
+// (credit-adaptive releases it, credit keeps it charged); a no-op for
+// disciplines without a credit window. Balance every Park with a Resume
+// before the element's Done.
 //
 //p3:noescape
 func (q *Queue[T]) Park(v T) {
-	if p, ok := q.adm.(Parker); ok {
-		p.OnPark(q.view(v))
+	if q.adm != nil {
+		q.adm.OnPark(q.view(v))
 	}
 }
 
-// Resume re-charges a parked element when its transmission continues; the
-// caller's eventual Done then balances as usual. A no-op for disciplines
-// without a Parker, mirroring Park.
+// Resume tells the credit window that a parked element's transmission
+// continues; the caller's eventual Done then balances as usual. A no-op
+// for disciplines without a credit window, mirroring Park.
 //
 //p3:noescape
 func (q *Queue[T]) Resume(v T) {
-	if p, ok := q.adm.(Parker); ok {
-		p.OnResume(q.view(v))
+	if q.adm != nil {
+		q.adm.OnResume(q.view(v))
 	}
 }

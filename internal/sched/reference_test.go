@@ -248,14 +248,9 @@ func (q *refQueue[T]) Done(v T) {
 }
 
 func (q *refQueue[T]) Cancel(v T) {
-	if q.adm == nil {
-		return
+	if q.adm != nil {
+		q.adm.OnCancel(q.view(v))
 	}
-	if c, ok := q.adm.(Canceler); ok {
-		c.OnCancel(q.view(v))
-		return
-	}
-	q.adm.OnDone(q.view(v))
 }
 
 // SetProfile mirrors Queue.SetProfile's rule: apply the profile, then

@@ -101,33 +101,24 @@ type Dispatcher interface {
 // query: an adaptive discipline may record a refusal as a congestion
 // signal, so callers must not poll it outside the dispatch loop's own
 // cadence.
+//
+// OnCancel refunds an admission the caller backed out of before doing the
+// work (a processing pool deferring an item on per-key serialization, a
+// send loop re-queueing a frame its connection failed to write). A window
+// that adapts releases the charge without feeding its adaptation signals;
+// a fixed window may treat it as a completion.
+//
+// OnPark and OnResume bracket a preempted transmission's time parked
+// outside the queue; the eventual OnDone balances as usual. A window may
+// move the parked remainder out of its charge (it is off the wire, and a
+// window full of parked bytes is not congestion evidence) or keep it
+// charged, which is safe but lets a long-parked tail bind its flow's
+// window. Neither transition may feed the adaptation.
 type Admitter interface {
 	Admit(it Item) bool
 	OnStart(it Item)
 	OnDone(it Item)
-}
-
-// Canceler is implemented by Admitters that distinguish a refunded
-// admission — the caller backed out before performing the work (e.g. a
-// processing pool deferring an item on per-key serialization) — from a
-// real completion. OnCancel releases the in-flight charge without feeding
-// the discipline's adaptation signals; an Admitter without it treats
-// cancels as completions.
-type Canceler interface {
 	OnCancel(it Item)
-}
-
-// Parker is implemented by Admitters that distinguish a parked (preempted)
-// transmission's bytes from bytes genuinely in flight. A preemptive
-// transmitter that parks an element calls OnPark: the element's remaining
-// bytes are off the wire, so they must stop counting against the flow's
-// admission window, and the transition must not feed the discipline's
-// adaptation — a window that looks full of parked bytes is not congestion
-// evidence. OnResume re-charges the element when transmission continues;
-// the eventual OnDone then balances as usual. An Admitter without Parker
-// keeps parked bytes charged, which is safe but lets a long-parked tail
-// spuriously bind its flow's window.
-type Parker interface {
 	OnPark(it Item)
 	OnResume(it Item)
 }
@@ -310,6 +301,14 @@ func (c *CreditGated) OnDone(it Item) {
 		panic(fmt.Sprintf("sched: credit underflow (%d bytes)", c.inFlight))
 	}
 }
+
+// OnCancel refunds a backed-out admission as a completion: a fixed window
+// has no adaptation for the difference to matter to.
+func (c *CreditGated) OnCancel(it Item) { c.OnDone(it) }
+
+// OnPark and OnResume leave a parked transmission's bytes charged.
+func (*CreditGated) OnPark(Item)   {}
+func (*CreditGated) OnResume(Item) {}
 
 // InFlight reports the bytes currently charged against the window.
 func (c *CreditGated) InFlight() int64 { return c.inFlight }
@@ -542,7 +541,7 @@ func (a *AdaptiveCredit) OnCancel(it Item) {
 }
 
 // OnPark moves a preempted transmission's bytes out of the admission
-// window (Parker): the remainder is off the wire while parked, so leaving
+// window: the remainder is off the wire while parked, so leaving
 // it charged would refuse admissible traffic and feed those refusals to
 // the AIMD as if the destination were stalled on credit — preemption would
 // spuriously tune the window. Like OnCancel, a drain by parking discards

@@ -138,9 +138,7 @@ func (s *SendQueue) Cancel(f *Frame) {
 func (s *SendQueue) Requeue(f *Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.q.Gated() {
-		s.q.Cancel(f)
-	}
+	s.q.Cancel(f)
 	if !s.closed {
 		s.q.Push(f)
 	}

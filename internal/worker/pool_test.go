@@ -19,6 +19,12 @@ func (g *logGate) Admit(sched.Item) bool             { return true }
 func (g *logGate) OnStart(it sched.Item)             { g.log = append(g.log, fmt.Sprint("start ", it.Bytes)) }
 func (g *logGate) OnDone(it sched.Item)              { g.log = append(g.log, fmt.Sprint("done ", it.Bytes)) }
 func (g *logGate) OnCancel(it sched.Item)            { g.log = append(g.log, fmt.Sprint("cancel ", it.Bytes)) }
+func (g *logGate) OnPark(sched.Item)                 {}
+func (g *logGate) OnResume(sched.Item)               {}
+
+// A logGate that stopped satisfying sched.Admitter would silently run
+// ungated and log nothing.
+var _ sched.Admitter = (*logGate)(nil)
 
 // TestPoolDefersSameChunk: with two threads, a second item for a chunk that
 // is being processed is popped, refunded with Cancel — not Done, which an
