@@ -40,7 +40,7 @@
 // through closures built in the loop body; iterate sorted keys instead, or
 // document a genuinely order-insensitive walk with //p3:maporder-ok <reason>.
 //
-// sizebudget — four hot structs sit on measured performance cliffs, pinned
+// sizebudget — five hot structs sit on measured performance cliffs, pinned
 // with //p3:sizebudget <bytes>:
 //
 //   - sim's event struct (32 bytes: at, sched, packed ord, fn). The event
@@ -75,6 +75,16 @@
 //     and NewParallel allocates the shards back to back; at its natural
 //     160 bytes the shards would share lines, and 256 is the smallest
 //     size class above that whose objects are 128-byte aligned.
+//
+//   - netsim's flight (96 bytes), the record each in-flight message owns.
+//     A cell keeps tens of thousands live at its peak and makes every one
+//     afresh per run, so the record's size class is paid once per record
+//     a run makes: rack256_hier makes about 110 thousand a pass, and each
+//     size class up (112, then 128 bytes) costs 1.7 MB of its 33 MB.
+//     The wire size is derived, a segment's start is read back from the
+//     clock at its end, and the switch port is an index packed beside
+//     pri; at 128 bytes, with those three as fields, the same pass
+//     allocated 3.5 MB more.
 //
 // The analyzer recomputes each annotated struct's size under the gc layout
 // (types.Sizes) and fails on any mismatch, in either direction: growth is

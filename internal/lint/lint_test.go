@@ -120,15 +120,15 @@ func TestSizeBudgetFixture(t *testing.T) {
 }
 
 // TestSizeBudgetRealStructs pins the live annotations: sim's event struct
-// (32), sim.Engine (128), sim's pshard (256) and sched.Item (24) carry
-// //p3:sizebudget, and the analyzer must agree silently. If this test
+// (32), sim.Engine (128), sim's pshard (256), sched.Item (24) and netsim's
+// flight (96) carry //p3:sizebudget, and the analyzer must agree silently. If this test
 // fails, a field was added to a budgeted hot struct — see
 // internal/lint/doc.go for the measured cliffs before changing the budget.
 func TestSizeBudgetRealStructs(t *testing.T) {
 	if runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64" {
 		t.Skipf("budgets are stated for 64-bit targets; GOARCH=%s", runtime.GOARCH)
 	}
-	pkgs, err := Load(".", []string{"p3/internal/sim", "p3/internal/sched"})
+	pkgs, err := Load(".", []string{"p3/internal/sim", "p3/internal/sched", "p3/internal/netsim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestSizeBudgetRealStructs(t *testing.T) {
 			}
 		}
 	}
-	if budgeted != 4 {
-		t.Errorf("found %d //p3:sizebudget directives in sim+sched, want 4 (event, Engine, pshard and Item)", budgeted)
+	if budgeted != 5 {
+		t.Errorf("found %d //p3:sizebudget directives in sim+sched+netsim, want 5 (event, Engine, pshard, Item and flight)", budgeted)
 	}
 }
 

@@ -5,11 +5,22 @@ import "p3/internal/sim"
 // flight is the one record an in-flight message owns from Send (or
 // AggSend/AggFanout) until its delivery — or, under a gated egress
 // discipline, its credit refund — completes. It carries the message, the
-// resumable-egress progress, the serialization interval of the hop in
-// progress, the switch port it is queued on or headed for, and the
-// continuation of its pending event. Records are pooled per LP (see the
-// package comment's "Message records" section), so steady state schedules
-// every hop without allocating.
+// resumable-egress progress, the service time of the hop in progress, the
+// switch port it is queued on or headed for, and the continuation of its
+// pending event. Records are pooled per shard (see the package comment's
+// "Message records" section), so steady state schedules every hop without
+// allocating.
+//
+// A cell keeps tens of thousands of records live at its peak, and every
+// one is made afresh per run, so the record's size class is what a run
+// pays per record: 96 bytes (plus the 24-byte fire closure) is a size
+// class of its own. The wire size is derived (wire), the serialization
+// interval is read back from the clock at its end (segmentDone), and the
+// port is an index that packs beside pri. At 128 bytes, with those three
+// as fields, a rack256_hier pass (about 110 thousand records) allocated
+// 36.6 MB against 33.1 at 96 (seed 1, runtime.MemStats.TotalAlloc).
+//
+//p3:sizebudget 96
 type flight struct {
 	msg Message
 	// pri is the effective urgency class at host egress: it starts at
@@ -23,12 +34,9 @@ type flight struct {
 	// late-layer bulk tails whose stalls already bind the iteration,
 	// inverting the "preemption as upper bound" claim this models.
 	pri  int32
-	wire int64 // total egress wire bytes: payload + header
-	sent int64 // wire bytes already serialized at egress
-
-	start sim.Time // start of the egress segment in progress
-	dur   sim.Time // service time of the segment or stage hop in progress
-	port  *port    // switch port the record is queued on or headed for
+	port int32    // switch port the record is queued on or headed for: an index into Network.ports
+	sent int64    // wire bytes already serialized at egress
+	dur  sim.Time // service time of the segment or stage hop in progress
 
 	// fire is bound once, when the record is first created, and is the only
 	// func() a hop ever hands the engine; then — a method expression, so
@@ -36,8 +44,11 @@ type flight struct {
 	then func(*Network, *flight)
 	fire func()
 
-	next *flight // intrusive link: a flightQ or an LP's free list
+	next *flight // intrusive link: a flightQ or a shard's free list
 }
+
+// wire is f's total egress wire size: payload plus framing.
+func (nw *Network) wire(f *flight) int64 { return f.msg.Bytes + nw.cfg.HeaderBytes }
 
 // flightQ is an intrusive FIFO of records: the arrival-order queue of a
 // stage without a port discipline (every ingress and reduce engine, and a
@@ -66,28 +77,37 @@ func (q *flightQ) pop() *flight {
 	return f
 }
 
-// pool is the free list an event running on lp's timeline may touch: lp's
-// own under the sharded engine — LP-owned lists need no lock, and a record
-// changes owner only with the Cross hand-off that carries it — and one
-// list shared by every LP on the single-threaded engine, where the record
-// freed last (still in cache) serves the very next send wherever it starts.
-func (nw *Network) pool(lp int) **flight {
-	if !nw.sharded {
-		lp = 0
-	}
-	return &nw.free[lp]
+// freeList is one shard's released records. Every acquire and release
+// writes head, so each shard's list is padded to 128 bytes — two cache
+// lines of its own, as sim pads each shard's engine — and shards never
+// false-share one. made counts the records the list's pool misses have
+// allocated (cold path; see newFlight).
+type freeList struct {
+	head *flight
+	made int
+	_    [112]byte
+}
+
+// pool is the free list an event running on lp's timeline may touch: the
+// list of lp's shard. A shard's LPs all run on one goroutine, so its list
+// needs no lock, and a record released on any of them — an aggregator, a
+// port, a destination NIC — serves the shard's very next send. On the
+// single engine every LP is shard 0: one list, where the record freed last
+// (still in cache) serves the next send wherever it starts.
+func (nw *Network) pool(lp int) *freeList {
+	return &nw.free[nw.shard[lp]]
 }
 
 // acquire takes a record for m; it must run on lp's timeline.
 //
 //p3:noescape
 func (nw *Network) acquire(lp int, m Message) *flight {
-	free := nw.pool(lp)
-	f := *free
+	l := nw.pool(lp)
+	f := l.head
 	if f == nil {
-		f = nw.newFlight()
+		f = nw.newFlight(l)
 	} else {
-		*free = f.next
+		l.head = f.next
 		f.next = nil
 	}
 	f.msg = m
@@ -95,24 +115,27 @@ func (nw *Network) acquire(lp int, m Message) *flight {
 }
 
 // newFlight is the pool miss: the only place a record, or a continuation,
-// is ever allocated. Kept out of line so the compiler charges the two
-// allocations here and not to every inlined acquire.
+// is ever allocated, counted on the list l that will recycle it. Kept out
+// of line so the compiler charges the two allocations here and not to
+// every inlined acquire.
 //
 //p3:noescape
 //go:noinline
-func (nw *Network) newFlight() *flight {
+func (nw *Network) newFlight(l *freeList) *flight {
+	l.made++
 	f := new(flight)                  //p3:alloc-ok pool miss; recycled through nw.free thereafter
 	f.fire = func() { f.then(nw, f) } //p3:alloc-ok bound once per record, reused by every hop
 	return f
 }
 
-// release returns f to the free list of lp, the LP whose event is running.
+// release returns f to the free list of lp's shard; lp is the LP whose
+// event is running.
 //
 //p3:noescape
 func (nw *Network) release(lp int, f *flight) {
-	free := nw.pool(lp)
-	f.next = *free
-	*free = f
+	l := nw.pool(lp)
+	f.next = l.head
+	l.head = f
 }
 
 // after schedules then(nw, f) on lp's own timeline d from now.

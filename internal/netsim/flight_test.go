@@ -113,7 +113,7 @@ func TestPreemptionAllocatesNothing(t *testing.T) {
 // run the multiset delivered must equal the multiset sent — a record freed
 // while still queued, or a free list raced across shards, would deliver a
 // message twice, drop one, or deliver another message's fields. Run under
-// -race this also checks the per-LP free lists need no lock.
+// -race this also checks the per-shard free lists need no lock.
 func TestRecycledRecordsNeverCorruptDelivery(t *testing.T) {
 	const n = 16
 	rackAgg := twoTier("")
@@ -140,7 +140,7 @@ func TestRecycledRecordsNeverCorruptDelivery(t *testing.T) {
 	}
 }
 
-func checkRecycling(t *testing.T, cfg Config, n, shards int) {
+func checkRecycling(t *testing.T, cfg Config, n, shards int) *Network {
 	x, err := sim.NewParallel(shards, cfg.LPShards(n, shards), cfg.Lookahead())
 	if err != nil {
 		t.Fatal(err)
@@ -209,13 +209,6 @@ func checkRecycling(t *testing.T, cfg Config, n, shards int) {
 			t.Fatalf("message %+v sent %d times, delivered %d times", m, k, have[m])
 		}
 	}
-	onFree := make(map[*flight]bool)
-	for _, f := range nw.free {
-		for ; f != nil; f = f.next {
-			if onFree[f] {
-				t.Fatal("a record sits on the free lists twice")
-			}
-			onFree[f] = true
-		}
-	}
+	records(t, nw)
+	return nw
 }

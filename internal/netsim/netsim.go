@@ -136,13 +136,16 @@
 // Handlers get the Message by value, after the release: they may keep it,
 // and a Send from inside a delivery reuses the record just freed.
 //
-// Free lists are per LP under the sharded engine: an LP's list is touched
-// only by events on that LP's timeline, so shards never share one and no
-// lock is needed. On the single-threaded engine they collapse to one list.
-// Records are created on demand — a run's first messages pay for them —
-// and lists never shrink: under the sharded engine, traffic whose per-LP
-// sends and deliveries do not balance leaves its surplus idle on the
-// receiving LPs' lists, at most one record per message.
+// Free lists are per shard (sim.Exec.ShardOf): a shard's list is touched
+// only by events on its own LPs' timelines, which one goroutine runs, so
+// no lock is needed, and the single engine is the one-shard case. A
+// record released on a receiving LP — an aggregator holding a rack's
+// pushes, a port, a destination NIC — serves the next send of any LP on
+// its shard, so a sending host gets records back even though it never
+// delivers its own messages. Records are created on demand — a run's
+// first messages pay for them — and lists never shrink: traffic whose
+// per-shard sends and deliveries do not balance leaves its surplus idle on
+// the receiving shards' lists, at most one record per message.
 //
 // A host egress queue holds one flow per destination (sched.Queue). With
 // Config.FlowDepth each new flow starts with room for that many messages,
@@ -633,11 +636,20 @@ type port struct {
 // "Tiers" section): the ports of its groups and where its aggregators sit
 // in the aggregator ordinal order.
 type tier struct {
-	span     int      // machines below one full group
-	delay    sim.Time // hop delay between this tier's ports
-	up, down []port   // one per group
-	agg0     int      // ordinal of group 0's aggregator (with Aggregation)
+	span  int      // machines below one full group
+	delay sim.Time // hop delay between this tier's ports
+	ports []port   // group g's uplink at 2g, its downlink at 2g+1: LP order, a sub-slice of Network.ports
+	agg0  int      // ordinal of group 0's aggregator (with Aggregation)
 }
+
+// groups is the tier's group count.
+func (t *tier) groups() int { return len(t.ports) / 2 }
+
+// up is group g's uplink port.
+func (t *tier) up(g int) *port { return &t.ports[2*g] }
+
+// down is group g's downlink port.
+func (t *tier) down(g int) *port { return &t.ports[2*g+1] }
 
 // aggregator is one group's aggregator LP. Under a finite AggReduceGBps its
 // stage is the reduction engine: arriving payloads queue FIFO and are
@@ -659,14 +671,15 @@ type Network struct {
 	cfg     Config
 	n       int // machines
 	nics    []nic
+	ports   []port       // every switch port in LP order: port i is LP n+i
 	tiers   []tier       // bottom-up; empty on a flat network
 	aggs    []aggregator // in ordinal order (racks, then pods); empty without Aggregation
 	deliver Handler
 	rec     *trace.Recorder // optional
-	sharded bool            // exec has >1 shard: flight records are pooled per LP
 	gated   bool            // the egress discipline admits against a credit window
 	look    sim.Time        // cfg.Lookahead(): the credit-refund quantum
-	free    []*flight       // released records, per LP when sharded (see pool)
+	shard   []int32         // LP -> shard (Exec.ShardOf): which free list an LP's events use
+	free    []freeList      // released records, one list per shard (see pool)
 }
 
 // New creates a network of n machines on an Exec (a bare *sim.Engine is
@@ -703,7 +716,7 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 	if cfg.LocalBandwidthGbps <= 0 {
 		cfg.LocalBandwidthGbps = 160
 	}
-	nw := &Network{exec: x, cfg: cfg, n: n, deliver: handler, rec: rec, sharded: x.Shards() > 1}
+	nw := &Network{exec: x, cfg: cfg, n: n, deliver: handler, rec: rec}
 	nw.look = cfg.Lookahead()
 	nw.nics = make([]nic, n)
 	for i := range nw.nics {
@@ -721,26 +734,21 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		nw.nics[i] = nic{egress: q, in: in}
 	}
 	nw.procs = make([]sim.Proc, cfg.NumLPs(n))
-	nw.free = make([]*flight, len(nw.procs))
+	nw.shard = make([]int32, len(nw.procs))
 	for lp := range nw.procs {
 		nw.procs[lp] = x.Proc(lp)
+		nw.shard[lp] = int32(x.ShardOf(lp))
 	}
+	nw.free = make([]freeList, x.Shards())
 	dims := cfg.dims(n)
-	next := n // the next unassigned LP
-	newPort := func(k, g int, up bool, rate float64) port {
-		l := port{stage: stage{lp: next, rate: rate, hdr: cfg.HeaderBytes, scale: 1}, tier: k, group: g, up: up}
-		if name := dims[k].sched; name != "" {
-			disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
-			sched.ApplySource(disc, int32(l.lp))
-			l.sq = sched.NewQueue(disc, portItem)
-		}
-		next++
-		return l
+	nports := 0
+	for _, d := range dims {
+		nports += 2 * groups(n, d.span)
 	}
+	nw.ports = make([]port, 0, nports)
 	for k, d := range dims {
-		t := tier{span: d.span, delay: d.delay, up: make([]port, groups(n, d.span))}
-		t.down = make([]port, len(t.up))
-		for g := range t.up {
+		first := len(nw.ports)
+		for g := range groups(n, d.span) {
 			// A port's rate is its group's actual aggregate NIC rate — a
 			// trailing partial group's share of the fabric is proportional
 			// to the machines it holds, not to the nominal span — divided by
@@ -751,15 +759,23 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 					rate /= below.oversub
 				}
 			}
-			t.up[g] = newPort(k, g, true, rate)
-			t.down[g] = newPort(k, g, false, rate)
+			for _, up := range []bool{true, false} {
+				l := port{stage: stage{lp: n + len(nw.ports), rate: rate, hdr: cfg.HeaderBytes, scale: 1}, tier: k, group: g, up: up}
+				if name := d.sched; name != "" {
+					disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
+					sched.ApplySource(disc, int32(l.lp))
+					l.sq = sched.NewQueue(disc, portItem)
+				}
+				nw.ports = append(nw.ports, l)
+			}
 		}
-		nw.tiers = append(nw.tiers, t)
+		nw.tiers = append(nw.tiers, tier{span: d.span, delay: d.delay, ports: nw.ports[first:]})
 	}
 	if cfg.Aggregation {
+		next := n + nports // the next unassigned LP
 		for k := range nw.tiers {
 			nw.tiers[k].agg0 = len(nw.aggs)
-			for range nw.tiers[k].up {
+			for range nw.tiers[k].groups() {
 				// The engine's rate is bytes per ns times 8 (exact in
 				// float64), so the one service formula charges bytes/GBps.
 				nw.aggs = append(nw.aggs, aggregator{stage: stage{lp: next, rate: cfg.AggReduceGBps * 8, scale: 1}})
@@ -833,10 +849,9 @@ func (nw *Network) tierTraffic(k int) (bytes, msgs int64) {
 	if k >= len(nw.tiers) {
 		return 0, 0
 	}
-	t := &nw.tiers[k]
-	for g := range t.up {
-		bytes += t.up[g].bytes + t.down[g].bytes
-		msgs += t.up[g].msgs + t.down[g].msgs
+	for _, l := range nw.tiers[k].ports {
+		bytes += l.bytes
+		msgs += l.msgs
 	}
 	return bytes, msgs
 }
@@ -876,7 +891,7 @@ func (nw *Network) Send(m Message) {
 		nw.after(m.From, nw.localTime(m.Bytes), f, (*Network).deliverLocal)
 		return
 	}
-	f.pri, f.wire, f.sent = m.Priority, m.Bytes+nw.cfg.HeaderBytes, 0
+	f.pri, f.sent = m.Priority, 0
 	nw.nics[m.From].egress.Push(f)
 	nw.pumpEgress(m.From)
 }
@@ -925,7 +940,7 @@ func (nw *Network) forward(from int, f *flight) {
 	at := nw.procs[from].Now() + nw.cfg.PropDelay
 	if len(nw.tiers) > 0 {
 		if rack := from / nw.tiers[0].span; nw.outside(0, rack, f.msg) {
-			nw.toPort(from, &nw.tiers[0].up[rack], at, f)
+			nw.toPort(from, nw.tiers[0].up(rack), at, f)
 			return
 		}
 	}
@@ -950,7 +965,7 @@ func (nw *Network) land(src int, at sim.Time, f *flight) {
 //
 //p3:noescape
 func (nw *Network) toPort(src int, l *port, at sim.Time, f *flight) {
-	f.port = l
+	f.port = int32(l.lp - nw.n)
 	nw.xfer(src, l.lp, at, f, (*Network).portEnqueue)
 }
 
@@ -997,14 +1012,14 @@ func (nw *Network) pump(s *stage, then func(*Network, *flight)) {
 //
 //p3:noescape
 func (nw *Network) portEnqueue(f *flight) {
-	nw.enqueue(&f.port.stage, f, (*Network).portDone)
+	nw.enqueue(&nw.ports[f.port].stage, f, (*Network).portDone)
 }
 
 // portDone runs when f finishes serializing at its port.
 //
 //p3:noescape
 func (nw *Network) portDone(f *flight) {
-	l := f.port
+	l := &nw.ports[f.port]
 	l.busy = false
 	l.bytes += f.msg.Bytes
 	l.msgs++
@@ -1035,7 +1050,7 @@ func (nw *Network) routeFromPort(l *port, f *flight) {
 		if k+1 < len(nw.tiers) {
 			parent := l.group * t.span / nw.tiers[k+1].span
 			if nw.outside(k+1, parent, m) {
-				nw.toPort(l.lp, &nw.tiers[k+1].up[parent], at, f)
+				nw.toPort(l.lp, nw.tiers[k+1].up(parent), at, f)
 				return
 			}
 			if m.ToAgg && int(m.AggTier) == k+1 {
@@ -1043,12 +1058,12 @@ func (nw *Network) routeFromPort(l *port, f *flight) {
 				return
 			}
 		}
-		nw.toPort(l.lp, &t.down[nw.destGroup(k, m)], at, f)
+		nw.toPort(l.lp, t.down(nw.destGroup(k, m)), at, f)
 	case k == 0 || m.ToAgg && int(m.AggTier) == k:
 		nw.land(l.lp, now+nw.cfg.PropDelay, f)
 	default:
 		below := &nw.tiers[k-1]
-		nw.toPort(l.lp, &below.down[nw.destGroup(k-1, m)], now+below.delay, f)
+		nw.toPort(l.lp, below.down(nw.destGroup(k-1, m)), now+below.delay, f)
 	}
 }
 
@@ -1154,11 +1169,11 @@ func (nw *Network) AggSend(tier, idx int, m Message) {
 	f := nw.acquire(lp, m)
 	switch {
 	case nw.outside(tier, idx, m):
-		nw.toPort(lp, &nw.tiers[tier].up[idx], at, f)
+		nw.toPort(lp, nw.tiers[tier].up(idx), at, f)
 	case tier == 0:
 		nw.land(lp, at, f)
 	default:
-		nw.toPort(lp, &nw.tiers[tier-1].down[nw.destGroup(tier-1, m)], at, f)
+		nw.toPort(lp, nw.tiers[tier-1].down(nw.destGroup(tier-1, m)), at, f)
 	}
 }
 
@@ -1185,7 +1200,7 @@ func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 	if m.ToAgg {
 		below := &nw.tiers[tier-1]
 		m.AggTier = uint8(tier - 1)
-		per, total = per/below.span, len(below.down)
+		per, total = per/below.span, below.groups()
 	}
 	for c := idx * per; c < min((idx+1)*per, total); c++ {
 		if c == skip {
@@ -1196,7 +1211,7 @@ func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 		if tier == 0 {
 			nw.xfer(lp, c, at, f, (*Network).arrive)
 		} else {
-			nw.toPort(lp, &nw.tiers[tier-1].down[c], at, f)
+			nw.toPort(lp, nw.tiers[tier-1].down(c), at, f)
 		}
 	}
 }
@@ -1249,7 +1264,7 @@ func (nw *Network) pumpEgress(machine int) {
 // capped at the preemption quantum when there is one (without one the
 // whole message is a single segment).
 func (nw *Network) egressSeg(f *flight) int64 {
-	seg := f.wire - f.sent
+	seg := nw.wire(f) - f.sent
 	if q := nw.cfg.PreemptQuantum; q > 0 && seg > q {
 		seg = q
 	}
@@ -1275,7 +1290,6 @@ func (nw *Network) pumpSegment(machine int, f *flight) {
 	if f.sent == 0 {
 		f.dur = nw.cfg.PerMsgOverhead + f.dur
 	}
-	f.start = nw.procs[machine].Now()
 	nw.after(machine, f.dur, f, (*Network).segmentDone)
 }
 
@@ -1301,9 +1315,13 @@ func (nw *Network) segmentDone(f *flight) {
 	machine := f.msg.From
 	n := &nw.nics[machine]
 	seg := nw.egressSeg(f)
-	nw.rec.AddRange(machine, trace.Out, f.start, f.start+f.dur, seg)
+	if nw.rec != nil {
+		end := nw.procs[machine].Now() // the segment began f.dur earlier
+		nw.rec.AddRange(machine, trace.Out, end-f.dur, end, seg)
+	}
 	f.sent += seg
-	if f.sent == f.wire {
+	wire := nw.wire(f)
+	if f.sent == wire {
 		n.egressBusy = false
 		// Hand off to the next hop after propagation.
 		nw.forward(machine, f)
@@ -1313,7 +1331,7 @@ func (nw *Network) segmentDone(f *flight) {
 	d := n.egress.Discipline()
 	if pre, ok := n.egress.PopReadyIf(func(c *flight) bool {
 		return sched.Less(d, txItem(c), txItem(f)) &&
-			c.wire <= nw.cfg.PreemptQuantum && c.wire < f.wire-f.sent
+			nw.wire(c) <= nw.cfg.PreemptQuantum && nw.wire(c) < wire-f.sent
 	}); ok {
 		// Inherit the displacing class unconditionally: pre is strictly
 		// more urgent than f by the discipline's order (the preemption
@@ -1346,8 +1364,10 @@ func (nw *Network) ingressDone(f *flight) {
 	m := f.msg
 	machine := m.To
 	n := &nw.nics[machine]
-	end := nw.procs[machine].Now() // service began f.dur earlier
-	nw.rec.AddRange(machine, trace.In, end-f.dur, end, m.Bytes+n.in.hdr)
+	if nw.rec != nil {
+		end := nw.procs[machine].Now() // service began f.dur earlier
+		nw.rec.AddRange(machine, trace.In, end-f.dur, end, m.Bytes+n.in.hdr)
+	}
 	n.in.busy = false
 	n.stats.msgsDelivered++
 	n.stats.bytesDelivered += m.Bytes
@@ -1403,8 +1423,8 @@ func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor f
 // per boundary on each port's own LP.
 func (nw *Network) ScheduleTierDegrade(tier, idx int, at, until sim.Time, factor float64) {
 	t := &nw.tiers[tier]
-	nw.degrade(&t.up[idx].stage, at, until, factor)
-	nw.degrade(&t.down[idx].stage, at, until, factor)
+	nw.degrade(&t.up(idx).stage, at, until, factor)
+	nw.degrade(&t.down(idx).stage, at, until, factor)
 }
 
 // degrade scales s's rate by factor during [at, until), on s's own LP.

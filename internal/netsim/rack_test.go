@@ -655,8 +655,8 @@ func TestDegradeWindows(t *testing.T) {
 		for i := range nw.nics {
 			stages = append(stages, &nw.nics[i].in)
 		}
-		for g := range nw.tiers[0].up {
-			stages = append(stages, &nw.tiers[0].up[g].stage, &nw.tiers[0].down[g].stage)
+		for g := range nw.tiers[0].groups() {
+			stages = append(stages, &nw.tiers[0].up(g).stage, &nw.tiers[0].down(g).stage)
 		}
 		for _, s := range stages {
 			if s.scale != 1 {

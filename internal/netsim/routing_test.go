@@ -194,8 +194,8 @@ func checkPorts(t *testing.T, name string, nw *Network, hops []hop) {
 		perTier[h.tier]++
 	}
 	for k := range nw.tiers {
-		for g := range nw.tiers[k].up {
-			for _, l := range []*port{&nw.tiers[k].up[g], &nw.tiers[k].down[g]} {
+		for g := range nw.tiers[k].groups() {
+			for _, l := range []*port{nw.tiers[k].up(g), nw.tiers[k].down(g)} {
 				if w := want[hop{k, g, l.up}]; l.msgs != w || l.bytes != w*routeBytes {
 					t.Errorf("%s: tier %d group %d up=%v carried %d msgs / %d B, want %d msgs", name, k, g, l.up, l.msgs, l.bytes, w)
 				}

@@ -89,6 +89,9 @@ func (p *Parallel) Proc(lp int) Proc {
 // Shards reports the shard count.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
+// ShardOf reports the shard that owns LP lp.
+func (p *Parallel) ShardOf(lp int) int { return int(p.lpShard[lp]) }
+
 // Cross buffers fn for injection into dst's shard at time at, stamped with
 // the canonical key of the sending LP. It must be called from an event
 // executing on src's shard (that shard's outbox row and src's schedule

@@ -122,10 +122,13 @@ type Exec interface {
 	// event currently executing on src's timeline. On a Parallel exec, at
 	// must be at least src's clock plus the lookahead.
 	Cross(src, dst int, at Time, fn func())
-	// Shards reports the parallelism: 1 for an Engine. Models use it to
-	// pick per-LP over shared bookkeeping (netsim pools flight records per
-	// LP above one shard).
+	// Shards reports the parallelism: 1 for an Engine.
 	Shards() int
+	// ShardOf names the shard, in [0, Shards()), whose goroutine runs LP
+	// lp's events: 0 for an Engine. State indexed by it is touched by one
+	// goroutine only, so models keep per-shard bookkeeping without a lock
+	// (netsim pools its message records per shard).
+	ShardOf(lp int) int
 	Run() Time
 	Stop()
 	Processed() uint64
@@ -164,6 +167,9 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Shards reports 1: an Engine runs every LP on one queue and clock.
 func (e *Engine) Shards() int { return 1 }
+
+// ShardOf reports 0: every LP runs on the Engine's one queue.
+func (e *Engine) ShardOf(int) int { return 0 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently corrupt causality in the simulation. Raw Engine
