@@ -101,6 +101,11 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 		// below need the actual count.
 		return cfg, opt, fmt.Errorf("-machines %d: must be at least 1", cfg.Machines)
 	}
+	if cfg.MeasureIters == 0 || cfg.WarmupIters == 0 {
+		// 0 would mean Config's defaults (8 measured, 2 warm-up), not what
+		// was asked for; Validate rejects negative counts.
+		return cfg, opt, fmt.Errorf("-iters %d -warmup %d: both must be at least 1", cfg.MeasureIters, cfg.WarmupIters)
+	}
 	if cfg.Shards < 1 {
 		// Config reads 0 as one shard; the engine line printed after the
 		// run should not.

@@ -36,6 +36,11 @@ func TestTopologyFromFlags(t *testing.T) {
 		{args: "-machines 0", wantErr: "-machines"},
 		{args: "-shards 0", wantErr: "-shards 0"},
 		{args: "-shards -3", wantErr: "-shards -3"},
+		{args: "-iters 0", wantErr: "-iters 0"},
+		{args: "-warmup 0", wantErr: "-warmup 0"},
+		{args: "-iters -3", wantErr: "negative run length"},
+		{args: "-warmup -1", wantErr: "negative run length"},
+		{args: "-preempt -1", wantErr: "negative PreemptQuantum"},
 		{args: "-strategy nosuch", wantErr: "nosuch"},
 		{args: "-model nosuch", wantErr: "nosuch"},
 	} {

@@ -142,9 +142,7 @@ func newClusterSim(cfg Config) *clusterSim {
 
 	netCfg := netsim.DefaultConfig(cfg.BandwidthGbps)
 	netCfg.Egress = cfg.Strategy.Discipline()
-	if cfg.PreemptQuantum > 0 {
-		netCfg.PreemptQuantum = cfg.PreemptQuantum
-	}
+	netCfg.PreemptQuantum = cfg.PreemptQuantum
 	netCfg.Topology = cfg.Topology
 	// Set before the engine is built: the aggregator LPs change the LP
 	// count and shard assignment.

@@ -151,6 +151,12 @@ func (c Config) Validate() error {
 	if c.BandwidthGbps <= 0 {
 		return fmt.Errorf("cluster: bandwidth %g Gbps", c.BandwidthGbps)
 	}
+	if c.WarmupIters < 0 || c.MeasureIters < 0 {
+		return fmt.Errorf("cluster: negative run length: %d warm-up and %d measured iterations (0 means the default, 2 and 8)", c.WarmupIters, c.MeasureIters)
+	}
+	if c.PreemptQuantum < 0 {
+		return fmt.Errorf("cluster: negative PreemptQuantum %d (0 turns preemption off)", c.PreemptQuantum)
+	}
 	if _, err := sched.ByName(c.Strategy.Discipline()); err != nil {
 		return fmt.Errorf("cluster: strategy %s: %w", c.Strategy.Name, err)
 	}

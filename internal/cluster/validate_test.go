@@ -66,6 +66,11 @@ func TestRackAggregationRejections(t *testing.T) {
 		{name: "unknown coresched", base: racks, mut: func(c *Config) { c.Topology.CoreSched = "nosuch" }, want: "core scheduler"},
 		{name: "no model", base: flat, mut: func(c *Config) { c.Model = nil }, want: "no Model"},
 		{name: "no bandwidth", base: flat, mut: func(c *Config) { c.BandwidthGbps = 0 }, want: "bandwidth"},
+		{name: "default run length", base: flat, mut: func(c *Config) { c.WarmupIters, c.MeasureIters = 0, 0 }},
+		{name: "preemption", base: flat, mut: func(c *Config) { c.PreemptQuantum = 1 }},
+		{name: "negative measured iterations", base: flat, mut: func(c *Config) { c.MeasureIters = -3 }, want: "negative run length"},
+		{name: "negative warm-up", base: flat, mut: func(c *Config) { c.WarmupIters = -1 }, want: "negative run length"},
+		{name: "negative preemption quantum", base: flat, mut: func(c *Config) { c.PreemptQuantum = -1 }, want: "negative PreemptQuantum"},
 		{name: "more servers than machines", base: flat, mut: func(c *Config) { c.Servers = 5 }, want: "5 servers on 4 machines"},
 		{name: "server placement length", base: flat, mut: func(c *Config) { c.ServerMachines = []int{0, 1} }, want: "2 ServerMachines for 4 servers"},
 		{name: "server off the cluster", base: flat, mut: func(c *Config) { c.Servers, c.ServerMachines = 1, []int{4} }, want: "machine 4 of 4"},

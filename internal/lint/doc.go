@@ -103,10 +103,11 @@
 // file. A documented cold-path allocation inside a marked function — the
 // first flow shell per destination — is exempted on its line with
 // //p3:alloc-ok <reason>. The simulated message path is pinned
-// the same way: every per-message function of netsim (Send, pumpEgress/
-// pumpSegment, forward/land, the stage's enqueue/pump, portEnqueue/
-// routeFromPort, arrive, refundCredit, deliverAgg, AggSend/AggFanout,
-// their continuations and the routing predicate) and of worker — the
+// the same way: every per-message function of netsim (Send, pumpEgress,
+// forward/land, the stage's enqueue/pump/serve, which serve every hop,
+// host egress included, portEnqueue/routeFromPort, arrive, refundCredit,
+// deliverAgg, AggSend/AggFanout, their continuations and the routing
+// predicate) and of worker — the
 // endpoint Pool (Add/pump/start/finish) and the compute Loop's step
 // functions (forward/run/step/Installed) — schedules a record's pre-bound
 // func() instead of a closure literal: a closure creeping back into one of

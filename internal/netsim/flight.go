@@ -14,29 +14,32 @@ import "p3/internal/sim"
 // A cell keeps tens of thousands of records live at its peak, and every
 // one is made afresh per run, so the record's size class is what a run
 // pays per record: 96 bytes (plus the 24-byte fire closure) is a size
-// class of its own. The wire size is derived (wire), the serialization
-// interval is read back from the clock at its end (segmentDone), and the
-// port is an index that packs beside pri. At 128 bytes, with those three
-// as fields, a rack256_hier pass (about 110 thousand records) allocated
-// 36.6 MB against 33.1 at 96 (seed 1, runtime.MemStats.TotalAlloc).
+// class of its own. The wire size is derived (msg.Bytes plus the stage's
+// framing), the serialization interval is read back from the clock at its
+// end (segmentDone), and the port is an index that packs beside pri. At
+// 128 bytes, with those three as fields, a rack256_hier pass (about 110
+// thousand records) allocated 36.6 MB against 33.1 at 96 (seed 1,
+// runtime.MemStats.TotalAlloc).
 //
 //p3:sizebudget 96
 type flight struct {
 	msg Message
-	// pri is the effective urgency class at host egress: it starts at
-	// msg.Priority and is raised to the displacing class each time the
-	// transmission is parked or passed over (priority inheritance). The
-	// inherited class is what the resume rule compares against, so a parked
-	// tail yields only to traffic strictly more urgent than what last
-	// displaced it — without inheritance it would defer behind every future
-	// more-urgent arrival (backward passes generate ever more urgent
-	// classes), and under a comm-bound backlog that starves exactly the
-	// late-layer bulk tails whose stalls already bind the iteration,
+	// pri is the urgency class every scheduler view reads (item). acquire
+	// sets it to msg.Priority. At host egress it is raised to the
+	// displacing class each time the transmission is parked or passed over
+	// (priority inheritance), and reset to msg.Priority once the last
+	// segment is sent, so a switch port queues the message by its own
+	// class. The inherited class is what the resume rule compares against,
+	// so a parked tail yields only to traffic strictly more urgent than
+	// what last displaced it — without inheritance it would defer behind
+	// every future more-urgent arrival (backward passes generate ever more
+	// urgent classes), and under a comm-bound backlog that starves exactly
+	// the late-layer bulk tails whose stalls already bind the iteration,
 	// inverting the "preemption as upper bound" claim this models.
 	pri  int32
 	port int32    // switch port the record is queued on or headed for: an index into Network.ports
-	sent int64    // wire bytes already serialized at egress
-	dur  sim.Time // service time of the segment or stage hop in progress
+	sent int64    // wire bytes already served at the current stage: nonzero only mid-egress, between segments
+	dur  sim.Time // service time of the segment in progress (serve): a stage's whole hop when unsegmented
 
 	// fire is bound once, when the record is first created, and is the only
 	// func() a hop ever hands the engine; then — a method expression, so
@@ -46,9 +49,6 @@ type flight struct {
 
 	next *flight // intrusive link: a flightQ or a shard's free list
 }
-
-// wire is f's total egress wire size: payload plus framing.
-func (nw *Network) wire(f *flight) int64 { return f.msg.Bytes + nw.cfg.HeaderBytes }
 
 // flightQ is an intrusive FIFO of records: the arrival-order queue of a
 // stage without a port discipline (every ingress and reduce engine, and a
@@ -110,7 +110,7 @@ func (nw *Network) acquire(lp int, m Message) *flight {
 		l.head = f.next
 		f.next = nil
 	}
-	f.msg = m
+	f.msg, f.pri = m, m.Priority
 	return f
 }
 

@@ -42,17 +42,21 @@
 //
 // # Stages
 //
-// Every hop but host egress is one store-and-forward stage (type stage) on
-// its own LP: it serves one message at a time, in arrival order or in a
-// port discipline's, for over + (bytes+hdr)·8 / (rate·scale) nanoseconds.
-// A host ingress is a stage at the NIC rate with the per-message overhead
-// and framing; a switch port one at its oversubscribed rate with framing
-// and no overhead; an aggregator's reduce engine one at AggReduceGBps·8
-// bits/ns charging the payload only. The scale is the scripted degrade
-// factor (1 outside a window). Host egress stays its own code: segments,
-// preemption and credit refunds are behaviour, not data. It reads the
-// NIC's rate and scale from the ingress stage, so one field degrades both
-// directions.
+// Every hop is one store-and-forward stage (type stage) on its own LP: it
+// serves one message at a time, in arrival order or in a discipline's, for
+// over + (bytes+hdr)·8 / (rate·scale) nanoseconds. A host ingress is a stage
+// at the NIC rate with the per-message overhead and framing; a switch port
+// one at its oversubscribed rate with framing and no overhead; an
+// aggregator's reduce engine one at AggReduceGBps·8 bits/ns charging the
+// payload only; and host egress, the fourth, one like its ingress that
+// queues in the egress discipline and serves in segments of
+// PreemptQuantum wire bytes. The scale is the scripted degrade factor (1
+// outside a window). A segment's time is the difference of the serial
+// times of its two cumulative byte offsets, so segments telescope to the
+// whole message's time and the overhead is charged on the first one. What
+// stays egress-only is behaviour, not data: the preemption rule at a
+// segment boundary (segmentDone), the resume of a parked tail
+// (pumpEgress) and credit refunds.
 //
 // # Tiers
 //
@@ -552,24 +556,19 @@ func msgDest(m Message) int32 {
 	return int32(m.To)
 }
 
-// portItem is the scheduler-visible view of a message at a core port queue;
-// the destination key makes each (port, destination) pair one flow. (The
-// port needs no field: a core queue belongs to one port LP, whose index is
-// injected into source-aware disciplines via sched.ApplySource.)
-func portItem(f *flight) sched.Item {
-	return sched.Item{Priority: f.msg.Priority, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
+// item is the scheduler-visible view of a message in a host egress or
+// switch port queue; the destination key makes each (queue, destination)
+// pair one flow. (The queue's owner needs no field: its LP index is
+// injected into source-aware disciplines via sched.ApplySource.) It reads
+// only fields that never change while the element is queued (pri is raised
+// only while a transmission is outside its egress queue), so the view
+// stays pure.
+func item(f *flight) sched.Item {
+	return sched.Item{Priority: f.pri, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
 }
 
 // Handler receives fully delivered messages.
 type Handler func(Message)
-
-// txItem is the scheduler-visible view of a transmission at host egress. It
-// reads only fields that never change while the element is queued (pri is
-// raised only while the element is parked outside the queue), so the view
-// stays pure.
-func txItem(f *flight) sched.Item {
-	return sched.Item{Priority: f.pri, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
-}
 
 // nicStats are one machine's transfer counters. They live on the nic —
 // not globally — so that under the sharded engine each shard increments
@@ -584,8 +583,9 @@ type nicStats struct {
 }
 
 type nic struct {
-	egress     *sched.Queue[*flight]
-	egressBusy bool
+	// out is the egress: a stage whose sq runs the NIC's egress discipline
+	// and whose segment is Config.PreemptQuantum.
+	out stage
 	// parked holds preempted transmissions, most recently parked last. Each
 	// entry was displaced by traffic strictly more urgent than its
 	// (inherited) class, so the stack is always ordered by urgency with the
@@ -597,16 +597,15 @@ type nic struct {
 	parked []*flight
 	// in is the ingress, a blind FIFO: reordering happens at the sender,
 	// exactly as in the real system (the receiver drains the socket in
-	// arrival order). Its rate and degrade scale are the NIC's, and egress
-	// reads them too.
+	// arrival order).
 	in    stage
 	stats nicStats
 }
 
 // stage is one store-and-forward server owned by its LP (see the package
 // comment's "Stages" section). A message waits in arrival order (q) or in
-// a per-flow sched.Queue running a port discipline (sq). scale is read at
-// service start, so scheduled changes quantize to the LP's own timeline.
+// a per-flow sched.Queue running a discipline (sq). scale is read at
+// segment start, so scheduled changes quantize to the LP's own timeline.
 type stage struct {
 	lp    int
 	busy  bool
@@ -615,6 +614,7 @@ type stage struct {
 	rate  float64               // bits per nanosecond (Gbps)
 	over  sim.Time              // per-message overhead
 	hdr   int64                 // framing bytes charged per message
+	seg   int64                 // segment length in wire bytes; 0 (or less): the whole message
 	scale float64
 }
 
@@ -725,13 +725,14 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		// (damped): every NIC resolves equal-rank ties toward a different
 		// destination, de-synchronizing otherwise identical schedules.
 		sched.ApplySource(disc, int32(i))
-		q := sched.NewQueue(disc, txItem)
-		q.SizeFlows(cfg.FlowDepth)
+		in := stage{lp: i, rate: cfg.BandwidthGbps, over: cfg.PerMsgOverhead, hdr: cfg.HeaderBytes, scale: 1}
+		out := in
+		out.sq, out.seg = sched.NewQueue(disc, item), cfg.PreemptQuantum
+		out.sq.SizeFlows(cfg.FlowDepth)
 		// The refund events of the window-relaxed credit protocol exist
 		// only for gated disciplines; ungated runs schedule none.
-		nw.gated = q.Gated()
-		in := stage{lp: i, rate: cfg.BandwidthGbps, over: cfg.PerMsgOverhead, hdr: cfg.HeaderBytes, scale: 1}
-		nw.nics[i] = nic{egress: q, in: in}
+		nw.gated = out.sq.Gated()
+		nw.nics[i] = nic{out: out, in: in}
 	}
 	nw.procs = make([]sim.Proc, cfg.NumLPs(n))
 	nw.shard = make([]int32, len(nw.procs))
@@ -764,7 +765,7 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 				if name := d.sched; name != "" {
 					disc := sched.ApplyProfile(sched.MustByName(name), cfg.Profile)
 					sched.ApplySource(disc, int32(l.lp))
-					l.sq = sched.NewQueue(disc, portItem)
+					l.sq = sched.NewQueue(disc, item)
 				}
 				nw.ports = append(nw.ports, l)
 			}
@@ -891,8 +892,7 @@ func (nw *Network) Send(m Message) {
 		nw.after(m.From, nw.localTime(m.Bytes), f, (*Network).deliverLocal)
 		return
 	}
-	f.pri, f.sent = m.Priority, 0
-	nw.nics[m.From].egress.Push(f)
+	nw.nics[m.From].out.sq.Push(f)
 	nw.pumpEgress(m.From)
 }
 
@@ -982,12 +982,14 @@ func (nw *Network) enqueue(s *stage, f *flight, then func(*Network, *flight)) {
 	nw.pump(s, then)
 }
 
-// pump starts serving the stage's next message unless one is in service —
-// the one place a non-egress service time is computed. With a port
-// discipline the next message is the discipline's choice (a gated
-// discipline's window opens and closes entirely on this LP — service start
-// to service end — so port gating is shard-safe); without one it is strict
-// arrival order. A stage's then must clear busy and pump again.
+// pump starts serving the stage's next message unless one is in service.
+// With a discipline the next message is the discipline's choice: it
+// respects a credit-gated discipline's window (a refused head stays queued
+// until a Done repumps) and skips a credit-blocked flow's head in favour of
+// the most urgent admissible other flow. A switch port's window opens and
+// closes entirely on its LP — service start to service end — so port
+// gating is shard-safe. Without a discipline it is strict arrival order. A
+// stage's then must clear busy and pump again.
 //
 //p3:noescape
 func (nw *Network) pump(s *stage, then func(*Network, *flight)) {
@@ -1003,8 +1005,40 @@ func (nw *Network) pump(s *stage, then func(*Network, *flight)) {
 	} else if f = s.q.pop(); f == nil {
 		return
 	}
+	nw.serve(s, f, then)
+}
+
+// segEnd is the cumulative wire-byte offset at which f's current segment
+// at s ends: the end of the message, or one segment length past sent.
+//
+//p3:noescape
+func (s *stage) segEnd(f *flight) int64 {
+	if wire := f.msg.Bytes + s.hdr; s.seg <= 0 || wire-f.sent <= s.seg {
+		return wire
+	}
+	return f.sent + s.seg
+}
+
+// serve starts f's current segment at s and runs then when it ends — the
+// one place a hop's service time is computed. The time is the serial time
+// of the segment's end offset minus that of its start (f.sent), so a
+// message's segments telescope: never preempted, it completes at exactly
+// the tick of one whole-message segment, bit-identical for any segment
+// length or none, and preemption changes only the interleaving, never the
+// total serialization cost. The first segment, which every unsegmented hop
+// takes, adds the overhead and needs one division. The degrade scale is
+// sampled here, on the owning LP: a window opening mid-message slows only
+// the segments that start in it.
+//
+//p3:noescape
+func (nw *Network) serve(s *stage, f *flight, then func(*Network, *flight)) {
 	s.busy = true
-	f.dur = s.over + sim.Time(float64(f.msg.Bytes+s.hdr)*8/(s.rate*s.scale))
+	end, rate := s.segEnd(f), s.rate*s.scale
+	if f.sent == 0 {
+		f.dur = s.over + sim.Time(float64(end)*8/rate)
+	} else {
+		f.dur = sim.Time(float64(end)*8/rate) - sim.Time(float64(f.sent)*8/rate)
+	}
 	nw.after(s.lp, f.dur, f, then)
 }
 
@@ -1087,7 +1121,7 @@ func (nw *Network) refundCredit(src int, f *flight) {
 //p3:noescape
 func (nw *Network) refunded(f *flight) {
 	from := f.msg.From
-	nw.nics[from].egress.Done(f)
+	nw.nics[from].out.sq.Done(f)
 	nw.release(from, f)
 	nw.pumpEgress(from)
 }
@@ -1216,26 +1250,29 @@ func (nw *Network) AggFanout(tier, idx int, m Message, skip int) {
 	}
 }
 
+// pumpEgress starts the machine's egress unless it is busy. A parked
+// (preempted) transmission resumes before anything that is not strictly
+// more urgent than the class that displaced it; otherwise pump serves the
+// discipline's choice.
+//
 //p3:noescape
 func (nw *Network) pumpEgress(machine int) {
 	n := &nw.nics[machine]
-	if n.egressBusy {
+	s := &n.out
+	if s.busy {
 		return
 	}
-	// A parked (preempted) transmission resumes before anything that is
-	// not strictly more urgent than the class that displaced it. The
-	// resume path never consults the credit gate, so a parked tail cannot
-	// wedge: when the window refuses everything queued, the tail — whose
-	// bytes are already charged in flight — is what makes progress.
+	// The resume path never consults the credit gate, so a parked tail
+	// cannot wedge: when the window refuses everything queued, the tail —
+	// whose bytes are already charged in flight — is what makes progress.
 	if k := len(n.parked); k > 0 {
 		tail := n.parked[k-1]
-		if !n.egress.Preempts(tail) {
+		if !s.sq.Preempts(tail) {
 			n.parked = n.parked[:k-1]
 			// Re-charge the resumed remainder against its flow's window
 			// (credit-adaptive stopped counting it while parked).
-			n.egress.Resume(tail)
-			n.egressBusy = true
-			nw.pumpSegment(machine, tail)
+			s.sq.Resume(tail)
+			nw.serve(s, tail, (*Network).segmentDone)
 			return
 		}
 		// Deferred again: re-inherit the displacing class, so the tail
@@ -1244,53 +1281,11 @@ func (nw *Network) pumpEgress(machine int) {
 		// under tictac a numerically larger class can be strictly more
 		// urgent, and a raw integer comparison here would skip the
 		// inheritance and reopen the unbounded-deferral starvation.
-		if h, ok := n.egress.Peek(); ok && sched.Less(n.egress.Discipline(), txItem(h), txItem(tail)) {
+		if h, ok := s.sq.Peek(); ok && sched.Less(s.sq.Discipline(), item(h), item(tail)) {
 			tail.pri = h.pri
 		}
 	}
-	// PopReady respects a credit-gated discipline's transmission window (a
-	// refused head stays queued until a delivery returns credit — see
-	// refunded, which repumps this egress) and skips a credit-blocked
-	// flow's head in favour of the most urgent admissible other flow.
-	f, ok := n.egress.PopReady()
-	if !ok {
-		return
-	}
-	n.egressBusy = true
-	nw.pumpSegment(machine, f)
-}
-
-// egressSeg is the wire size of f's current egress segment: what remains,
-// capped at the preemption quantum when there is one (without one the
-// whole message is a single segment).
-func (nw *Network) egressSeg(f *flight) int64 {
-	seg := nw.wire(f) - f.sent
-	if q := nw.cfg.PreemptQuantum; q > 0 && seg > q {
-		seg = q
-	}
-	return seg
-}
-
-// pumpSegment serializes f's next egress segment (egressSeg). Segment
-// boundaries are computed from cumulative byte offsets (serial time of
-// sent+seg minus serial time of sent), so the durations telescope: a
-// transmission that is never preempted completes at exactly the tick of
-// one whole-message segment, bit-identical for any quantum or none, and
-// preemption changes only the interleaving, never the total serialization
-// cost (the per-message overhead is charged once, on the first segment).
-//
-//p3:noescape
-func (nw *Network) pumpSegment(machine int, f *flight) {
-	n := &nw.nics[machine]
-	seg := nw.egressSeg(f)
-	// The NIC's degrade scale is sampled once per segment on the owning LP:
-	// a window opening mid-message slows only the segments that start in it.
-	rate := n.in.rate * n.in.scale
-	f.dur = sim.Time(float64(f.sent+seg)*8/rate) - sim.Time(float64(f.sent)*8/rate)
-	if f.sent == 0 {
-		f.dur = nw.cfg.PerMsgOverhead + f.dur
-	}
-	nw.after(machine, f.dur, f, (*Network).segmentDone)
+	nw.pump(s, (*Network).segmentDone)
 }
 
 // segmentDone runs when f's current egress segment (the whole message
@@ -1314,24 +1309,28 @@ func (nw *Network) pumpSegment(machine int, f *flight) {
 func (nw *Network) segmentDone(f *flight) {
 	machine := f.msg.From
 	n := &nw.nics[machine]
-	seg := nw.egressSeg(f)
+	s := &n.out
+	end := s.segEnd(f)
 	if nw.rec != nil {
-		end := nw.procs[machine].Now() // the segment began f.dur earlier
-		nw.rec.AddRange(machine, trace.Out, end-f.dur, end, seg)
+		now := nw.procs[machine].Now() // the segment began f.dur earlier
+		nw.rec.AddRange(machine, trace.Out, now-f.dur, now, end-f.sent)
 	}
-	f.sent += seg
-	wire := nw.wire(f)
-	if f.sent == wire {
-		n.egressBusy = false
+	f.sent = end
+	wire := f.msg.Bytes + s.hdr
+	if end == wire {
+		s.busy = false
+		// Leave egress as the message's own class with nothing sent: the
+		// next stages read both.
+		f.pri, f.sent = f.msg.Priority, 0
 		// Hand off to the next hop after propagation.
 		nw.forward(machine, f)
 		nw.pumpEgress(machine)
 		return
 	}
-	d := n.egress.Discipline()
-	if pre, ok := n.egress.PopReadyIf(func(c *flight) bool {
-		return sched.Less(d, txItem(c), txItem(f)) &&
-			nw.wire(c) <= nw.cfg.PreemptQuantum && nw.wire(c) < wire-f.sent
+	d := s.sq.Discipline()
+	if pre, ok := s.sq.PopReadyIf(func(c *flight) bool {
+		cw := c.msg.Bytes + s.hdr
+		return sched.Less(d, item(c), item(f)) && cw <= s.seg && cw < wire-end
 	}); ok {
 		// Inherit the displacing class unconditionally: pre is strictly
 		// more urgent than f by the discipline's order (the preemption
@@ -1341,12 +1340,12 @@ func (nw *Network) segmentDone(f *flight) {
 		n.parked = append(n.parked, f)
 		// credit-adaptive stops counting the parked remainder against
 		// its flow's window until it resumes (credit keeps it charged).
-		n.egress.Park(f)
+		s.sq.Park(f)
 		n.stats.preemptions++
-		nw.pumpSegment(machine, pre)
+		nw.serve(s, pre, (*Network).segmentDone)
 		return
 	}
-	nw.pumpSegment(machine, f)
+	nw.serve(s, f, (*Network).segmentDone)
 }
 
 // arrive queues f at its destination machine's ingress.
@@ -1391,7 +1390,7 @@ func (nw *Network) ingressDone(f *flight) {
 
 // QueuedEgress reports how many messages wait in machine m's egress queue
 // (not counting one in flight). Used by tests.
-func (nw *Network) QueuedEgress(m int) int { return nw.nics[m].egress.Len() }
+func (nw *Network) QueuedEgress(m int) int { return nw.nics[m].out.sq.Len() }
 
 // AggNow is the current virtual time on the tier's aggregator LP. Only
 // meaningful from a callback already running on that LP (AggDeliver /
@@ -1410,11 +1409,11 @@ func (nw *Network) AggNow(tier, idx int) sim.Time {
 // schedules nothing.
 
 // ScheduleHostDegrade multiplies machine's NIC serialization rate (both
-// directions: egress reads its ingress stage's scale) by factor during
-// [at, until), with one event per window edge. Windows compose
-// multiplicatively; a lone window restores the rate exactly (f/f == 1).
+// directions: its egress and ingress stages) by factor during [at, until),
+// with one event per window edge. Windows compose multiplicatively; a lone
+// window restores the rate exactly (f/f == 1).
 func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor float64) {
-	nw.degrade(&nw.nics[machine].in, at, until, factor)
+	nw.degrade(at, until, factor, &nw.nics[machine].out, &nw.nics[machine].in)
 }
 
 // ScheduleTierDegrade multiplies the uplink and downlink serialization
@@ -1423,18 +1422,28 @@ func (nw *Network) ScheduleHostDegrade(machine int, at, until sim.Time, factor f
 // per boundary on each port's own LP.
 func (nw *Network) ScheduleTierDegrade(tier, idx int, at, until sim.Time, factor float64) {
 	t := &nw.tiers[tier]
-	nw.degrade(&t.up(idx).stage, at, until, factor)
-	nw.degrade(&t.down(idx).stage, at, until, factor)
+	nw.degrade(at, until, factor, &t.up(idx).stage)
+	nw.degrade(at, until, factor, &t.down(idx).stage)
 }
 
-// degrade scales s's rate by factor during [at, until), on s's own LP.
-func (nw *Network) degrade(s *stage, at, until sim.Time, factor float64) {
+// degrade scales the rates of stages, which share one LP, by factor during
+// [at, until): one event per window edge on that LP. Dividing by factor,
+// not multiplying by its inverse, restores a lone window's scale exactly.
+func (nw *Network) degrade(at, until sim.Time, factor float64, stages ...*stage) {
 	if factor <= 0 {
 		panic(fmt.Sprintf("netsim: degrade factor %g", factor))
 	}
-	p := nw.procs[s.lp]
-	p.At(at, func() { s.scale *= factor })
-	p.At(until, func() { s.scale /= factor })
+	p := nw.procs[stages[0].lp]
+	p.At(at, func() {
+		for _, s := range stages {
+			s.scale *= factor
+		}
+	})
+	p.At(until, func() {
+		for _, s := range stages {
+			s.scale /= factor
+		}
+	})
 }
 
 // ScheduleAggOutage takes the tier's aggregator idx offline during

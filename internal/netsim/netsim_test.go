@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"testing"
 
 	"p3/internal/sim"
@@ -388,4 +389,59 @@ func TestPreemptionConservesBytes(t *testing.T) {
 	if nw.Preemptions() == 0 {
 		t.Fatal("urgent arrivals against a 50 KB bulk transfer never preempted")
 	}
+}
+
+// FuzzSegmentTelescopes generalises TestPreemptQuantumTimingTelescopes to
+// any sizes, senders, send times and quantum: fifo egress never preempts,
+// so a segmented run must deliver every message at exactly the tick of the
+// whole-message run. Each five bytes of prog send one message: sender,
+// receiver (a loopback when they are equal), payload size (two bytes) and
+// send time in microseconds. Inputs that would cut more than 1<<16
+// segments are skipped to keep one execution short.
+func FuzzSegmentTelescopes(f *testing.F) {
+	f.Add(int64(999), []byte{0, 1, 0x27, 0x10, 0, 1, 2, 0xff, 0xff, 3, 2, 0, 0x01, 0x00, 3, 2, 2, 0, 9, 0})
+	f.Add(int64(64<<10), []byte{0, 1, 0xff, 0xff, 0, 0, 2, 0xff, 0xff, 0, 1, 0, 0, 0, 1})
+	f.Add(int64(1), []byte{2, 0, 0, 200, 0, 1, 0, 0, 65, 0})
+	f.Fuzz(func(t *testing.T, quantum int64, prog []byte) {
+		const machines, maxMsgs = 3, 32
+		prog = prog[:min(len(prog), 5*maxMsgs)]
+		q := 1 + int64(uint64(quantum)%(1<<20))
+		cfg := DefaultConfig(1.5) // real overhead, framing and prop delay
+		cfg.Egress = "fifo"
+		var msgs []Message
+		var at []sim.Time
+		segs := int64(0)
+		for i := 0; i+5 <= len(prog); i += 5 {
+			b := prog[i : i+5]
+			m := Message{From: int(b[0]) % machines, To: int(b[1]) % machines, Bytes: int64(b[2])<<8 | int64(b[3]), Chunk: int32(len(msgs))}
+			msgs, at = append(msgs, m), append(at, sim.Time(b[4])*sim.Microsecond)
+			segs += (m.Bytes + cfg.HeaderBytes + q - 1) / q
+		}
+		if segs > 1<<16 {
+			t.Skip("too many segments for one execution")
+		}
+		run := func(quantum int64) map[int32]sim.Time {
+			cfg.PreemptQuantum = quantum
+			var eng sim.Engine
+			got := map[int32]sim.Time{}
+			nw := New(&eng, machines, cfg, func(m Message) { got[m.Chunk] = eng.Now() }, nil)
+			for i, m := range msgs {
+				eng.At(at[i], func() { nw.Send(m) })
+			}
+			eng.Run()
+			return got
+		}
+		whole, segmented := run(0), run(q)
+		if len(whole) != len(msgs) {
+			t.Fatalf("%d of %d messages delivered", len(whole), len(msgs))
+		}
+		if !maps.Equal(whole, segmented) {
+			for c, w := range whole {
+				if segmented[c] != w {
+					t.Fatalf("quantum %d: message %+v delivered at %d ns, whole-message run at %d", q, msgs[c], segmented[c], w)
+				}
+			}
+			t.Fatalf("quantum %d: %d deliveries, whole-message run %d", q, len(segmented), len(whole))
+		}
+	})
 }

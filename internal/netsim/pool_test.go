@@ -139,12 +139,19 @@ func records(t *testing.T, nw *Network) (listed, made int) {
 // it twice; either breaks the sum. Flat, rack + spine + aggregation (with
 // and without a reduce engine, and through an aggregator crash) and
 // credit-gated networks run at 1, 2 and 3 shards, so records released on another shard than the one whose list
-// made them are counted too.
+// made them are counted too. The preempt cells segment host egress, so
+// records are parked mid-message and resumed later; they must preempt at
+// least once.
 func TestRecordsConserved(t *testing.T) {
 	const n = 16
 	flat := func(egress string) Config {
 		cfg := DefaultConfig(8)
 		cfg.Egress = egress
+		return cfg
+	}
+	preempt := func(egress string) Config {
+		cfg := flat(egress)
+		cfg.PreemptQuantum = 1024
 		return cfg
 	}
 	cases := []struct {
@@ -154,6 +161,8 @@ func TestRecordsConserved(t *testing.T) {
 	}{
 		{"flat", flat("p3"), false},
 		{"credit-flat", flat("credit:16384"), false},
+		{"preempt-flat", preempt("p3"), false},
+		{"credit-adaptive-preempt-flat", preempt("credit-adaptive:16384"), false},
 		{"rack+spine+agg", allReduceCfg("p3", 0), false},
 		{"rack+spine+agg-reduce", allReduceCfg("p3", 2), false},
 		{"credit-rack+spine+agg", allReduceCfg("credit:16384", 0), false},
@@ -174,6 +183,9 @@ func TestRecordsConserved(t *testing.T) {
 				listed, made := records(t, nw)
 				if made == 0 || listed != made {
 					t.Fatalf("%d records made, %d on the free lists after the run drained", made, listed)
+				}
+				if c.cfg.PreemptQuantum > 0 && nw.Preemptions() == 0 {
+					t.Fatal("no transmission was preempted: the park and resume paths did not run")
 				}
 			})
 		}

@@ -609,34 +609,48 @@ func TestAggReduceRateValidation(t *testing.T) {
 
 // TestDegradeWindows pins the scripted rate windows against closed-form
 // times. Each case sends 1000-byte messages at 1000, inside a window open
-// over [0, 100000), and again at 200000, after it: hosts serialize at 1 B/ns
-// and rack ports at 2 B/ns. A host window slows both directions of its NIC,
-// a ToR window both of its rack's ports, and every rate comes back exactly:
-// the late sends take the undegraded times and every stage's scale is 1.
+// over [0, 100000) unless the case says otherwise, and again at 200000,
+// after it: hosts serialize at 1 B/ns and rack ports at 2 B/ns. A host
+// window slows both directions of its NIC, a ToR window both of its rack's
+// ports, and every rate comes back exactly: the late sends take the
+// undegraded times and every stage's scale, each host's egress and
+// ingress included, is 1.
 func TestDegradeWindows(t *testing.T) {
 	const early, later = 1000, 200000
 	for _, tc := range []struct {
-		name   string
-		window func(nw *Network)
-		sends  [][2]int         // from, to
-		during map[int]sim.Time // sender → transit time of its early send
-		after  sim.Time         // transit time of every later send
+		name    string
+		quantum int64 // Config.PreemptQuantum
+		window  func(nw *Network)
+		sends   [][2]int         // from, to
+		during  map[int]sim.Time // sender → transit time of its early send
+		after   sim.Time         // transit time of every later send
 	}{
 		// Machine 0's NIC at half rate, machine 1's at a quarter: 0→1 pays
 		// egress 2000 + ingress 4000, 1→0 egress 4000 + ingress 2000.
-		{"host", func(nw *Network) {
+		{"host", 0, func(nw *Network) {
 			nw.ScheduleHostDegrade(0, 0, 100000, 0.5)
 			nw.ScheduleHostDegrade(1, 0, 100000, 0.25)
 		}, [][2]int{{0, 1}, {1, 0}}, map[int]sim.Time{0: 6000, 1: 6000}, 2000},
+		// 250-byte segments, and machine 0's window opens at 1400, in the
+		// message's second segment: the two segments that start before it
+		// take 250 each, the two that start inside it 500 each, so egress
+		// takes 1500 and machine 1's undegraded ingress 1000 more. Sampled
+		// once per message the send would take 2000; slowed from its
+		// first byte, 3000.
+		{"host-segmented", 250, func(nw *Network) {
+			nw.ScheduleHostDegrade(0, 1400, 100000, 0.5)
+		}, [][2]int{{0, 1}}, map[int]sim.Time{0: 2500}, 2000},
 		// Rack 0's ports at half rate: 0→2 crosses its uplink (1000 instead
 		// of 500), 2→0 its downlink; each path is 1000 + 1000 + 500 + 1000.
-		{"tor", func(nw *Network) {
+		{"tor", 0, func(nw *Network) {
 			nw.ScheduleTierDegrade(TierRack, 0, 0, 100000, 0.5)
 		}, [][2]int{{0, 2}, {2, 0}}, map[int]sim.Time{0: 3500, 2: 3500}, 3000},
 	} {
 		var eng sim.Engine
 		at := map[int][]sim.Time{}
-		nw := New(&eng, 4, rackCfg(1), func(m Message) { at[m.From] = append(at[m.From], eng.Now()) }, nil)
+		cfg := rackCfg(1)
+		cfg.PreemptQuantum = tc.quantum
+		nw := New(&eng, 4, cfg, func(m Message) { at[m.From] = append(at[m.From], eng.Now()) }, nil)
 		tc.window(nw)
 		for _, start := range []sim.Time{early, later} {
 			eng.At(start, func() {
@@ -648,12 +662,12 @@ func TestDegradeWindows(t *testing.T) {
 		eng.Run()
 		for from, d := range tc.during {
 			if want := []sim.Time{early + d, later + tc.after}; !slices.Equal(at[from], want) {
-				t.Errorf("%s: deliveries from %d at %v, want %v", tc.name, from, at[from], want)
+				t.Errorf("%s: deliveries from %d at %d ns, want %d", tc.name, from, at[from], want)
 			}
 		}
 		stages := []*stage{}
 		for i := range nw.nics {
-			stages = append(stages, &nw.nics[i].in)
+			stages = append(stages, &nw.nics[i].out, &nw.nics[i].in)
 		}
 		for g := range nw.tiers[0].groups() {
 			stages = append(stages, &nw.tiers[0].up(g).stage, &nw.tiers[0].down(g).stage)
