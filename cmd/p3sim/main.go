@@ -36,13 +36,19 @@
 //
 //	p3sim -model resnet50 -machines 16 -racksize 4 -oversub 4 -rackagg -faultseed 7
 //	p3sim -model resnet50 -machines 16 -racksize 4 -oversub 4 -rackagg -faultplan crash.json
+//
+// -allreduce aggregates by ring all-reduce instead of parameter servers
+// (cluster.Config.AllReduce), on the flat network, under the same strategy,
+// discipline and preemption flags:
+//
+//	p3sim -model resnet50 -machines 16 -strategy slicing -sched p3 -bw 1.5 -allreduce
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"p3/internal/cluster"
@@ -70,7 +76,7 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 	slice := fs.Int64("slice", 0, "max slice size in parameters (0 = paper default 50k; slicing/p3 only)")
 	fs.Int64Var(&cfg.PreemptQuantum, "preempt", 0, "egress preemption quantum in wire bytes (0 = off: in-flight messages always finish)")
 	fs.Float64Var(&cfg.BandwidthGbps, "bw", 10, "per-direction NIC bandwidth in Gbps")
-	fs.IntVar(&cfg.Machines, "machines", 4, "cluster size (workers == servers == machines)")
+	fs.IntVar(&cfg.Machines, "machines", 4, "cluster size (workers == machines, and servers too unless -allreduce)")
 	fs.IntVar(&cfg.MeasureIters, "iters", 8, "measured iterations")
 	fs.IntVar(&cfg.WarmupIters, "warmup", 2, "warm-up iterations")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
@@ -79,7 +85,8 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 	fs.BoolVar(&opt.calibrate, "calibrate", false, "two-pass calibrated mode: re-run with the profile rebuilt from the first pass's measured stalls and report both")
 	fs.StringVar(&opt.stallsIn, "stalls", "", "run against a measured stall profile (file written by -stallsout) instead of the static timing")
 	fs.StringVar(&opt.stallsOut, "stallsout", "", "write the run's measured per-layer mean stalls to this file")
-	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "simulation shards: 1 runs one event loop, >= 2 the conservative-lookahead parallel engine with that many (results are bit-identical either way)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "simulation shards: 1 runs one event loop, >= 2 the conservative-lookahead parallel engine with that many; results are bit-identical either way, and sharding has measured slower than one loop on 2 cores (-allreduce always runs one)")
+	fs.BoolVar(&cfg.AllReduce, "allreduce", false, "aggregate by ring all-reduce instead of parameter servers (flat network only: no topology, aggregation or fault flags)")
 	fs.IntVar(&cfg.Topology.RackSize, "racksize", 0, "machines per rack (0 = flat network; >0 adds per-rack ToR uplinks and an oversubscribable core)")
 	fs.Float64Var(&cfg.Topology.CoreOversub, "oversub", 0, "core oversubscription ratio for -racksize topologies (0 or 1 = non-blocking core, values in (0,1) undersubscribe)")
 	fs.StringVar(&cfg.Topology.CoreSched, "coresched", "", "queue discipline for the ToR core ports (requires -racksize; empty = blind FIFO ports)")
@@ -134,24 +141,28 @@ func parseFlags(args []string) (cfg cluster.Config, opt options, err error) {
 	return cfg, opt, cfg.Validate()
 }
 
-func main() {
-	cfg, opt, err := parseFlags(os.Args[1:])
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, runs the cell and reports on stdout,
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg, opt, err := parseFlags(args)
 	if err != nil {
 		if err != flag.ErrHelp {
-			fmt.Fprintln(os.Stderr, "p3sim:", err)
+			fmt.Fprintln(stderr, "p3sim:", err)
 		}
-		os.Exit(2)
+		return 2
 	}
 	m, st, bw := cfg.Model, cfg.Strategy, cfg.BandwidthGbps
 	if opt.showLayers {
-		fmt.Print(m.Table())
-		return
+		fmt.Fprint(stdout, m.Table())
+		return 0
 	}
 	if opt.stallsIn != "" {
 		stalls, err := strategy.ReadStallFile(opt.stallsIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "p3sim:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "p3sim:", err)
+			return 2
 		}
 		cfg.Profile = strategy.CalibrateProfile(m, bw, stalls)
 	}
@@ -165,7 +176,7 @@ func main() {
 		if opt.stallsIn != "" {
 			firstLabel = "stall-file" // the first pass already ran on -stalls
 		}
-		fmt.Printf("calibrated:  %s pass %.2f ms/iter (stall %.2f ms) -> measured-profile pass %.2f ms/iter (stall %.2f ms)\n",
+		fmt.Fprintf(stdout, "calibrated:  %s pass %.2f ms/iter (stall %.2f ms) -> measured-profile pass %.2f ms/iter (stall %.2f ms)\n",
 			firstLabel, static.MeanIterTime.Millis(), static.TotalStall().Millis(),
 			r.MeanIterTime.Millis(), r.TotalStall().Millis())
 	} else {
@@ -173,10 +184,10 @@ func main() {
 	}
 	if opt.stallsOut != "" {
 		if err := strategy.WriteStallFile(opt.stallsOut, r.MeanLayerStalls()); err != nil {
-			fmt.Fprintln(os.Stderr, "p3sim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "p3sim:", err)
+			return 1
 		}
-		fmt.Printf("wrote measured stall profile to %s\n", opt.stallsOut)
+		fmt.Fprintf(stdout, "wrote measured stall profile to %s\n", opt.stallsOut)
 	}
 
 	preemptDesc := "off"
@@ -189,7 +200,10 @@ func main() {
 		}
 		return fmt.Sprintf("%g:1", oversub)
 	}
-	topoDesc := "flat"
+	topoDesc, shards := "flat", min(cfg.Shards, r.Machines)
+	if cfg.AllReduce {
+		topoDesc, shards = "flat, ring all-reduce", 1
+	}
 	if t := cfg.Topology; t.RackSize > 0 {
 		topoDesc = fmt.Sprintf("racks of %d, core %s", t.RackSize, ratio(t.CoreOversub))
 		if t.Pods > 0 {
@@ -214,32 +228,33 @@ func main() {
 			topoDesc += fmt.Sprintf(", agg %g GB/s", cfg.AggReduceGBps)
 		}
 	}
-	fmt.Printf("model:       %s (%s)\n", m.Name, m)
-	fmt.Printf("strategy:    %s  sched: %s  preempt: %s  machines: %d  bandwidth: %g Gbps\n",
+	fmt.Fprintf(stdout, "model:       %s (%s)\n", m.Name, m)
+	fmt.Fprintf(stdout, "strategy:    %s  sched: %s  preempt: %s  machines: %d  bandwidth: %g Gbps\n",
 		st.Name, st.Discipline(), preemptDesc, r.Machines, r.BandwidthGbps)
-	fmt.Printf("engine:      %d shard(s)  topology: %s\n", min(cfg.Shards, r.Machines), topoDesc)
-	fmt.Printf("throughput:  %.1f %s/s aggregate (%.1f per machine)\n",
+	fmt.Fprintf(stdout, "engine:      %d shard(s)  topology: %s\n", shards, topoDesc)
+	fmt.Fprintf(stdout, "throughput:  %.1f %s/s aggregate (%.1f per machine)\n",
 		r.Throughput, m.SampleUnit, r.Throughput/float64(r.Machines))
-	fmt.Printf("iteration:   %.2f ms mean (pure compute %.2f ms, comm overhead %.2f ms)\n",
+	fmt.Fprintf(stdout, "iteration:   %.2f ms mean (pure compute %.2f ms, comm overhead %.2f ms)\n",
 		r.MeanIterTime.Millis(), r.ComputeIterTime.Millis(),
 		(r.MeanIterTime - r.ComputeIterTime).Millis())
-	fmt.Printf("sim cost:    %d events, %d messages, %.1f MB on the wire\n",
+	fmt.Fprintf(stdout, "sim cost:    %d events, %d messages, %.1f MB on the wire\n",
 		r.Events, r.Msgs, float64(r.WireBytes)/1e6)
 	if cfg.Faults != nil {
-		fmt.Printf("faults:      %d injected, %d agg failovers, %d lost reductions, %.1f ms degraded links\n",
+		fmt.Fprintf(stdout, "faults:      %d injected, %d agg failovers, %d lost reductions, %.1f ms degraded links\n",
 			r.FaultsInjected, r.AggFailovers, r.LostReductions, float64(r.DegradedNs)/1e6)
 	}
 
 	if rec := cfg.Recorder; rec != nil {
 		skip := int(r.WarmupEnd / rec.Bucket())
 		out, in := rec.Gbps(0, trace.Out), rec.Gbps(0, trace.In)
-		fmt.Println("\nbucket\toutbound_gbps\tinbound_gbps")
+		fmt.Fprintln(stdout, "\nbucket\toutbound_gbps\tinbound_gbps")
 		for i := skip; i < len(out) && i < skip+250; i++ {
 			iv := 0.0
 			if i < len(in) {
 				iv = in[i]
 			}
-			fmt.Printf("%d\t%.3f\t%.3f\n", i-skip, out[i], iv)
+			fmt.Fprintf(stdout, "%d\t%.3f\t%.3f\n", i-skip, out[i], iv)
 		}
 	}
+	return 0
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"p3/internal/cluster"
 	"p3/internal/netsim"
 )
 
@@ -41,6 +43,11 @@ func TestTopologyFromFlags(t *testing.T) {
 		{args: "-iters -3", wantErr: "negative run length"},
 		{args: "-warmup -1", wantErr: "negative run length"},
 		{args: "-preempt -1", wantErr: "negative PreemptQuantum"},
+		{args: "-allreduce -machines 16"},
+		{args: "-allreduce -machines 1", wantErr: "at least 2 machines"},
+		{args: "-allreduce -machines 8 -racksize 4", wantErr: "flat network"},
+		{args: "-allreduce -faultseed 3", wantErr: "no fault plan"},
+		{args: "-allreduce -strategy asgd", wantErr: "ASGD"},
 		{args: "-strategy nosuch", wantErr: "nosuch"},
 		{args: "-model nosuch", wantErr: "nosuch"},
 	} {
@@ -60,5 +67,34 @@ func TestTopologyFromFlags(t *testing.T) {
 			t.Errorf("%s: topology %+v agg %v hier %v local %v rate %g does not reflect the flags",
 				tc.args, cfg.Topology, cfg.RackAggregation, cfg.HierAggregation, cfg.RackLocalPS, cfg.AggReduceGBps)
 		}
+	}
+}
+
+// TestAllReduceReportsClusterRun: -allreduce reaches Config.AllReduce, and
+// what p3sim prints is cluster.Run's Result for that Config.
+func TestAllReduceReportsClusterRun(t *testing.T) {
+	args := strings.Fields("-allreduce -model resnet110 -strategy slicing -bw 1.5 -iters 2 -warmup 1")
+	cfg, _, err := parseFlags(args)
+	if err != nil || !cfg.AllReduce {
+		t.Fatalf("parseFlags: AllReduce %v, error %v", cfg.AllReduce, err)
+	}
+	var stdout, stderr strings.Builder
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	r := cluster.Run(cfg)
+	for _, want := range []string{
+		"topology: flat, ring all-reduce",
+		fmt.Sprintf("throughput:  %.1f images/s aggregate", r.Throughput),
+		fmt.Sprintf("iteration:   %.2f ms mean", r.MeanIterTime.Millis()),
+		fmt.Sprintf("sim cost:    %d events, %d messages", r.Events, r.Msgs),
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	cfg.AllReduce = false
+	if ps := cluster.Run(cfg); ps.Events == r.Events {
+		t.Errorf("the parameter-server run has the all-reduce run's %d events", r.Events)
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"p3/internal/cluster"
 	"p3/internal/netsim"
-	"p3/internal/ring"
 	"p3/internal/sched"
 	"p3/internal/sim"
 	"p3/internal/strategy"
@@ -412,29 +411,22 @@ func RunSims() []SimResult {
 	for _, c := range cases {
 		//p3:wallclock-ok WallMs reports real simulator throughput
 		t0 := time.Now()
-		var iterMs float64
-		var events uint64
-		if c.path == "ring" {
-			st := strategy.Strategy{Name: "ar-p3", Granularity: strategy.Slices, Sched: "p3"}
-			r := ring.Run(ring.Config{
-				Model: zoo.ByName(c.model), Machines: c.machines, Strategy: st,
-				BandwidthGbps: c.gbps, WarmupIters: 1, MeasureIters: 3, Seed: 1,
-			})
-			iterMs, events = r.MeanIterTime.Millis(), r.Events
-		} else {
-			r := cluster.Run(cluster.Config{
-				Model: zoo.ByName(c.model), Machines: c.machines, Strategy: strategy.P3(0),
-				BandwidthGbps: c.gbps, WarmupIters: 1, MeasureIters: 3, Seed: 1,
-				Shards: c.shards,
-			})
-			iterMs, events = r.MeanIterTime.Millis(), r.Events
+		cfg := cluster.Config{
+			Model: zoo.ByName(c.model), Machines: c.machines, Strategy: strategy.P3(0),
+			BandwidthGbps: c.gbps, WarmupIters: 1, MeasureIters: 3, Seed: 1,
+			Shards: c.shards,
 		}
+		if c.path == "ring" {
+			cfg.Strategy = strategy.Strategy{Name: "ar-p3", Granularity: strategy.Slices, Sched: "p3"}
+			cfg.AllReduce = true
+		}
+		r := cluster.Run(cfg)
 		out = append(out, SimResult{
 			Name:     c.name,
 			Machines: c.machines,
-			IterMs:   iterMs,
+			IterMs:   r.MeanIterTime.Millis(),
 			WallMs:   float64(time.Since(t0).Microseconds()) / 1000, //p3:wallclock-ok WallMs reports real simulator throughput
-			Events:   events,
+			Events:   r.Events,
 		})
 	}
 	return out

@@ -1,17 +1,17 @@
-// Package cluster simulates data-parallel synchronous-SGD training over a
-// parameter-server architecture on the discrete-event clock. It is the
-// substitute for the paper's physical testbed (four GPU machines with
-// tc-qdisc-throttled NICs): one machine hosts one worker and one co-located
-// parameter server (the paper's recommended deployment), workers alternate
-// forward/backward compute phases, and gradients/parameters flow through the
-// simulated network according to a strategy.Strategy.
+// Package cluster simulates data-parallel synchronous-SGD training on the
+// discrete-event clock. It is the substitute for the paper's physical
+// testbed (four GPU machines with tc-qdisc-throttled NICs): workers
+// alternate forward/backward compute phases, and gradients/parameters flow
+// through the simulated network according to a strategy.Strategy, under
+// one of two aggregation methods — a parameter server (the default: one
+// machine hosts one worker and one co-located server, the paper's
+// recommended deployment) or ring all-reduce (Config.AllReduce).
 //
 // The worker's compute loop — forward(l) blocks until layer l's parameters
 // of the previous iteration are in, backward hands gradients over last
 // layer first — and the priority-ordered endpoint consumers are package
-// worker's, shared with the all-reduce simulator (internal/ring); this
-// package is the parameter-server aggregation method plugged into them,
-// following Sections 2, 4.1 and 4.2 of the paper:
+// worker's; the aggregation method is what this package plugs into them.
+// The parameter server follows Sections 2, 4.1 and 4.2 of the paper:
 //
 //	worker: backward(l) done (Loop.Grad) -> push gradient chunks of layer l
 //	server: Nth push of a chunk processed -> parameters updated ->
@@ -19,10 +19,24 @@
 //	        or reply-on-deferred-pull (TensorFlow style)
 //	worker: chunk of layer l received and installed -> Loop.Installed
 //
+// Ring all-reduce substantiates the paper's claim (Sections 2 and 6) that
+// P3's two principles — parameter slicing and priority-ordered transmission
+// — "are general enough to be applied to any gradient aggregation method".
+// Only the aggregation differs: the classic 2(N-1)-round ring
+// reduce-scatter + all-gather, at either layer granularity (WFBP-style
+// all-reduce, what Horovod-class systems did at the time) or P3-style
+// sliced + priority-scheduled granularity. A collective can only begin once
+// EVERY machine has produced that chunk's gradient, so the ordering problem
+// the paper identifies is, if anything, sharper here: the first layer's
+// gradients — needed first in the next forward pass — become ready last and
+// at layer granularity must wait behind the whole backlog of earlier
+// collectives.
+//
 // The files: config.go (Config, Validate, Result), cluster.go
 // (construction, dispatch, result), worker.go and server.go (the two
-// protocol ends), aggtree.go (in-network aggregation), faults.go (fault
-// injection, and crash recovery behind the nil-safe recovery type).
+// parameter-server protocol ends), allreduce.go (the ring), aggtree.go
+// (in-network aggregation), faults.go (fault injection, and crash recovery
+// behind the nil-safe recovery type).
 package cluster
 
 import (
@@ -44,6 +58,7 @@ const (
 	kData                    // server -> worker: updated parameter chunk
 	kCache                   // server -> rack aggregator: updated parameter chunk for the rack-local cache (RackLocalPS)
 	kRepush                  // server -> worker: re-push a contribution lost at a crashed aggregator (Config.Faults)
+	kRing                    // machine -> ring successor: one all-reduce segment (Config.AllReduce)
 )
 
 // ctlBytes is the payload size of notify/pull control messages.
@@ -65,7 +80,8 @@ const (
 	updateOverhead = 5 * sim.Microsecond
 	// MXNet's engine copies different keys in parallel on the worker's
 	// receive path: two copy threads, each the same single-threaded
-	// deserialize-and-copy path.
+	// deserialize-and-copy path. Under all-reduce, summing a received ring
+	// segment into the accumulator costs the same per byte, on one thread.
 	hostThreads  = 2
 	hostRateGBps = 3 // GB/s == bytes/ns
 	hostOverhead = 5 * sim.Microsecond
@@ -105,6 +121,12 @@ type clusterSim struct {
 	// Config.Faults scripts an aggregator crash, and every method the
 	// protocol code calls answers the no-fault case on nil.
 	rec *recovery
+
+	// Under Config.AllReduce (allreduce.go), instead of the servers, slots
+	// and worker pools: ring[c] is chunk c's collective, reduce[w] machine
+	// w's segment reductions.
+	ring   []chunkState
+	reduce []*worker.Pool
 }
 
 // RunCalibrated is the two-pass calibrated mode: the first pass runs cfg as
@@ -163,7 +185,13 @@ func newClusterSim(cfg Config) *clusterSim {
 	// same Result at a higher price per event (the sim package comment
 	// quotes it). The lookahead is the topology's minimum cross-LP latency;
 	// shard assignment is rack-aligned so only the core hop crosses shards.
+	// All-reduce always runs one Engine: each collective launches only when
+	// every machine has produced the gradient, a global zero-latency barrier
+	// that admits no lookahead window.
 	shards := min(cfg.Shards, n)
+	if cfg.AllReduce {
+		shards = 1
+	}
 	var exec sim.Exec
 	if shards >= 2 {
 		p, err := sim.NewParallel(shards, netCfg.LPShards(n, shards), netCfg.Lookahead())
@@ -178,11 +206,17 @@ func newClusterSim(cfg Config) *clusterSim {
 	cs := &clusterSim{
 		cfg:  cfg,
 		exec: exec,
-		plan: cfg.Strategy.Partition(m, cfg.Servers),
+		// All-reduce partitions for one "server": it has no placement,
+		// only granularity.
+		plan: cfg.Strategy.Partition(m, max(cfg.Servers, 1)),
 	}
 	cs.procs = make([]sim.Proc, n)
 	for i := range cs.procs {
 		cs.procs[i] = exec.Proc(i)
+	}
+	if cfg.AllReduce {
+		cs.newRing(netCfg, prof)
+		return cs
 	}
 	cs.loop = worker.NewLoop(m, cs.plan, cs.procs, cfg.WarmupIters, cfg.MeasureIters, cfg.Seed, 0x9e3779b97f4a7c15)
 	cs.loop.Grad = cs.pushLayer
@@ -287,6 +321,8 @@ func (cs *clusterSim) deliver(m netsim.Message) {
 		cs.onData(m)
 	case kRepush:
 		cs.rec.repush(m)
+	case kRing:
+		cs.reduce[m.To].Add(worker.Item{Chunk: m.Chunk, Iter: m.Iter, Src: m.Src, Priority: m.Priority})
 	default:
 		panic(fmt.Sprintf("cluster: unknown message kind %d", m.Kind))
 	}

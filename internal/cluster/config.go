@@ -114,6 +114,12 @@ type Config struct {
 	// and are incompatible with RackLocalPS. A nil plan — and a zero-event
 	// one — is byte-identical to no faults at every shard count.
 	Faults *faults.Plan
+	// AllReduce aggregates by ring all-reduce instead of parameter servers
+	// (allreduce.go): the strategy's granularity and discipline apply, its
+	// pull mode is ignored, and Shards is read as 1. It needs at least 2
+	// machines and takes none of the server, topology, aggregation or fault
+	// fields, nor an asynchronous strategy.
+	AllReduce bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -121,7 +127,7 @@ func (c *Config) withDefaults() Config {
 	if out.Machines == 0 {
 		out.Machines = 4
 	}
-	if out.Servers == 0 {
+	if out.Servers == 0 && !out.AllReduce {
 		out.Servers = out.Machines
 	}
 	if out.WarmupIters == 0 {
@@ -159,6 +165,9 @@ func (c Config) Validate() error {
 	}
 	if _, err := sched.ByName(c.Strategy.Discipline()); err != nil {
 		return fmt.Errorf("cluster: strategy %s: %w", c.Strategy.Name, err)
+	}
+	if c.AllReduce {
+		return c.validateAllReduce()
 	}
 	if c.ServerMachines != nil && len(c.ServerMachines) != c.Servers {
 		return fmt.Errorf("cluster: %d ServerMachines for %d servers", len(c.ServerMachines), c.Servers)
@@ -213,6 +222,27 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: agg-crash faults need an Immediate-broadcast strategy (crash recovery re-pulls against the immediate data path)")
 	case p.HasTierCrash(faults.TierPod) && !c.HierAggregation:
 		return fmt.Errorf("cluster: a pod-tier agg-crash needs HierAggregation (there is no pod aggregator to crash)")
+	}
+	return nil
+}
+
+// validateAllReduce is Validate's all-reduce branch: the ring runs on the
+// flat network with no servers, so every field only the parameter server
+// reads is rejected rather than silently ignored.
+func (c Config) validateAllReduce() error {
+	switch {
+	case c.Machines < 2:
+		return fmt.Errorf("cluster: all-reduce needs at least 2 machines, not %d", c.Machines)
+	case c.Servers != 0 || c.ServerMachines != nil:
+		return fmt.Errorf("cluster: all-reduce has no parameter servers (Servers %d, ServerMachines %v)", c.Servers, c.ServerMachines)
+	case c.Topology != netsim.Topology{}:
+		return fmt.Errorf("cluster: all-reduce runs on the flat network; it takes no Topology")
+	case c.RackAggregation || c.HierAggregation || c.RackLocalPS || c.AggReduceGBps != 0:
+		return fmt.Errorf("cluster: all-reduce takes no aggregation field (RackAggregation, HierAggregation, RackLocalPS, AggReduceGBps)")
+	case c.Faults != nil:
+		return fmt.Errorf("cluster: all-reduce takes no fault plan")
+	case c.Strategy.Async:
+		return fmt.Errorf("cluster: all-reduce is synchronous; ASGD has no collective to run")
 	}
 	return nil
 }

@@ -7,19 +7,30 @@ import (
 	"p3/internal/zoo"
 )
 
-// runScale runs the scale-axis configuration (resnet50 at the 1.5 Gbps
-// bottleneck, the cell that exposed the inversion) under one discipline.
-func runScale(t *testing.T, machines int, sched string) Result {
+// scaleCfg is the scale-axis configuration (resnet50 at the 1.5 Gbps
+// bottleneck, the cell that exposed the inversion) under one discipline, on
+// the parameter server or, with allReduce, on the ring.
+func scaleCfg(t *testing.T, machines int, sched string, allReduce bool) Config {
 	t.Helper()
 	st, err := strategy.SlicingOnly(0).WithSched(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Name = "sliced+" + sched
-	return Run(Config{
+	if allReduce {
+		st.Name = "ar-" + sched
+	}
+	return Config{
 		Model: zoo.ByName("resnet50"), Machines: machines, Strategy: st,
 		BandwidthGbps: 1.5, WarmupIters: 1, MeasureIters: 2, Seed: 1,
-	})
+		AllReduce: allReduce,
+	}
+}
+
+// runScale runs the parameter-server scale-axis configuration.
+func runScale(t *testing.T, machines int, sched string) Result {
+	t.Helper()
+	return Run(scaleCfg(t, machines, sched, false))
 }
 
 // TestInversionFixedAt64Machines pins the fix for the 64-machine

@@ -6,6 +6,7 @@ import (
 
 	"p3/internal/faults"
 	"p3/internal/sim"
+	"p3/internal/strategy"
 	"p3/internal/trace"
 )
 
@@ -136,6 +137,37 @@ func TestFaultRejections(t *testing.T) {
 		{name: "machine out of range", base: flat,
 			mut:  plan(faults.Event{Kind: faults.KindStraggler, At: 0, Until: 1e6, Machine: 99, Factor: 2}),
 			want: "machine 99 outside the 16-machine cluster"},
+	})
+}
+
+// TestAllReduceRejections: the ring runs on the flat network with no
+// servers, so every field only the parameter server reads is refused; run
+// length and quantum are checked as on the parameter server (before they
+// were, a negative warm-up panicked inside the ring and a negative quantum
+// ran without preemption).
+func TestAllReduceRejections(t *testing.T) {
+	ring := shardedCfg(t, 4, "p3")
+	ring.AllReduce = true
+	plan := func(e faults.Event) func(*Config) {
+		return func(c *Config) { c.Faults = &faults.Plan{Events: []faults.Event{e}} }
+	}
+	checkValidate(t, []rejection{
+		{name: "all-reduce", base: ring},
+		{name: "shards clamp", base: ring, mut: func(c *Config) { c.Shards = 4 }},
+		{name: "deferred pull ignored", base: ring, mut: func(c *Config) { c.Strategy.Pull = strategy.DeferredPull }},
+		{name: "preemption", base: ring, mut: func(c *Config) { c.PreemptQuantum = 1 }},
+		{name: "negative warm-up", base: ring, mut: func(c *Config) { c.WarmupIters = -1 }, want: "negative run length"},
+		{name: "negative measured iterations", base: ring, mut: func(c *Config) { c.MeasureIters = -3 }, want: "negative run length"},
+		{name: "negative preemption quantum", base: ring, mut: func(c *Config) { c.PreemptQuantum = -1 }, want: "negative PreemptQuantum"},
+		{name: "one machine", base: ring, mut: func(c *Config) { c.Machines = 1 }, want: "at least 2 machines"},
+		{name: "servers", base: ring, mut: func(c *Config) { c.Servers = 2 }, want: "no parameter servers"},
+		{name: "server placement", base: ring, mut: func(c *Config) { c.Servers, c.ServerMachines = 1, []int{1} }, want: "no parameter servers"},
+		{name: "racks", base: ring, mut: func(c *Config) { c.Topology.RackSize = 4 }, want: "flat network"},
+		{name: "rack aggregation", base: ring, mut: func(c *Config) { c.RackAggregation = true }, want: "no aggregation field"},
+		{name: "aggregation rate", base: ring, mut: func(c *Config) { c.AggReduceGBps = 8 }, want: "no aggregation field"},
+		{name: "agg crash", base: ring, mut: plan(faults.Event{Kind: faults.KindAggCrash, At: 1e6, Tier: faults.TierRack, Index: 0}), want: "no fault plan"},
+		{name: "straggler", base: ring, mut: plan(faults.Event{Kind: faults.KindStraggler, At: 0, Until: 1e6, Machine: 1, Factor: 2}), want: "no fault plan"},
+		{name: "asgd", base: ring, mut: func(c *Config) { c.Strategy.Async = true }, want: "ASGD"},
 	})
 }
 

@@ -92,7 +92,7 @@ func ExtAllreduce(o Options) []*Figure {
 			Series: sweep(o, strategies, fig7Grid(name, o.Fast),
 				func(s strategy.Strategy, bw float64) cell {
 					c := testbed(m, s, bw)
-					c.ring = true
+					c.AllReduce = true
 					return c
 				}, perMachine),
 		})

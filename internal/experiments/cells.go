@@ -8,19 +8,15 @@ import (
 
 	"p3/internal/cluster"
 	"p3/internal/model"
-	"p3/internal/ring"
 	"p3/internal/strategy"
 )
 
 // cell is one simulated configuration of a sweep: a cluster.Config carrying
-// only what varies between the sweep's cells. The run control — WarmupIters,
-// MeasureIters, Seed, Shards — is runCells' to fill from Options.
+// only what varies between the sweep's cells — on the ring path that
+// includes AllReduce. The run control — WarmupIters, MeasureIters, Seed,
+// Shards — is runCells' to fill from Options.
 type cell struct {
 	cluster.Config
-	// ring runs the cell on ring all-reduce instead of the parameter server,
-	// with the fields the two Configs share (a ring has no servers, shards or
-	// topology).
-	ring bool
 	// calibrated runs the two-pass calibrated mode and keeps its second pass.
 	calibrated bool
 	// tag names a swept axis that is not a config field: Rack's server
@@ -50,8 +46,8 @@ func sliced(disc string) strategy.Strategy {
 	return under(strategy.SlicingOnly(0), "sliced", disc)
 }
 
-// outcome is what one cell produced: the run's Result — on the ring path the
-// fields the two Results share — and the projections the tables start from.
+// outcome is what one cell produced: the run's full Result, on either
+// path, and the projections the tables start from.
 type outcome struct {
 	cluster.Result
 	// PerMachine is per-machine training throughput (samples/sec), IterMs
@@ -108,7 +104,7 @@ var (
 
 // path names the cell's aggregation path.
 func (c cell) path() string {
-	if c.ring {
+	if c.AllReduce {
 		return PathRing
 	}
 	return PathCluster
@@ -116,34 +112,15 @@ func (c cell) path() string {
 
 // run executes the cell as configured.
 func (c cell) run() cluster.Result {
-	if !c.ring {
-		if c.calibrated {
-			_, r := cluster.RunCalibrated(c.Config)
-			return r
-		}
-		return cluster.Run(c.Config)
-	}
-	rc := ring.Config{
-		Model: c.Model, Machines: c.Machines, Strategy: c.Strategy,
-		BandwidthGbps: c.BandwidthGbps, PreemptQuantum: c.PreemptQuantum, Profile: c.Profile,
-		WarmupIters: c.WarmupIters, MeasureIters: c.MeasureIters, Seed: c.Seed,
-		Recorder: c.Recorder,
-	}
-	var r ring.Result
 	if c.calibrated {
-		_, r = ring.RunCalibrated(rc)
-	} else {
-		r = ring.Run(rc)
+		_, r := cluster.RunCalibrated(c.Config)
+		return r
 	}
-	return cluster.Result{
-		Model: r.Model, Strategy: r.Strategy, Machines: r.Machines, BandwidthGbps: r.BandwidthGbps,
-		Throughput: r.Throughput, MeanIterTime: r.MeanIterTime, ComputeIterTime: r.ComputeIter,
-		MeasuredIters: r.MeasuredIters, LayerStalls: r.LayerStalls, Events: r.Events, Msgs: r.Msgs,
-	}
+	return cluster.Run(c.Config)
 }
 
 // runCells runs every cell and returns the outcomes in cell order: the one
-// place above cluster.Run and ring.Run where a simulation is started. Each
+// place above cluster.Run where a simulation is started. Each
 // cell is a pure function of its config (own engine, own network, own
 // discipline instances; nothing writes a *model.Model during a run, so cells
 // may share one), so the pool's outputs — and with them every table and

@@ -7,7 +7,6 @@ import (
 
 	"p3/internal/cluster"
 	"p3/internal/faults"
-	"p3/internal/ring"
 	"p3/internal/strategy"
 	"p3/internal/trace"
 	"p3/internal/zoo"
@@ -23,11 +22,11 @@ func mixedCells() []cell {
 		return c
 	}
 	ringCell := testbed(m, sliced("p3"), 1.5)
-	ringCell.ring = true
+	ringCell.AllReduce = true
 	calibrated := testbed(m, sliced("tictac"), 1.5)
 	calibrated.calibrated = true
 	calibratedRing := calibrated
-	calibratedRing.ring = true
+	calibratedRing.AllReduce = true
 	recorded := testbed(m, strategy.P3(0), 1.5)
 	recorded.Recorder = trace.NewRecorder(6, 0)
 	faulted := testbed(m, sliced("fifo"), 1.5)
@@ -70,9 +69,9 @@ func TestRunCellsPoolMatchesSerial(t *testing.T) {
 }
 
 // TestRunCellsFillsRunControl pins what only the runner sets: iteration
-// counts and seed from Options, Shards on every cluster-path cell — a
-// recorded one included, whose series equal the one-shard run's — and the
-// second pass of a calibrated cell, on both paths.
+// counts and seed from Options, Shards on every cell — a recorded one
+// included, whose series equal the one-shard run's, and a ring one, which
+// reads it as 1 — and the second pass of a calibrated cell, on both paths.
 func TestRunCellsFillsRunControl(t *testing.T) {
 	o := Options{Fast: true, Seed: 1, Shards: 4}
 	cells := mixedCells()
@@ -101,15 +100,8 @@ func TestRunCellsFillsRunControl(t *testing.T) {
 	if _, want := cluster.RunCalibrated(control(cells[2])); !reflect.DeepEqual(outs[2].Result, want) {
 		t.Errorf("calibrated cell is not RunCalibrated's second pass:\n got %+v\nwant %+v", outs[2].Result, want)
 	}
-	cfg := control(cells[3])
-	_, want := ring.RunCalibrated(ring.Config{
-		Model: cfg.Model, Machines: cfg.Machines, Strategy: cfg.Strategy, BandwidthGbps: cfg.BandwidthGbps,
-		WarmupIters: warm, MeasureIters: measure, Seed: cfg.Seed,
-	})
-	got := outs[3]
-	if got.Throughput != want.Throughput || got.MeanIterTime != want.MeanIterTime || got.Events != want.Events ||
-		got.Msgs != want.Msgs || !reflect.DeepEqual(got.LayerStalls, want.LayerStalls) {
-		t.Errorf("calibrated ring cell is not ring.RunCalibrated's second pass:\n got %+v\nwant %+v", got.Result, want)
+	if _, want := cluster.RunCalibrated(control(cells[3])); !reflect.DeepEqual(outs[3].Result, want) {
+		t.Errorf("calibrated ring cell is not RunCalibrated's second pass:\n got %+v\nwant %+v", outs[3].Result, want)
 	}
 }
 

@@ -121,7 +121,7 @@ var All = []Experiment{
 		Table: func(o Options) string { return Faults(o).TSV() }},
 	{ID: "allreduce", Title: "Extension — P3 principles on ring all-reduce (Section 6 claim)",
 		About: "The paper claims slicing + priority generalize beyond the parameter server.\n" +
-			"`internal/ring` implements ring all-reduce on the same substrate:",
+			"`cluster.Config.AllReduce` runs ring all-reduce on the same substrate:",
 		Figures: ExtAllreduce, Summary: func(figs []*Figure) string {
 			return eachFigure(figs, func(f *Figure) string {
 				gain, bw := bestGain(f.Series[0], f.Series[2])

@@ -5,7 +5,6 @@ import (
 
 	"p3/internal/cluster"
 	"p3/internal/netsim"
-	"p3/internal/ring"
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/zoo"
@@ -58,9 +57,9 @@ func TestPreemptionUpperBound(t *testing.T) {
 					m.Name, name, cp.MeanIterTime.Millis(), cb.MeanIterTime.Millis())
 			}
 
-			rb := ring.Run(ring.Config{Model: m, Machines: 4, Strategy: st,
+			rb := cluster.Run(cluster.Config{Model: m, Machines: 4, Strategy: st, AllReduce: true,
 				BandwidthGbps: 1.5, WarmupIters: warm, MeasureIters: measure, Seed: 1})
-			rp := ring.Run(ring.Config{Model: m, Machines: 4, Strategy: st,
+			rp := cluster.Run(cluster.Config{Model: m, Machines: 4, Strategy: st, AllReduce: true,
 				BandwidthGbps: 1.5, PreemptQuantum: netsim.DefaultPreemptQuantum,
 				WarmupIters: warm, MeasureIters: measure, Seed: 1})
 			if rp.MeanIterTime > rb.MeanIterTime+sim.Time(sliceSlackNs) {

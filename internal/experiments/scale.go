@@ -78,7 +78,7 @@ func Scale(o Options) *Table {
 					continue
 				}
 				c := testbed(m, sliced(v.sched), 1.5)
-				c.Machines, c.ring, c.calibrated = n, path == PathRing, v.calibrated
+				c.Machines, c.AllReduce, c.calibrated = n, path == PathRing, v.calibrated
 				cells = append(cells, c)
 			}
 		}

@@ -33,7 +33,7 @@ func TestScaleSweep(t *testing.T) {
 			t.Fatalf("degenerate row: %+v", r.Config)
 		}
 		sched := r.Config.Strategy.Sched
-		if !r.ring && sched == "p3" {
+		if !r.AllReduce && sched == "p3" {
 			events[r.Config.Machines] = r.Events
 		}
 		if r.Config.Machines == 64 {

@@ -15,8 +15,8 @@ import (
 // strategy so ordering is the only variable.
 func SchedDisciplines() []string { return sched.Names() }
 
-// Aggregation paths the ablation sweeps: the parameter-server cluster
-// simulator and the ring all-reduce simulator.
+// Aggregation paths the ablation sweeps: the parameter server and ring
+// all-reduce (cluster.Config.AllReduce).
 const (
 	PathCluster = "cluster"
 	PathRing    = "ring"
@@ -64,7 +64,7 @@ func SchedulerAblation(o Options) *Table {
 				for _, preempt := range []int64{0, netsim.DefaultPreemptQuantum} {
 					cl := testbed(m, sliced(name), c.gbps)
 					cl.PreemptQuantum = preempt
-					cl.ring = path == PathRing
+					cl.AllReduce = path == PathRing
 					cells = append(cells, cl)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"p3/internal/cluster"
 	"p3/internal/netsim"
 	"p3/internal/sim"
 	"p3/internal/strategy"
@@ -166,7 +167,7 @@ func ringCellGoldenOf(r Result) ringCellGolden {
 	g := ringCellGolden{
 		ThroughputBits: math.Float64bits(r.Throughput), MeanIterTime: r.MeanIterTime,
 		ComputeIter: r.ComputeIter, MeasuredIters: r.MeasuredIters,
-		Events: r.Events, Msgs: r.Msgs, Bytes: r.Bytes,
+		Events: r.Events, Msgs: r.Msgs, Bytes: r.WireBytes,
 	}
 	h := fnv.New64a()
 	for _, s := range r.LayerStalls {
@@ -236,7 +237,9 @@ func TestRingCellGoldens(t *testing.T) {
 		}
 		var r Result
 		if c.calibrated {
-			_, r = RunCalibrated(cfg)
+			cfg.AllReduce = true
+			_, cal := cluster.RunCalibrated(cfg)
+			r = Result{cal, cal.ComputeIterTime}
 		} else {
 			r = Run(cfg)
 		}

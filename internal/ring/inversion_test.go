@@ -42,25 +42,3 @@ func TestRingPriorityStillWinsAt16(t *testing.T) {
 		t.Errorf("ring x16: damped %.2f ms above fifo %.2f ms", damped.MeanIterTime.Millis(), fifo.MeanIterTime.Millis())
 	}
 }
-
-// TestRing64InversionRegression asserts the same at the 64-machine scale
-// that inverted the cluster path. A 64-machine ring costs ~25M events per
-// run, so it is skipped under the race detector (the CI workflow runs it in
-// a dedicated non-race step) and in -short mode.
-func TestRing64InversionRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64-machine ring in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("64-machine ring under -race (covered by the dedicated CI step)")
-	}
-	fifo := runScale(t, 64, "fifo")
-	p3 := runScale(t, 64, "p3")
-	damped := runScale(t, 64, "damped")
-	if p3.MeanIterTime > fifo.MeanIterTime {
-		t.Errorf("ring x64: p3 %.2f ms above fifo %.2f ms", p3.MeanIterTime.Millis(), fifo.MeanIterTime.Millis())
-	}
-	if damped.MeanIterTime > fifo.MeanIterTime {
-		t.Errorf("ring x64: damped %.2f ms above fifo %.2f ms", damped.MeanIterTime.Millis(), fifo.MeanIterTime.Millis())
-	}
-}

@@ -1,11 +1,10 @@
 package ring
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
+	"p3/internal/cluster"
 	"p3/internal/model"
 	"p3/internal/strategy"
 	"p3/internal/trace"
@@ -159,9 +158,9 @@ func TestUrgentLayerCompletesFirst(t *testing.T) {
 	}
 }
 
-// TestResultCountsEveryRingSegment pins Result.Msgs/Bytes to the protocol's
-// closed form: every iteration all-reduces every chunk in 2(N-1) rounds of
-// one 1/N-sized segment per machine.
+// TestResultCountsEveryRingSegment pins Result.Msgs/WireBytes to the
+// protocol's closed form: every iteration all-reduces every chunk in 2(N-1)
+// rounds of one 1/N-sized segment per machine.
 func TestResultCountsEveryRingSegment(t *testing.T) {
 	for _, s := range []strategy.Strategy{arLayer, arP3} {
 		c := cfg(s, 5, 4)
@@ -176,44 +175,21 @@ func TestResultCountsEveryRingSegment(t *testing.T) {
 		if want := perChunk * int64(plan.NumChunks()); r.Msgs != want {
 			t.Errorf("%s: Msgs = %d, want iters x chunks x 2(N-1) x N = %d", s.Name, r.Msgs, want)
 		}
-		if want := perChunk * segBytes; r.Bytes != want {
-			t.Errorf("%s: Bytes = %d, want %d", s.Name, r.Bytes, want)
+		if want := perChunk * segBytes; r.WireBytes != want {
+			t.Errorf("%s: WireBytes = %d, want %d", s.Name, r.WireBytes, want)
 		}
 	}
 }
 
-// TestWedgedRunPanics: a machine that never enters one collective leaves
-// every rank waiting for that layer with the event queue drained. The run
-// must fail loudly (before the shared run summary it returned a negative
-// throughput).
-func TestWedgedRunPanics(t *testing.T) {
-	c := cfg(arP3, 5, 4)
-	rs := newRingSim(c.withDefaults())
-	grad := rs.loop.Grad
-	rs.loop.Grad = func(w, l int, iter int32) {
-		if w == 2 && l == 1 && iter == 2 {
-			return
-		}
-		grad(w, l, iter)
-	}
-	rs.start()
-	rs.eng.Run()
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "wedged") {
-			t.Fatalf("panic %q, want a wedged-protocol report", msg)
-		}
-	}()
-	r := rs.result()
-	t.Fatalf("wedged run returned throughput %v", r.Throughput)
-}
-
-// TestRunCalibratedRecordsOnePass: RunCalibrated's recorder holds the
-// calibrated pass alone — the series a plain Run on the calibrated profile
-// records — not the two passes' bytes summed into one trace.
+// TestRunCalibratedRecordsOnePass: cluster.RunCalibrated's recorder holds
+// the calibrated all-reduce pass alone — the series a plain Run on the
+// calibrated profile records — not the two passes' bytes summed into one
+// trace.
 func TestRunCalibratedRecordsOnePass(t *testing.T) {
 	c := cfg(strategy.Strategy{Name: "ar-tictac", Granularity: strategy.Slices, Sched: "tictac"}, 1, 4)
+	c.AllReduce = true
 	c.Recorder = trace.NewRecorder(4, 0)
-	static, _ := RunCalibrated(c)
+	static, _ := cluster.RunCalibrated(c)
 	plain := c
 	plain.Recorder = trace.NewRecorder(4, 0)
 	plain.Profile = strategy.CalibrateProfile(c.Model, c.BandwidthGbps, static.MeanLayerStalls())

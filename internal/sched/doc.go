@@ -1,9 +1,9 @@
 // Package sched is the pluggable scheduling subsystem behind every
 // send/processing queue in the tree: the simulator's NIC egress queues and
-// endpoint processing pools (internal/netsim, internal/cluster,
-// internal/ring) and the real TCP transport's producer/consumer queues
-// (internal/transport, internal/pstcp) all order their work through a
-// sched.Discipline.
+// endpoint processing pools (internal/netsim, internal/cluster, on the
+// parameter server and on ring all-reduce) and the real TCP transport's
+// producer/consumer queues (internal/transport, internal/pstcp) all order
+// their work through a sched.Discipline.
 //
 // P3's core contribution (Section 4.2 of the paper) is an ordering
 // discipline on parameter-chunk traffic; the related systems differ mainly
@@ -117,12 +117,12 @@
 //
 // A Profile may be built from measured stalls instead of static timing:
 // strategy.CalibrateProfile shifts each layer's consumption deadline by the
-// observed per-layer forward stalls of a prior run (cluster/ring
-// Result.MeanLayerStalls), so slack ranking follows the iteration timeline
-// the system actually produced — the closed-loop form of TicTac's
-// observed-timing priorities. The simulators expose it as a two-pass mode
-// (cluster.RunCalibrated, ring.RunCalibrated), the real transport as
-// runtime hooks (transport.SendQueue.SetProfile, pstcp.Worker.SetProfile —
+// observed per-layer forward stalls of a prior run
+// (cluster.Result.MeanLayerStalls), so slack ranking follows the iteration
+// timeline the system actually produced — the closed-loop form of TicTac's
+// observed-timing priorities. The simulator exposes it as a two-pass mode
+// (cluster.RunCalibrated, on either aggregation method), the real
+// transport as runtime hooks (transport.SendQueue.SetProfile, pstcp.Worker.SetProfile —
 // safe mid-traffic: Queue.SetProfile re-keys and re-enqueues
 // what is queued, so it re-orders under the new profile), and the CLIs as
 // -calibrate/-stalls/-stallsout. Caveat, pinned by
