@@ -37,7 +37,9 @@ func (cs *clusterSim) newRing(netCfg netsim.Config, prof *sched.Profile) {
 	for i := range cs.ring {
 		cs.ring[i] = chunkState{recvRounds: make([]int, n), iter: -1}
 	}
-	// One flow per queue: Dest stays 0. An item's Src is its round.
+	// One flow per queue: Dest stays 0. An item's Src is its round. The
+	// view reads the item, a value, and the plan, so it is stable while
+	// the item is queued.
 	view := func(it worker.Item) sched.Item {
 		return sched.Item{Priority: it.Priority, Bytes: cs.segBytes(it.Chunk)}
 	}

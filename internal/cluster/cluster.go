@@ -250,12 +250,23 @@ func newClusterSim(cfg Config) *clusterSim {
 		// constructed.
 		cs.injectFaults(&netCfg)
 	}
-	if !cfg.RackAggregation {
-		// A flat push or pull sends each server's share of the chunks
-		// down one host egress flow: size the flows for it once. Under
-		// rack aggregation most of it goes to the rack's aggregator
-		// instead, and the same sizing measured more allocation, not less.
-		netCfg.FlowDepth = (cs.plan.NumChunks() + cfg.Servers - 1) / cfg.Servers
+	// Host egress flows are sized once per run, per class. A flat push or
+	// pull sends each server's share of the chunks down one flow to its
+	// machine. Under rack aggregation every push goes down the one flow to
+	// the host's rack aggregator, up to every chunk per iteration; the
+	// flows left (server streams, recovery re-pushes, data replies) grow
+	// on demand: giving them the server's share as well measured more
+	// allocation, not less.
+	nc := cs.plan.NumChunks()
+	perServer := (nc + cfg.Servers - 1) / cfg.Servers
+	netCfg.FlowDepth = func(rackAgg bool) int {
+		switch {
+		case rackAgg:
+			return nc
+		case cfg.RackAggregation:
+			return 0
+		}
+		return perServer
 	}
 	cs.net = netsim.New(exec, n, netCfg, cs.deliver, cfg.Recorder)
 
@@ -264,7 +275,8 @@ func newClusterSim(cfg Config) *clusterSim {
 	// with the originating worker as the flow key of per-destination gates
 	// (and the axis damped's epoch rank interleaves same-layer items
 	// across). The owning machine's index seeds source-aware disciplines.
-	nc := cs.plan.NumChunks()
+	// The view reads the item, a value, and the plan, which never changes
+	// during a run, so it is stable while the item is queued.
 	chunkBytes := func(c int32) int64 { return cs.plan.Chunks[c].Bytes() }
 	itemView := func(it worker.Item) sched.Item {
 		return sched.Item{Priority: it.Priority, Bytes: chunkBytes(it.Chunk), Dest: it.Src}

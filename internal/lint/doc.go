@@ -52,16 +52,18 @@
 //     ord word instead of having fields of their own.
 //
 //   - sched.Item (24 bytes, 4 fields: Priority and Dest sharing a word,
-//     Bytes, rank). The budget is the queue entry's: sched.Queue stores
-//     the element, its Item and a three-word order key per queued element,
-//     56 bytes for a pointer-sized element with Item at 24 — what an entry
-//     cost before the key was stored. With Item at 32 bytes (64-byte
-//     entry) the same code measured +3.5% to +10.5% alloc_mb_per_pass on
-//     the bench workloads (PR 15), past the benchmark's 5% bound, and the
-//     heaps move entries by value, so every byte is also copied per sift
-//     level. That is also why Item has no Src field — the element's origin
-//     is a property of the queue, injected per discipline via ApplySource.
-//     (sched's TestEntrySize pins the 56 directly.)
+//     Bytes, rank). sched.Queue no longer stores an Item per queued
+//     element — an entry is the element and its three-word order key, 32
+//     bytes for a pointer-sized element — but it passes one by value on
+//     every gated dispatch: rebuilt from the view for Admit at each flow
+//     head the admission walk visits, and for OnStart and OnDispatch. At 24
+//     bytes it travels in registers. While it was stored, a 32-byte Item
+//     (64-byte entry) measured +3.5% to +10.5% alloc_mb_per_pass on the
+//     bench workloads (PR 15); dropping the stored copy (56 → 32 bytes)
+//     took rack256_hier from 33.1 to 25.9 MB a pass. That is also why Item
+//     has no Src field — the element's origin is a property of the queue,
+//     injected per discipline via ApplySource. (sched's TestEntrySize pins
+//     the entry at 32 bytes directly.)
 //
 //   - sim.Engine (128 bytes, 24 of them padding). Every event writes the
 //     header; 128 bytes is a size class whose objects own their two cache

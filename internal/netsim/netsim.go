@@ -152,12 +152,13 @@
 // the receiving shards' lists, at most one record per message.
 //
 // A host egress queue holds one flow per destination (sched.Queue). With
-// Config.FlowDepth each new flow starts with room for that many messages,
-// which the cluster layer sets to a server's share of a flat run's chunks:
-// every flow is then sized once instead of growing through the warm-up
-// iteration. Rack-aggregated runs, the ring and the probes leave it 0, and
-// their flows grow on demand. A flow that outgrows its room takes the
-// largest idle slab its queue holds before it allocates.
+// Config.FlowDepth each new flow starts with the room FlowDepth gives its
+// class: the flow to the host's own rack aggregator, or any other. The
+// cluster layer derives both from its plan, so those flows are sized once
+// instead of growing through the warm-up iteration. The ring and the
+// probes leave it nil, and their flows grow on demand. A flow that
+// outgrows its room takes the largest idle slab its queue holds before it
+// allocates.
 package netsim
 
 import (
@@ -242,10 +243,13 @@ type Config struct {
 	// bit-identical to PreemptQuantum 0.
 	PreemptQuantum int64
 	// FlowDepth sizes host egress: each NIC queue's new per-destination
-	// flow starts with room for this many messages (sched.Queue.SizeFlows).
-	// It is a capacity, never a bound, and moves no Result; 0 grows each
-	// flow on demand. The cluster layer derives it from its plan.
-	FlowDepth int
+	// flow starts with room for FlowDepth(rackAgg) messages
+	// (sched.Queue.SizeFlows), rackAgg telling the flow to the sending
+	// host's own rack aggregator (under Aggregation, where a host's
+	// pushes go) from every other flow. It is a capacity, never a bound,
+	// and moves no Result; nil, or 0 for a class, grows those flows on
+	// demand. The cluster layer derives it from its plan.
+	FlowDepth func(rackAgg bool) int
 }
 
 // Topology describes a multi-rack interconnect: racks of RackSize machines
@@ -561,8 +565,9 @@ func msgDest(m Message) int32 {
 // pair one flow. (The queue's owner needs no field: its LP index is
 // injected into source-aware disciplines via sched.ApplySource.) It reads
 // only fields that never change while the element is queued (pri is raised
-// only while a transmission is outside its egress queue), so the view
-// stays pure.
+// only while a transmission is parked outside its egress queue, and reset
+// only after its egress pop), so the view is pure and stable: the queue
+// rebuilds the Item from it at dispatch.
 func item(f *flight) sched.Item {
 	return sched.Item{Priority: f.pri, Bytes: f.msg.Bytes, Dest: msgDest(f.msg)}
 }
@@ -728,7 +733,15 @@ func New(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Recorder) *N
 		in := stage{lp: i, rate: cfg.BandwidthGbps, over: cfg.PerMsgOverhead, hdr: cfg.HeaderBytes, scale: 1}
 		out := in
 		out.sq, out.seg = sched.NewQueue(disc, item), cfg.PreemptQuantum
-		out.sq.SizeFlows(cfg.FlowDepth)
+		if fd := cfg.FlowDepth; fd != nil {
+			// The flow key of the host's own rack aggregator. Machine keys
+			// are never negative, so without aggregation no flow is it.
+			own := int32(0)
+			if cfg.Aggregation {
+				own = msgDest(Message{To: cfg.Topology.RackOf(i), ToAgg: true})
+			}
+			out.sq.SizeFlows(func(dest int32) int { return fd(dest < 0 && dest == own) })
+		}
 		// The refund events of the window-relaxed credit protocol exist
 		// only for gated disciplines; ungated runs schedule none.
 		nw.gated = out.sq.Gated()
@@ -1391,6 +1404,11 @@ func (nw *Network) ingressDone(f *flight) {
 // QueuedEgress reports how many messages wait in machine m's egress queue
 // (not counting one in flight). Used by tests.
 func (nw *Network) QueuedEgress(m int) int { return nw.nics[m].out.sq.Len() }
+
+// EgressGrown reports how many messages machine m's egress queue had to
+// grow a flow slab for (sched.Queue.Grown): 0 when FlowDepth's room
+// covered every flow the host opened.
+func (nw *Network) EgressGrown(m int) int { return nw.nics[m].out.sq.Grown() }
 
 // AggNow is the current virtual time on the tier's aggregator LP. Only
 // meaningful from a callback already running on that LP (AggDeliver /

@@ -30,7 +30,9 @@
 //   - Ranker: stamps the item at enqueue time, before Key sees it, for
 //     stateful orders a pure function of the Item cannot express (rr's
 //     stride scheduling, damped's epoch rank). Rank is called exactly once
-//     per item, before insertion.
+//     per item, before insertion, may change only the rank, and the key
+//     is (rank, 0): the queue stores the key alone and restores the rank
+//     from it when it rebuilds the Item at dispatch.
 //   - Dispatcher: observes dequeues (OnDispatch), e.g. to advance a
 //     virtual clock.
 //   - Admitter: gates dispatch with a credit window, one contract for
@@ -153,13 +155,16 @@
 // own slot, so no primitive ever scans the flow set linearly. Both heaps
 // compare the (key, insertion count) triple stored in the entry at enqueue
 // — a head compare reads a copy of that triple cached in the flow — so an
-// operation's cost is integer compares and copies of 56-byte entries, with
-// exactly one Discipline.Key call per Push (plus one per Preempts, for the
-// held element) and none per Pop. With F non-empty
-// flows, n_f elements in the touched flow, and k the number of flow heads
-// the admission walk visits before its verdict (k = 1 whenever the most
-// urgent head is admitted — the common case, in which no flow leaves the
-// head heap — and k never exceeds F):
+// operation's cost is integer compares and copies of 32-byte entries (for a
+// pointer element), with exactly one Discipline.Key call per Push (plus one
+// per Preempts, for the held element) and none per Pop. The entry keeps no
+// Item: a gated or dispatch-tracking discipline gets one rebuilt from the
+// view, one view call per head the admission walk visits and one per
+// dispatch; every built-in but rr and the credit gates makes none. With F
+// non-empty flows, n_f elements in the touched flow, and k the number of
+// flow heads the admission walk visits before its verdict (k = 1 whenever
+// the most urgent head is admitted — the common case, in which no flow
+// leaves the head heap — and k never exceeds F):
 //
 //   - Push: O(log F + log n_f), plus a scan of the idle shells when the
 //     flow's slab is full
@@ -179,12 +184,13 @@
 // lands on a shallow recycled shell reuses the slab a deep flow left idle.
 // Allocation occurs only while the slabs or the flow map are still growing
 // toward the working-set high-water mark; SizeFlows lets a caller that
-// knows its flows' depth start each new shell there. The CI benchmark gate (`p3bench -baseline`)
-// enforces both halves of this contract — allocs/op must be zero and ns/op
-// may not regress — and TestDispatchMatchesLinearScanReference pins the
-// dispatcher bit-identical to the retained linear-scan reference
-// implementation. TestEntrySize and Item's //p3:sizebudget pin the entry
-// at 56 bytes.
+// knows how deep each destination's flow gets start each new shell there.
+// The CI benchmark gate (`p3bench -baseline`) enforces both halves of this
+// contract — allocs/op must be zero and ns/op may not regress — and
+// TestDispatchMatchesLinearScanReference pins the dispatcher bit-identical
+// to the retained linear-scan reference implementation. TestEntrySize pins
+// the entry at 32 bytes for a pointer element, and Item's //p3:sizebudget
+// the 24-byte Item every gated dispatch passes by value.
 //
 // # Preemption
 //

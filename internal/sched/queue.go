@@ -21,14 +21,15 @@ import "sort"
 //
 // An element's place in the order is fixed when it is pushed: Push asks the
 // discipline for the item's Key once, puts the global insertion count
-// behind it, and stores the three words in the element's entry. Everything
-// after that compares stored integers — no Discipline call, no view call —
-// in two binary heaps written out for this one order rather than driven
-// through a comparator. One per flow holds its entries. The other holds the
-// non-empty flows, ordered by a copy of each flow's head key kept in the
-// flow itself (a head compare reads two flow structs and nothing behind
-// them); every flow records its own slot there (flow.idx), so re-ranking or
-// evicting a flow costs O(log F) in the flow count F — never a linear scan.
+// behind it, and stores the three words in the element's entry, beside the
+// element and nothing else. Ordering after that compares stored integers —
+// no Key call, no view call — in two binary heaps written out for this one
+// order rather than driven through a comparator. One per flow holds its
+// entries. The other holds the non-empty flows, ordered by a copy of each
+// flow's head key kept in the flow itself (a head compare reads two flow
+// structs and nothing behind them); every flow records its own slot there
+// (flow.idx), so re-ranking or evicting a flow costs O(log F) in the flow
+// count F — never a linear scan.
 // A push can only make a flow more urgent and a take only less, so the
 // former sifts the flow up and the latter down. The admission walk visits
 // heads in urgency order by moving refused ones off the heap, restoring them
@@ -38,11 +39,16 @@ import "sort"
 // proportional to its current, not historical, flow set, and steady-state
 // operation allocates nothing. A full flow first swaps in a roomier idle
 // slab from the free list (reslab) and grows only when there is none; a
-// new shell starts with room for SizeFlows entries (0: grow on demand).
+// new shell starts with the room SizeFlows gives its destination (none:
+// grow on demand).
 // See doc.go for the per-operation complexity contract.
 //
-// The view function projects an element into the scheduler-visible Item;
-// it must be pure (the queue may call it more than once per element).
+// The view function projects an element into the scheduler-visible Item.
+// It must be pure and stable: from Push until Done or Cancel it must
+// return the same Item for the same element. The queue keeps no copy of
+// the Item; it calls the view again to hand the element to a gated or
+// dispatch-tracking discipline (itemOf), and Done and Cancel call it after
+// the pop.
 type Queue[T any] struct {
 	d    Discipline
 	rank Ranker     // non-nil iff d ranks at enqueue
@@ -50,12 +56,13 @@ type Queue[T any] struct {
 	adm  Admitter   // non-nil iff d gates with a credit window
 	view func(T) Item
 
-	flows map[int32]*flow[T] // non-empty flows only, keyed by Item.Dest
-	heads []*flow[T]         // the same flows as a min-heap by flow.head
-	walk  []*flow[T]         // reusable admission-walk buffer (skipped prefix)
-	free  []*flow[T]         // drained flow shells kept for reuse
-	seq   uint64             // global insertion counter (cross-flow tie-break)
-	depth int                // entries a new flow shell has room for (SizeFlows)
+	flows map[int32]*flow[T]   // non-empty flows only, keyed by Item.Dest
+	heads []*flow[T]           // the same flows as a min-heap by flow.head
+	walk  []*flow[T]           // reusable admission-walk buffer (skipped prefix)
+	free  []*flow[T]           // drained flow shells kept for reuse
+	seq   uint64               // global insertion counter (cross-flow tie-break)
+	depth func(dest int32) int // room of a new flow shell per destination (SizeFlows)
+	grown int                  // pushes that grew a slab (Grown)
 	n     int
 }
 
@@ -91,11 +98,12 @@ func keyOf(d Discipline, it Item) ordKey {
 	return ordKey{hi: hi, lo: lo}
 }
 
-// entry is one queued element. Its size is what a queued element costs; see
-// Item for the budget.
+// entry is one queued element: the element and its place in the order,
+// 32 bytes for a pointer-sized element. Its size is what a queued element
+// costs (TestEntrySize); the Item is rebuilt from v when a discipline
+// needs it (itemOf), not stored.
 type entry[T any] struct {
-	v  T
-	it Item
+	v T
 	ordKey
 }
 
@@ -271,7 +279,7 @@ func (q *Queue[T]) Push(v T) {
 		it = q.rank.Rank(it)
 	}
 	q.seq++
-	e := entry[T]{v: v, it: it, ordKey: keyOf(q.d, it)}
+	e := entry[T]{v: v, ordKey: keyOf(q.d, it)}
 	e.seq = q.seq
 	f := q.flows[it.Dest]
 	if f == nil {
@@ -281,8 +289,15 @@ func (q *Queue[T]) Push(v T) {
 			q.free = q.free[:k-1]
 			f.dest = it.Dest
 		} else {
+			room := 0
+			if q.depth != nil {
+				room = q.depth(it.Dest)
+			}
+			if room == 0 {
+				q.grown++ // the push below makes the slab
+			}
 			//p3:alloc-ok first flow per destination, sized once (SizeFlows); recycled via q.free thereafter
-			f = &flow[T]{dest: it.Dest, ents: make([]entry[T], 0, q.depth)}
+			f = &flow[T]{dest: it.Dest, ents: make([]entry[T], 0, room)}
 		}
 		q.flows[it.Dest] = f
 		f.push(e)
@@ -291,6 +306,9 @@ func (q *Queue[T]) Push(v T) {
 	} else {
 		if len(f.ents) == cap(f.ents) {
 			q.reslab(f)
+			if len(f.ents) == cap(f.ents) {
+				q.grown++ // no roomier idle slab: the push below grows this one
+			}
 		}
 		f.push(e)
 		if e.before(&f.head) { // v is the flow's new head
@@ -326,10 +344,18 @@ func (q *Queue[T]) reslab(f *flow[T]) {
 }
 
 // SizeFlows gives every flow shell the queue creates from now on room for
-// depth entries, so a caller that knows how deep its flows get (netsim's
-// host egress, from the plan) pays for each slab once instead of growing
-// it. It is a capacity, never a bound: a deeper flow grows as usual.
-func (q *Queue[T]) SizeFlows(depth int) { q.depth = depth }
+// depth(dest) entries, dest being the Item.Dest of the element that opens
+// the flow, so a caller that knows how deep each destination's flows get
+// (netsim's host egress, from the plan) pays for each slab once instead of
+// growing it. It is a capacity, never a bound: a deeper flow grows as
+// usual, and a recycled shell keeps the room it has. A nil depth, or 0,
+// grows every flow on demand.
+func (q *Queue[T]) SizeFlows(depth func(dest int32) int) { q.depth = depth }
+
+// Grown reports how many pushes allocated a flow slab: into a new shell
+// SizeFlows gave no room, or into a full flow with no roomier idle slab to
+// swap in. It is 0 when SizeFlows covered every flow the queue has held.
+func (q *Queue[T]) Grown() int { return q.grown }
 
 // take pops f's head, evicts f if that drained it, and runs the dispatch
 // bookkeeping. f must currently be in the head heap.
@@ -350,13 +376,30 @@ func (q *Queue[T]) take(f *flow[T]) T {
 		f.head = f.ents[0].ordKey
 		q.headDown(f.idx)
 	}
-	if q.adm != nil {
-		q.adm.OnStart(e.it)
-	}
-	if q.disp != nil {
-		q.disp.OnDispatch(e.it)
+	if q.adm != nil || q.disp != nil {
+		it := q.itemOf(&e)
+		if q.adm != nil {
+			q.adm.OnStart(it)
+		}
+		if q.disp != nil {
+			q.disp.OnDispatch(it)
+		}
 	}
 	return e.v
+}
+
+// itemOf rebuilds the Item Push ranked and keyed for e: the view of e.v,
+// plus, under a Ranker, the rank, which Push stored as the key's high word
+// (a Ranker keys on (rank, 0)). The view is stable while e is queued, so
+// this is the Item the discipline saw at Push.
+//
+//p3:noescape
+func (q *Queue[T]) itemOf(e *entry[T]) Item {
+	it := q.view(e.v)
+	if q.rank != nil {
+		it.rank = e.hi
+	}
+	return it
 }
 
 // admitted is the admission walk behind PopReady, Preempts and PopReadyIf:
@@ -376,7 +419,7 @@ func (q *Queue[T]) admitted(limit *ordKey) *flow[T] {
 		if limit != nil && !f.head.before(limit) {
 			break // heads are urgency-ordered: no candidate remains
 		}
-		if q.adm == nil || q.adm.Admit(f.ents[0].it) {
+		if q.adm == nil || q.adm.Admit(q.itemOf(&f.ents[0])) {
 			chosen = f
 			break
 		}

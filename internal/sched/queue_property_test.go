@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"unsafe"
 )
@@ -110,6 +112,10 @@ type program struct {
 	next  func(n int) int
 	q     *Queue[int]
 	r     *refQueue[int]
+	log   *viewLog // q's discipline, wrapped
+	// want is each element's Item as Push stamped it (after any Rank): what
+	// every later callback of q's discipline must see for it.
+	want  []Item
 	sizes []int64
 	pri   []int32
 	bytes []int64
@@ -121,16 +127,28 @@ type program struct {
 	// swaps counts the pushes that found their flow's slab full while a
 	// roomier slab sat idle on the free list: the pushes reslab swapped.
 	swaps int
+	// grown counts the pushes that must allocate a slab: q.Grown().
+	grown int
+	depth func(dest int32) int
 }
 
 func newProgram(t testing.TB, name string, next func(n int) int) *program {
 	p := &program{t: t, next: next, sizes: progSizes}
 	view := func(i int) Item { return Item{Priority: p.pri[i], Bytes: p.bytes[i], Dest: p.dest[i]} }
-	p.q = NewQueue(ApplyProfile(MustByName(name), testProfiles[0]), view)
+	var d Discipline
+	d, p.log = logged(ApplyProfile(MustByName(name), testProfiles[0]))
+	p.q = NewQueue(d, view)
 	p.r = newRefQueue(ApplyProfile(MustByName(name), testProfiles[0]), view)
-	// Sized or growing from empty: the flows' starting room must not move
-	// dispatch either.
-	p.q.SizeFlows(next(8))
+	// Sized or growing from empty, by destination class: the flows'
+	// starting room must not move dispatch either.
+	depth := next(8)
+	p.depth = func(dest int32) int {
+		if dest < 0 {
+			return depth / 2
+		}
+		return depth
+	}
+	p.q.SizeFlows(p.depth)
 	// A credit window sums the bytes in flight, so two MaxInt64 payloads
 	// overflow it; gated disciplines stop at 1<<40.
 	if p.q.Gated() {
@@ -156,17 +174,23 @@ func (p *program) push(dest int32, k int) {
 	}
 	for ; k > 0; k-- {
 		if f := p.q.flows[dest]; f != nil && len(f.ents) == cap(f.ents) {
-			for _, g := range p.q.free {
-				if cap(g.ents) > cap(f.ents) {
-					p.swaps++
-					break
-				}
+			if slices.ContainsFunc(p.q.free, func(g *flow[int]) bool { return cap(g.ents) > cap(f.ents) }) {
+				p.swaps++
+			} else {
+				p.grown++
 			}
+		} else if f == nil && len(p.q.free) == 0 && p.depth(dest) == 0 {
+			p.grown++
 		}
 		p.pri, p.bytes, p.dest = append(p.pri, pri), append(p.bytes, size), append(p.dest, dest)
 		i := len(p.pri) - 1
 		p.q.Push(i)
 		p.r.Push(i)
+		p.want = append(p.want, p.q.view(i))
+		if n := len(p.log.ranked); n > 0 {
+			p.want[i] = p.log.ranked[n-1]
+			p.log.ranked = p.log.ranked[:0]
+		}
 	}
 }
 
@@ -178,6 +202,7 @@ func (p *program) burst() {
 // pop dispatches one element through PopReady, Pop or PopReadyIf (kind
 // 0: Pop, 1: PopReadyIf, else PopReady).
 func (p *program) pop(kind int) {
+	heads := p.heads()
 	var gv, wv int
 	var gok, wok bool
 	op := "PopReady"
@@ -198,6 +223,7 @@ func (p *program) pop(kind int) {
 	if gv != wv || gok != wok {
 		p.fail("%s = (%d,%v), reference (%d,%v)", op, gv, gok, wv, wok)
 	}
+	p.audit(op, heads, gv, gok)
 	if gok {
 		p.inflight = append(p.inflight, gv)
 	}
@@ -211,13 +237,25 @@ func (p *program) release() {
 	k := p.next(len(p.inflight))
 	v := p.inflight[k]
 	p.inflight = append(p.inflight[:k], p.inflight[k+1:]...)
+	call := "OnDone"
 	if p.next(3) == 0 {
+		call = "OnCancel"
 		p.q.Cancel(v)
 		p.r.Cancel(v)
 	} else {
 		p.q.Done(v)
 		p.r.Done(v)
 	}
+	// Done and Cancel see the element's view without its rank: the
+	// element has left the queue, and its key with it.
+	want := p.want[v]
+	want.rank = 0
+	for _, s := range p.log.seen {
+		if s.call != call || s.it != want {
+			p.fail("%s(%d): the discipline saw %s %+v, want %+v", call[2:], v, s.call, s.it, want)
+		}
+	}
+	p.log.seen = p.log.seen[:0]
 }
 
 // step runs one operation and checks the result.
@@ -237,9 +275,11 @@ func (p *program) step() {
 			break
 		}
 		hold := p.inflight[p.next(len(p.inflight))]
+		heads := p.heads()
 		if g, w := p.q.Preempts(hold), p.r.Preempts(hold); g != w {
 			p.fail("Preempts(%d) = %v, reference %v", hold, g, w)
 		}
+		p.audit("Preempts", heads, 0, false)
 	case op < 50:
 		p.release()
 	case op < 59:
@@ -251,8 +291,20 @@ func (p *program) step() {
 		}
 	default: // recalibration under load: everything queued is re-keyed
 		prof := testProfiles[p.next(len(testProfiles))]
+		queued := p.queued()
 		p.q.SetProfile(prof)
 		p.r.SetProfile(prof)
+		p.grown = p.q.Grown() // the rebuild's re-pushes are not predicted
+		// A Ranker re-ranks what is queued, in insertion order.
+		if len(p.log.ranked) > 0 {
+			if len(p.log.ranked) != len(queued) {
+				p.fail("SetProfile ranked %d items, %d queued", len(p.log.ranked), len(queued))
+			}
+			for k, v := range queued {
+				p.want[v] = p.log.ranked[k]
+			}
+			p.log.ranked = p.log.ranked[:0]
+		}
 	}
 	p.steps++
 	p.check()
@@ -264,6 +316,13 @@ func (p *program) step() {
 func (p *program) check() {
 	if p.q.Len() != p.r.Len() {
 		p.fail("Len %d, reference %d", p.q.Len(), p.r.Len())
+	}
+	if p.q.Grown() != p.grown {
+		p.fail("Grown %d, want %d", p.q.Grown(), p.grown)
+	}
+	// Every callback was audited by the operation that caused it.
+	if len(p.log.seen) != 0 {
+		p.fail("unaudited callbacks %+v", p.log.seen)
 	}
 	for _, f := range p.q.free {
 		if len(f.ents) != 0 {
@@ -294,10 +353,139 @@ func (p *program) drain() {
 		if gv != wv || gok != wok {
 			p.fail("drain: Pop = (%d,%v), reference (%d,%v)", gv, gok, wv, wok)
 		}
+		p.audit("drain: Pop", nil, gv, gok)
 		if !gok {
 			return
 		}
 	}
+}
+
+// heads returns the elements at the head of q's flows: the only ones an
+// admission walk may offer to Admit.
+func (p *program) heads() []int {
+	var hs []int
+	for _, f := range p.q.heads {
+		hs = append(hs, f.ents[0].v)
+	}
+	return hs
+}
+
+// queued returns q's elements in insertion order.
+func (p *program) queued() []int {
+	var ents []entry[int]
+	for _, f := range p.q.heads {
+		ents = append(ents, f.ents...)
+	}
+	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
+	vs := make([]int, len(ents))
+	for i, e := range ents {
+		vs[i] = e.v
+	}
+	return vs
+}
+
+// audit checks the Items q handed its discipline during one dispatching
+// operation against the Items Push stamped: Admit must see a flow head's,
+// OnStart and OnDispatch the dispatched element's (v, when popped).
+func (p *program) audit(op string, heads []int, v int, popped bool) {
+	for _, s := range p.log.seen {
+		switch s.call {
+		case "Admit":
+			if !slices.ContainsFunc(heads, func(h int) bool { return p.want[h] == s.it }) {
+				p.fail("%s: Admit saw %+v, no flow head's Item", op, s.it)
+			}
+		case "OnStart", "OnDispatch":
+			if !popped || s.it != p.want[v] {
+				p.fail("%s: %s saw %+v, want %+v (element %d)", op, s.call, s.it, p.want[v], v)
+			}
+		default:
+			p.fail("%s: unexpected %s(%+v)", op, s.call, s.it)
+		}
+	}
+	p.log.seen = p.log.seen[:0]
+}
+
+// viewLog wraps a program queue's discipline and records what the queue
+// hands it: the Items Rank stamped, and every Item passed to a callback
+// after Push. logged presents exactly the optional interfaces of the
+// wrapped discipline, so the queue takes the paths it would take
+// unwrapped.
+type viewLog struct {
+	d      Discipline
+	ranked []Item // Rank's results, in call order
+	seen   []seenItem
+}
+
+type seenItem struct {
+	call string
+	it   Item
+}
+
+func (l *viewLog) Name() string                { return l.d.Name() }
+func (l *viewLog) Key(it Item) (hi, lo uint64) { return l.d.Key(it) }
+func (l *viewLog) SetProfile(p *Profile)       { ApplyProfile(l.d, p) }
+func (l *viewLog) note(call string, it Item)   { l.seen = append(l.seen, seenItem{call, it}) }
+
+type logRank struct{ l *viewLog }
+
+func (r logRank) Rank(it Item) Item {
+	it = r.l.d.(Ranker).Rank(it)
+	r.l.ranked = append(r.l.ranked, it)
+	return it
+}
+
+type logDispatch struct{ l *viewLog }
+
+func (r logDispatch) OnDispatch(it Item) {
+	r.l.note("OnDispatch", it)
+	r.l.d.(Dispatcher).OnDispatch(it)
+}
+
+type logGate struct{ l *viewLog }
+
+func (g logGate) Admit(it Item) bool {
+	g.l.note("Admit", it)
+	return g.l.d.(Admitter).Admit(it)
+}
+func (g logGate) OnStart(it Item)  { g.l.note("OnStart", it); g.l.d.(Admitter).OnStart(it) }
+func (g logGate) OnDone(it Item)   { g.l.note("OnDone", it); g.l.d.(Admitter).OnDone(it) }
+func (g logGate) OnCancel(it Item) { g.l.note("OnCancel", it); g.l.d.(Admitter).OnCancel(it) }
+func (g logGate) OnPark(it Item)   { g.l.note("OnPark", it); g.l.d.(Admitter).OnPark(it) }
+func (g logGate) OnResume(it Item) { g.l.note("OnResume", it); g.l.d.(Admitter).OnResume(it) }
+
+// logged wraps d in a viewLog with d's set of optional interfaces.
+func logged(d Discipline) (Discipline, *viewLog) {
+	l := &viewLog{d: d}
+	_, rank := d.(Ranker)
+	_, disp := d.(Dispatcher)
+	_, gate := d.(Admitter)
+	switch {
+	case !rank && !disp && !gate:
+		return l, l
+	case rank && !disp && !gate:
+		return struct {
+			*viewLog
+			logRank
+		}{l, logRank{l}}, l
+	case rank && disp && !gate:
+		return struct {
+			*viewLog
+			logRank
+			logDispatch
+		}{l, logRank{l}, logDispatch{l}}, l
+	case !rank && !disp && gate:
+		return struct {
+			*viewLog
+			logGate
+		}{l, logGate{l}}, l
+	case rank && !disp && gate:
+		return struct {
+			*viewLog
+			logRank
+			logGate
+		}{l, logRank{l}, logGate{l}}, l
+	}
+	panic(fmt.Sprintf("logged: no wrapper for %s (ranker %v, dispatcher %v, admitter %v)", d.Name(), rank, disp, gate))
 }
 
 // TestDrainedFlowsAreEvicted pins the leak fix: a flow whose subqueue
@@ -378,14 +566,66 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestEntrySize pins what a queued element costs: the element, its Item and
-// the three-word order key in 56 bytes for a pointer-sized element. Item's
-// comment has the measurement behind the number.
+// TestEntrySize pins what a queued element costs: the element and the
+// three-word order key, 32 bytes for a pointer-sized element and 40 for a
+// 16-byte value (the size of worker.Item, which the processing pools
+// queue). The entry keeps no Item; Item's comment has the measurements
+// behind both numbers.
 func TestEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the budget is stated for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(entry[*byte]{}); got != 56 {
-		t.Fatalf("entry[*byte] is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(entry[*byte]{}); got != 32 {
+		t.Fatalf("entry[*byte] is %d bytes, want 32", got)
+	}
+	type workerItem struct{ chunk, iter, src, priority int32 } // worker.Item's layout
+	if got := unsafe.Sizeof(entry[workerItem]{}); got != 40 {
+		t.Fatalf("entry[workerItem] is %d bytes, want 40", got)
+	}
+}
+
+// TestRankerKeyIsRank pins the Ranker contract the queue's rebuilt Items
+// rest on: every registered discipline that ranks at enqueue keys on
+// (rank, 0), and its Rank changes nothing but rank. The queue stores only
+// the key and restores rank from its high word (Queue.itemOf), so a Ranker
+// keyed on anything else would hand Admit, OnStart and OnDispatch a wrong
+// Item.
+func TestRankerKeyIsRank(t *testing.T) {
+	specs := Names()
+	for _, base := range Names() {
+		specs = append(specs, "damped:"+base)
+	}
+	specs = append(specs, "damped:credit:1500", "damped:credit-adaptive:1500", "damped:tictac@3")
+	var rankers []string
+	for _, spec := range specs {
+		d, err := ByName(spec)
+		if err != nil {
+			continue // a base damped rejects
+		}
+		r, ok := d.(Ranker)
+		if !ok {
+			continue
+		}
+		rankers = append(rankers, spec)
+		ApplyProfile(d, testProfiles[0])
+		ApplySource(d, 3)
+		for _, pri := range progPris {
+			for _, dest := range progDests {
+				in := Item{Priority: pri, Dest: dest, Bytes: progSizes[int(uint32(pri)+uint32(dest))%len(progSizes)]}
+				it := r.Rank(in)
+				if hi, lo := d.Key(it); hi != it.rank || lo != 0 {
+					t.Fatalf("%s: Key(%+v) = (%d, %d), want (rank, 0) = (%d, 0)", spec, it, hi, lo, it.rank)
+				}
+				if it.rank = 0; it != in {
+					t.Fatalf("%s: Rank(%+v) changed more than rank: %+v", spec, in, it)
+				}
+			}
+		}
+	}
+	t.Logf("Rankers: %v", rankers)
+	for _, want := range []string{"rr", "damped", "damped:tictac", "damped:credit:1500"} {
+		if !slices.Contains(rankers, want) {
+			t.Errorf("%s is not among the Rankers checked %v", want, rankers)
+		}
 	}
 }

@@ -13,13 +13,15 @@ import (
 // processing-pool work item) into an Item; disciplines only ever see this
 // view.
 //
-// The layout is part of the queue's memory budget: Queue stores one Item
-// next to every queued element together with its three-word order key, and
-// at 24 bytes (the two int32 fields share a word) that entry is 56 bytes
-// for a pointer-sized element — what it cost before the key was stored. A
-// 32-byte Item (64-byte entry) was measured at +3.5% to +10.5%
-// alloc_mb_per_pass across the bench workloads (PR 15), so a new field has
-// to pay for itself against that.
+// The layout is part of the dispatch budget. Queue no longer stores an
+// Item per queued element (an entry is the element and its three-word
+// order key, 32 bytes for a pointer), but it passes one by value on every
+// gated dispatch: rebuilt from the view for Admit at each head the
+// admission walk visits, and for OnStart and OnDispatch. At 24 bytes (the
+// two int32 fields share a word) it fits three registers. While the Item
+// was stored, a 32-byte Item (64-byte entry) measured +3.5% to +10.5%
+// alloc_mb_per_pass across the bench workloads (PR 15); a new field still
+// has to pay for itself on the dispatch path.
 //
 //p3:sizebudget 24
 type Item struct {
@@ -83,6 +85,11 @@ func ord64(v int64) uint64 { return uint64(v) ^ 1<<63 }
 // a pointer: passing a stack Item's address through the interface would
 // force every enqueue — under every discipline — to heap-allocate the
 // view.)
+//
+// A Ranker's Key must be (rank, 0), and Rank may change nothing but rank:
+// the queue stores only the key, and rebuilds the stamped Item it hands
+// to Admit, OnStart and OnDispatch from the element's view with rank
+// restored from the key's high word (TestRankerKeyIsRank).
 type Ranker interface {
 	Rank(it Item) Item
 }

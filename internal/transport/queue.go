@@ -31,7 +31,9 @@ type SendQueue struct {
 // the payload size, and the destination endpoint (the flow key of
 // per-destination disciplines such as credit-adaptive). The sending
 // endpoint is a property of the whole queue, injected into source-aware
-// disciplines via sched.ApplySource by the queue's owner (pstcp).
+// disciplines via sched.ApplySource by the queue's owner (pstcp). It is
+// stable while the frame is queued and in flight: nothing writes a
+// frame's Priority, Dst or Values slice header after it is pushed.
 func frameItem(f *Frame) sched.Item {
 	return sched.Item{Priority: f.Priority, Bytes: 4 * int64(len(f.Values)), Dest: int32(f.Dst)}
 }
