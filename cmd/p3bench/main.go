@@ -10,10 +10,12 @@
 //
 // The throughput/utilization experiments run on the discrete-event
 // simulator and take seconds. Every sweep spreads its cells over GOMAXPROCS
-// workers, and every parameter-server cell runs on -shards engine shards
-// (ring all-reduce cells run one shard; results are bit-identical at any
-// value). The convergence experiments (fig11, fig15, tta, compression)
-// train real networks and take minutes without -fast.
+// workers, and every parameter-server cell runs on -shards engine shards:
+// by default one, since the cell pool already fills every core and sharding
+// has measured slower than one engine on two cores (ring all-reduce cells
+// always run one shard; results are bit-identical at any value). The
+// convergence experiments (fig11, fig15, tta) train real networks and take
+// minutes without -fast.
 //
 // bench runs the dispatch-path microbenchmarks (ns/op + allocs/op for the
 // scheduler queue, transport queue and event engine) plus the zoo-simulation
@@ -29,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -82,7 +83,7 @@ func expandTargets(args []string, baseline bool) ([]string, error) {
 func main() {
 	fast := flag.Bool("fast", false, "trimmed sweeps (for smoke runs)")
 	seed := flag.Int64("seed", 0, "workload seed")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "simulation shards per parameter-server cell (results are bit-identical at any value)")
+	shards := flag.Int("shards", 1, "simulation shards per parameter-server cell: >= 2 runs the conservative-lookahead parallel engine, which has measured slower than one engine on 2 cores (results are bit-identical at any value)")
 	plot := flag.Bool("plot", true, "render ASCII plots")
 	tsv := flag.Bool("tsv", true, "print TSV series")
 	baseline := flag.String("baseline", "", "compare dispatch microbenchmarks against this artifact; exit 1 on regression (implies the bench target)")

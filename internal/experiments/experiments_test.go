@@ -266,8 +266,8 @@ func TestASCIIHandlesEmptyFigure(t *testing.T) {
 
 // TestAll checks the experiment list's structure: unique IDs, exactly one
 // of Figures and Table, a Summary only beside Figures, a golden for every
-// ID but fig5 (its figures run no simulation), and no report paragraph
-// pointing at a DESIGN.md the repository never had.
+// ID but fig5 (its figures run no simulation) and no golden without an ID,
+// and no report paragraph pointing at a DESIGN.md the repository never had.
 func TestAll(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range All {
@@ -286,6 +286,15 @@ func TestAll(t *testing.T) {
 		}
 		if strings.Contains(e.Title+e.About, "DESIGN.md") {
 			t.Errorf("%s: cites DESIGN.md, which does not exist", e.ID)
+		}
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		if id := strings.TrimSuffix(filepath.Base(g), ".golden"); !seen[id] {
+			t.Errorf("%s: no entry of All has ID %q; delete the golden with its experiment", g, id)
 		}
 	}
 }

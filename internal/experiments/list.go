@@ -134,11 +134,6 @@ var All = []Experiment{
 			"measured statistical efficiency. DGC iterates fastest but converges lower;\n" +
 			"P3 keeps dense convergence at near-compute-bound speed.",
 		Table: func(o Options) string { return tsv(ttaCols, TimeToAccuracy(o)) }},
-	{ID: "compression", Title: "Extension — compression family (related work)",
-		About: "The quantization/sparsification baselines the paper cites (QSGD, TernGrad,\n" +
-			"1-bit SGD, DGC) on the substitute task: bandwidth bought with accuracy risk,\n" +
-			"versus the dense exchange P3 keeps.",
-		Table: func(o Options) string { return tsv(compressionCols, ExtCompression(o)) }},
 	{ID: "sensitivity", Title: "Sensitivity — server count and batch size (Appendix A.7 knobs)",
 		About: "VGG-19 at 15 Gbps on 4 machines, per-machine images/sec. Fewer servers\n" +
 			"concentrate ingress and update load (P3's pipelining matters more); larger\n" +

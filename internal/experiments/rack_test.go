@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"p3/internal/cluster"
@@ -114,8 +115,23 @@ type findingCell struct {
 	aggGBps                float64
 }
 
+// findingRuns memoizes hierFindingRun: a Result is a function of its cell
+// alone, and the findings share cells (flat fifo under both placements in
+// the oversubscription and aggregation findings, damped+hier in the
+// hierarchical and capacity findings), so each runs once per test binary.
+var findingRuns = struct {
+	sync.Mutex
+	m map[findingCell]cluster.Result
+}{m: map[findingCell]cluster.Result{}}
+
 func hierFindingRun(t *testing.T, c findingCell) cluster.Result {
 	t.Helper()
+	findingRuns.Lock()
+	r, ok := findingRuns.m[c]
+	findingRuns.Unlock()
+	if ok {
+		return r
+	}
 	base := strategy.SlicingOnly(0)
 	name := "sliced"
 	if c.pull {
@@ -132,7 +148,7 @@ func hierFindingRun(t *testing.T, c findingCell) cluster.Result {
 		topo.SpineOversub = 4
 		topo.SpineSched = c.core
 	}
-	return cluster.Run(cluster.Config{
+	r = cluster.Run(cluster.Config{
 		Model: zoo.ByName("resnet50"), Machines: 256, Servers: 8,
 		Strategy: st, BandwidthGbps: 1.5,
 		WarmupIters: 1, MeasureIters: 2, Seed: 2,
@@ -143,6 +159,10 @@ func hierFindingRun(t *testing.T, c findingCell) cluster.Result {
 		RackLocalPS:     c.local,
 		AggReduceGBps:   c.aggGBps,
 	})
+	findingRuns.Lock()
+	findingRuns.m[c] = r
+	findingRuns.Unlock()
+	return r
 }
 
 // TestRackOversubDampingFinding pins the 256-machine multi-rack result,

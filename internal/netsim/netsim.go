@@ -580,7 +580,6 @@ type Handler func(Message)
 // only counters it owns; Network's accessor methods sum them once the run
 // is over.
 type nicStats struct {
-	msgsSent       int64
 	bytesSent      int64
 	msgsDelivered  int64
 	bytesDelivered int64
@@ -810,11 +809,6 @@ func (nw *Network) agg(tier, idx int) *aggregator {
 // from the simulation's own events or after Run returns (under the sharded
 // engine the counters are written by concurrent shards mid-run).
 
-// MsgsSent is the number of messages handed to Send.
-func (nw *Network) MsgsSent() int64 {
-	return nw.sumStats(func(s *nicStats) int64 { return s.msgsSent })
-}
-
 // BytesSent is the payload volume handed to Send.
 func (nw *Network) BytesSent() int64 {
 	return nw.sumStats(func(s *nicStats) int64 { return s.bytesSent })
@@ -897,9 +891,7 @@ func (nw *Network) Send(m Message) {
 	if m.ToAgg && int(m.AggTier) >= len(nw.tiers) {
 		panic("netsim: TierPod send without a spine tier (Topology.Pods is 0)") //p3:alloc-ok misuse panic, never reached by a valid run
 	}
-	st := &nw.nics[m.From].stats
-	st.msgsSent++
-	st.bytesSent += m.Bytes
+	nw.nics[m.From].stats.bytesSent += m.Bytes
 	f := nw.acquire(m.From, m)
 	if !m.ToAgg && m.From == m.To {
 		nw.after(m.From, nw.localTime(m.Bytes), f, (*Network).deliverLocal)

@@ -8,32 +8,19 @@ import (
 	"testing"
 
 	"p3/internal/nn"
-	"p3/internal/quant"
 )
 
 // TestTrajectoryGoldens pins every synchronous exchange rule bit for bit:
 // math.Float64bits of each epoch's TrainLoss and ValAcc (a function of the
-// whole parameter trajectory), of the measured compression ratio, and an
-// FNV-1a hash over the final parameters' bits. testdata/trajectories.golden
-// was generated before runDense, runDGC and runQuantized became one loop
-// (and with sequential gradient computation), so it is what holds that loop
-// to the three it replaced. A mismatch writes trajectories.golden.got.
+// whole parameter trajectory) and an FNV-1a hash over the final parameters'
+// bits. testdata/trajectories.golden was generated before runDense and
+// runDGC became one loop (and with sequential gradient computation), so it
+// is what holds that loop to the rules it replaced. A mismatch writes
+// trajectories.golden.got.
 func TestTrajectoryGoldens(t *testing.T) {
 	tr, val, netCfg := tinyTask(t)
 	probe := nn.NewResidualMLP(netCfg)
 	plan := PlanFor(probe, 64, 4)
-	var sizes []int
-	for _, p := range probe.Params() {
-		sizes = append(sizes, len(p.Data))
-	}
-	codecs := func(mk func(w int) quant.Codec) func(*Config) {
-		return func(c *Config) {
-			c.Mode = Quantized
-			for w := 0; w < c.Workers; w++ {
-				c.Codecs = append(c.Codecs, mk(w))
-			}
-		}
-	}
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -43,9 +30,6 @@ func TestTrajectoryGoldens(t *testing.T) {
 		{"dense-noclip", func(c *Config) { c.ClipNorm = 0 }},
 		{"dgc", func(c *Config) { c.Mode = DGC; c.DGCSparsity = 0.99 }},
 		{"dgc-default-sparsity", func(c *Config) { c.Mode = DGC }},
-		{"qsgd4", codecs(func(w int) quant.Codec { return quant.NewQSGD(4, int64(100+w)) })},
-		{"terngrad", codecs(func(w int) quant.Codec { return quant.NewTernGrad(int64(200 + w)) })},
-		{"1bit", codecs(func(int) quant.Codec { return quant.NewOneBit(sizes) })},
 	}
 	var b strings.Builder
 	for _, c := range cases {
@@ -63,8 +47,7 @@ func TestTrajectoryGoldens(t *testing.T) {
 				hash = (hash ^ math.Float64bits(x)) * 1099511628211
 			}
 		}
-		fmt.Fprintf(&b, "%s\titers %d\tratio %016x\tparams %016x\n", c.name, h.Iterations,
-			math.Float64bits(h.CompressionRatio), hash)
+		fmt.Fprintf(&b, "%s\titers %d\tparams %016x\n", c.name, h.Iterations, hash)
 	}
 	got := b.String()
 	const path = "testdata/trajectories.golden"

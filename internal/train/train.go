@@ -1,6 +1,6 @@
 // Package train runs data-parallel training of the convergence experiments
 // (paper Sections 5.6 and Appendix B.2): N workers compute gradients on
-// disjoint data shards and exchange them through one of four aggregation
+// disjoint data shards and exchange them through one of three aggregation
 // rules:
 //
 //   - Dense: synchronous dense aggregation — the rule shared by the MXNet
@@ -11,7 +11,9 @@
 //   - DGC: Deep Gradient Compression (lossy top-k with momentum correction).
 //   - ASGD: asynchronous SGD — each worker pushes into the master without
 //     waiting for the others, computing on stale parameters.
-//   - Quantized: QSGD/TernGrad/1-bit codecs from the paper's related work.
+//
+// DGC is the one lossy codec the paper measures (Section 5.6, Figure 11):
+// P3's claim is that it needs none.
 package train
 
 import (
@@ -26,7 +28,6 @@ import (
 	"p3/internal/model"
 	"p3/internal/nn"
 	"p3/internal/opt"
-	"p3/internal/quant"
 )
 
 // Mode selects the gradient-exchange rule.
@@ -37,10 +38,6 @@ const (
 	Dense Mode = iota
 	DGC
 	ASGD
-	// Quantized exchanges codec-compressed gradients (QSGD/TernGrad/1-bit,
-	// the related-work baselines of the paper's Section 6); the Codecs
-	// field supplies one codec per worker.
-	Quantized
 )
 
 func (m Mode) String() string {
@@ -51,8 +48,6 @@ func (m Mode) String() string {
 		return "dgc"
 	case ASGD:
 		return "asgd"
-	case Quantized:
-		return "quantized"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
@@ -70,9 +65,6 @@ type Config struct {
 	Mode Mode
 	// DGCSparsity is the withheld fraction for Mode == DGC (paper: 0.999).
 	DGCSparsity float64
-	// Codecs holds one quantization codec per worker for Mode == Quantized
-	// (codecs like 1-bit SGD carry per-worker error state).
-	Codecs []quant.Codec
 
 	// ChunkOrder, if non-nil, aggregates gradients chunk-by-chunk in this
 	// plan's order (sorted by priority when Priority is true) instead of
@@ -83,8 +75,7 @@ type Config struct {
 
 	// ClipNorm rescales gradients whose global L2 norm exceeds it (0
 	// disables). Applied to the aggregated gradient in Dense/ASGD and to
-	// each worker's local gradient in DGC and Quantized, as in the
-	// respective papers.
+	// each worker's local gradient in DGC, as in the DGC paper.
 	ClipNorm float64
 
 	Seed int64
@@ -120,24 +111,35 @@ type History struct {
 	TrainLoss   []float64 // per epoch (mean over iterations)
 	Iterations  int
 	FinalValAcc float64
-	// CompressionRatio is the measured dense-bits / wire-bits ratio for
-	// Quantized runs (0 otherwise).
-	CompressionRatio float64
+}
+
+// Validate reports the first setting Run cannot train with.
+func (c Config) Validate() error {
+	switch {
+	case c.Workers <= 0 || c.Batch <= 0 || c.Epochs <= 0:
+		return fmt.Errorf("train: workers %d, batch %d, epochs %d: each must be at least 1", c.Workers, c.Batch, c.Epochs)
+	case c.Net.In <= 0 || c.Net.Width <= 0 || c.Net.Classes <= 0 || c.Net.Blocks < 0:
+		return fmt.Errorf("train: network in %d, width %d, classes %d: each must be at least 1; blocks %d: at least 0",
+			c.Net.In, c.Net.Width, c.Net.Classes, c.Net.Blocks)
+	case c.Mode < Dense || c.Mode > ASGD:
+		return fmt.Errorf("train: unknown mode %v", c.Mode)
+	case c.Mode == DGC && !(c.DGCSparsity >= 0 && c.DGCSparsity < 1):
+		return fmt.Errorf("train: DGC sparsity %g out of (0,1) (0 means 0.999)", c.DGCSparsity)
+	}
+	return nil
 }
 
 // Run trains the configured network and returns its history. The master
-// replica's parameters end up in the returned network.
+// replica's parameters end up in the returned network. It panics with
+// Validate's error on a Config that cannot train.
 func Run(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
-	if cfg.Workers <= 0 || cfg.Batch <= 0 || cfg.Epochs <= 0 {
-		panic(fmt.Sprintf("train: invalid config workers=%d batch=%d epochs=%d", cfg.Workers, cfg.Batch, cfg.Epochs))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	switch cfg.Mode {
-	case Dense, DGC, Quantized:
-		return runSync(cfg, tr, val)
-	case ASGD:
+	if cfg.Mode == ASGD {
 		return runASGD(cfg, tr, val)
 	}
-	panic(fmt.Sprintf("train: unknown mode %v", cfg.Mode))
+	return runSync(cfg, tr, val)
 }
 
 // shardsAndBatches prepares per-worker data shards and a deterministic
@@ -269,20 +271,16 @@ func PlanFor(net *nn.Network, maxSlice int64, servers int) *core.Plan {
 	return core.PartitionSlices(m, maxSlice, servers)
 }
 
-// runSync is synchronous data-parallel SGD, the one loop behind Dense, DGC
-// and Quantized: every worker computes a gradient on its shard, the gradients
-// are summed and averaged, and every replica applies the identical update
-// (the parameter-server broadcast). The three rules differ only in how a
-// worker's gradient reaches the sum — as is, in chunk-plan order (aggregate);
-// through its dgc.Compressor as a sparse update; through its quantization
-// codec, with the wire bits counted — in whether ClipNorm sees the aggregate
-// (Dense) or each worker's own gradient (the lossy rules, as in their
-// papers), and in the server's momentum: DGC carries momentum in the workers
+// runSync is synchronous data-parallel SGD, the one loop behind Dense and
+// DGC: every worker computes a gradient on its shard, the gradients are
+// summed and averaged, and every replica applies the identical update (the
+// parameter-server broadcast). The two rules differ only in how a worker's
+// gradient reaches the sum — as is, in chunk-plan order (aggregate), or
+// through its dgc.Compressor as a sparse update — in whether ClipNorm sees
+// the aggregate (Dense) or each worker's own gradient (DGC, as in its
+// paper), and in the server's momentum: DGC carries momentum in the workers
 // (momentum correction), so its server applies plain SGD.
 func runSync(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
-	if cfg.Mode == Quantized && len(cfg.Codecs) != cfg.Workers {
-		panic(fmt.Sprintf("train: %d codecs for %d workers", len(cfg.Codecs), cfg.Workers))
-	}
 	serverMomentum := cfg.Momentum
 	if cfg.Mode == DGC {
 		serverMomentum = 0
@@ -316,7 +314,6 @@ func runSync(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 	h := &History{Mode: cfg.Mode}
 	iters := itersPerEpoch(cfg, tr)
 	inv := 1.0 / float64(cfg.Workers)
-	var wireBits, denseBits int64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.Schedule.LR(epoch)
 		var lossSum float64
@@ -335,16 +332,7 @@ func runSync(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 				for w := range grads {
 					clipNorm(grads[w], cfg.ClipNorm)
 					for pi, a := range agg {
-						if cfg.Mode == DGC {
-							dgc.Apply(a, comps[w].Compress(pi, grads[w][pi]))
-							continue
-						}
-						dec, bits := cfg.Codecs[w].EncodeDecode(pi, grads[w][pi])
-						wireBits += bits
-						denseBits += 32 * int64(len(dec))
-						for i := range a {
-							a[i] += dec[i]
-						}
+						dgc.Apply(a, comps[w].Compress(pi, grads[w][pi]))
 					}
 				}
 				for _, a := range agg {
@@ -363,9 +351,6 @@ func runSync(cfg Config, tr, val *data.Set) (*History, *nn.Network) {
 		h.ValAcc = append(h.ValAcc, replicas[0].Accuracy(val.X, val.Y))
 	}
 	h.FinalValAcc = h.ValAcc[len(h.ValAcc)-1]
-	if wireBits > 0 {
-		h.CompressionRatio = float64(denseBits) / float64(wireBits)
-	}
 	return h, replicas[0]
 }
 

@@ -6,7 +6,6 @@ import (
 	"p3/internal/data"
 	"p3/internal/nn"
 	"p3/internal/opt"
-	"p3/internal/quant"
 )
 
 func tinyTask(t *testing.T) (tr, val *data.Set, netCfg nn.Config) {
@@ -182,35 +181,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("workers=0 accepted")
-		}
-	}()
-	Run(cfg, tr, val)
-}
-
-func TestQuantizedConverges(t *testing.T) {
-	tr, val, netCfg := tinyTask(t)
-	cfg := baseCfg(netCfg)
-	cfg.Mode = Quantized
-	cfg.Epochs = 12
-	for w := 0; w < cfg.Workers; w++ {
-		cfg.Codecs = append(cfg.Codecs, quant.NewQSGD(8, int64(w)))
-	}
-	h, _ := Run(cfg, tr, val)
-	if h.FinalValAcc < 0.7 {
-		t.Fatalf("QSGD training reached only %.3f", h.FinalValAcc)
-	}
-	if h.CompressionRatio < 5 {
-		t.Fatalf("QSGD-8 compression ratio %.2f, want > 5x", h.CompressionRatio)
-	}
-}
-
-func TestQuantizedRequiresCodecs(t *testing.T) {
-	tr, val, netCfg := tinyTask(t)
-	cfg := baseCfg(netCfg)
-	cfg.Mode = Quantized
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing codecs accepted")
 		}
 	}()
 	Run(cfg, tr, val)
